@@ -58,6 +58,7 @@ from .refinement import (
     eval_symbol_grid,
     make_mask,
     mask_from_file,
+    phihat_grid,
     phihat_orbit,
 )
 from .solenoid import (

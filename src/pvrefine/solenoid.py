@@ -270,18 +270,9 @@ def eval_A(mask: RefinementMask, g: SolenoidWindow):
                     raise WindowTooSmallError(
                         "translate support at %d outside window [%d, %d]" % (j, g.j_min, g.j_max)
                     )
-    inv = 1.0 / abs(mask.alpha)
-    if mask.rank == 1:
-        acc = 0j
-        for a, t in terms:
-            phase = sum(c * g.value(j) for j, c in t.items)
-            acc += a * cis_unit(phase)
-        return inv * acc
-    acc = np.zeros((mask.rank, mask.rank), dtype=complex)
-    for a, t in terms:
-        phase = sum(c * g.value(j) for j, c in t.items)
-        acc = acc + np.asarray(a, dtype=complex) * cis_unit(phase)
-    return inv * acc
+    phases = [(a, cis_unit(sum(c * g.value(j) for j, c in t.items))) for a, t in terms]
+    # complex scalars (rank 1) or rank x rank arrays, summed in term order
+    return (1.0 / abs(mask.alpha)) * sum((a * ph for a, ph in phases), 0j)
 
 
 # ---------------------------------------------------------------------------

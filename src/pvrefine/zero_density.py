@@ -43,6 +43,9 @@ __all__ = [
     "NormForm",
     "ProbeRecord",
     "scan_near_zeros",
+    "scan_grid",
+    "tabulate_on_grid",
+    "check_grid_points",
     "density_estimate",
     "vanishing_probe",
     "norm_form",
@@ -51,6 +54,10 @@ __all__ = [
 
 _REFINE_XTOL = 1e-10
 _GOLDEN = (math.sqrt(5) - 1) / 2
+
+# grids beyond this raise SizeError before anything is allocated; the largest
+# grid the tests and the benchmark scan has 25,601 points
+MAX_GRID_POINTS = 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -137,18 +144,42 @@ def _golden_section_min(f, a, b, xtol=_REFINE_XTOL):
     return (x1, f1) if f1 <= f2 else (x2, f2)
 
 
-def scan_near_zeros(f, L: float, grid_step: float, delta: float) -> NearZeroSet:
+def check_grid_points(points: float) -> None:
+    """SizeError unless a forecast grid of `points` points fits MAX_GRID_POINTS."""
+    if not points <= MAX_GRID_POINTS:
+        raise SizeError("grid of %.3g points exceeds the %d-point limit" % (points, MAX_GRID_POINTS))
+
+
+def scan_grid(L: float, grid_step: float):
+    """The points 0, grid_step, ... <= L that scan_near_zeros evaluates."""
+    check_grid_points((L + grid_step / 2) / grid_step + 1)
+    return np.arange(0.0, L + grid_step / 2, grid_step)
+
+
+def tabulate_on_grid(f, f_grid, L: float, grid_step: float):
+    """|f| as a scalar function whose values on scan_grid(L, grid_step) come
+    from one call of f_grid on the whole grid array; elsewhere it calls f."""
+    ys = scan_grid(L, grid_step)
+    table = dict(zip(ys.tolist(), np.asarray(f_grid(ys), dtype=float).tolist()))
+    return lambda y: table[y] if y in table else abs(f(y))
+
+
+def scan_near_zeros(f, L: float, grid_step: float, delta: float, f_grid=None) -> NearZeroSet:
     """Grid scan of |f| on [0, L] with local refinement of candidate minima.
 
     Grid local minima below 10*delta are refined by golden-section search to
     resolution 1e-10; refined minima with |f| < delta are kept.  The 10*delta
     prefilter keeps refinement from chasing shallow ripples while never
     dropping a true sub-delta minimum whose grid neighborhood dips below
-    10*delta.
+    10*delta.  f_grid, if given, maps the whole grid array to |f| in one
+    call and supplies the values at grid points (see tabulate_on_grid); the
+    refinement probes between them call the scalar f.
     """
     if grid_step <= 0 or delta <= 0:
         raise ValueError("grid_step and delta must be positive")
-    ys = np.arange(0.0, L + grid_step / 2, grid_step)
+    if f_grid is not None:
+        f = tabulate_on_grid(f, f_grid, L, grid_step)
+    ys = scan_grid(L, grid_step)
     mags = np.array([abs(f(float(y))) for y in ys])
     n = len(ys)
     found = []

@@ -255,6 +255,32 @@ def test_unknown_mask_exit_2(tmp_path, capsys):
     assert rc == 2
 
 
+def test_oversized_grid_exit_2(tmp_path, capsys):
+    # 1e12 points: refused from the forecast, before any array exists
+    rc = run_cli("symbol-scan", "--mask", "dyadic", "--range", "0:1e9", "--step", "1e-3",
+                 "--out", str(tmp_path / "x.csv"))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "point limit" in err and "Traceback" not in err
+    rc = run_cli("zeros-scan", "--mask", "boxcar", "--range", "0:1e9", "--step", "1e-3",
+                 "--out", str(tmp_path / "z.csv"))
+    assert rc == 2
+    assert not (tmp_path / "x.csv").exists() and not (tmp_path / "z.csv").exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("lattice-density", "--poly", "-1,-1", "--eps", "0.1", "--L", "nan"), "--L"),
+    (("lattice-density", "--poly", "-1,-1", "--eps", "nan", "--L", "100"), "--eps"),
+    (("symbol-scan", "--mask", "dyadic", "--range", "0:inf", "--step", "0.5"), "--range"),
+    (("symbol-scan", "--mask", "dyadic", "--range", "0:1", "--step", "nan"), "--step"),
+    (("symbol-scan", "--mask", "dyadic", "--range", "0:1", "--step", "0.5", "--tol", "inf"), "--tol"),
+    (("zeros-scan", "--mask", "boxcar", "--range", "0:16", "--step", "0.5", "--delta", "nan"), "--delta"),
+])
+def test_non_finite_option_exit_2(tmp_path, capsys, argv, flag):
+    assert run_cli(*argv, "--out", str(tmp_path / "x.csv")) == 2
+    assert capsys.readouterr().err.strip() == "error: %s must be finite" % flag
+
+
 def test_numeric_budget_exit_3(tmp_path, capsys):
     rc = run_cli("phihat-orbit", "--mask", "dyadic", "--lambda", "1", "--jmax", "500",
                  "--out", str(tmp_path / "x.csv"))

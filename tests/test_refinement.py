@@ -233,6 +233,63 @@ def test_eval_symbol_grid_matches_scalar(boxcar, dyadic):
             assert abs(grid[i] - rf.eval_symbol(mask, float(ys[i])).value) < 1e-14
 
 
+def test_eval_symbol_grid_rank2_matches_scalar(golden_vector):
+    ys = np.linspace(-20, 20, 240).reshape(6, 40)
+    grid, tail = rf.eval_symbol_grid(golden_vector, ys)
+    assert grid.shape == (6, 40, 2, 2)
+    for idx in np.ndindex(ys.shape):
+        sv = rf.eval_symbol(golden_vector, float(ys[idx]))
+        assert np.max(np.abs(grid[idx] - sv.value)) < 1e-15
+        assert tail == sv.truncation_error
+
+
+def test_phihat_grid_matches_scalar(boxcar, dyadic, golden_vector, bernoulli_golden):
+    # the grid takes its product depth at max|y|, the scalar path at each |y|;
+    # at tol 1e-13 both truncations sit well inside the 1e-13 agreement checked
+    ys = np.linspace(-12, 12, 301)
+    for mask in all_builtins(boxcar, dyadic, golden_vector, bernoulli_golden):
+        grid, err = rf.phihat_grid(mask, ys, 1e-13)
+        assert grid.shape == ((301,) if mask.rank == 1 else (301, mask.rank))
+        for i, y in enumerate(ys):
+            sv = rf.eval_phihat(mask, float(y), 1e-13)
+            assert np.max(np.abs(grid[i] - sv.value)) < 1e-13, (mask.name, y)
+            assert err >= sv.truncation_error
+        # a one-point grid has the scalar path's depth and factor order
+        for y in (0.0, -0.37, 7.5, 11.93):
+            one, _ = rf.phihat_grid(mask, [y])
+            assert np.max(np.abs(one[0] - rf.eval_phihat(mask, y).value)) < 1e-15
+
+
+def test_phihat_grid_rejects_extended_precision_arguments(boxcar):
+    with pytest.raises(ValueError):
+        rf.phihat_grid(boxcar, [1.0, 2.0**21])
+
+
+def test_symbol_scan_above_2_20_keeps_extended_precision(tmp_path, monkeypatch, golden_vector):
+    # an irrational translate alpha^-1 loses about 5e-10 of phase in float64 at y = 2^21
+    from pvrefine import cli
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("float grid kernel used above 2^20")
+
+    monkeypatch.setattr(cli, "eval_symbol_grid", no_grid)
+    path = tmp_path / "laurent.mask"
+    path.write_text("dilation-poly = -1,-1\ncoeffs = 0.8090169943749475; 0.8090169943749475\n"
+                    "translates = 0 ; -1:1\n")
+    for name, mask in (("golden_vector", golden_vector), (str(path), rf.mask_from_file(str(path)))):
+        out = tmp_path / "mp.csv"
+        assert cli.main(["symbol-scan", "--mask", name, "--range", "2097152:2097153",
+                         "--step", "0.25", "--out", str(out)]) == 0
+        rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
+        assert len(rows) == 5
+        for y, re_, im, mag, _ in rows:
+            value = rf.eval_symbol(mask, float(y)).value
+            if mask.rank == 1:
+                assert (re_, im, mag) == tuple("%.17g" % v for v in (value.real, value.imag, abs(value)))
+            else:
+                assert mag == "%.17g" % np.linalg.svd(value, compute_uv=False)[-1]
+
+
 def test_mask_file_roundtrip(tmp_path):
     p = tmp_path / "boxcar.mask"
     p.write_text("dilation-poly = -2\nrank = 1\ncoeffs = 1; 1\ntranslates = 0 ; 1\n")

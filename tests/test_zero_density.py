@@ -77,6 +77,31 @@ def test_scan_validation(boxcar):
         zd.scan_near_zeros(f, 4.0, 0.01, -1e-8)
 
 
+def test_scan_grid_prefilter_same_zero_set(boxcar):
+    calls = []
+
+    def f_grid(ys):
+        calls.append(len(ys))
+        return np.abs(rf.phihat_grid(boxcar, ys)[0])
+
+    plain = zd.scan_near_zeros(_phihat_fn(boxcar), 16.0, 0.01, 1e-8)
+    fast = zd.scan_near_zeros(_phihat_fn(boxcar), 16.0, 0.01, 1e-8, f_grid=f_grid)
+    assert fast == plain
+    assert len(plain.points) == 16
+    assert calls == [len(zd.scan_grid(16.0, 0.01))]
+
+
+def test_scan_size_guard_before_evaluation():
+    def f(y):
+        raise AssertionError("evaluated a grid point")
+
+    assert zd.MAX_GRID_POINTS >= 10 * 25601
+    with pytest.raises(pv.SizeError):
+        zd.scan_near_zeros(f, 1e9, 1e-3, 1e-8)
+    with pytest.raises(pv.SizeError):
+        zd.scan_near_zeros(f, 1e9, 1e-3, 1e-8, f_grid=f)
+
+
 def test_zero_set_recursion_boxcar(boxcar):
     # near-zeros of phihat on [0, L] = alpha * (near-zeros of ahat on [0, L/2])
     #                                union alpha * (near-zeros of phihat on [0, L/2])
