@@ -27,21 +27,8 @@ from fractions import Fraction
 import numpy as np
 
 from .algebraic_core import NumberField, fe_rational, make_field
-from .errors import (
-    DegenerateError,
-    EigenError,
-    EmptyWindowError,
-    NonconvergenceError,
-    NormalizationError,
-    NotPisotError,
-    PrecisionError,
-    ReducibleError,
-    SizeError,
-    UnknownExampleError,
-    WindowTooSmallError,
-)
+from .errors import NonconvergenceError, PrecisionError, PvrefineError
 from .refinement import (
-    _MP_ARG_CUTOFF,
     RefinementMask,
     bernoulli_phihat,
     builtin_mask,
@@ -58,18 +45,7 @@ from .zero_density import tabulate_on_grid, vanishing_probe
 
 __all__ = ["RunConfig", "PlotSpec", "run", "emit_csv", "emit_svg", "main"]
 
-_VALIDATION_ERRORS = (
-    ValueError,
-    ReducibleError,
-    DegenerateError,
-    NotPisotError,
-    NormalizationError,
-    EigenError,
-    UnknownExampleError,
-    SizeError,
-    EmptyWindowError,
-    WindowTooSmallError,
-)
+# numeric errors exit 3; ValueError and every other package error exit 2
 _NUMERIC_ERRORS = (PrecisionError, NonconvergenceError, OSError)
 
 _COMMANDS = (
@@ -337,16 +313,12 @@ def _cmd_symbol_scan(cfg: RunConfig):
     step = _require(cfg, "grid_step")
     tol = cfg.tol if cfg.tol is not None else 1e-14
     ys = _grid(lo, hi, step)
-    if np.max(np.abs(ys)) <= _MP_ARG_CUTOFF:
-        vals, tail = eval_symbol_grid(mask, ys, tol)
-        mags = _magnitudes(vals)
-        if mask.rank == 1:
-            rows = [[float(y), z.real, z.imag, abs(z), tail] for y, z in zip(ys, vals)]
-        else:
-            rows = [[y, None, None, m, tail] for y, m in zip(ys.tolist(), mags.tolist())]
+    vals, tail = eval_symbol_grid(mask, ys, tol)
+    mags = _magnitudes(vals)
+    if mask.rank == 1:
+        rows = [[float(y), z.real, z.imag, abs(z), tail] for y, z in zip(ys, vals)]
     else:
-        rows = [_sv_row(float(y), eval_symbol(mask, float(y), tol)) for y in ys]
-        mags = np.array([r[3] for r in rows])
+        rows = [[y, None, None, m, tail] for y, m in zip(ys.tolist(), mags.tolist())]
     i = int(np.argmin(mags))
     summary = "min |ahat| = %.6g at y = %.6g over [%g, %g] step %g (%d points)" % (
         mags[i], ys[i], lo, hi, step, len(ys),
@@ -448,10 +420,8 @@ def _cmd_zeros_scan(cfg: RunConfig):
     def f(y):
         return _magnitude(ev(mask, y).value)
 
-    if hi <= _MP_ARG_CUTOFF:
-        # one kernel call tabulates the grid; the four-argument call below is the
-        # signature perfbench's tracer wraps
-        f = tabulate_on_grid(f, lambda ys: _magnitudes(ev_grid(mask, ys)[0]), hi, step)
+    # one kernel call tabulates the grid; golden-section probes call f
+    f = tabulate_on_grid(f, lambda ys: _magnitudes(ev_grid(mask, ys)[0]), hi, step)
     z = scan_near_zeros(f, hi, step, delta)
     lo_d, hi_d = density_estimate(z)
     pos = np.asarray(z.positions())
@@ -780,21 +750,16 @@ def build_config(argv) -> RunConfig:
 
 def main(argv=None) -> int:
     try:
-        cfg = build_config(argv)
+        return run(build_config(argv))
     except SystemExit as e:
         # argparse already printed usage/help; normalize to our exit contract
         return int(e.code) if e.code else 0
-    except _VALIDATION_ERRORS as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
-    try:
-        return run(cfg)
-    except _VALIDATION_ERRORS as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
     except _NUMERIC_ERRORS as e:
         print("error: %s" % e, file=sys.stderr)
         return 3
+    except (ValueError, PvrefineError) as e:
+        print("error: %s" % e, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

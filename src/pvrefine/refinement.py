@@ -299,7 +299,8 @@ def eval_symbol_grid(mask: RefinementMask, ys, tol: float = 1e-14):
 
     values has shape ys.shape, plus (r, r) for rank-r matrix masks.  Same
     terms, term order and accumulation as eval_symbol, so results match the
-    scalar path; phases reduce in float64, accurate for |y| <= 2^20.
+    scalar path; points with |y| > 2^20 take eval_symbol's extended-precision
+    path one at a time.
     """
     K, tail = _truncation(mask, tol)
     ys = np.asarray(ys, dtype=float)
@@ -307,25 +308,43 @@ def eval_symbol_grid(mask: RefinementMask, ys, tol: float = 1e-14):
     acc = np.zeros(ys.shape + block, dtype=complex)
     for a, te in _embeds(mask, K):
         acc += a * cis_unit_grid(te * ys)[(...,) + (None,) * len(block)]
-    return acc / abs(mask.alpha), tail
+    acc /= abs(mask.alpha)
+    points = acc.reshape((-1,) + block)  # a view of acc, one row per point
+    for i in np.flatnonzero(np.abs(ys) > _MP_ARG_CUTOFF):
+        points[i] = eval_symbol(mask, float(ys.flat[i]), tol).value
+    return acc, tail
 
 
-def _product_plan(mask: RefinementMask, y: float, tol: float):
-    """(j0, symbol tol, error bound): j0 is the first depth with lip * |y| *
-    sum_{j <= -j0} |alpha|^j below tol; the bound sums the j0 symbol tails."""
+def _product_depths(mask: RefinementMask, ys, tol: float):
+    """First depth j0 >= 1 with lip * |y| * sum_{j <= -j0} |alpha|^j below tol:
+    an int for a scalar y, else an int array shaped like ys.  The bound is
+    monotone in |y| and in j, so a point's depth is one plus the number of
+    depths, below the deepest point's, at which its bound is not yet below tol."""
     lip = lipschitz_bound(mask, min(tol, 1e-14))
     absalpha = abs(mask.alpha)
     geo = 1.0 / (absalpha - 1.0)
-    j0 = 1
-    while lip * abs(y) * absalpha ** (-j0) * geo * absalpha >= tol:
-        j0 += 1
-        if j0 > _PRODUCT_FACTOR_BUDGET:
+
+    def deeper(ay, j):
+        return lip * ay * absalpha ** (-j) * geo * absalpha >= tol
+
+    ay = np.abs(ys)
+    ymax, top = float(ay.max(initial=0.0)), 1
+    while deeper(ymax, top):
+        top += 1
+        if top > _PRODUCT_FACTOR_BUDGET:
             raise NonconvergenceError("product tail bound not reached within budget")
+    if ay.ndim == 0:
+        return top
+    return 1 + sum((deeper(ay, j) for j in range(1, top)), np.zeros(ay.shape, dtype=int))
+
+
+def _product_plan(mask: RefinementMask, j0: int, tol: float):
+    """(symbol tol, error bound) at depth j0: the bound sums the j0 symbol tails."""
     sym_tol = min(tol / j0, 1e-14)
     tail, err = _truncation(mask, sym_tol)[1], 0.0
     for _ in range(j0):
         err += tail
-    return j0, sym_tol, err + tol
+    return sym_tol, err + tol
 
 
 def eval_phihat(mask: RefinementMask, y, tol: float = 1e-12) -> SymbolValue:
@@ -337,7 +356,8 @@ def eval_phihat(mask: RefinementMask, y, tol: float = 1e-12) -> SymbolValue:
     path so every factor keeps an accurate phase.
     """
     yf = float(y)
-    j0, sym_tol, err = _product_plan(mask, yf, tol)
+    j0 = _product_depths(mask, yf, tol)
+    sym_tol, err = _product_plan(mask, j0, tol)
     if isinstance(y, mp.mpf) or abs(yf) > _MP_ARG_CUTOFF:
         with mp.workprec(precision_bits()):
             al = mp.re(mask.field.roots_mp[0])
@@ -346,7 +366,8 @@ def eval_phihat(mask: RefinementMask, y, tol: float = 1e-12) -> SymbolValue:
                 args.append(args[-1] * al)
         factors = [eval_symbol(mask, x, sym_tol).value for x in args]
     else:
-        factors, _ = eval_symbol_grid(mask, [yf * mask.alpha**j for j in range(-j0, 0)], sym_tol)
+        al = mask.alpha
+        factors, _ = eval_symbol_grid(mask, [yf * al**j for j in range(-j0, 0)], sym_tol)
         # Python complex products, so the value matches the scalar path bit for bit
         factors = factors.tolist() if mask.rank == 1 else factors
     v = complex(mask.phihat0[0]) if mask.rank == 1 else np.array(mask.phihat0, dtype=complex)
@@ -355,29 +376,46 @@ def eval_phihat(mask: RefinementMask, y, tol: float = 1e-12) -> SymbolValue:
     return SymbolValue(v, err)
 
 
-def phihat_grid(mask: RefinementMask, ys, tol: float = 1e-12):
-    """phihat over a float array with max|y| <= 2^20: (values, error bound).
+def _complex_product(a, b):
+    # a * b rounded as Python's complex product; numpy's SIMD loop may fuse
+    # the multiply-adds and land an ulp away from eval_phihat
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
-    values has shape ys.shape, plus (r,) for rank r.  j0 is taken at max|y|,
-    where the tail bound is largest, so the bound holds at every point.
-    Factors multiply in eval_phihat's order over chunks of points whose
-    j0 x chunk symbol arrays stay near 1 MB.
+
+def phihat_grid(mask: RefinementMask, ys, tol: float = 1e-12):
+    """phihat over a float array: (values, error bound).
+
+    values has shape ys.shape, plus (r,) for rank r, and equal eval_phihat's
+    point by point: each keeps its own product depth and factor order, points with
+    |y| > 2^20 take the extended-precision path one at a time, and points of
+    one depth share eval_symbol_grid calls over chunks whose j0 x chunk
+    symbol arrays stay near 1 MB.  The bound is the largest over the points.
     """
     ys = np.asarray(ys, dtype=float)
-    ymax = float(np.max(np.abs(ys), initial=0.0))
-    if not ymax <= _MP_ARG_CUTOFF:
-        raise ValueError("phihat_grid needs max|y| <= 2^20, got %.3g" % ymax)
-    j0, sym_tol, err = _product_plan(mask, ymax, tol)
-    scales = np.array([mask.alpha**j for j in range(-j0, 0)])
     flat = ys.reshape(-1)
+    big = np.abs(flat) > _MP_ARG_CUTOFF
+    depths = np.where(big, 0, _product_depths(mask, np.where(big, 0.0, flat), tol))
     out = np.empty(flat.shape + (mask.rank,), dtype=complex)
-    chunk = max(1, 2**16 // (j0 * mask.rank**2))
-    for lo in range(0, flat.size, chunk):
-        factors, _ = eval_symbol_grid(mask, np.multiply.outer(scales, flat[lo:lo + chunk]), sym_tol)
-        v = np.array(mask.phihat0, dtype=complex)
-        for a in factors:
-            v = a[:, None] * v if mask.rank == 1 else (a @ v[..., None])[..., 0]
-        out[lo:lo + chunk] = v
+    err = 0.0
+    for j0 in sorted(set(depths[~big].tolist())):
+        sym_tol, e = _product_plan(mask, j0, tol)
+        err = max(err, e)
+        scales = np.array([mask.alpha**j for j in range(-j0, 0)])
+        pts = np.flatnonzero(depths == j0)
+        chunk = max(1, 2**16 // (j0 * mask.rank**2))
+        for lo in range(0, pts.size, chunk):
+            part = pts[lo:lo + chunk]
+            factors, _ = eval_symbol_grid(mask, np.multiply.outer(scales, flat[part]), sym_tol)
+            v = np.array(mask.phihat0, dtype=complex)
+            for a in factors:
+                v = _complex_product(a[:, None], v) if mask.rank == 1 else (a @ v[..., None])[..., 0]
+            out[part] = v
+    for i in np.flatnonzero(big):
+        sv = eval_phihat(mask, float(flat[i]), tol)
+        out[i], err = sv.value, max(err, sv.truncation_error)
     return out.reshape(ys.shape if mask.rank == 1 else ys.shape + (mask.rank,)), err
 
 

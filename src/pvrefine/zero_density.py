@@ -128,11 +128,12 @@ class ProbeRecord:
 
 
 def _golden_section_min(f, a, b, xtol=_REFINE_XTOL):
-    """Golden-section minimum of f on [a, b] to within xtol."""
+    """Golden-section minimum of f on [a, b], 0 <= a < b, to within xtol, or to
+    one float spacing of b where that exceeds xtol (b past 2^19 at 1e-10)."""
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1, f2 = f(x1), f(x2)
-    while b - a > xtol:
+    while b - a > max(xtol, math.ulp(b)):
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - _GOLDEN * (b - a)
@@ -164,21 +165,18 @@ def tabulate_on_grid(f, f_grid, L: float, grid_step: float):
     return lambda y: table[y] if y in table else abs(f(y))
 
 
-def scan_near_zeros(f, L: float, grid_step: float, delta: float, f_grid=None) -> NearZeroSet:
+def scan_near_zeros(f, L: float, grid_step: float, delta: float) -> NearZeroSet:
     """Grid scan of |f| on [0, L] with local refinement of candidate minima.
 
     Grid local minima below 10*delta are refined by golden-section search to
     resolution 1e-10; refined minima with |f| < delta are kept.  The 10*delta
     prefilter keeps refinement from chasing shallow ripples while never
     dropping a true sub-delta minimum whose grid neighborhood dips below
-    10*delta.  f_grid, if given, maps the whole grid array to |f| in one
-    call and supplies the values at grid points (see tabulate_on_grid); the
-    refinement probes between them call the scalar f.
+    10*delta.  To evaluate the grid in one vectorized call, pass
+    tabulate_on_grid(f, f_grid, L, grid_step) as f.
     """
     if grid_step <= 0 or delta <= 0:
         raise ValueError("grid_step and delta must be positive")
-    if f_grid is not None:
-        f = tabulate_on_grid(f, f_grid, L, grid_step)
     ys = scan_grid(L, grid_step)
     mags = np.array([abs(f(float(y))) for y in ys])
     n = len(ys)

@@ -268,6 +268,20 @@ def test_oversized_grid_exit_2(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists() and not (tmp_path / "z.csv").exists()
 
 
+def test_zeros_scan_grid_past_2_20(tmp_path, capsys):
+    # hi = 2^20, but the grid's last point 1.2e6 lies past it, as in the scan itself
+    from pvrefine import refinement as rf
+    from pvrefine import zero_density as zd
+
+    mask = rf.builtin_mask("boxcar")
+    for target, ev in (("phihat", rf.eval_phihat), ("symbol", rf.eval_symbol)):
+        rc = run_cli("zeros-scan", "--mask", "boxcar", "--range", "0:1048576", "--step", "400000",
+                     "--target", target, "--out", str(tmp_path / "z.csv"))
+        assert rc == 0
+        z = zd.scan_near_zeros(lambda y: abs(ev(mask, y).value), 2.0**20, 4e5, 1e-3)
+        assert "%d near-zeros" % len(z.points) in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("argv, flag", [
     (("lattice-density", "--poly", "-1,-1", "--eps", "0.1", "--L", "nan"), "--L"),
     (("lattice-density", "--poly", "-1,-1", "--eps", "nan", "--L", "100"), "--eps"),

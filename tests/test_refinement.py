@@ -244,39 +244,40 @@ def test_eval_symbol_grid_rank2_matches_scalar(golden_vector):
 
 
 def test_phihat_grid_matches_scalar(boxcar, dyadic, golden_vector, bernoulli_golden):
-    # the grid takes its product depth at max|y|, the scalar path at each |y|;
-    # at tol 1e-13 both truncations sit well inside the 1e-13 agreement checked
+    # each point keeps the scalar path's depth, factor order and rounding
     ys = np.linspace(-12, 12, 301)
     for mask in all_builtins(boxcar, dyadic, golden_vector, bernoulli_golden):
-        grid, err = rf.phihat_grid(mask, ys, 1e-13)
-        assert grid.shape == ((301,) if mask.rank == 1 else (301, mask.rank))
-        for i, y in enumerate(ys):
-            sv = rf.eval_phihat(mask, float(y), 1e-13)
-            assert np.max(np.abs(grid[i] - sv.value)) < 1e-13, (mask.name, y)
-            assert err >= sv.truncation_error
-        # a one-point grid has the scalar path's depth and factor order
-        for y in (0.0, -0.37, 7.5, 11.93):
-            one, _ = rf.phihat_grid(mask, [y])
-            assert np.max(np.abs(one[0] - rf.eval_phihat(mask, y).value)) < 1e-15
+        for tol in (1e-12, 1e-13):
+            grid, err = rf.phihat_grid(mask, ys.reshape(7, 43), tol)
+            assert grid.shape == ((7, 43) if mask.rank == 1 else (7, 43, mask.rank))
+            for y, g in zip(ys, grid.reshape((301,) + grid.shape[2:])):
+                sv = rf.eval_phihat(mask, float(y), tol)
+                assert np.array_equal(g, sv.value), (mask.name, tol, y)
+                assert err >= sv.truncation_error
 
 
-def test_phihat_grid_rejects_extended_precision_arguments(boxcar):
-    with pytest.raises(ValueError):
-        rf.phihat_grid(boxcar, [1.0, 2.0**21])
-
-
-def test_symbol_scan_above_2_20_keeps_extended_precision(tmp_path, monkeypatch, golden_vector):
+def _laurent_mask(tmp_path):
     # an irrational translate alpha^-1 loses about 5e-10 of phase in float64 at y = 2^21
-    from pvrefine import cli
-
-    def no_grid(*args, **kwargs):
-        raise AssertionError("float grid kernel used above 2^20")
-
-    monkeypatch.setattr(cli, "eval_symbol_grid", no_grid)
     path = tmp_path / "laurent.mask"
     path.write_text("dilation-poly = -1,-1\ncoeffs = 0.8090169943749475; 0.8090169943749475\n"
                     "translates = 0 ; -1:1\n")
-    for name, mask in (("golden_vector", golden_vector), (str(path), rf.mask_from_file(str(path)))):
+    return str(path), rf.mask_from_file(str(path))
+
+
+def test_grid_kernels_above_2_20_take_extended_precision(tmp_path, golden_vector):
+    ys = np.array([1.5, 2.0**21 + 0.3, -(2.0**20) - 0.25, 2.0**20])
+    for mask in (golden_vector, _laurent_mask(tmp_path)[1]):
+        sym, _ = rf.eval_symbol_grid(mask, ys)
+        phi, _ = rf.phihat_grid(mask, ys)
+        for y, s, p in zip(ys, sym, phi):
+            assert np.array_equal(s, rf.eval_symbol(mask, float(y)).value), (mask.name, y)
+            assert np.array_equal(p, rf.eval_phihat(mask, float(y)).value), (mask.name, y)
+
+
+def test_symbol_scan_above_2_20_keeps_extended_precision(tmp_path, golden_vector):
+    from pvrefine import cli
+
+    for name, mask in (("golden_vector", golden_vector), _laurent_mask(tmp_path)):
         out = tmp_path / "mp.csv"
         assert cli.main(["symbol-scan", "--mask", name, "--range", "2097152:2097153",
                          "--step", "0.25", "--out", str(out)]) == 0

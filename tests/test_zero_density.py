@@ -85,10 +85,23 @@ def test_scan_grid_prefilter_same_zero_set(boxcar):
         return np.abs(rf.phihat_grid(boxcar, ys)[0])
 
     plain = zd.scan_near_zeros(_phihat_fn(boxcar), 16.0, 0.01, 1e-8)
-    fast = zd.scan_near_zeros(_phihat_fn(boxcar), 16.0, 0.01, 1e-8, f_grid=f_grid)
+    fast = zd.scan_near_zeros(zd.tabulate_on_grid(_phihat_fn(boxcar), f_grid, 16.0, 0.01), 16.0, 0.01, 1e-8)
     assert fast == plain
     assert len(plain.points) == 16
     assert calls == [len(zd.scan_grid(16.0, 0.01))]
+
+
+def test_golden_section_stops_at_float_spacing():
+    # near 1e6 adjacent floats are 1.16e-10 apart, more than the 1e-10 resolution
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        assert len(calls) < 500, "golden section does not terminate"
+        return abs(t - 1e6 - 0.3)
+
+    y, v = zd._golden_section_min(f, 999999.0, 1000001.0)
+    assert abs(y - 1e6 - 0.3) < 1e-9 and v < 1e-9
 
 
 def test_scan_size_guard_before_evaluation():
@@ -99,7 +112,7 @@ def test_scan_size_guard_before_evaluation():
     with pytest.raises(pv.SizeError):
         zd.scan_near_zeros(f, 1e9, 1e-3, 1e-8)
     with pytest.raises(pv.SizeError):
-        zd.scan_near_zeros(f, 1e9, 1e-3, 1e-8, f_grid=f)
+        zd.tabulate_on_grid(f, f, 1e9, 1e-3)
 
 
 def test_zero_set_recursion_boxcar(boxcar):
