@@ -12,7 +12,6 @@ double mantissa (the dilation orbits used here reach y ~ alpha^40).
 """
 
 import ast
-import cmath
 import dataclasses
 import functools
 import math
@@ -55,22 +54,6 @@ _PRODUCT_FACTOR_BUDGET = 10**6
 # above this magnitude a float64 argument has too few fractional bits left
 # for phase reduction; evaluation switches to extended precision
 _MP_ARG_CUTOFF = 2.0**20
-
-
-def cis_unit(x) -> complex:
-    """e^{-2 pi i x} with the argument reduced mod 1 first.
-
-    Accepts mpmath reals so callers can keep full fractional accuracy when
-    |x| is too large for float64 (the reduction happens before conversion).
-    """
-    if isinstance(x, mp.mpf):
-        x = float(x - mp.floor(x))
-    return cmath.exp(-2j * math.pi * (x - math.floor(x)))
-
-
-def cis_unit_grid(x):
-    """Vector version of cis_unit for float arrays."""
-    return np.exp(-2j * np.pi * (x - np.floor(x)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,29 +181,23 @@ def builtin_mask(name: str, field: NumberField = None) -> RefinementMask:
 
 
 # ---------------------------------------------------------------------------
-# term access (shared by eval_symbol, eval_A, scans)
+# term access and the symbol kernel (shared by eval_symbol, eval_A, scans)
 
 
-def truncation_index(mask: RefinementMask, tol: float) -> int:
-    """Smallest K with envelope tail C rho^{K+1}/(1-rho) < tol/2."""
+@functools.lru_cache(maxsize=256)
+def _truncation(mask: RefinementMask, tol: float):
+    # (K, tail) once per (mask, tol): K is the smallest index whose envelope
+    # tail C rho^{K+1}/(1-rho) is below tol/2; (None, 0.0) for finite masks.
+    # Masks hash by identity (frozen, eq=False), so this memoizes per mask object
+    if not mask.infinite:
+        return None, 0.0
     c, rho = mask.envelope
     k = 1
     while c * rho ** (k + 1) / (1 - rho) >= tol / 2:
         k += 1
         if k > 10**7:
             raise NonconvergenceError("envelope never reaches tol %g" % tol)
-    return k
-
-
-@functools.lru_cache(maxsize=256)
-def _truncation(mask: RefinementMask, tol: float):
-    # (K, tail) once per (mask, tol); (None, 0.0) for finite masks.  Masks
-    # hash by identity (frozen, eq=False), so this memoizes per mask object
-    if not mask.infinite:
-        return None, 0.0
-    K = truncation_index(mask, tol)
-    c, rho = mask.envelope
-    return K, c * rho ** (K + 1) / (1 - rho)
+    return k, c * rho ** (k + 1) / (1 - rho)
 
 
 def _terms(mask: RefinementMask, K):
@@ -236,16 +213,47 @@ def mask_terms(mask: RefinementMask, tol: float = 1e-14):
 
 
 @functools.lru_cache(maxsize=256)
-def _embeds(mask: RefinementMask, K, prec: int = None):
-    # (a_k, tau_k) per mask and truncation depth: tau_k a float, or an mpf at
-    # prec bits, since a float64 embedding times a huge argument would lose
-    # the entire fractional part of the phase
+def _kernel_terms(mask: RefinementMask, K, prec: int = None):
+    # the first K terms (all of a finite mask) as a (K,) or (K, r, r) complex
+    # coefficient array, plus the translate embeddings tau_k: a float array, or
+    # mpf at prec bits, since a float64 embedding times a huge argument would
+    # lose the entire fractional part of the phase
     terms = _terms(mask, K)
+    coeffs = np.array([a for a, _ in terms], dtype=complex)
     if prec is None:
-        return tuple((a, laurent_embed(mask.field, t)[1]) for a, t in terms)
+        return coeffs, np.array([laurent_embed(mask.field, t)[1] for _, t in terms])
     with mp.workprec(prec):
-        return tuple((a, mp.re(fe_embed(mask.field, laurent_embed(mask.field, t)[0], 0, prec)))
-                     for a, t in terms)
+        return coeffs, tuple(mp.re(fe_embed(mask.field, laurent_embed(mask.field, t)[0], 0, prec))
+                             for _, t in terms)
+
+
+def _extended_phases(mask: RefinementMask, K, ys):
+    """frac(tau_k y) reduced at extended precision: a (K, len(ys)) float array."""
+    prec = precision_bits()
+    for y in ys:
+        yf = float(y)
+        if not math.isfinite(yf) or (abs(yf) > 1 and math.log2(abs(yf)) > prec - 32):
+            raise PrecisionError(
+                "argument magnitude %.3g leaves under 32 fractional bits at %d-bit "
+                "precision; raise PISOT_PRECISION_BITS" % (abs(yf), prec)
+            )
+    taus = _kernel_terms(mask, K, prec)[1]
+    with mp.workprec(prec):
+        yms = [mp.mpf(y) for y in ys]
+        return np.array([[float(x - mp.floor(x)) for x in (te * ym for ym in yms)] for te in taus])
+
+
+def _symbol_sum(mask: RefinementMask, K, phases, n: int):
+    """|alpha|^{-1} sum_k a(k) e^{-2 pi i phase_k} at n points: shape (n,), plus
+    (r, r) for rank r.  phases yields one (n,) float array per term, reduced
+    mod 1 here, and the terms are added in term order."""
+    coeffs = _kernel_terms(mask, K)[0]
+    block = coeffs.shape[1:]
+    acc = np.zeros((n,) + block, dtype=complex)
+    for a, p in zip(coeffs, phases):
+        acc += a * np.exp(-2j * np.pi * (p - np.floor(p)))[(...,) + (None,) * len(block)]
+    acc /= abs(mask.alpha)
+    return acc
 
 
 def lipschitz_bound(mask: RefinementMask, tol: float = 1e-14) -> float:
@@ -256,14 +264,15 @@ def lipschitz_bound(mask: RefinementMask, tol: float = 1e-14) -> float:
     generated masks shipped here).
     """
     K, tail = _truncation(mask, tol)
-    embeds = _embeds(mask, K)
+    coeffs, taus = _kernel_terms(mask, K)
+    # Python sums, in term order
     if mask.rank == 1:
-        s = sum(abs(a) * abs(te) for a, te in embeds)
+        s = sum(np.abs(coeffs) * np.abs(taus))
     else:
-        s = sum(np.linalg.norm(a, 2) * abs(te) for a, te in embeds)
+        s = sum(np.linalg.norm(a, 2) * abs(te) for a, te in zip(coeffs, taus))
     if tail:
-        s += tail * max(abs(te) for _, te in embeds)
-    return 2 * math.pi * s / abs(mask.alpha)
+        s += tail * np.abs(taus).max()
+    return 2 * math.pi * float(s) / abs(mask.alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -273,46 +282,35 @@ def lipschitz_bound(mask: RefinementMask, tol: float = 1e-14) -> float:
 def eval_symbol(mask: RefinementMask, y, tol: float = 1e-14) -> SymbolValue:
     """ahat(y) = |alpha|^{-1} sum a(k) e^{-2 pi i tau(k) y}, tail below tol.
 
-    Arguments beyond float64's fractional resolution (|y| > 2^20, or any
-    mpmath real) are phase-reduced at extended precision.
+    A 0-d eval_symbol_grid call: arguments beyond float64's fractional
+    resolution (|y| > 2^20, or any mpmath real) are phase-reduced at extended
+    precision.
     """
-    K, tail = _truncation(mask, tol)
-    if isinstance(y, mp.mpf) or abs(y) > _MP_ARG_CUTOFF:
-        prec = precision_bits()
-        yf = float(y)
-        if not math.isfinite(yf) or (abs(yf) > 1 and math.log2(abs(yf)) > prec - 32):
-            raise PrecisionError(
-                "argument magnitude %.3g leaves under 32 fractional bits at %d-bit "
-                "precision; raise PISOT_PRECISION_BITS" % (abs(yf), prec)
-            )
-        with mp.workprec(prec):
-            ym = mp.mpf(y)
-            phases = [(a, cis_unit(te * ym)) for a, te in _embeds(mask, K, prec)]
-    else:
-        phases = [(a, cis_unit(te * y)) for a, te in _embeds(mask, K)]
-    # complex scalars (rank 1) or rank x rank arrays, summed in term order
-    return SymbolValue((1.0 / abs(mask.alpha)) * sum((a * ph for a, ph in phases), 0j), tail)
+    values, tail = eval_symbol_grid(mask, y, tol)
+    return SymbolValue(values.item() if values.ndim == 0 else values, tail)
 
 
 def eval_symbol_grid(mask: RefinementMask, ys, tol: float = 1e-14):
-    """Vectorized ahat over a float array: (values, tail bound).
+    """Vectorized ahat: (values, tail bound).
 
-    values has shape ys.shape, plus (r, r) for rank-r matrix masks.  Same
-    terms, term order and accumulation as eval_symbol, so results match the
-    scalar path; points with |y| > 2^20 take eval_symbol's extended-precision
-    path one at a time.
+    values has shape ys.shape, plus (r, r) for rank-r matrix masks.  The
+    phase of term k is tau_k y in float64, except at mpf entries of an object
+    array and where |y| > 2^20: there frac(tau_k y) is reduced at extended
+    precision first.  Every point then takes the same sum, in term order.
     """
     K, tail = _truncation(mask, tol)
-    ys = np.asarray(ys, dtype=float)
-    block = () if mask.rank == 1 else (mask.rank, mask.rank)
-    acc = np.zeros(ys.shape + block, dtype=complex)
-    for a, te in _embeds(mask, K):
-        acc += a * cis_unit_grid(te * ys)[(...,) + (None,) * len(block)]
-    acc /= abs(mask.alpha)
-    points = acc.reshape((-1,) + block)  # a view of acc, one row per point
-    for i in np.flatnonzero(np.abs(ys) > _MP_ARG_CUTOFF):
-        points[i] = eval_symbol(mask, float(ys.flat[i]), tol).value
-    return acc, tail
+    ys = np.asarray(ys)
+    src = yf = np.asarray(ys, dtype=float).reshape(-1)
+    ext = np.abs(yf) > _MP_ARG_CUTOFF
+    if ys.dtype == object:
+        src = ys.reshape(-1)
+        ext |= [isinstance(v, mp.mpf) for v in src]
+    idx = np.flatnonzero(ext)
+    fracs = _extended_phases(mask, K, src[idx]) if idx.size else None
+    acc = _symbol_sum(mask, K, (te * yf for te in _kernel_terms(mask, K)[1]), yf.size)
+    if idx.size:
+        acc[idx] = _symbol_sum(mask, K, fracs, idx.size)
+    return acc.reshape(ys.shape + acc.shape[1:]), tail
 
 
 def _product_depths(mask: RefinementMask, ys, tol: float):
@@ -364,12 +362,13 @@ def eval_phihat(mask: RefinementMask, y, tol: float = 1e-12) -> SymbolValue:
             args = [mp.mpf(y) / al**j0]
             for _ in range(j0 - 1):
                 args.append(args[-1] * al)
-        factors = [eval_symbol(mask, x, sym_tol).value for x in args]
+        args = np.array(args, dtype=object)
     else:
         al = mask.alpha
-        factors, _ = eval_symbol_grid(mask, [yf * al**j for j in range(-j0, 0)], sym_tol)
-        # Python complex products, so the value matches the scalar path bit for bit
-        factors = factors.tolist() if mask.rank == 1 else factors
+        args = [yf * al**j for j in range(-j0, 0)]
+    factors, _ = eval_symbol_grid(mask, args, sym_tol)
+    # Python complex products, so the value matches the scalar path bit for bit
+    factors = factors.tolist() if mask.rank == 1 else factors
     v = complex(mask.phihat0[0]) if mask.rank == 1 else np.array(mask.phihat0, dtype=complex)
     for a in factors:
         v = a * v if mask.rank == 1 else a @ v
@@ -438,22 +437,22 @@ def phihat_orbit(mask: RefinementMask, lam: float, J_range, tol: float = 1e-12):
         )
     with mp.workprec(prec):
         al = mp.re(mask.field.roots_mp[0])
-        arg = mp.mpf(lam) * al ** js[0]
-
-    def narrowed(x):
-        return float(x) if abs(x) <= _MP_ARG_CUTOFF else x
-
-    base = eval_phihat(mask, narrowed(arg), tol)
+        args = [mp.mpf(lam) * al ** js[0]]
+        for _ in range(js[0], js[-1]):
+            args.append(args[-1] * al)
+    # floats up to 2^20 keep the float path; larger arguments stay mpf
+    args = np.array([float(x) if abs(x) <= _MP_ARG_CUTOFF else x for x in args], dtype=object)
+    base = eval_phihat(mask, args[0], tol)
+    factors, tail = eval_symbol_grid(mask, args[:-1], min(tol, 1e-14))
+    factors = factors.tolist() if mask.rank == 1 else factors
     out = []
     cur, err = base.value, base.truncation_error
     j_at = js[0]
     for j in js:
         while j_at < j:
-            s = eval_symbol(mask, narrowed(arg), min(tol, 1e-14))
-            cur = s.value * cur if mask.rank == 1 else s.value @ cur
-            err += s.truncation_error
-            with mp.workprec(prec):
-                arg = arg * al
+            a = factors[j_at - js[0]]
+            cur = a * cur if mask.rank == 1 else a @ cur
+            err += tail
             j_at += 1
         out.append((j, SymbolValue(cur, err)))
     return out

@@ -52,7 +52,7 @@ from .errors import (
     SizeError,
     WindowTooSmallError,
 )
-from .refinement import RefinementMask, cis_unit, mask_terms
+from .refinement import RefinementMask, _symbol_sum, mask_terms
 
 __all__ = [
     "SolenoidWindow",
@@ -249,30 +249,26 @@ def eval_A(mask: RefinementMask, g: SolenoidWindow):
     to the terms whose supports fit inside the window, so widening the window
     tightens the result (neglected tail below the mask envelope's remainder).
     """
+    def inside(j):
+        return g.j_min <= j <= g.j_max
+
     if mask.infinite:
-        terms = []
-        k = 1
-        while True:
-            a, t = mask.generator(k)
-            if any(not (g.j_min <= j <= g.j_max) for j in t.support):
-                break
-            terms.append((a, t))
-            k += 1
+        terms = list(itertools.takewhile(lambda at: all(map(inside, at[1].support)),
+                                         map(mask.generator, itertools.count(1))))
         if not terms:
             raise WindowTooSmallError(
                 "window [%d, %d] covers no translate support" % (g.j_min, g.j_max)
             )
     else:
         terms, _ = mask_terms(mask, 0.0)
-        for _, t in terms:
-            for j in t.support:
-                if not (g.j_min <= j <= g.j_max):
-                    raise WindowTooSmallError(
-                        "translate support at %d outside window [%d, %d]" % (j, g.j_min, g.j_max)
-                    )
-    phases = [(a, cis_unit(sum(c * g.value(j) for j, c in t.items))) for a, t in terms]
-    # complex scalars (rank 1) or rank x rank arrays, summed in term order
-    return (1.0 / abs(mask.alpha)) * sum((a * ph for a, ph in phases), 0j)
+        outside = [j for _, t in terms for j in t.support if not inside(j)]
+        if outside:
+            raise WindowTooSmallError(
+                "translate support at %d outside window [%d, %d]" % (outside[0], g.j_min, g.j_max)
+            )
+    phases = np.array([[sum(c * g.value(j) for j, c in t.items)] for _, t in terms])
+    value = _symbol_sum(mask, len(terms) if mask.infinite else None, phases, 1)[0]
+    return value.item() if value.ndim == 0 else value
 
 
 # ---------------------------------------------------------------------------
