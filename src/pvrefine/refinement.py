@@ -304,7 +304,7 @@ def eval_symbol_grid(mask: RefinementMask, ys, tol: float = 1e-14):
     ext = np.abs(yf) > _MP_ARG_CUTOFF
     if ys.dtype == object:
         src = ys.reshape(-1)
-        ext |= [isinstance(v, mp.mpf) for v in src]
+        ext |= np.array([isinstance(v, mp.mpf) for v in src], dtype=bool)
     idx = np.flatnonzero(ext)
     fracs = _extended_phases(mask, K, src[idx]) if idx.size else None
     acc = _symbol_sum(mask, K, (te * yf for te in _kernel_terms(mask, K)[1]), yf.size)
