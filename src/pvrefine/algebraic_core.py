@@ -12,6 +12,7 @@ A PV (Pisot-Vijayaraghavan) number here: a real algebraic integer of degree
 unit circle.
 """
 
+import contextvars
 import itertools
 import math
 import os
@@ -36,9 +37,14 @@ _RADIUS_FLOOR = 1e-290
 _MAX_DEGREE = 8  # factor search is exhaustive; keeps it desk-scale
 
 
+# the working precision of the current context; None defers to the environment
+working_precision = contextvars.ContextVar("working_precision", default=None)
+
+
 def precision_bits() -> int:
-    """Working mantissa bits for extended-precision steps (env override)."""
-    return int(os.environ.get("PISOT_PRECISION_BITS", "128"))
+    """Working mantissa bits for extended-precision steps: the context's
+    working_precision when set, else PISOT_PRECISION_BITS, else 128."""
+    return working_precision.get() or int(os.environ.get("PISOT_PRECISION_BITS", "128"))
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ byte for byte: CSV is RFC-4180 style (CRLF line ends, '.' decimal point,
 identical configs give identical files and --threads only changes wall time.
 
 Options may come from a flat key=value config file (--config); explicit
-command-line flags win.  PISOT_PRECISION_BITS (or --precision-bits) sets the
-internal working precision, default 128 bits.
+command-line flags win.  --precision-bits sets the internal working precision
+for the run; PISOT_PRECISION_BITS gives the default, else 128 bits.
 
 Exit status: 0 success, 2 validation or usage error, 3 numeric error.
 """
@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebraic_core import NumberField, fe_rational, make_field
+from .algebraic_core import NumberField, fe_rational, make_field, precision_bits, working_precision
 from .errors import NonconvergenceError, PrecisionError, PvrefineError
 from .refinement import (
     RefinementMask,
@@ -136,16 +136,11 @@ class PlotSpec:
 
 
 def _cell(v) -> str:
+    # str already gives the text of bools, ints, strings and complexes
     if v is None:
         return ""
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (bool, np.bool_)):
-        return str(bool(v))
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
     if isinstance(v, (float, np.floating)):
-        return "%.17g" % float(v)
+        return "%.17g" % v
     return str(v)
 
 
@@ -524,18 +519,12 @@ _HANDLERS = {
 
 def run(cfg: RunConfig) -> int:
     """Dispatch one command, write its CSV (and SVG when requested), print summary."""
-    old_bits = os.environ.get("PISOT_PRECISION_BITS")
-    if cfg.precision_bits is not None:
-        os.environ["PISOT_PRECISION_BITS"] = str(cfg.precision_bits)
+    # the precision is scoped to this invocation; os.environ is never edited
+    token = working_precision.set(cfg.precision_bits or precision_bits())
     try:
         header, rows, lines, plot = _HANDLERS[cfg.command](cfg)
     finally:
-        # the override is scoped to this invocation
-        if cfg.precision_bits is not None:
-            if old_bits is None:
-                os.environ.pop("PISOT_PRECISION_BITS", None)
-            else:
-                os.environ["PISOT_PRECISION_BITS"] = old_bits
+        working_precision.reset(token)
     out = cfg.out if cfg.out is not None else "%s.csv" % cfg.command
     emit_csv(rows, header, out)
     lines.append("wrote %s (%d rows)" % (out, len(rows)))
@@ -646,7 +635,7 @@ _HELP = {
     "samples": "number of sample points",
     "seed": "RNG seed for sampled subcommands",
     "threads": "worker threads (never changes output bytes)",
-    "precision_bits": "working precision in bits (sets PISOT_PRECISION_BITS)",
+    "precision_bits": "working precision in bits for this run (default PISOT_PRECISION_BITS, else 128)",
     "target": "zeros-scan target: symbol or phihat",
     "out": "output CSV path (default <command>.csv)",
     "svg": "also write a line-chart SVG next to the CSV",

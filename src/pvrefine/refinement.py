@@ -265,11 +265,8 @@ def lipschitz_bound(mask: RefinementMask, tol: float = 1e-14) -> float:
     """
     K, tail = _truncation(mask, tol)
     coeffs, taus = _kernel_terms(mask, K)
-    # Python sums, in term order
-    if mask.rank == 1:
-        s = sum(np.abs(coeffs) * np.abs(taus))
-    else:
-        s = sum(np.linalg.norm(a, 2) * abs(te) for a, te in zip(coeffs, taus))
+    norms = np.abs(coeffs) if mask.rank == 1 else np.linalg.norm(coeffs, 2, axis=(1, 2))
+    s = sum(norms * np.abs(taus))  # a Python sum, in term order
     if tail:
         s += tail * np.abs(taus).max()
     return 2 * math.pi * float(s) / abs(mask.alpha)
@@ -444,18 +441,13 @@ def phihat_orbit(mask: RefinementMask, lam: float, J_range, tol: float = 1e-12):
     args = np.array([float(x) if abs(x) <= _MP_ARG_CUTOFF else x for x in args], dtype=object)
     base = eval_phihat(mask, args[0], tol)
     factors, tail = eval_symbol_grid(mask, args[:-1], min(tol, 1e-14))
-    factors = factors.tolist() if mask.rank == 1 else factors
-    out = []
     cur, err = base.value, base.truncation_error
-    j_at = js[0]
-    for j in js:
-        while j_at < j:
-            a = factors[j_at - js[0]]
-            cur = a * cur if mask.rank == 1 else a @ cur
-            err += tail
-            j_at += 1
-        out.append((j, SymbolValue(cur, err)))
-    return out
+    steps = [SymbolValue(cur, err)]  # phihat(lam alpha^j), j = js[0]..js[-1]
+    for a in (factors.tolist() if mask.rank == 1 else factors):
+        cur = a * cur if mask.rank == 1 else a @ cur
+        err += tail
+        steps.append(SymbolValue(cur, err))
+    return [(j, steps[j - js[0]]) for j in js]
 
 
 def bernoulli_phihat(field: NumberField, J: int, j_min: int, return_bound: bool = False):

@@ -405,6 +405,7 @@ def enumerate_Y(field: NumberField, cyl: LatticeCylinder, threads: int = 1):
     if threads > 1 and n0_hi - n0_lo > 4 * threads:
         bounds = np.linspace(n0_lo, n0_hi + 1, threads + 1).astype(np.int64)
         chunks = [(int(a), int(b) - 1) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+        # workers do not inherit the precision context; _scan_chunk reads none
         with ThreadPoolExecutor(max_workers=threads) as ex:
             parts = list(ex.map(lambda ab: _scan_chunk(field, ab[0], ab[1], L, m, r, fudge), chunks))
         parts = [p for p in parts if len(p)]
@@ -497,6 +498,8 @@ def kernel_window_test(field: NumberField, g: SolenoidWindow) -> bool:
 # ---------------------------------------------------------------------------
 # equidistribution
 
+_MAX_CORNER_BOXES = 10**5  # n >= 2 scans q^n boxes, each over every sample
+
 
 def equidistribution_check(field: NumberField, y_samples, n: int) -> float:
     """Star-discrepancy estimate of {(frac(y), .., frac(y alpha^{n-1}))}.
@@ -512,6 +515,14 @@ def equidistribution_check(field: NumberField, y_samples, n: int) -> float:
     ys = np.asarray(list(y_samples), dtype=float)
     if ys.size == 0:
         raise ValueError("need at least one sample")
+    q = max(2, int(round(2048 ** (1.0 / n))))
+    if n > 1 and q**n > _MAX_CORNER_BOXES:
+        raise SizeError("%d^%d = %d corner boxes exceed %d; lower n" % (q, n, q**n, _MAX_CORNER_BOXES))
+    # as in theta: y alpha^(n-1) must leave 32 of float64's 53 bits below the binary point
+    mag = float(np.abs(ys).max()) * abs(field.alpha) ** (n - 1)
+    if mag > 0 and math.log2(mag) > 53 - 32:
+        raise PrecisionError("|y alpha^%d| reaches %.3g, leaving under 32 fractional bits "
+                             "in float64; lower n or the sample range" % (n - 1, mag))
     pows = field.alpha ** np.arange(n)
     pts = np.outer(ys, pows)
     pts -= np.floor(pts)
@@ -520,7 +531,6 @@ def equidistribution_check(field: NumberField, y_samples, n: int) -> float:
         x = np.sort(pts[:, 0])
         i = np.arange(1, N + 1)
         return float(max(np.max(i / N - x), np.max(x - (i - 1) / N)))
-    q = max(2, int(round(2048 ** (1.0 / n))))
     axes = [(np.arange(1, q + 1)) / q] * n
     disc = 0.0
     for corner in itertools.product(*axes):
