@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import pvrefine as pv
 from pvrefine import cli
 
 
@@ -312,6 +313,29 @@ def test_precision_bits_flag_raises_budget(tmp_path, monkeypatch):
     assert rc == 0
     # the override is scoped to the invocation, not left in the process env
     assert "PISOT_PRECISION_BITS" not in os.environ
+
+
+def test_precision_flag_scopes_a_context_not_os_environ(tmp_path, monkeypatch):
+    monkeypatch.delenv("PISOT_PRECISION_BITS", raising=False)
+    seen = []
+
+    def handler(cfg):
+        seen.append((pv.precision_bits(), "PISOT_PRECISION_BITS" in os.environ))
+        return ["x"], [[1]], [], None
+
+    monkeypatch.setitem(cli._HANDLERS, "field-check", handler)
+    assert run_cli("field-check", "--poly", "-1,-1", "--precision-bits", "256",
+                   "--out", str(tmp_path / "p.csv")) == 0
+    assert seen == [(256, False)]
+    assert pv.precision_bits() == 128
+
+
+def test_equidistribution_corner_forecast_exits_2(tmp_path, capsys):
+    # 2^40 corner boxes: refused before the scan starts
+    rc = run_cli("equidistribution", "--poly", "-1,-1", "--n", "40", "--out", str(tmp_path / "e.csv"))
+    assert rc == 2
+    assert "2^40 = 1099511627776 corner boxes" in capsys.readouterr().err
+    assert not (tmp_path / "e.csv").exists()
 
 
 # ---------------------------------------------------------------------------
