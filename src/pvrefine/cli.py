@@ -519,7 +519,7 @@ _HANDLERS = {
 
 def run(cfg: RunConfig) -> int:
     """Dispatch one command, write its CSV (and SVG when requested), print summary."""
-    # the precision is scoped to this invocation; os.environ is never edited
+    # the precision holds for this invocation only
     token = working_precision.set(cfg.precision_bits or precision_bits())
     try:
         header, rows, lines, plot = _HANDLERS[cfg.command](cfg)

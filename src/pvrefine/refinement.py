@@ -6,9 +6,13 @@ ahat(y) = |alpha|^{-1} sum_k a(k) e^{-2 pi i tau(k) y} and the transform of
 phi is the one-sided infinite product phihat(y) = (prod_{j<=-1}
 ahat(y alpha^j)) phihat(0), factors ordered with decreasing j to the right.
 
-Complex exponentials always reduce their argument mod 1 first; without that
-the phase of e^{-2 pi i tau y} is garbage long before tau*y overflows a
-double mantissa (the dilation orbits used here reach y ~ alpha^40).
+One kernel evaluates the symbol: the terms' phases go through a single sum,
+|alpha|^{-1} sum_k a(k) e^{-2 pi i phase_k}, added in term order.  The phase
+of term k is tau(k) y in float64, except for mpmath arguments and |y| > 2^20,
+where frac(tau(k) y) is reduced at extended precision first; without that
+the phase is garbage long before tau*y overflows a double mantissa (the
+dilation orbits used here reach y ~ alpha^40).  eval_symbol, eval_phihat,
+phihat_orbit and the lifted symbol A of the solenoid layer all call it.
 """
 
 import ast

@@ -519,7 +519,7 @@ def equidistribution_check(field: NumberField, y_samples, n: int) -> float:
     if n > 1 and q**n > _MAX_CORNER_BOXES:
         raise SizeError("%d^%d = %d corner boxes exceed %d; lower n" % (q, n, q**n, _MAX_CORNER_BOXES))
     # as in theta: y alpha^(n-1) must leave 32 of float64's 53 bits below the binary point
-    mag = float(np.abs(ys).max()) * abs(field.alpha) ** (n - 1)
+    mag = float(max(ys.max(), -ys.min())) * abs(field.alpha) ** (n - 1)
     if mag > 0 and math.log2(mag) > 53 - 32:
         raise PrecisionError("|y alpha^%d| reaches %.3g, leaving under 32 fractional bits "
                              "in float64; lower n or the sample range" % (n - 1, mag))

@@ -278,6 +278,16 @@ def test_grid_kernels_above_2_20_take_extended_precision(tmp_path, golden_vector
             assert np.array_equal(p, rf.eval_phihat(mask, float(y)).value), (mask.name, y)
 
 
+def test_extended_phases_match_an_mpmath_reference(tmp_path):
+    # float64 phases of the translate alpha^-1 would miss this by up to 5e-10
+    mask = _laurent_mask(tmp_path)[1]
+    with mp.workprec(200):
+        tau = 2 / (1 + mp.sqrt(5))
+        for y in (2.0**21 + 0.3, -(2.0**20) - 0.25, 3.0e6 + 0.125):
+            want = mask.coeffs[0] + mask.coeffs[1] * mp.expjpi(-2 * tau * y)
+            assert abs(rf.eval_symbol(mask, y).value - complex(want) / mask.alpha) < 1e-13, y
+
+
 def test_symbol_scan_above_2_20_keeps_extended_precision(tmp_path, golden_vector):
     from pvrefine import cli
 
