@@ -267,6 +267,12 @@ def test_oversized_grid_exit_2(tmp_path, capsys):
                  "--out", str(tmp_path / "z.csv"))
     assert rc == 2
     assert not (tmp_path / "x.csv").exists() and not (tmp_path / "z.csv").exists()
+    # 2^40 corner boxes: refused before the equidistribution scan starts
+    capsys.readouterr()
+    rc = run_cli("equidistribution", "--poly", "-1,-1", "--n", "40", "--out", str(tmp_path / "e.csv"))
+    assert rc == 2
+    assert "2^40 = 1099511627776 corner boxes" in capsys.readouterr().err
+    assert not (tmp_path / "e.csv").exists()
 
 
 def test_zeros_scan_grid_past_2_20(tmp_path, capsys):
@@ -328,14 +334,6 @@ def test_precision_flag_scopes_a_context_not_os_environ(tmp_path, monkeypatch):
                    "--out", str(tmp_path / "p.csv")) == 0
     assert seen == [(256, False)]
     assert pv.precision_bits() == 128
-
-
-def test_equidistribution_corner_forecast_exits_2(tmp_path, capsys):
-    # 2^40 corner boxes: refused before the scan starts
-    rc = run_cli("equidistribution", "--poly", "-1,-1", "--n", "40", "--out", str(tmp_path / "e.csv"))
-    assert rc == 2
-    assert "2^40 = 1099511627776 corner boxes" in capsys.readouterr().err
-    assert not (tmp_path / "e.csv").exists()
 
 
 # ---------------------------------------------------------------------------
