@@ -363,7 +363,6 @@ def eval_phihat(mask: RefinementMask, y, tol: float = 1e-12) -> SymbolValue:
             args = [mp.mpf(y) / al**j0]
             for _ in range(j0 - 1):
                 args.append(args[-1] * al)
-        args = np.array(args, dtype=object)
     else:
         al = mask.alpha
         args = [yf * al**j for j in range(-j0, 0)]
@@ -442,7 +441,7 @@ def phihat_orbit(mask: RefinementMask, lam: float, J_range, tol: float = 1e-12):
         for _ in range(js[0], js[-1]):
             args.append(args[-1] * al)
     # floats up to 2^20 keep the float path; larger arguments stay mpf
-    args = np.array([float(x) if abs(x) <= _MP_ARG_CUTOFF else x for x in args], dtype=object)
+    args = [float(x) if abs(x) <= _MP_ARG_CUTOFF else x for x in args]
     base = eval_phihat(mask, args[0], tol)
     factors, tail = eval_symbol_grid(mask, args[:-1], min(tol, 1e-14))
     cur, err = base.value, base.truncation_error
