@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebraic_core import NumberField, fe_rational, make_field, precision_bits, working_precision
+from .algebraic_core import NumberField, fe_rational, make_field, working_precision
 from .errors import NonconvergenceError, PrecisionError, PvrefineError
 from .refinement import (
     RefinementMask,
@@ -520,7 +520,7 @@ _HANDLERS = {
 def run(cfg: RunConfig) -> int:
     """Dispatch one command, write its CSV (and SVG when requested), print summary."""
     # the precision holds for this invocation only
-    token = working_precision.set(cfg.precision_bits or precision_bits())
+    token = working_precision.set(cfg.precision_bits)
     try:
         header, rows, lines, plot = _HANDLERS[cfg.command](cfg)
     finally:

@@ -58,6 +58,7 @@ _PRODUCT_FACTOR_BUDGET = 10**6
 # above this magnitude a float64 argument has too few fractional bits left
 # for phase reduction; evaluation switches to extended precision
 _MP_ARG_CUTOFF = 2.0**20
+_SUM_BLOCK = 4096  # (term, point) coefficients per block of the symbol sum: temporaries near 64 KB
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,17 +248,16 @@ def _extended_phases(mask: RefinementMask, K, ys):
         return np.array([[float(x - mp.floor(x)) for x in (te * ym for ym in yms)] for te in taus])
 
 
-def _symbol_sum(mask: RefinementMask, K, phases, n: int):
+def _symbol_sum(coeffs, alpha: float, phases):
     """|alpha|^{-1} sum_k a(k) e^{-2 pi i phase_k} at n points: shape (n,), plus
-    (r, r) for rank r.  phases yields one (n,) float array per term, reduced
-    mod 1 here, and the terms are added in term order."""
-    coeffs = _kernel_terms(mask, K)[0]
-    block = coeffs.shape[1:]
-    acc = np.zeros((n,) + block, dtype=complex)
-    for a, p in zip(coeffs, phases):
-        acc += a * np.exp(-2j * np.pi * (p - np.floor(p)))[(...,) + (None,) * len(block)]
-    acc /= abs(mask.alpha)
-    return acc
+    (r, r) for rank r.  coeffs is the (K,) or (K, r, r) coefficient array and
+    phases a (K, n) float array, reduced mod 1 here; one exponential call
+    covers the block, and the terms are added in term order."""
+    e = np.exp(-2j * np.pi * (phases - np.floor(phases)))[(...,) + (None,) * (coeffs.ndim - 1)]
+    sums = np.zeros((len(coeffs) + 1,) + e.shape[1:2] + coeffs.shape[1:], dtype=complex)
+    np.multiply(coeffs[:, None], e, out=sums[1:])
+    np.add.accumulate(sums, axis=0, out=sums)  # running sums from 0, in term order
+    return sums[-1] / abs(alpha)
 
 
 def lipschitz_bound(mask: RefinementMask, tol: float = 1e-14) -> float:
@@ -300,18 +300,22 @@ def eval_symbol_grid(mask: RefinementMask, ys, tol: float = 1e-14):
     precision first.  Every point then takes the same sum, in term order.
     """
     K, tail = _truncation(mask, tol)
+    coeffs, taus = _kernel_terms(mask, K)
     ys = np.asarray(ys)
-    src = yf = np.asarray(ys, dtype=float).reshape(-1)
+    src = ys.reshape(-1)
+    yf = src.astype(float)
     ext = np.abs(yf) > _MP_ARG_CUTOFF
     if ys.dtype == object:
-        src = ys.reshape(-1)
         ext |= np.array([isinstance(v, mp.mpf) for v in src], dtype=bool)
-    idx = np.flatnonzero(ext)
-    fracs = _extended_phases(mask, K, src[idx]) if idx.size else None
-    acc = _symbol_sum(mask, K, (te * yf for te in _kernel_terms(mask, K)[1]), yf.size)
-    if idx.size:
-        acc[idx] = _symbol_sum(mask, K, fracs, idx.size)
-    return acc.reshape(ys.shape + acc.shape[1:]), tail
+    acc = np.empty(yf.shape + coeffs.shape[1:], dtype=complex)
+    step = max(1, _SUM_BLOCK // coeffs.size)
+    for lo in range(0, yf.size, step):
+        phases = np.multiply.outer(taus, yf[lo:lo + step])
+        idx = np.flatnonzero(ext[lo:lo + step])
+        if idx.size:
+            phases[:, idx] = _extended_phases(mask, K, src[lo + idx])
+        acc[lo:lo + step] = _symbol_sum(coeffs, mask.alpha, phases)
+    return acc.reshape(ys.shape + coeffs.shape[1:]), tail
 
 
 def _product_depths(mask: RefinementMask, ys, tol: float):
@@ -442,14 +446,11 @@ def phihat_orbit(mask: RefinementMask, lam: float, J_range, tol: float = 1e-12):
             args.append(args[-1] * al)
     # floats up to 2^20 keep the float path; larger arguments stay mpf
     args = [float(x) if abs(x) <= _MP_ARG_CUTOFF else x for x in args]
-    base = eval_phihat(mask, args[0], tol)
-    factors, tail = eval_symbol_grid(mask, args[:-1], min(tol, 1e-14))
-    cur, err = base.value, base.truncation_error
-    steps = [SymbolValue(cur, err)]  # phihat(lam alpha^j), j = js[0]..js[-1]
-    for a in (factors.tolist() if mask.rank == 1 else factors):
-        cur = a * cur if mask.rank == 1 else a @ cur
-        err += tail
-        steps.append(SymbolValue(cur, err))
+    steps = [eval_phihat(mask, args[0], tol)]  # phihat(lam alpha^j), j = js[0]..js[-1]
+    for x in args[:-1]:
+        s, cur = eval_symbol(mask, x, min(tol, 1e-14)), steps[-1]
+        steps.append(SymbolValue(s.value * cur.value if mask.rank == 1 else s.value @ cur.value,
+                                 cur.truncation_error + s.truncation_error))
     return [(j, steps[j - js[0]]) for j in js]
 
 

@@ -267,7 +267,7 @@ def eval_A(mask: RefinementMask, g: SolenoidWindow):
                 "translate support at %d outside window [%d, %d]" % (outside[0], g.j_min, g.j_max)
             )
     phases = np.array([[sum(c * g.value(j) for j, c in t.items)] for _, t in terms])
-    value = _symbol_sum(mask, len(terms) if mask.infinite else None, phases, 1)[0]
+    value = _symbol_sum(np.array([a for a, _ in terms], dtype=complex), mask.alpha, phases)[0]
     return value.item() if value.ndim == 0 else value
 
 
@@ -515,22 +515,22 @@ def equidistribution_check(field: NumberField, y_samples, n: int) -> float:
     ys = np.asarray(list(y_samples), dtype=float)
     if ys.size == 0:
         raise ValueError("need at least one sample")
+    if n == 1:  # nothing is multiplied, so frac(y) is exact at any size
+        x, N = np.sort(ys - np.floor(ys)), len(ys)
+        i = np.arange(1, N + 1)
+        return float(max(np.max(i / N - x), np.max(x - (i - 1) / N)))
     q = max(2, int(round(2048 ** (1.0 / n))))
-    if n > 1 and q**n > _MAX_CORNER_BOXES:
-        raise SizeError("%d^%d = %d corner boxes exceed %d; lower n" % (q, n, q**n, _MAX_CORNER_BOXES))
+    # forecast in logs: a huge n must neither build q^n nor print its digits
+    if n * math.log10(q) > math.log10(_MAX_CORNER_BOXES):
+        raise SizeError("%d^%d (about 1e%d) corner boxes exceed %d; lower n"
+                        % (q, n, n * math.log10(q), _MAX_CORNER_BOXES))
     # as in theta: y alpha^(n-1) must leave 32 of float64's 53 bits below the binary point
     mag = float(max(ys.max(), -ys.min())) * abs(field.alpha) ** (n - 1)
     if mag > 0 and math.log2(mag) > 53 - 32:
         raise PrecisionError("|y alpha^%d| reaches %.3g, leaving under 32 fractional bits "
                              "in float64; lower n or the sample range" % (n - 1, mag))
-    pows = field.alpha ** np.arange(n)
-    pts = np.outer(ys, pows)
+    pts = np.outer(ys, field.alpha ** np.arange(n))
     pts -= np.floor(pts)
-    N = len(ys)
-    if n == 1:
-        x = np.sort(pts[:, 0])
-        i = np.arange(1, N + 1)
-        return float(max(np.max(i / N - x), np.max(x - (i - 1) / N)))
     axes = [(np.arange(1, q + 1)) / q] * n
     disc = 0.0
     for corner in itertools.product(*axes):

@@ -317,3 +317,5 @@ def test_equidistribution_fractional_bits_guard(golden):
     with pytest.raises(pv.PrecisionError, match="under 32 fractional bits"):
         so.equidistribution_check(golden, [1.0, 2.0**21], 2)
     assert so.equidistribution_check(golden, [1.0, 2.0**20], 2) > 0
+    # n = 1 multiplies nothing: frac(y) of a float is exact at any size
+    assert so.equidistribution_check(golden, [0.25, 2.0**40 + 0.5], 1) == 0.5
