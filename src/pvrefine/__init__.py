@@ -51,6 +51,7 @@ from .algebraic_core import (
 from .refinement import (
     RefinementMask,
     SymbolValue,
+    bernoulli_orbit,
     bernoulli_phihat,
     builtin_mask,
     eval_phihat,

@@ -2,8 +2,10 @@
 
 Field elements are rational coordinate vectors in the power basis
 1, alpha, ..., alpha^(d-1).  Traces, norms, and the integer trace recurrence
-run exactly over the rationals (multiplication matrices, never floating
-conjugates).  Complex embeddings come from certified roots: simultaneous
+run exactly, never through floating conjugates: multiplication matrices are
+combinations of the cached integer companion powers C^0..C^{d-1}, and norms
+and the discriminant are integer determinants by fraction-free Bareiss
+elimination.  Complex embeddings come from certified roots: simultaneous
 iteration at extended precision with Weierstrass a-posteriori inclusion
 disks, so the PV verdict carries an explicit margin instead of a guess.
 
@@ -13,6 +15,7 @@ unit circle.
 """
 
 import contextvars
+import functools
 import itertools
 import math
 import os
@@ -165,29 +168,48 @@ def fe_alpha(field: NumberField) -> FieldElement:
 
 
 # ---------------------------------------------------------------------------
-# exact rational linear algebra helpers
+# exact linear algebra helpers
 
 
-def _fraction_det(rows):
-    """Determinant by fraction-exact Gaussian elimination (destructive on a copy)."""
-    n = len(rows)
+@functools.lru_cache(maxsize=None)
+def _companion_powers(coeffs):
+    """Integer matrices C^0..C^{d-1} of x -> alpha^i x in the power basis: C^(i+1) = C C^i
+    shifts each column of C^i down one row and subtracts its last entry times c."""
+    d = len(coeffs)
+    pows = [tuple(tuple(int(i == j) for j in range(d)) for i in range(d))]
+    for _ in range(d - 1):
+        m = pows[-1]
+        pows.append(tuple(
+            tuple((m[i - 1][j] if i else 0) - coeffs[i] * m[d - 1][j] for j in range(d)) for i in range(d)
+        ))
+    return tuple(pows)
+
+
+def _power_combination(field, coords):
+    """sum_i coords_i C^i: the matrix of x -> (sum_i coords_i alpha^i) x."""
+    pows = _companion_powers(field.coeffs)
+    d = field.degree
+    return [[sum(q * p[i][j] for q, p in zip(coords, pows)) for j in range(d)] for i in range(d)]
+
+
+def _int_det(rows):
+    """Determinant of an integer matrix by fraction-free Bareiss elimination (Bareiss 1968):
+    every division is exact, and a zero pivot swaps in a lower row."""
     m = [list(r) for r in rows]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = Fraction(1) / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                f = m[r][col] * inv
-                for c in range(col, n):
-                    m[r][c] -= f * m[col][c]
-    return det
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            piv = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
+            if piv is None:
+                return 0
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
 
 
 def _fraction_solve(rows, rhs):
@@ -265,13 +287,7 @@ def fe_pow(field: NumberField, a: FieldElement, n: int) -> FieldElement:
 
 def multiplication_matrix(field: NumberField, a: FieldElement):
     """Matrix of x -> a*x in the power basis; column j = coords of a*alpha^j."""
-    d = field.degree
-    cols = []
-    cur = a
-    for _ in range(d):
-        cols.append(cur.coords)
-        cur = fe_mul(field, cur, fe_alpha(field))
-    return [[cols[j][i] for j in range(d)] for i in range(d)]
+    return _power_combination(field, a.coords)
 
 
 def fe_inv(field: NumberField, a: FieldElement) -> FieldElement:
@@ -353,20 +369,13 @@ def discriminant(coeffs) -> int:
     n, m = len(p) - 1, len(dp) - 1
     size = n + m
     rows = []
-    for i in range(m):  # shifted copies of P
-        row = [Fraction(0)] * size
-        for j, c in enumerate(reversed(p)):
-            row[i + j] = Fraction(c)
-        rows.append(row)
-    for i in range(n):  # shifted copies of P'
-        row = [Fraction(0)] * size
-        for j, c in enumerate(reversed(dp)):
-            row[i + j] = Fraction(c)
-        rows.append(row)
-    res = _fraction_det(rows)
-    disc = (-1) ** (n * (n - 1) // 2) * res  # leading coefficient is 1
-    assert disc.denominator == 1
-    return int(disc)
+    for poly, copies in ((p, m), (dp, n)):  # shifted copies of P, then of P'
+        for i in range(copies):
+            row = [0] * size
+            for j, c in enumerate(reversed(poly)):
+                row[i + j] = c
+            rows.append(row)
+    return (-1) ** (n * (n - 1) // 2) * _int_det(rows)  # leading coefficient is 1
 
 
 def _int_poly_divides(field_coeffs, factor_coeffs) -> bool:
@@ -495,7 +504,10 @@ def _build_field(coeffs, B_alpha=1, require_degree_2=True):
                             "monic factor with ascending coefficients %s divides %s"
                             % (tuple(ints) + (1,), coeffs)
                         )
-        pv = _classify(roots, radii, d)
+        # irreducible and reciprocal (X^d P(1/X) = +-P) of degree >= 4: the roots
+        # pair as z, 1/z, and a pair besides alpha, 1/alpha has a root with |z| >= 1
+        reciprocal = p[::-1] == [p[0] * c for c in p]
+        pv = "not-PV" if reciprocal and d >= 4 else _classify(roots, radii, d)
         # snap certified-real roots (conjugate pairs keep their imaginary parts)
         cleaned = []
         for z, r in zip(roots, radii):
@@ -520,7 +532,8 @@ def make_field(coeffs, B_alpha: int = 1) -> NumberField:
     """Certify a monic integer polynomial (c_0, ..., c_{d-1}), d >= 2.
 
     Raises ReducibleError / DegenerateError / PrecisionError as applicable;
-    pv_status is decided with margin PV_MARGIN or reported indeterminate.
+    pv_status is "not-PV" for reciprocal P of degree >= 4, else decided with
+    margin PV_MARGIN or reported indeterminate.
     """
     return _build_field(coeffs, B_alpha=B_alpha, require_degree_2=True)
 
@@ -551,14 +564,22 @@ def is_pisot(field: NumberField) -> str:
 
 
 def trace(elem: FieldElement, field: NumberField) -> Fraction:
-    """T(elem) = sum of conjugates, exactly (trace of the multiplication matrix)."""
-    m = multiplication_matrix(field, elem)
-    return sum(m[i][i] for i in range(field.degree))
+    """T(elem) = sum of conjugates, exactly: sum_i q_i tr(C^i) over the companion powers."""
+    pows = _companion_powers(field.coeffs)
+    return sum(q * sum(p[i][i] for i in range(field.degree)) for q, p in zip(elem.coords, pows))
+
+
+def int_norm(field: NumberField, nums) -> int:
+    """N(sum_i nums_i alpha^i) for integer nums: the Bareiss determinant of sum_i nums_i C^i."""
+    return _int_det(_power_combination(field, nums))
 
 
 def norm(elem: FieldElement, field: NumberField) -> Fraction:
-    """N(elem) = product of conjugates, exactly (determinant of the multiplication matrix)."""
-    return _fraction_det(multiplication_matrix(field, elem))
+    """N(elem) = product of conjugates, exactly: elem = num/den with integer num, so
+    N(elem) = int_norm(num)/den^d."""
+    den = elem.denominator_lcm
+    nums = [q.numerator * (den // q.denominator) for q in elem.coords]
+    return Fraction(int_norm(field, nums), den**field.degree)
 
 
 def trace_power_sequence(field: NumberField, mu: FieldElement, j_max: int):

@@ -30,7 +30,7 @@ from .algebraic_core import NumberField, fe_rational, make_field, working_precis
 from .errors import NonconvergenceError, PrecisionError, PvrefineError
 from .refinement import (
     RefinementMask,
-    bernoulli_phihat,
+    bernoulli_orbit,
     builtin_mask,
     eval_phihat,
     eval_symbol,
@@ -45,7 +45,8 @@ from .zero_density import tabulate_on_grid, vanishing_probe
 
 __all__ = ["RunConfig", "PlotSpec", "run", "emit_csv", "emit_svg", "main"]
 
-# numeric errors exit 3; ValueError and every other package error exit 2
+# numeric errors exit 3; ValueError, ZeroDivisionError (a rational such as
+# --lambda 1/0) and every other package error exit 2
 _NUMERIC_ERRORS = (PrecisionError, NonconvergenceError, OSError)
 
 _COMMANDS = (
@@ -357,10 +358,8 @@ def _cmd_bernoulli(cfg: RunConfig):
     f = _field_of(cfg)
     jmax = cfg.J_max if cfg.J_max is not None else 40
     jmin = cfg.j_min if cfg.j_min is not None else -40
-    rows = []
-    for J in range(0, jmax + 1):
-        z = bernoulli_phihat(f, J, jmin)
-        rows.append([J, z.real, z.imag, abs(z)])
+    values, _ = bernoulli_orbit(f, jmax, jmin)
+    rows = [[J, z.real, z.imag, abs(z)] for J, z in enumerate(values)]
     summary = "|phihat| tail %.6g at J=%d (cutoff j_min=%d)" % (rows[-1][3], jmax, jmin)
     plot = PlotSpec(
         points=tuple((float(r[0]), r[3]) for r in rows),
@@ -746,7 +745,7 @@ def main(argv=None) -> int:
     except _NUMERIC_ERRORS as e:
         print("error: %s" % e, file=sys.stderr)
         return 3
-    except (ValueError, PvrefineError) as e:
+    except (ValueError, ZeroDivisionError, PvrefineError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
 

@@ -25,14 +25,13 @@ import mpmath as mp
 import numpy as np
 
 from .algebraic_core import (
-    FieldElement,
     NumberField,
     LaurentTranslate,
+    fe_add,
     fe_alpha,
     fe_embed,
     fe_inv,
     fe_mul,
-    fe_pow,
     fe_rational,
     integer_dilation_field,
     laurent,
@@ -454,58 +453,61 @@ def phihat_orbit(mask: RefinementMask, lam: float, J_range, tol: float = 1e-12):
     return [(j, steps[j - js[0]]) for j in js]
 
 
-def bernoulli_phihat(field: NumberField, J: int, j_min: int, return_bound: bool = False):
-    """phihat(alpha^J) for the Bernoulli mask: e^{-pi i alpha^J/(alpha-1)} prod_{j_min<=j<J} cos(pi alpha^j).
+def bernoulli_orbit(field: NumberField, J_max: int, j_min: int):
+    """([phihat(alpha^J) for J = 0..J_max], bound) for the Bernoulli mask, in one pass.
 
+    phihat(alpha^J) = e^{-pi i alpha^J/(alpha-1)} prod_{j_min<=j<J} cos(pi alpha^j).
     Uses the exact-trace residue route for both the phase and the large-j
     cosines, so alpha^j never meets floating arithmetic at full size:
     cos(pi alpha^j) = (-1)^{s(j)} cos(pi r_j) with s(j) = T(alpha^j) and
-    r_j = sum_{k>=2} alpha_k^j.  The dropped factors below j_min satisfy
+    r_j = sum_{k>=2} alpha_k^j.  The running product takes the factors in
+    increasing j and mu = alpha^J/(alpha-1) steps by one exact multiplication
+    by alpha, so each value is the one the product for that J alone gives.
+    The dropped factors below j_min satisfy
     |1 - prod| <= (pi^2/2) alpha^{2 j_min} / (alpha^2 - 1), reported as bound.
     """
     if field.pv_status != "PV":
         raise NotPisotError("bernoulli product needs a certified PV dilation")
+    if J_max < 0:
+        raise ValueError("J_max must be >= 0")
     prec = max(precision_bits(), 64)
     d = field.degree
+    al = fe_alpha(field)
+    mu = fe_inv(field, fe_add(al, fe_rational(field, -1)))
+    traces = trace_power_sequence(field, fe_rational(field, 1), max(J_max - 1, d - 1))
+    values = []
     with mp.workprec(prec):
         alpha = field.roots_mp[0].real
-        # phase: mu = alpha^J / (alpha - 1); embed via trace minus conjugates,
-        # with the integer part of T(mu) reduced mod 2 before it meets pi
-        al = fe_alpha(field)
-        mu = fe_mul(field, fe_pow(field, al, J), fe_inv(field, _alpha_minus_one(field)))
-        tmu = trace(mu, field)
-        conj_sum = sum(
-            fe_embed(field, mu, k, prec) for k in range(1, d)
-        ) if d > 1 else mp.mpc(0)
-        int_part = tmu.numerator // tmu.denominator
-        frac_part = tmu - int_part
-        x_red = (int_part % 2) + mp.mpf(frac_part.numerator) / frac_part.denominator - mp.re(conj_sum)
-        phase = mp.e ** (-1j * mp.pi * x_red)
-        # cosine factors
-        smax = max(J - 1, d - 1)
-        traces = trace_power_sequence(field, fe_rational(field, 1), max(smax, d - 1)) if J >= 1 else []
         prod = mp.mpf(1)
         sign = 1
-        for j in range(j_min, J):
-            if j < 0 or d == 1:
-                prod *= mp.cos(mp.pi * alpha**j)
-            else:
-                s_j = traces[j]
-                r_j = sum(field.roots_mp[k] ** j for k in range(1, d))
-                prod *= mp.cos(mp.pi * mp.re(r_j))
-                if int(s_j) % 2:
-                    sign = -sign
-        value = complex(sign * prod * phase)
+        for j in range(j_min, 0):
+            prod *= mp.cos(mp.pi * alpha**j)
+        for J in range(J_max + 1):
+            j = J - 1  # the factor that joins the product at this J
+            if j >= 0:
+                mu = fe_mul(field, mu, al)
+                if j >= j_min:
+                    r_j = sum(field.roots_mp[k] ** j for k in range(1, d))
+                    prod *= mp.cos(mp.pi * mp.re(r_j))
+                    if int(traces[j]) % 2:
+                        sign = -sign
+            # phase: embed mu via trace minus conjugates, with the integer
+            # part of T(mu) reduced mod 2 before it meets pi
+            tmu = trace(mu, field)
+            conj_sum = sum(fe_embed(field, mu, k, prec) for k in range(1, d))
+            int_part = tmu.numerator // tmu.denominator
+            frac_part = tmu - int_part
+            x_red = (int_part % 2) + mp.mpf(frac_part.numerator) / frac_part.denominator - mp.re(conj_sum)
+            phase = mp.e ** (-1j * mp.pi * x_red)
+            values.append(complex(sign * prod * phase))
         bound = float(mp.pi**2 / 2 * alpha ** (2 * j_min) / (alpha**2 - 1))
-    if return_bound:
-        return value, bound
-    return value
+    return values, bound
 
 
-def _alpha_minus_one(field: NumberField) -> FieldElement:
-    coords = list(fe_alpha(field).coords)
-    coords[0] -= 1
-    return FieldElement(tuple(coords))
+def bernoulli_phihat(field: NumberField, J: int, j_min: int, return_bound: bool = False):
+    """phihat(alpha^J), J >= 0, for the Bernoulli mask: the last value of bernoulli_orbit."""
+    values, bound = bernoulli_orbit(field, J, j_min)
+    return (values[-1], bound) if return_bound else values[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -26,13 +26,10 @@ from .algebraic_core import (
     FieldElement,
     NumberField,
     discriminant,
-    fe_add,
     fe_embed,
     fe_embed_float,
-    fe_rational,
-    fe_scale,
     first_lagrange_row,
-    norm,
+    int_norm,
     precision_bits,
 )
 from .errors import PrecisionError, SizeError
@@ -99,11 +96,17 @@ class NormForm:
         return sum(self.numerator_form[0][0])
 
     def evaluate_numerator(self, n) -> int:
+        powers = []  # powers[i][e] = n_i^e, built once per call
+        for ni in n:
+            row = [1]
+            for _ in range(self.degree):
+                row.append(row[-1] * ni)
+            powers.append(row)
         acc = 0
         for exps, c in self.numerator_form:
             term = c
-            for ni, e in zip(n, exps):
-                term *= ni**e
+            for p, e in zip(powers, exps):
+                term *= p[e]
             acc += term
         return acc
 
@@ -334,14 +337,15 @@ def norm_form(field: NumberField) -> NormForm:
         numerator_form=tuple(sorted((e, c // g) for e, c in ints.items())),
         denominator=disc // g,
     )
+    # mu = sum n_i e_i has integer numerators over the common denominator den of
+    # the e_i, so N(mu) = int_norm(numerators)/den^d, compared cross-multiplied
     row = first_lagrange_row(field)
+    den = math.lcm(*(e.denominator_lcm for e in row))
+    nums = [[q.numerator * (den // q.denominator) for q in e.coords] for e in row]
     rng = np.random.default_rng(17)
-    for n in rng.integers(-50, 51, size=(10**3, d)):
-        mu = fe_rational(field, 0)
-        for ni, ei in zip(n, row):
-            if ni:
-                mu = fe_add(mu, fe_scale(ei, int(ni)))
-        if nf.evaluate([int(v) for v in n]) != norm(mu, field):
+    for n in rng.integers(-50, 51, size=(10**3, d)).tolist():
+        mu = [sum(ni * e[k] for ni, e in zip(n, nums)) for k in range(d)]
+        if nf.evaluate_numerator(n) * den**d != int_norm(field, mu) * nf.denominator:
             raise PrecisionError("norm form disagrees with the exact norm at %s" % (tuple(n),))
     return nf
 

@@ -2,6 +2,7 @@
 
 import csv
 import os
+import random
 import subprocess
 import sys
 
@@ -99,6 +100,16 @@ def test_field_check_golden(tmp_path, capsys):
     assert len(rows) == 3
     mods = sorted(float(r[3]) for r in rows[1:])
     assert mods[0] == pytest.approx(0.6180339887498949, abs=1e-12)
+
+
+@pytest.mark.parametrize("poly, verdict", [
+    ("1,-1,-1,-1", "not-PV"),  # Salem X^4 - X^3 - X^2 - X + 1: two conjugates on |z| = 1
+    ("1,0,0,0", "not-PV"),     # X^4 + 1: every conjugate on |z| = 1
+    ("1,-3", "PV"),            # X^2 - 3X + 1 is reciprocal, but 1/alpha is its only conjugate
+])
+def test_field_check_reciprocal_verdict(tmp_path, capsys, poly, verdict):
+    assert run_cli("field-check", "--poly", poly, "--out", str(tmp_path / "fc.csv")) == 0
+    assert capsys.readouterr().out.startswith(verdict + ", degree")
 
 
 def test_field_check_reducible_exit_2(tmp_path, capsys):
@@ -336,6 +347,77 @@ def test_precision_flag_scopes_a_context_not_os_environ(tmp_path, monkeypatch):
                    "--out", str(tmp_path / "p.csv")) == 0
     assert seen == [(256, False)]
     assert pv.precision_bits() == 128
+
+
+# a small valid argv per subcommand, and the values a mutation may give each
+# flag: malformed, out of range, or small; grids, L, --n, --samples and --jmax
+# stay small or hit a size guard, so no case allocates or loops at scale
+_FUZZ_BASE = {
+    "field-check": ("--poly", "-1,-1"),
+    "symbol-scan": ("--mask", "boxcar", "--range", "0:2", "--step", "0.5"),
+    "phihat-orbit": ("--mask", "boxcar", "--lambda", "1", "--jmax", "3"),
+    "bernoulli": ("--poly", "-1,-1", "--jmax", "3", "--jmin", "-3"),
+    "lattice-density": ("--poly", "-1,-1", "--eps", "0.1", "--L", "100"),
+    "zeros-scan": ("--mask", "boxcar", "--range", "0:2", "--step", "0.5", "--target", "symbol"),
+    "vanishing-probe": ("--mask", "boxcar", "--lambda", "1", "--jmax", "3"),
+    "norms-count": ("--poly", "-1,-1", "--L", "100", "--box", "3"),
+    "equidistribution": ("--poly", "-1,-1", "--n", "1", "--samples", "20"),
+}
+_FUZZ_VALUES = {
+    "--poly": ("-1,-1", "-1,-1,0", "1,-1,-1,-1", "1,-3", "-1,0", "1,-2", "-2,0", "0,3", "5", "", "a,b",
+               ",".join(["-1"] * 9)),
+    "--mask": ("boxcar", "dyadic", "golden_vector", "bernoulli", "nope"),
+    "--range": ("0:2", "2:0", "0:0", "-1:1", "nan:1", "0:inf", "a:b", "1", "0:1e9"),
+    "--step": ("0.5", "0", "-0.5", "nan", "x", "1e-300"),
+    "--lambda": ("1", "3/2", "1,2", "0", "-1", "1/0", "x", ""),
+    "--jmax": ("-1", "0", "1", "4", "x"),
+    "--jmin": ("-6", "0", "2", "x"),
+    "--eps": ("0.1", "0", "-0.1", "nan", "0.1,0.1", "x"),
+    "--L": ("100", "0", "-5", "nan", "inf", "x", "1e3"),
+    "--box": ("3", "0", "-1", "x"),
+    "--n": ("1", "2", "0", "40", "x"),
+    "--samples": ("20", "0", "-1", "x"),
+    "--target": ("symbol", "phihat", "x"),
+    "--delta": ("1e-3", "0", "-1", "nan"),
+    "--tol": ("1e-10", "0", "-1", "1", "inf"),
+    "--m": ("0", "-2", "3", "x"),
+    "--seed": ("0", "-1", "x"),
+    "--threads": ("1", "2", "0", "-1", "x"),
+    "--precision-bits": ("64", "0", "-8", "x"),
+}
+
+
+def _mutate(rnd, argv):
+    argv = list(argv)
+    for _ in range(rnd.randint(1, 3)):
+        flags = [i for i, tok in enumerate(argv) if tok in _FUZZ_VALUES and i + 1 < len(argv)]
+        kind = rnd.choice("vvvvvdamj")
+        if kind == "v" and flags:  # another value for a flag
+            i = rnd.choice(flags)
+            argv[i + 1] = rnd.choice(_FUZZ_VALUES[argv[i]])
+        elif kind == "d" and flags:  # drop a flag and its value
+            i = rnd.choice(flags)
+            del argv[i:i + 2]
+        elif kind == "a":  # add a flag, accepted by the subcommand or not
+            flag = rnd.choice(sorted(_FUZZ_VALUES))
+            argv[1:1] = [flag, rnd.choice(_FUZZ_VALUES[flag])]
+        elif kind == "m" and flags:  # a flag without its value
+            del argv[rnd.choice(flags) + 1]
+        else:
+            argv.insert(rnd.randint(1, len(argv)), rnd.choice(("--bogus", "-x", "extra", "--svg", "--", "-1")))
+    return argv
+
+
+def test_argv_fuzz_exits_0_2_or_3(tmp_path, capsys):
+    rnd = random.Random(20161018)
+    commands = sorted(_FUZZ_BASE)
+    for k in range(198):
+        cmd = commands[k % len(commands)]
+        argv = _mutate(rnd, (cmd,) + _FUZZ_BASE[cmd]) + ["--out", str(tmp_path / "f.csv")]
+        rc = run_cli(*argv)
+        err = capsys.readouterr().err
+        assert rc in (0, 2, 3), argv
+        assert "Traceback" not in err, argv
 
 
 # ---------------------------------------------------------------------------

@@ -226,6 +226,24 @@ def test_bernoulli_phihat_bound_reported():
     assert abs(v30 - v60) <= b30 + 1e-14
 
 
+@pytest.mark.parametrize("coeffs", [(-1, -1, -1), (-1, -1, -1, -1, -1)])
+def test_bernoulli_orbit_matches_mpmath(coeffs):
+    # reference without pvrefine, at 512 bits: alpha from mpmath's roots (the
+    # others lie inside the unit disk), prod_{-20<=j<J} cos(pi alpha^j) and the
+    # phase e^{-pi i alpha^J/(alpha-1)} taken straight from alpha
+    f = pv.make_field(coeffs)
+    values, _ = rf.bernoulli_orbit(f, 30, -20)
+    assert len(values) == 31 and rf.bernoulli_phihat(f, 7, -20) == values[7]
+    with mp.workprec(512):
+        roots = mp.polyroots([1] + list(reversed(coeffs)), maxsteps=200, extraprec=512)
+        alpha = max(mp.re(z) for z in roots)
+        prod = mp.fprod(mp.cos(mp.pi * alpha**j) for j in range(-20, 0))
+        for J, z in enumerate(values):
+            assert abs(abs(z) - abs(prod)) < 1e-12
+            assert abs(z / prod - mp.expj(-mp.pi * alpha**J / (alpha - 1))) < 1e-12
+            prod *= mp.cos(mp.pi * alpha**J)
+
+
 def test_eval_symbol_grid_matches_scalar(boxcar, dyadic):
     ys = np.linspace(0, 12, 487)
     for mask in (boxcar, dyadic):
