@@ -1,13 +1,14 @@
 """Exact and certified arithmetic for the number field Q[alpha].
 
-Field elements are rational coordinate vectors in the power basis
-1, alpha, ..., alpha^(d-1).  Traces, norms, and the integer trace recurrence
-run exactly, never through floating conjugates: multiplication matrices are
-combinations of the cached integer companion powers C^0..C^{d-1}, and norms
-and the discriminant are integer determinants by fraction-free Bareiss
-elimination.  Complex embeddings come from certified roots: simultaneous
-iteration at extended precision with Weierstrass a-posteriori inclusion
-disks, so the PV verdict carries an explicit margin instead of a guess.
+Field elements are integer numerators over one positive denominator, in
+lowest terms, in the power basis 1, alpha, ..., alpha^(d-1), and all exact
+work runs on integers: products and inverses (by the adjugate) go through
+the cached integer companion powers C^0..C^{d-1}, norms and the discriminant
+are fraction-free Bareiss determinants, and traces follow the integer trace
+recurrence.  Fraction is only the input and output type at the public edge.
+Complex embeddings come from certified roots: simultaneous iteration at
+extended precision with Weierstrass a-posteriori inclusion disks, so the PV
+verdict carries an explicit margin instead of a guess.
 
 A PV (Pisot-Vijayaraghavan) number here: a real algebraic integer of degree
 >= 2 with |alpha| > 1 whose remaining conjugates lie strictly inside the
@@ -81,23 +82,25 @@ class NumberField:
 
 @dataclass(frozen=True)
 class FieldElement:
-    """Element of Q[alpha] as Fraction coordinates in the power basis."""
+    """Element sum_i nums_i alpha^i / den of Q[alpha]: integer numerators over one
+    denominator den > 0, in lowest terms (gcd(den, *nums) == 1), so equal elements
+    compare equal.  Build elements with fe and the fe_* operations."""
 
-    coords: tuple
+    nums: tuple
+    den: int = 1
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(Fraction(q) for q in self.coords))
+    @property
+    def coords(self) -> tuple:
+        """The power-basis coordinates as Fractions."""
+        return tuple(Fraction(n, self.den) for n in self.nums)
 
     @property
     def denominator_lcm(self) -> int:
         """lcm of coordinate denominators (1 iff the element lies in Z[alpha])."""
-        out = 1
-        for q in self.coords:
-            out = out * q.denominator // math.gcd(out, q.denominator)
-        return out
+        return self.den
 
     def is_zero(self) -> bool:
-        return all(q == 0 for q in self.coords)
+        return not any(self.nums)
 
 
 @dataclass(frozen=True)
@@ -149,52 +152,65 @@ def laurent_add(t1: LaurentTranslate, t2: LaurentTranslate) -> LaurentTranslate:
     return laurent(acc)
 
 
+def _reduced(nums, den) -> FieldElement:
+    """nums/den (den != 0) in lowest terms with a positive denominator."""
+    g = math.gcd(den, *nums) if den > 0 else -math.gcd(den, *nums)
+    return FieldElement(tuple(n // g for n in nums), den // g)
+
+
 def fe(field: NumberField, coords) -> FieldElement:
-    v = tuple(Fraction(q) for q in coords)
+    v = [Fraction(q) for q in coords]
     if len(v) != field.degree:
         raise ValueError("coordinate length %d != field degree %d" % (len(v), field.degree))
-    return FieldElement(v)
+    # over the lcm of the reduced denominators the numerators are already in lowest terms
+    den = math.lcm(*(q.denominator for q in v))
+    return FieldElement(tuple(q.numerator * (den // q.denominator) for q in v), den)
 
 
 def fe_rational(field: NumberField, q) -> FieldElement:
-    return fe(field, (Fraction(q),) + (Fraction(0),) * (field.degree - 1))
+    return fe(field, (q,) + (0,) * (field.degree - 1))
 
 
 def fe_alpha(field: NumberField) -> FieldElement:
     """The generator alpha as a field element."""
     if field.degree == 1:
-        return FieldElement((Fraction(-field.coeffs[0]),))  # P = X - n
-    return fe(field, (0, 1) + (0,) * (field.degree - 2))
+        return FieldElement((-field.coeffs[0],))  # P = X - n
+    return FieldElement((0, 1) + (0,) * (field.degree - 2))
 
 
 # ---------------------------------------------------------------------------
 # exact linear algebra helpers
 
 
+def _times_alpha(coeffs, v):
+    """C v: the numerators of alpha x from those of x.  Each power moves up one place,
+    and alpha^d = -(c_0 + c_1 alpha + ... + c_{d-1} alpha^{d-1}) folds the top one back."""
+    return [(v[i - 1] if i else 0) - c * v[-1] for i, c in enumerate(coeffs)]
+
+
 @functools.lru_cache(maxsize=None)
 def _companion_powers(coeffs):
-    """Integer matrices C^0..C^{d-1} of x -> alpha^i x in the power basis: C^(i+1) = C C^i
-    shifts each column of C^i down one row and subtracts its last entry times c."""
+    """Integer matrices C^0..C^{d-1} of x -> alpha^i x in the power basis, as row tuples."""
     d = len(coeffs)
-    pows = [tuple(tuple(int(i == j) for j in range(d)) for i in range(d))]
+    cols = [[int(i == j) for i in range(d)] for j in range(d)]  # the columns of C^0
+    pows = [tuple(zip(*cols))]
     for _ in range(d - 1):
-        m = pows[-1]
-        pows.append(tuple(
-            tuple((m[i - 1][j] if i else 0) - coeffs[i] * m[d - 1][j] for j in range(d)) for i in range(d)
-        ))
+        cols = [_times_alpha(coeffs, v) for v in cols]
+        pows.append(tuple(zip(*cols)))
     return tuple(pows)
 
 
-def _power_combination(field, coords):
-    """sum_i coords_i C^i: the matrix of x -> (sum_i coords_i alpha^i) x."""
+def _power_combination(field, nums):
+    """sum_i nums_i C^i: the matrix of x -> (sum_i nums_i alpha^i) x."""
     pows = _companion_powers(field.coeffs)
     d = field.degree
-    return [[sum(q * p[i][j] for q, p in zip(coords, pows)) for j in range(d)] for i in range(d)]
+    return [[sum(q * p[i][j] for q, p in zip(nums, pows)) for j in range(d)] for i in range(d)]
 
 
 def _int_det(rows):
     """Determinant of an integer matrix by fraction-free Bareiss elimination (Bareiss 1968):
-    every division is exact, and a zero pivot swaps in a lower row."""
+    every division is exact, and a zero pivot swaps in a lower row.  The 0x0
+    determinant is 1."""
     m = [list(r) for r in rows]
     n = len(m)
     sign, prev = 1, 1
@@ -209,67 +225,23 @@ def _int_det(rows):
             for j in range(k + 1, n):
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
         prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def _fraction_solve(rows, rhs):
-    """Solve M x = rhs exactly; raises ZeroDivisionError when singular."""
-    n = len(rows)
-    m = [list(r) + [b] for r, b in zip(rows, rhs)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("singular system")
-        m[col], m[piv] = m[piv], m[col]
-        inv = Fraction(1) / m[col][col]
-        for c in range(col, n + 1):
-            m[col][c] *= inv
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                for c in range(col, n + 1):
-                    m[r][c] -= f * m[col][c]
-    return [m[r][n] for r in range(n)]
-
-
-def _poly_mod_reduce(field: NumberField, coeffs):
-    """Reduce a Fraction coefficient list modulo P to length d."""
-    d = field.degree
-    c = list(coeffs)
-    for i in range(len(c) - 1, d - 1, -1):
-        top = c[i]
-        if top == 0:
-            continue
-        c[i] = Fraction(0)
-        # X^i = X^(i-d) * X^d = -X^(i-d) * (c_{d-1} X^{d-1} + ... + c_0)
-        for j in range(d):
-            c[i - d + j] -= top * field.coeffs[j]
-    c = c[:d] + [Fraction(0)] * (d - len(c))
-    return c[:d]
+    return sign * m[n - 1][n - 1] if n else 1
 
 
 def fe_add(a: FieldElement, b: FieldElement) -> FieldElement:
-    return FieldElement(tuple(x + y for x, y in zip(a.coords, b.coords)))
-
-
-def fe_neg(a: FieldElement) -> FieldElement:
-    return FieldElement(tuple(-x for x in a.coords))
+    den = math.lcm(a.den, b.den)
+    return _reduced([x * (den // a.den) + y * (den // b.den) for x, y in zip(a.nums, b.nums)], den)
 
 
 def fe_scale(a: FieldElement, q) -> FieldElement:
     q = Fraction(q)
-    return FieldElement(tuple(q * x for x in a.coords))
+    return _reduced([q.numerator * x for x in a.nums], q.denominator * a.den)
 
 
 def fe_mul(field: NumberField, a: FieldElement, b: FieldElement) -> FieldElement:
-    raw = [Fraction(0)] * (2 * field.degree - 1)
-    for i, x in enumerate(a.coords):
-        if x == 0:
-            continue
-        for j, y in enumerate(b.coords):
-            if y != 0:
-                raw[i + j] += x * y
-    return FieldElement(tuple(_poly_mod_reduce(field, raw)))
+    """a*b: the integer matrix of x -> a.nums x applied to b.nums, over a.den*b.den."""
+    m = _power_combination(field, a.nums)
+    return _reduced([sum(x * y for x, y in zip(row, b.nums)) for row in m], a.den * b.den)
 
 
 def fe_pow(field: NumberField, a: FieldElement, n: int) -> FieldElement:
@@ -285,17 +257,15 @@ def fe_pow(field: NumberField, a: FieldElement, n: int) -> FieldElement:
     return out
 
 
-def multiplication_matrix(field: NumberField, a: FieldElement):
-    """Matrix of x -> a*x in the power basis; column j = coords of a*alpha^j."""
-    return _power_combination(field, a.coords)
-
-
 def fe_inv(field: NumberField, a: FieldElement) -> FieldElement:
+    """1/a = den adj(M) e_0 / det M for the integer matrix M of x -> a.nums x: column 0
+    of the adjugate holds the row-0 cofactors, and det M is their Laplace sum."""
     if a.is_zero():
         raise ZeroDivisionError("inverse of zero field element")
-    m = multiplication_matrix(field, a)
-    e0 = [Fraction(1)] + [Fraction(0)] * (field.degree - 1)
-    return FieldElement(tuple(_fraction_solve(m, e0)))
+    m = _power_combination(field, a.nums)
+    cof = [(-1) ** i * _int_det([r[:i] + r[i + 1:] for r in m[1:]]) for i in range(field.degree)]
+    det = sum(x * c for x, c in zip(m[0], cof))
+    return _reduced([a.den * c for c in cof], det)
 
 
 def fe_embed(field: NumberField, a: FieldElement, k: int = 0, prec: int = None):
@@ -305,56 +275,18 @@ def fe_embed(field: NumberField, a: FieldElement, k: int = 0, prec: int = None):
     with mp.workprec(prec):
         z = field.roots_mp[k]
         acc = mp.mpc(0)
-        for q in reversed(a.coords):
-            acc = acc * z + mp.mpf(q.numerator) / q.denominator
+        for n in reversed(a.nums):
+            g = math.gcd(n, a.den)  # each coordinate q_i enters in its own lowest terms
+            acc = acc * z + mp.mpf(n // g) / (a.den // g)
         return acc
 
 
-def fe_embed_float(field: NumberField, a: FieldElement, k: int = 0) -> complex:
-    return complex(fe_embed(field, a, k))
-
-
 # ---------------------------------------------------------------------------
-# exact polynomial utilities (integer / rational coefficient lists, ascending)
+# exact polynomial utilities (integer coefficient lists, ascending)
 
 
 def _poly_derivative(p):
     return [i * p[i] for i in range(1, len(p))]
-
-
-def _poly_divmod(num, den):
-    """Rational polynomial division: returns (quotient, remainder)."""
-    num = [Fraction(x) for x in num]
-    den = [Fraction(x) for x in den]
-    while den and den[-1] == 0:
-        den.pop()
-    q = [Fraction(0)] * max(1, len(num) - len(den) + 1)
-    r = list(num)
-    dlead = den[-1]
-    dd = len(den) - 1
-    while len(r) - 1 >= dd and any(x != 0 for x in r):
-        shift = len(r) - 1 - dd
-        f = r[-1] / dlead
-        if f != 0:
-            q[shift] += f
-            for i, dc in enumerate(den):
-                r[shift + i] -= f * dc
-        r.pop()
-    return q, r
-
-
-def _poly_gcd_degree(p1, p2) -> int:
-    """Degree of gcd over Q (Euclid with Fractions)."""
-    a = [Fraction(x) for x in p1]
-    b = [Fraction(x) for x in p2]
-    while any(x != 0 for x in b):
-        _, r = _poly_divmod(a, b)
-        while r and r[-1] == 0:
-            r.pop()
-        a, b = b, r
-    while a and a[-1] == 0:
-        a.pop()
-    return len(a) - 1
 
 
 def _monic_poly(field_coeffs):
@@ -379,13 +311,16 @@ def discriminant(coeffs) -> int:
 
 
 def _int_poly_divides(field_coeffs, factor_coeffs) -> bool:
-    """Does monic integer factor (b_0..b_{e-1}, 1 implicit) divide P exactly?"""
-    p = _monic_poly(field_coeffs)
-    g = list(factor_coeffs) + [1]
-    q, r = _poly_divmod(p, g)
-    if any(x != 0 for x in r):
-        return False
-    return all(x.denominator == 1 for x in q)
+    """Does monic integer factor (b_0..b_{e-1}, 1 implicit) divide P exactly?  The
+    leading 1 keeps every step of the remainder loop in the integers."""
+    r = _monic_poly(field_coeffs)
+    g = list(factor_coeffs)
+    e = len(g)
+    while len(r) > e:
+        top = r.pop()
+        for i, b in enumerate(g):
+            r[len(r) - e + i] -= top * b
+    return not any(r)
 
 
 # ---------------------------------------------------------------------------
@@ -461,8 +396,7 @@ def _build_field(coeffs, B_alpha=1, require_degree_2=True):
     if coeffs[0] == 0:
         raise ValueError("c_0 must be nonzero (alpha must be invertible)")
 
-    p = _monic_poly(coeffs)
-    if _poly_gcd_degree(p, _poly_derivative(p)) > 0:
+    if discriminant(coeffs) == 0:
         raise DegenerateError("polynomial is not squarefree: %s" % (coeffs,))
 
     prec = 4 * precision_bits()
@@ -477,35 +411,25 @@ def _build_field(coeffs, B_alpha=1, require_degree_2=True):
     with mp.workprec(prec):
         roots, radii = _sort_roots(roots, radii)
         # exact: every monic integer factor is a product over a subset of roots
-        if d >= 2:
-            for e in range(1, d // 2 + 1):
-                for sub in itertools.combinations(range(d), e):
-                    # expand prod_{i in sub} (X - roots[i]), ascending coefficients
-                    cand = [mp.mpc(1)]
-                    for i in sub:
-                        nxt = [mp.mpc(0)] * (len(cand) + 1)
-                        for t, c in enumerate(cand):
-                            nxt[t + 1] += c
-                            nxt[t] -= roots[i] * c
-                        cand = nxt
-                    ints = []
-                    good = True
-                    for c in cand[:-1]:  # drop the monic leading 1
-                        if abs(mp.im(c)) > 0.25:
-                            good = False
-                            break
-                        near = mp.nint(mp.re(c))
-                        if abs(mp.re(c) - near) > 0.25:
-                            good = False
-                            break
-                        ints.append(int(near))
-                    if good and _int_poly_divides(coeffs, ints):
-                        raise ReducibleError(
-                            "monic factor with ascending coefficients %s divides %s"
-                            % (tuple(ints) + (1,), coeffs)
-                        )
+        for e in range(1, d // 2 + 1):
+            for sub in itertools.combinations(range(d), e):
+                # expand prod_{i in sub} (X - roots[i]), ascending coefficients
+                cand = [mp.mpc(1)]
+                for i in sub:
+                    nxt = [mp.mpc(0)] * (len(cand) + 1)
+                    for t, c in enumerate(cand):
+                        nxt[t + 1] += c
+                        nxt[t] -= roots[i] * c
+                    cand = nxt
+                ints = [int(mp.nint(mp.re(c))) for c in cand[:-1]]  # drop the monic leading 1
+                if all(abs(c - n) <= 0.25 for c, n in zip(cand, ints)) and _int_poly_divides(coeffs, ints):
+                    raise ReducibleError(
+                        "monic factor with ascending coefficients %s divides %s"
+                        % (tuple(ints) + (1,), coeffs)
+                    )
         # irreducible and reciprocal (X^d P(1/X) = +-P) of degree >= 4: the roots
         # pair as z, 1/z, and a pair besides alpha, 1/alpha has a root with |z| >= 1
+        p = _monic_poly(coeffs)
         reciprocal = p[::-1] == [p[0] * c for c in p]
         pv = "not-PV" if reciprocal and d >= 4 else _classify(roots, radii, d)
         # snap certified-real roots (conjugate pairs keep their imaginary parts)
@@ -563,10 +487,15 @@ def is_pisot(field: NumberField) -> str:
     return field.pv_status
 
 
-def trace(elem: FieldElement, field: NumberField) -> Fraction:
-    """T(elem) = sum of conjugates, exactly: sum_i q_i tr(C^i) over the companion powers."""
+def _int_trace(field: NumberField, nums) -> int:
+    """T(sum_i nums_i alpha^i) for integer nums: sum_i nums_i tr(C^i) over the companion powers."""
     pows = _companion_powers(field.coeffs)
-    return sum(q * sum(p[i][i] for i in range(field.degree)) for q, p in zip(elem.coords, pows))
+    return sum(q * sum(p[i][i] for i in range(field.degree)) for q, p in zip(nums, pows))
+
+
+def trace(elem: FieldElement, field: NumberField) -> Fraction:
+    """T(elem) = sum of conjugates, exactly: the integer trace of the numerators over den."""
+    return Fraction(_int_trace(field, elem.nums), elem.den)
 
 
 def int_norm(field: NumberField, nums) -> int:
@@ -575,34 +504,29 @@ def int_norm(field: NumberField, nums) -> int:
 
 
 def norm(elem: FieldElement, field: NumberField) -> Fraction:
-    """N(elem) = product of conjugates, exactly: elem = num/den with integer num, so
-    N(elem) = int_norm(num)/den^d."""
-    den = elem.denominator_lcm
-    nums = [q.numerator * (den // q.denominator) for q in elem.coords]
-    return Fraction(int_norm(field, nums), den**field.degree)
+    """N(elem) = product of conjugates, exactly: int_norm(nums)/den^d."""
+    return Fraction(int_norm(field, elem.nums), elem.den**field.degree)
 
 
 def trace_power_sequence(field: NumberField, mu: FieldElement, j_max: int):
     """s(j) = T(mu * alpha^j) for j = 0..j_max, exact.
 
     First d values from explicit traces, then the integer-coefficient
-    recurrence s(j) = -c_{d-1} s(j-1) - ... - c_0 s(j-d).
+    recurrence s(j) = -c_{d-1} s(j-1) - ... - c_0 s(j-d), both on the integer
+    traces of the numerators over mu.den.
     """
     d = field.degree
     if j_max < d - 1:
         raise ValueError("j_max must be >= degree-1")
-    al = fe_alpha(field)
+    c = field.coeffs
     seq = []
-    cur = mu
+    nums = mu.nums
     for _ in range(d):
-        seq.append(trace(cur, field))
-        cur = fe_mul(field, cur, al)
+        seq.append(_int_trace(field, nums))
+        nums = _times_alpha(c, nums)
     for j in range(d, j_max + 1):
-        s = Fraction(0)
-        for i in range(d):
-            s -= field.coeffs[i] * seq[j - d + i]
-        seq.append(s)
-    return seq
+        seq.append(-sum(c[i] * seq[j - d + i] for i in range(d)))
+    return [Fraction(s, mu.den) for s in seq]
 
 
 def pisot_set_test(field: NumberField, mu: FieldElement) -> bool:
@@ -615,13 +539,7 @@ def pisot_set_test(field: NumberField, mu: FieldElement) -> bool:
         raise NotPisotError("field is %s, need certified PV" % field.pv_status)
     if mu.is_zero():
         raise ValueError("mu must be nonzero")
-    al = fe_alpha(field)
-    cur = mu
-    for _ in range(field.degree):
-        if trace(cur, field).denominator != 1:
-            return False
-        cur = fe_mul(field, cur, al)
-    return True
+    return all(s.denominator == 1 for s in trace_power_sequence(field, mu, field.degree - 1))
 
 
 def dist_to_int(x):
@@ -673,8 +591,7 @@ def homoclinic_profile(field: NumberField, lam: FieldElement, j_range):
             else:
                 s_j = trace(fe_mul(field, lam, fe_pow(field, al, j)), field)
             res = -sum(c * field.roots_mp[k + 1] ** j for k, c in enumerate(conj))
-            frac_part = Fraction(s_j.numerator % s_j.denominator, s_j.denominator)
-            x = mp.mpf(frac_part.numerator) / frac_part.denominator + mp.re(res)
+            x = mp.mpf(s_j.numerator % s_j.denominator) / s_j.denominator + mp.re(res)
             dist = float(dist_to_int(x))
             if s_j.denominator == 1:
                 bound = float(sum(m * (r ** j) for m, r in zip(mods, rk)))
@@ -693,8 +610,9 @@ def homoclinic_profile(field: NumberField, lam: FieldElement, j_range):
     return pts, slope
 
 
+@functools.lru_cache(maxsize=32)
 def first_lagrange_row(field: NumberField):
-    """Row 1 of V^{-1} as exact field elements.
+    """Row 1 of V^{-1} as exact field elements, cached per field.
 
     Entry i is the coefficient of X^i in P(X)/((X - alpha) P'(alpha)), an
     element of Q[alpha]; rows k >= 2 are its conjugates.
@@ -706,10 +624,8 @@ def first_lagrange_row(field: NumberField):
     q[d - 1] = fe_rational(field, 1)
     for i in range(d - 2, -1, -1):
         q[i] = fe_add(fe_rational(field, field.coeffs[i + 1]), fe_mul(field, al, q[i + 1]))
-    # P'(alpha), exactly
-    dp = _poly_derivative(_monic_poly(field.coeffs))
-    pprime = FieldElement(tuple(_poly_mod_reduce(field, [Fraction(c) for c in dp])))
-    inv = fe_inv(field, pprime)
+    # P'(alpha): P' has exactly d coefficients, so they are its coordinates
+    inv = fe_inv(field, fe(field, _poly_derivative(_monic_poly(field.coeffs))))
     return tuple(fe_mul(field, qi, inv) for qi in q)
 
 

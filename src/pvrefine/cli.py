@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebraic_core import NumberField, fe_rational, make_field, working_precision
-from .errors import NonconvergenceError, PrecisionError, PvrefineError
+from .errors import NonconvergenceError, PrecisionError, PvrefineError, SizeError
 from .refinement import (
     RefinementMask,
     bernoulli_orbit,
@@ -60,6 +60,16 @@ _COMMANDS = (
     "norms-count",
     "equidistribution",
 )
+
+
+# RunConfig raises SizeError beyond these: phihat-orbit, vanishing-probe and bernoulli
+# build one entry per orbit point, and bernoulli keeps T(alpha^j) exactly for each
+# j < J_max, about J_max^2 log10|alpha| / 2 digits (|alpha| <= 1 + max|c_i|); at
+# either limit a run takes seconds
+MAX_ORBIT_POINTS = 10**5
+MAX_TRACE_DIGITS = 10**6
+
+BERNOULLI_J_MAX, BERNOULLI_J_MIN = 40, -40  # bernoulli's defaults for --jmax and --jmin
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +120,22 @@ class RunConfig:
             v = getattr(self, name)
             if v is not None and v < 1:
                 raise ValueError("--%s must be a positive integer" % flag.get(name, name.replace("_", "-")))
+        if self.command not in ("phihat-orbit", "vanishing-probe", "bernoulli"):
+            return
+        # forecast the orbit, and bernoulli's exact traces, before anything is built
+        bern = self.command == "bernoulli"
+        jmax = self.J_max if self.J_max is not None else (BERNOULLI_J_MAX if bern else 0)
+        jmin = self.j_min if self.j_min is not None else (BERNOULLI_J_MIN if bern else 0)
+        # bernoulli multiplies the factors j_min <= j < 0, then takes J = 0..J_max
+        first = {"bernoulli": min(jmin, 0), "phihat-orbit": jmin}.get(self.command, 0)
+        if jmax - first + 1 > MAX_ORBIT_POINTS:
+            raise SizeError("%s: %d orbit points (j = %d..%d) exceed the %d-point limit"
+                            % (self.command, jmax - first + 1, first, jmax, MAX_ORBIT_POINTS))
+        if bern and self.poly:
+            digits = jmax**2 * math.log10(1 + max(abs(c) for c in self.poly)) / 2
+            if digits > MAX_TRACE_DIGITS:
+                raise SizeError("bernoulli: exact traces to J=%d take up to %.3g digits, over the %d-digit limit"
+                                % (jmax, digits, MAX_TRACE_DIGITS))
 
 
 @dataclass(frozen=True)
@@ -356,8 +382,8 @@ def _cmd_phihat_orbit(cfg: RunConfig):
 
 def _cmd_bernoulli(cfg: RunConfig):
     f = _field_of(cfg)
-    jmax = cfg.J_max if cfg.J_max is not None else 40
-    jmin = cfg.j_min if cfg.j_min is not None else -40
+    jmax = cfg.J_max if cfg.J_max is not None else BERNOULLI_J_MAX
+    jmin = cfg.j_min if cfg.j_min is not None else BERNOULLI_J_MIN
     values, _ = bernoulli_orbit(f, jmax, jmin)
     rows = [[J, z.real, z.imag, abs(z)] for J, z in enumerate(values)]
     summary = "|phihat| tail %.6g at J=%d (cutoff j_min=%d)" % (rows[-1][3], jmax, jmin)

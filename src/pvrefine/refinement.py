@@ -495,9 +495,8 @@ def bernoulli_orbit(field: NumberField, J_max: int, j_min: int):
             # part of T(mu) reduced mod 2 before it meets pi
             tmu = trace(mu, field)
             conj_sum = sum(fe_embed(field, mu, k, prec) for k in range(1, d))
-            int_part = tmu.numerator // tmu.denominator
-            frac_part = tmu - int_part
-            x_red = (int_part % 2) + mp.mpf(frac_part.numerator) / frac_part.denominator - mp.re(conj_sum)
+            n, den = tmu.numerator, tmu.denominator
+            x_red = (n // den % 2) + mp.mpf(n % den) / den - mp.re(conj_sum)
             phase = mp.e ** (-1j * mp.pi * x_red)
             values.append(complex(sign * prod * phase))
         bound = float(mp.pi**2 / 2 * alpha ** (2 * j_min) / (alpha**2 - 1))

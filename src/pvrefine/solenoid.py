@@ -25,7 +25,6 @@ import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -143,9 +142,6 @@ def _matrices(field: NumberField):
     return _matrices_at(field, precision_bits())
 
 
-_lagrange_row = functools.lru_cache(maxsize=32)(first_lagrange_row)
-
-
 def _check_eps(field: NumberField, eps) -> tuple:
     """Validate (eps_2..eps_d): length d-1, positive, equal on conjugate pairs."""
     eps = tuple(float(e) for e in eps)
@@ -172,7 +168,7 @@ def _require_pv(field: NumberField):
 
 def _mu_from_integer_vector(field: NumberField, n, m: int) -> FieldElement:
     """Exact mu = alpha^m sum_i n_i e_i for integer coordinates n."""
-    row = _lagrange_row(field)
+    row = first_lagrange_row(field)
     acc = fe_rational(field, 0)
     for ni, ei in zip(n, row):
         if ni:
@@ -488,7 +484,7 @@ def kernel_window_test(field: NumberField, g: SolenoidWindow) -> bool:
             q = c0 ** (-j)
             t = v * q
             p = round(t)
-            if dist_to_int(t) > 1e-9 * q or not (0 <= Fraction(p, q) < 1):
+            if dist_to_int(t) > 1e-9 * q or not 0 <= p < q:
                 return False
             if abs(v - p / q) > 1e-9:
                 return False

@@ -8,29 +8,26 @@ proxy.  Density estimates report min/max of count-per-length over nested
 windows as finite-scale stand-ins for the lower/upper asymptotic density.
 
 Norm forms: with e_0..e_{d-1} the exact Lagrange dual basis (rows of V^{-1}
-are its conjugate embeddings), the product over all embeddings
-N(mu_1) = prod_k (row_k(V^{-1}) . n) is a degree-d integer form in n divided
-by a fixed denominator dividing |disc(P)|.  The expansion runs at extended
-precision, coefficients are rounded to that exact denominator, and the result
-is verified against exact field norms before it is returned.
+are its conjugate embeddings) written as integer numerators over their common
+denominator den, N(mu_1) for mu_1 = sum n_i e_i is det(sum_i n_i M_i) / den^d,
+M_i the integer multiplication matrix of the i-th numerator.  That determinant
+is expanded exactly into a degree-d integer form in n, reduced to lowest terms,
+and verified against exact field norms before it is returned.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath as mp
 import numpy as np
 
 from .algebraic_core import (
     FieldElement,
     NumberField,
-    discriminant,
+    _power_combination,
     fe_embed,
-    fe_embed_float,
     first_lagrange_row,
     int_norm,
-    precision_bits,
 )
 from .errors import PrecisionError, SizeError
 from .refinement import RefinementMask, phihat_orbit
@@ -260,7 +257,7 @@ def vanishing_probe(mask: RefinementMask, lambdas, J_max: int, delta: float = No
     for lam in lambdas:
         if not _reduces_to_laurent_ring(mask.field, lam):
             raise ValueError("lambda does not reduce to Z[alpha, alpha^{-1}]")
-        lam_val = fe_embed_float(mask.field, lam).real
+        lam_val = complex(fe_embed(mask.field, lam)).real
         if lam.is_zero():
             raise ValueError("lambda must be nonzero")
         orbit = phihat_orbit(mask, lam_val, range(0, J_max + 1), tol)
@@ -288,60 +285,52 @@ def vanishing_probe(mask: RefinementMask, lambdas, J_max: int, delta: float = No
 # norm forms
 
 
-def _expand_norm_product(field: NumberField, prec: int):
-    """Monomial dict of prod_k (row_k(V^{-1}) . n) at working precision."""
-    d = field.degree
-    row = first_lagrange_row(field)
-    with mp.workprec(prec):
-        emb = [[fe_embed(field, row[i], k, prec) for i in range(d)] for k in range(d)]
-        poly = {(0,) * d: mp.mpc(1)}
-        for k in range(d):
-            nxt = {}
-            for exps, c in poly.items():
-                for i in range(d):
-                    e2 = list(exps)
-                    e2[i] += 1
-                    e2 = tuple(e2)
-                    nxt[e2] = nxt.get(e2, mp.mpc(0)) + c * emb[k][i]
-            poly = nxt
-    return poly
+def _det_form(mats):
+    """det(sum_i n_i mats[i]) as an integer polynomial {exponent tuple: coefficient} in n.
+
+    Laplace expansion along the rows, memoized over the 2^d sets of columns still open;
+    monomials are keyed by sum_i e_i (d+1)^i, so multiplying by n_i adds (d+1)^i."""
+    d = len(mats)
+    steps = [(d + 1) ** i for i in range(d)]
+    minors = {(): {0: 1}}
+
+    def minor(cols):
+        if cols not in minors:
+            r = d - len(cols)
+            out = {}
+            for pos, c in enumerate(cols):
+                sub = minor(cols[:pos] + cols[pos + 1:])
+                for step, mat in zip(steps, mats):
+                    a = -mat[r][c] if pos % 2 else mat[r][c]
+                    if a:
+                        for key, v in sub.items():
+                            out[key + step] = out.get(key + step, 0) + a * v
+            minors[cols] = out
+        return minors[cols]
+
+    return {tuple(key // s % (d + 1) for s in steps): v for key, v in minor(tuple(range(d))).items()}
 
 
 def norm_form(field: NumberField) -> NormForm:
-    """Integer norm form with denominator dividing |disc(P)|, exactly verified.
+    """Exact integer norm form in lowest terms over the Lagrange dual basis.
 
-    Expands N(mu_1) for mu_1 = sum n_i e_i over the Lagrange dual basis,
-    rounds each coefficient times |disc| to an integer (residual above 1e-6
-    raises PrecisionError), reduces by the common gcd, and checks the result
-    against exact field norms on 10^3 random integer vectors.
+    With e_i = nums_i/den over their common denominator, N(sum n_i e_i) =
+    det(sum_i n_i M(nums_i))/den^d; the determinant is expanded exactly, and
+    the reduced form is checked against exact field norms on 10^3 random
+    integer vectors.
     """
     d = field.degree
-    prec = max(precision_bits(), 128)
-    poly = _expand_norm_product(field, prec)
-    disc = abs(discriminant(field.coeffs))
-    ints = {}
-    worst = 0.0
-    with mp.workprec(prec):
-        for exps, c in poly.items():
-            t = c * disc
-            nearest = int(mp.nint(mp.re(t)))
-            worst = max(worst, float(abs(mp.re(t) - nearest)), float(abs(mp.im(t))))
-            if nearest != 0:
-                ints[exps] = nearest
-    if worst > 1e-6:
-        raise PrecisionError("norm-form coefficient residual %.3e; raise PISOT_PRECISION_BITS" % worst)
-    g = disc
-    for c in ints.values():
-        g = math.gcd(g, abs(c))
+    row = first_lagrange_row(field)
+    den = math.lcm(*(e.den for e in row))
+    nums = [[q * (den // e.den) for q in e.nums] for e in row]
+    ints = {e: c for e, c in _det_form([_power_combination(field, v) for v in nums]).items() if c}
+    g = math.gcd(den**d, *ints.values())
     nf = NormForm(
         numerator_form=tuple(sorted((e, c // g) for e, c in ints.items())),
-        denominator=disc // g,
+        denominator=den**d // g,
     )
-    # mu = sum n_i e_i has integer numerators over the common denominator den of
-    # the e_i, so N(mu) = int_norm(numerators)/den^d, compared cross-multiplied
-    row = first_lagrange_row(field)
-    den = math.lcm(*(e.denominator_lcm for e in row))
-    nums = [[q.numerator * (den // q.denominator) for q in e.coords] for e in row]
+    # mu = sum n_i e_i has integer numerators over den, so N(mu) = int_norm(numerators)/den^d,
+    # compared cross-multiplied
     rng = np.random.default_rng(17)
     for n in rng.integers(-50, 51, size=(10**3, d)).tolist():
         mu = [sum(ni * e[k] for ni, e in zip(n, nums)) for k in range(d)]

@@ -246,6 +246,34 @@ def test_field_element_algebra(golden):
     assert fe_scale(one, Fraction(2, 3)).coords == (Fraction(2, 3), Fraction(0))
 
 
+def _canonical(x):
+    return x.den > 0 and math.gcd(x.den, *x.nums) == 1
+
+
+def test_field_element_canonical_form(golden, plastic):
+    # every constructor and operation returns integer numerators over a positive
+    # denominator in lowest terms, so equal elements are equal tuples
+    rng = np.random.default_rng(31)
+    for f in (golden, plastic):
+        for _ in range(20):
+            a = pv.fe(f, [Fraction(int(p), int(q)) for p, q in
+                          zip(rng.integers(-9, 10, f.degree), rng.integers(1, 9, f.degree))])
+            b = pv.fe(f, [Fraction(int(p), int(q)) for p, q in
+                          zip(rng.integers(-9, 10, f.degree), rng.integers(-8, 0, f.degree))])
+            results = [a, b, fe_add(a, b), fe_add(a, fe_scale(a, -1)), fe_scale(a, Fraction(-4, 6)),
+                       fe_scale(b, 0), fe_mul(f, a, b)]
+            results += [fe_inv(f, x) for x in (a, b) if not x.is_zero()]
+            assert all(_canonical(x) for x in results)
+            assert all(isinstance(n, int) for x in results for n in x.nums + (x.den,))
+    half = fe_add(pv.fe_rational(golden, Fraction(1, 2)), pv.fe_rational(golden, Fraction(1, 2)))
+    assert (half.nums, half.den) == ((1, 0), 1)
+    # degree 1: the adjugate of a 1x1 matrix is the 0x0 cofactor, 1
+    f2 = pv.integer_dilation_field(2)
+    for q in (Fraction(3), Fraction(-3, 4), Fraction(6, 9)):
+        inv = fe_inv(f2, pv.fe_rational(f2, q))
+        assert _canonical(inv) and inv.coords == (1 / q,)
+
+
 def test_norm_is_multiplicative(golden, plastic):
     rng = np.random.default_rng(13)
     for f in (golden, plastic):

@@ -286,6 +286,22 @@ def test_oversized_grid_exit_2(tmp_path, capsys):
         assert rc == 2
         assert count in capsys.readouterr().err
         assert not (tmp_path / "e.csv").exists()
+    # orbits of 10^6 to 10^9 points, and 3.8e6 exact-trace digits: refused from
+    # the forecast, before an orbit list or a trace exists
+    for argv, forecast in (
+        (("bernoulli", "--poly", "-1,-1", "--jmin", "-1000000000"), "1000000041 orbit points"),
+        (("bernoulli", "--poly", "-1,-1", "--jmax", "1000000"), "1000041 orbit points"),
+        (("bernoulli", "--poly", "-1,-1", "--jmax", "5000"), "3.76e+06 digits"),
+        (("phihat-orbit", "--mask", "boxcar", "--lambda", "1", "--jmax", "3", "--jmin", "-1000000000"),
+         "1000000004 orbit points"),
+        (("vanishing-probe", "--mask", "boxcar", "--lambda", "1", "--jmax", "1000000000"),
+         "1000000001 orbit points"),
+    ):
+        capsys.readouterr()
+        rc = run_cli(*argv, "--out", str(tmp_path / "o.csv"))
+        assert rc == 2
+        assert forecast in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
 
 
 def test_zeros_scan_grid_past_2_20(tmp_path, capsys):
@@ -350,8 +366,8 @@ def test_precision_flag_scopes_a_context_not_os_environ(tmp_path, monkeypatch):
 
 
 # a small valid argv per subcommand, and the values a mutation may give each
-# flag: malformed, out of range, or small; grids, L, --n, --samples and --jmax
-# stay small or hit a size guard, so no case allocates or loops at scale
+# flag: malformed, out of range, or small; grids, L, --n, --samples, --jmax and
+# --jmin stay small or hit a size guard, so no case allocates or loops at scale
 _FUZZ_BASE = {
     "field-check": ("--poly", "-1,-1"),
     "symbol-scan": ("--mask", "boxcar", "--range", "0:2", "--step", "0.5"),
@@ -370,8 +386,8 @@ _FUZZ_VALUES = {
     "--range": ("0:2", "2:0", "0:0", "-1:1", "nan:1", "0:inf", "a:b", "1", "0:1e9"),
     "--step": ("0.5", "0", "-0.5", "nan", "x", "1e-300"),
     "--lambda": ("1", "3/2", "1,2", "0", "-1", "1/0", "x", ""),
-    "--jmax": ("-1", "0", "1", "4", "x"),
-    "--jmin": ("-6", "0", "2", "x"),
+    "--jmax": ("-1", "0", "1", "4", "x", "1000000"),
+    "--jmin": ("-6", "0", "2", "x", "-1000000000"),
     "--eps": ("0.1", "0", "-0.1", "nan", "0.1,0.1", "x"),
     "--L": ("100", "0", "-5", "nan", "inf", "x", "1e3"),
     "--box": ("3", "0", "-1", "x"),

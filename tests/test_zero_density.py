@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -241,6 +242,31 @@ def test_norm_form_denominator_divides_disc():
         nf = zd.norm_form(f)
         disc = abs(pv.field_matrices(f).disc)
         assert disc % nf.denominator == 0
+
+
+@pytest.mark.parametrize("coeffs", [(-1, -1, -1, -1), (-1, 0, 0, -2), (-1, -1, -1, -1, -1),
+                                    (-1, -1, -1, -1, -1, -1), (-1, 0, 0, 0, 0, -2)])
+def test_norm_form_matches_embedding_product(coeffs):
+    # PV fields of degree 4-6: the exact form against the product over all 300-bit
+    # embeddings of mu = sum n_i e_i, built from the Lagrange row with exact arithmetic
+    from pvrefine.algebraic_core import fe_add, fe_embed, fe_scale
+
+    f = pv.make_field(coeffs)
+    assert f.pv_status == "PV"
+    nf = zd.norm_form(f)
+    assert nf.degree == f.degree
+    row = pv.first_lagrange_row(f)
+    rng = np.random.default_rng(41)
+    for n in [[1] + [0] * (f.degree - 1), [1] * f.degree] + rng.integers(-9, 10, size=(4, f.degree)).tolist():
+        mu = pv.fe_rational(f, 0)
+        for ni, e in zip(n, row):
+            mu = fe_add(mu, fe_scale(e, ni))
+        with mp.workprec(300):
+            prod = mp.mpc(1)
+            for k in range(f.degree):
+                prod *= fe_embed(f, mu, k, 300)
+            want = nf.evaluate(n)
+            assert abs(prod - mp.mpf(want.numerator) / want.denominator) <= mp.mpf(10) ** -60 * (1 + abs(prod))
 
 
 def test_count_values_small(golden):
