@@ -5,7 +5,8 @@ Bernoulli products, lattice densities, near-zero scans, vanishing probes,
 norm-value counts, and equidistribution estimates.  Output is reproducible
 byte for byte: CSV is RFC-4180 style (CRLF line ends, '.' decimal point,
 17 significant digits) and SVG is assembled by plain string formatting, so
-identical configs give identical files and --threads only changes wall time.
+identical configs give identical files.  --threads is accepted and validated
+for compatibility; every subcommand runs serially.
 
 Options may come from a flat key=value config file (--config); explicit
 command-line flags win.  --precision-bits sets the internal working precision
@@ -65,9 +66,11 @@ _COMMANDS = (
 # RunConfig raises SizeError beyond these: phihat-orbit, vanishing-probe and bernoulli
 # build one entry per orbit point, and bernoulli keeps T(alpha^j) exactly for each
 # j < J_max, about J_max^2 log10|alpha| / 2 digits (|alpha| <= 1 + max|c_i|); at
-# either limit a run takes seconds
+# either limit a run takes seconds; equidistribution keeps a few samples-by-n arrays,
+# 8 n MB each at 10^6 samples
 MAX_ORBIT_POINTS = 10**5
 MAX_TRACE_DIGITS = 10**6
+MAX_SAMPLES = 10**6
 
 BERNOULLI_J_MAX, BERNOULLI_J_MIN = 40, -40  # bernoulli's defaults for --jmax and --jmin
 
@@ -120,6 +123,8 @@ class RunConfig:
             v = getattr(self, name)
             if v is not None and v < 1:
                 raise ValueError("--%s must be a positive integer" % flag.get(name, name.replace("_", "-")))
+        if self.samples is not None and self.samples > MAX_SAMPLES:
+            raise SizeError("equidistribution: %d samples exceed the %d-sample limit" % (self.samples, MAX_SAMPLES))
         if self.command not in ("phihat-orbit", "vanishing-probe", "bernoulli"):
             return
         # forecast the orbit, and bernoulli's exact traces, before anything is built
@@ -403,7 +408,7 @@ def _cmd_lattice_density(cfg: RunConfig):
     m = cfg.m if cfg.m is not None else 0
     gamma = gamma_density(f, LatticeCylinder(L, m, eps))
     cyl = LatticeCylinder(L, m, eps, gamma)
-    ys = np.asarray(enumerate_Y(f, cyl, threads=cfg.threads))
+    ys = np.asarray(enumerate_Y(f, cyl))
     rows = []
     for t in (L / 100.0, L / 10.0, L):
         if t < 1.0:
@@ -659,7 +664,7 @@ _HELP = {
     "n": "number of dilation powers checked for equidistribution",
     "samples": "number of sample points",
     "seed": "RNG seed for sampled subcommands",
-    "threads": "worker threads (never changes output bytes)",
+    "threads": "accepted for compatibility; runs are serial and output bytes never depend on it",
     "precision_bits": "working precision in bits for this run (default PISOT_PRECISION_BITS, else 128)",
     "target": "zeros-scan target: symbol or phihat",
     "out": "output CSV path (default <command>.csv)",

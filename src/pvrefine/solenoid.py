@@ -23,7 +23,6 @@ confirmed by exact arithmetic before a lattice hit is reported.
 import functools
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -356,30 +355,14 @@ def _expand_rows(rows, ylo, yhi, r_i, scale, back, fudge):
     return rows[keep], ylo[keep], yhi[keep]
 
 
-def _scan_chunk(field, n0_lo, n0_hi, L, m, r, fudge):
-    al = field.alpha
-    d = field.degree
-    n0 = np.arange(n0_lo, n0_hi + 1, dtype=np.int64)
-    rows = n0.reshape(-1, 1)
-    tlo, thi = _interval_scale(n0 - r[0] - fudge, n0 + r[0] + fudge, al**m)
-    ylo = np.maximum(tlo, -L)
-    yhi = np.minimum(thi, L)
-    keep = ylo <= yhi
-    rows, ylo, yhi = rows[keep], ylo[keep], yhi[keep]
-    for i in range(1, d):
-        rows, ylo, yhi = _expand_rows(rows, ylo, yhi, r[i], al ** (i - m), al ** (m - i), fudge)
-        if not len(rows):
-            break
-    return rows
-
-
-def enumerate_Y(field: NumberField, cyl: LatticeCylinder, threads: int = 1):
+def enumerate_Y(field: NumberField, cyl: LatticeCylinder):
     """Sorted Y(L) = xi(W(L) cap Z^d) for the cylinder's (L, m, eps).
 
     Integer vectors are generated by interval nesting along the rows of
-    V D^{-m}, filtered in floating point, and every boundary-grazing candidate
-    is re-decided at extended precision from the exact field element.  The
-    map xi is injective, so an exact duplicate output is an internal error.
+    V D^{-m} and filtered in floating point, all as array passes; only the
+    boundary-grazing candidates are re-decided, one by one, from the exact
+    field element's extended-precision embeddings.  The map xi is injective,
+    so an exact duplicate output is an internal error.
     """
     _require_pv(field)
     eps = _check_eps(field, cyl.eps)
@@ -398,47 +381,38 @@ def enumerate_Y(field: NumberField, cyl: LatticeCylinder, threads: int = 1):
     n0_hi = math.floor(float(c_hi) + r[0] + fudge)
     if n0_hi - n0_lo > 5e7:
         raise SizeError("first-row scan spans %d integers" % (n0_hi - n0_lo + 1))
-    if threads > 1 and n0_hi - n0_lo > 4 * threads:
-        bounds = np.linspace(n0_lo, n0_hi + 1, threads + 1).astype(np.int64)
-        chunks = [(int(a), int(b) - 1) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-        # workers do not inherit the precision context; _scan_chunk reads none
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(lambda ab: _scan_chunk(field, ab[0], ab[1], L, m, r, fudge), chunks))
-        parts = [p for p in parts if len(p)]
-        rows = np.concatenate(parts) if parts else np.zeros((0, d), dtype=np.int64)
-    else:
-        rows = _scan_chunk(field, n0_lo, n0_hi, L, m, r, fudge)
-    if not len(rows):
-        return []
+    n0 = np.arange(n0_lo, n0_hi + 1, dtype=np.int64)
+    tlo, thi = _interval_scale(n0 - r[0] - fudge, n0 + r[0] + fudge, al**m)
+    ylo, yhi = np.maximum(tlo, -L), np.minimum(thi, L)
+    keep = ylo <= yhi
+    rows, ylo, yhi = n0[keep].reshape(-1, 1), ylo[keep], yhi[keep]
+    for i in range(1, d):
+        rows, ylo, yhi = _expand_rows(rows, ylo, yhi, r[i], al ** (i - m), al ** (m - i), fudge)
+        if not len(rows):
+            return []
     fm = _matrices(field)
     w = np.array([field.roots[k] ** m * fm.V_inv[k] for k in range(d)])
     ys = (rows @ w[0]).real
     ok = np.abs(ys) < L
     band = np.abs(np.abs(ys) - L) < 1e-9 * max(1.0, L)
-    svals = []
     for k in range(1, d):
         sk = np.abs(rows @ w[k])
-        svals.append(sk)
         ok &= sk < eps[k - 1]
         band |= np.abs(sk - eps[k - 1]) < 1e-9
-    out = []
-    for i in np.nonzero(ok | band)[0]:
-        if band[i]:
-            mu = _mu_from_integer_vector(field, [int(v) for v in rows[i]], m)
-            emb = _embeddings(field, mu)
-            if abs(mp.re(emb[0])) >= L or any(abs(emb[k]) >= eps[k - 1] for k in range(1, d)):
-                continue
-            out.append((float(mp.re(emb[0])), i))
-        elif ok[i]:
-            out.append((float(ys[i]), i))
-    out.sort()
-    for (y1, i1), (y2, i2) in zip(out, out[1:]):
-        if y1 == y2:
-            m1 = _mu_from_integer_vector(field, [int(v) for v in rows[i1]], m)
-            m2 = _mu_from_integer_vector(field, [int(v) for v in rows[i2]], m)
-            if m1 == m2:
-                raise RuntimeError("xi produced a duplicate; enumeration is inconsistent")
-    return [y for y, _ in out]
+    idx = np.flatnonzero(ok | band)
+    ys, accept = ys[idx], np.ones(len(idx), dtype=bool)
+    for j in np.flatnonzero(band[idx]):
+        emb = _embeddings(field, _mu_from_integer_vector(field, rows[idx[j]].tolist(), m))
+        accept[j] = abs(mp.re(emb[0])) < L and all(abs(emb[k]) < eps[k - 1] for k in range(1, d))
+        ys[j] = float(mp.re(emb[0]))
+    idx, ys = idx[accept], ys[accept]
+    order = np.lexsort((idx, ys))
+    idx, ys = idx[order], ys[order]
+    for j in np.flatnonzero(ys[1:] == ys[:-1]):
+        m1, m2 = (_mu_from_integer_vector(field, rows[i].tolist(), m) for i in idx[j:j + 2])
+        if m1 == m2:
+            raise RuntimeError("xi produced a duplicate; enumeration is inconsistent")
+    return ys.tolist()
 
 
 def gamma_density(field: NumberField, cyl) -> float:
@@ -494,17 +468,17 @@ def kernel_window_test(field: NumberField, g: SolenoidWindow) -> bool:
 # ---------------------------------------------------------------------------
 # equidistribution
 
-_MAX_CORNER_BOXES = 10**5  # n >= 2 scans q^n boxes, each over every sample
+_MAX_CORNER_BOXES = 10**5  # n >= 2 counts every sample into one histogram of q^n boxes
 
 
 def equidistribution_check(field: NumberField, y_samples, n: int) -> float:
     """Star-discrepancy estimate of {(frac(y), .., frac(y alpha^{n-1}))}.
 
-    n = 1 uses the exact sorted-sample formula; higher n estimates the
-    discrepancy over a deterministic grid of corner boxes.  Uniformity is
-    only expected for n <= degree (powers 1..alpha^{n-1} stay rationally
-    independent there); larger n is allowed and exhibits the rational-
-    dependence failure mode.
+    n = 1 uses the exact sorted-sample formula; higher n takes the maximum
+    over a grid of q^n corner boxes, all counted from one histogram of the
+    samples.  Uniformity is only expected for n <= degree (powers
+    1..alpha^{n-1} stay rationally independent there); larger n is allowed
+    and exhibits the rational-dependence failure mode.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -527,10 +501,13 @@ def equidistribution_check(field: NumberField, y_samples, n: int) -> float:
                              "in float64; lower n or the sample range" % (n - 1, mag))
     pts = np.outer(ys, field.alpha ** np.arange(n))
     pts -= np.floor(pts)
-    axes = [(np.arange(1, q + 1)) / q] * n
-    disc = 0.0
-    for corner in itertools.product(*axes):
-        c = np.array(corner)
-        emp = np.mean(np.all(pts < c, axis=1))
-        disc = max(disc, abs(emp - float(np.prod(c))))
-    return float(disc)
+    # x has bin b = #{k : k/q <= x}, so x < k/q exactly when b < k; b = q (x
+    # rounded to 1.0) lies in no box.  Cumulative sums give every corner count.
+    axis = np.arange(1, q + 1) / q
+    bins = np.searchsorted(axis, pts, side="right")
+    bins = bins[bins.max(axis=1) < q]
+    counts = np.bincount(np.ravel_multi_index(tuple(bins.T), (q,) * n), minlength=q**n).reshape((q,) * n)
+    for i in range(n):
+        counts = np.cumsum(counts, axis=i)
+    vol = functools.reduce(np.multiply.outer, [axis] * n)  # products in np.prod's left-to-right order
+    return float(np.max(np.abs(counts / len(ys) - vol)))

@@ -286,8 +286,8 @@ def test_oversized_grid_exit_2(tmp_path, capsys):
         assert rc == 2
         assert count in capsys.readouterr().err
         assert not (tmp_path / "e.csv").exists()
-    # orbits of 10^6 to 10^9 points, and 3.8e6 exact-trace digits: refused from
-    # the forecast, before an orbit list or a trace exists
+    # orbits of 10^6 to 10^9 points, 3.8e6 exact-trace digits and 10^12 samples:
+    # refused from the forecast, before an orbit list, a trace or a sample exists
     for argv, forecast in (
         (("bernoulli", "--poly", "-1,-1", "--jmin", "-1000000000"), "1000000041 orbit points"),
         (("bernoulli", "--poly", "-1,-1", "--jmax", "1000000"), "1000041 orbit points"),
@@ -296,6 +296,9 @@ def test_oversized_grid_exit_2(tmp_path, capsys):
          "1000000004 orbit points"),
         (("vanishing-probe", "--mask", "boxcar", "--lambda", "1", "--jmax", "1000000000"),
          "1000000001 orbit points"),
+        # 10^12 samples: refused before the sample array is drawn
+        (("equidistribution", "--poly", "-1,-1", "--samples", "1000000000000"),
+         "1000000000000 samples exceed the 1000000-sample limit"),
     ):
         capsys.readouterr()
         rc = run_cli(*argv, "--out", str(tmp_path / "o.csv"))

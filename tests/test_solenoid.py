@@ -1,5 +1,6 @@
 """Window dynamics, lifted symbol, cylinder membership, lattice enumeration."""
 
+import itertools
 import math
 
 import numpy as np
@@ -222,11 +223,22 @@ def test_enumerate_Y_plastic_pair(plastic):
     assert abs(len(ys) / 4000.0 - g) / g < 0.05
 
 
-def test_enumerate_Y_threads_deterministic(golden):
-    cyl = so.LatticeCylinder(3000.0, 0, (0.1,))
-    a = so.enumerate_Y(golden, cyl, threads=1)
-    b = so.enumerate_Y(golden, cyl, threads=3)
-    assert a == b
+def test_enumerate_Y_band_redecision(golden, monkeypatch):
+    # L = float(alpha^k) puts +-alpha^k (|conjugate| = alpha^-k < 0.9) on the
+    # boundary |y| = L: each call re-decides exactly those 2 band rows from the
+    # exact element.  The re-decision's abs() rounds to mpmath's 53-bit default,
+    # which lands on L itself for k <= 3, so +-alpha^k is kept only for k = 4, 5.
+    # Counts and verdicts are pinned from the per-point filter this replaced.
+    redecided = []
+    embeddings = so._embeddings
+    monkeypatch.setattr(so, "_embeddings", lambda *a: redecided.append(a) or embeddings(*a))
+    for k, count, kept in ((1, 13, False), (2, 21, False), (3, 33, False), (4, 57, True), (5, 91, True)):
+        redecided.clear()
+        L = golden.alpha**k
+        ys = so.enumerate_Y(golden, so.LatticeCylinder(L, 0, (0.9,)))
+        assert len(redecided) == 2
+        assert len(ys) == count and ys == sorted(ys)
+        assert any(abs(abs(y) - L) < 1e-9 for y in ys) == kept
 
 
 def test_enumerate_Y_sigma_invariance(golden):
@@ -303,6 +315,22 @@ def test_equidistribution_rational_direction():
     ys = rng.uniform(0, 1e3, size=10**4)
     # (frac y, frac 2y) sits on a line: discrepancy stays bounded away from 0
     assert so.equidistribution_check(f, ys, 2) > 0.08
+
+
+def test_equidistribution_matches_corner_loop(golden, plastic):
+    # the histogram must reproduce the direct corner-box scan bit for bit, also
+    # for samples on the thresholds k/q and for -1e-17, whose fraction rounds to 1
+    rng = np.random.default_rng(11)
+    for f, n in ((golden, 2), (plastic, 3)):
+        q = max(2, int(round(2048 ** (1.0 / n))))
+        ys = np.concatenate([rng.uniform(0, 100, size=300), np.arange(1, q + 1) / q, [-1e-17]])
+        pts = np.outer(ys, f.alpha ** np.arange(n))
+        pts -= np.floor(pts)
+        ref = 0.0
+        for corner in itertools.product(*[np.arange(1, q + 1) / q] * n):
+            c = np.array(corner)
+            ref = max(ref, abs(np.mean(np.all(pts < c, axis=1)) - float(np.prod(c))))
+        assert so.equidistribution_check(f, ys, n) == ref
 
 
 def test_equidistribution_validation(golden):
