@@ -20,8 +20,9 @@ print("pv_status       %s" % golden.pv_status)
 print("alpha           %.15f" % golden.alpha)
 print("conjugate       %.15f" % min(r.real for r in golden.roots))
 
-# the conjugate beta = -1/alpha has modulus < 1; that margin is what the
-# certification checks (root radii come with certified error bounds)
+# the conjugate beta = -1/alpha has modulus < 1; the certification shows it
+# with a root disk that lies inside the unit circle (root radii are certified
+# error bounds)
 beta = min(golden.roots, key=abs)
 print("|beta|          %.15f" % abs(beta))
 

@@ -35,7 +35,6 @@ from .algebraic_core import (
     first_lagrange_row,
     homoclinic_profile,
     integer_dilation_field,
-    is_pisot,
     laurent,
     laurent_add,
     laurent_embed,

@@ -7,8 +7,10 @@ the cached integer companion powers C^0..C^{d-1}, norms and the discriminant
 are fraction-free Bareiss determinants, and traces follow the integer trace
 recurrence.  Fraction is only the input and output type at the public edge.
 Complex embeddings come from certified roots: simultaneous iteration at
-extended precision with Weierstrass a-posteriori inclusion disks, so the PV
-verdict carries an explicit margin instead of a guess.
+extended precision with Weierstrass a-posteriori inclusion disks.  The PV
+verdict is exact, "PV" or "not-PV": the precision doubles until the disks
+clear the unit circle, which they do for every irreducible P that is not
+reciprocal, and a reciprocal P is decided from its degree and discriminant.
 
 A PV (Pisot-Vijayaraghavan) number here: a real algebraic integer of degree
 >= 2 with |alpha| > 1 whose remaining conjugates lie strictly inside the
@@ -31,9 +33,6 @@ from .errors import (
     PrecisionError,
     ReducibleError,
 )
-
-# verdict margin: conjugate moduli must clear the unit circle by this much
-PV_MARGIN = 1e-9
 
 # radii below this are reported as the floor itself (still a valid bound)
 _RADIUS_FLOOR = 1e-290
@@ -69,10 +68,9 @@ class NumberField:
     degree: int
     roots: tuple          # complex, double precision, modulus-descending
     radii: tuple          # per-root certified inclusion radii
-    pv_status: str        # "PV" | "not-PV" | "indeterminate"
+    pv_status: str        # "PV" | "not-PV", decided exactly
     real_count: int       # real conjugates among roots[1:]
     complex_pair_count: int
-    B_alpha: int = 1
     roots_mp: tuple = dc_field(default=(), repr=False, compare=False)
 
     @property
@@ -328,114 +326,104 @@ def _int_poly_divides(field_coeffs, factor_coeffs) -> bool:
 
 
 def _certified_roots(coeffs, prec):
-    """Simultaneous-iteration roots plus Weierstrass inclusion radii.
+    """Simultaneous-iteration roots plus Weierstrass inclusion radii, sorted by
+    descending modulus (ties broken by real then imaginary part, descending).
 
     The union of disks |z - z_i| <= d * |P(z_i)| / prod_{j != i} |z_i - z_j|
-    contains every root; pairwise disjoint disks certify one root each.
+    contains every root; pairwise disjoint disks certify one root each.  None
+    when the iteration does not converge, or the disks overlap or reach 1e-9.
+    Call inside mp.workprec(prec).
     """
     d = len(coeffs)
-    with mp.workprec(prec):
-        desc = [mp.mpf(1)] + [mp.mpf(c) for c in reversed(coeffs)]
+    desc = [mp.mpf(1)] + [mp.mpf(c) for c in reversed(coeffs)]
+    try:
         roots = mp.polyroots(desc, maxsteps=200, extraprec=prec // 2, cleanup=True)
-        roots = [mp.mpc(z) for z in roots]
-        radii = []
-        for i, z in enumerate(roots):
-            gap = mp.mpf(1)
-            for j, u in enumerate(roots):
-                if j != i:
-                    gap *= abs(z - u)
-            radii.append(d * abs(mp.polyval(desc, z)) / gap)
-        # disjointness of the inclusion disks
-        ok = all(
-            abs(roots[i] - roots[j]) > radii[i] + radii[j]
-            for i in range(d)
-            for j in range(i + 1, d)
-        )
-        return roots, radii, ok
-
-
-def _sort_roots(roots, radii):
-    order = sorted(
-        range(len(roots)),
-        key=lambda i: (-abs(roots[i]), -mp.re(roots[i]), -mp.im(roots[i])),
+    except mp.mp.NoConvergence:
+        return None
+    roots = [mp.mpc(z) for z in roots]
+    radii = []
+    for i, z in enumerate(roots):
+        gap = mp.mpf(1)
+        for j, u in enumerate(roots):
+            if j != i:
+                gap *= abs(z - u)
+        radii.append(d * abs(mp.polyval(desc, z)) / gap)
+    disjoint = all(
+        abs(roots[i] - roots[j]) > radii[i] + radii[j]
+        for i in range(d)
+        for j in range(i + 1, d)
     )
+    if not (disjoint and all(r < 1e-9 for r in radii)):
+        return None
+    order = sorted(range(d), key=lambda i: (-abs(roots[i]), -mp.re(roots[i]), -mp.im(roots[i])))
     return [roots[i] for i in order], [radii[i] for i in order]
 
 
-def _classify(roots, radii, degree):
-    """PV / not-PV / indeterminate with margin PV_MARGIN, from certified disks."""
-    if degree < 2:
-        return "not-PV"
-    z1, r1 = roots[0], radii[0]
-    # conjugates first: a single certified escape from the closed unit disk settles it
-    boundary = False
-    for z, r in zip(roots[1:], radii[1:]):
-        lo, hi = abs(z) - r, abs(z) + r
-        if lo > 1 + PV_MARGIN:
-            return "not-PV"
-        if hi >= 1 - PV_MARGIN:
-            boundary = True
-    if boundary:
-        return "indeterminate"
-    if abs(mp.im(z1)) > r1:
-        return "not-PV"  # dominant root not real
-    if abs(z1) - r1 <= 1 + PV_MARGIN:
-        return "indeterminate" if abs(z1) + r1 >= 1 - PV_MARGIN else "not-PV"
-    return "PV"
+def _rule_out_factors(coeffs, roots):
+    """Raise ReducibleError if P has a monic integer factor of degree <= d/2.  Exact:
+    every such factor is a product over a subset of the certified roots, and the
+    integer division decides each candidate."""
+    d = len(coeffs)
+    for e in range(1, d // 2 + 1):
+        for sub in itertools.combinations(range(d), e):
+            # expand prod_{i in sub} (X - roots[i]), ascending coefficients
+            cand = [mp.mpc(1)]
+            for i in sub:
+                nxt = [mp.mpc(0)] * (len(cand) + 1)
+                for t, c in enumerate(cand):
+                    nxt[t + 1] += c
+                    nxt[t] -= roots[i] * c
+                cand = nxt
+            ints = [int(mp.nint(mp.re(c))) for c in cand[:-1]]  # drop the monic leading 1
+            if all(abs(c - n) <= 0.25 for c, n in zip(cand, ints)) and _int_poly_divides(coeffs, ints):
+                raise ReducibleError(
+                    "monic factor with ascending coefficients %s divides %s" % (tuple(ints) + (1,), coeffs)
+                )
 
 
-def _build_field(coeffs, B_alpha=1, require_degree_2=True):
+def _build_field(coeffs):
     coeffs = tuple(int(c) for c in coeffs)
     d = len(coeffs)
     if d == 0:
         raise ValueError("empty coefficient list")
-    if require_degree_2 and d < 2:
-        raise ValueError("degree must be >= 2 (got %d)" % d)
     if d > _MAX_DEGREE:
         raise ValueError("degree %d beyond supported bound %d" % (d, _MAX_DEGREE))
     if coeffs[0] == 0:
         raise ValueError("c_0 must be nonzero (alpha must be invertible)")
-
-    if discriminant(coeffs) == 0:
+    disc = discriminant(coeffs)
+    if disc == 0:
         raise DegenerateError("polynomial is not squarefree: %s" % (coeffs,))
+    p = _monic_poly(coeffs)
+    reciprocal = p[::-1] == [p[0] * c for c in p]  # X^d P(1/X) = +-P
 
-    prec = 4 * precision_bits()
-    for _ in range(4):
-        roots, radii, disjoint = _certified_roots(coeffs, prec)
-        if disjoint and all(r < 1e-9 for r in radii):
-            break
-        prec *= 2
+    # Double the precision until the disks are certified, P is known irreducible,
+    # and, unless P is reciprocal, no disk meets |z| = 1.  An irreducible integer
+    # polynomial with a root on |z| = 1 is reciprocal (1/z = conj z is a root too;
+    # Salem 1963), so every other input leaves the circle at a finite precision.
+    for prec in [4 * precision_bits() << k for k in range(4)]:
+        with mp.workprec(prec):
+            cert = _certified_roots(coeffs, prec)
+            if cert is not None:
+                roots, radii = cert
+                _rule_out_factors(coeffs, roots)
+                if reciprocal or all(abs(abs(z) - 1) > r for z, r in zip(roots, radii)):
+                    break
     else:
-        raise PrecisionError("root radii could not be certified below 1e-9")
+        raise PrecisionError("roots not certified (disjoint disks below 1e-9, off |z| = 1) by %d bits" % prec)
 
     with mp.workprec(prec):
-        roots, radii = _sort_roots(roots, radii)
-        # exact: every monic integer factor is a product over a subset of roots
-        for e in range(1, d // 2 + 1):
-            for sub in itertools.combinations(range(d), e):
-                # expand prod_{i in sub} (X - roots[i]), ascending coefficients
-                cand = [mp.mpc(1)]
-                for i in sub:
-                    nxt = [mp.mpc(0)] * (len(cand) + 1)
-                    for t, c in enumerate(cand):
-                        nxt[t + 1] += c
-                        nxt[t] -= roots[i] * c
-                    cand = nxt
-                ints = [int(mp.nint(mp.re(c))) for c in cand[:-1]]  # drop the monic leading 1
-                if all(abs(c - n) <= 0.25 for c, n in zip(cand, ints)) and _int_poly_divides(coeffs, ints):
-                    raise ReducibleError(
-                        "monic factor with ascending coefficients %s divides %s"
-                        % (tuple(ints) + (1,), coeffs)
-                    )
-        # irreducible and reciprocal (X^d P(1/X) = +-P) of degree >= 4: the roots
-        # pair as z, 1/z, and a pair besides alpha, 1/alpha has a root with |z| >= 1
-        p = _monic_poly(coeffs)
-        reciprocal = p[::-1] == [p[0] * c for c in p]
-        pv = "not-PV" if reciprocal and d >= 4 else _classify(roots, radii, d)
+        if d == 1:
+            pv = "not-PV"
+        elif reciprocal:
+            # the roots pair as z, 1/z: PV only for a real pair alpha, 1/alpha
+            pv = "PV" if d == 2 and disc > 0 else "not-PV"
+        else:
+            z1, r1 = roots[0], radii[0]
+            outside = abs(mp.im(z1)) <= r1 and abs(z1) - r1 > 1
+            inside = all(abs(z) + r < 1 for z, r in zip(roots[1:], radii[1:]))
+            pv = "PV" if outside and inside else "not-PV"
         # snap certified-real roots (conjugate pairs keep their imaginary parts)
-        cleaned = []
-        for z, r in zip(roots, radii):
-            cleaned.append(mp.mpc(mp.re(z)) if abs(mp.im(z)) <= r else z)
+        cleaned = [mp.mpc(mp.re(z)) if abs(mp.im(z)) <= r else z for z, r in zip(roots, radii)]
         a = sum(1 for z in cleaned[1:] if mp.im(z) == 0)
         b = (d - 1 - a) // 2
 
@@ -447,19 +435,22 @@ def _build_field(coeffs, B_alpha=1, require_degree_2=True):
         pv_status=pv,
         real_count=a,
         complex_pair_count=b,
-        B_alpha=int(B_alpha),
         roots_mp=tuple(cleaned),
     )
 
 
-def make_field(coeffs, B_alpha: int = 1) -> NumberField:
+def make_field(coeffs) -> NumberField:
     """Certify a monic integer polynomial (c_0, ..., c_{d-1}), d >= 2.
 
-    Raises ReducibleError / DegenerateError / PrecisionError as applicable;
-    pv_status is "not-PV" for reciprocal P of degree >= 4, else decided with
-    margin PV_MARGIN or reported indeterminate.
+    Raises ReducibleError / DegenerateError / PrecisionError as applicable.
+    pv_status is exact, "PV" or "not-PV": a reciprocal P is PV only when d = 2
+    and disc(P) > 0; any other P is PV when alpha's certified disk is real and
+    outside the unit circle and every other disk lies inside it.
     """
-    return _build_field(coeffs, B_alpha=B_alpha, require_degree_2=True)
+    coeffs = tuple(coeffs)
+    if len(coeffs) == 1:
+        raise ValueError("degree must be >= 2 (got 1)")
+    return _build_field(coeffs)
 
 
 def integer_dilation_field(n: int) -> NumberField:
@@ -467,7 +458,7 @@ def integer_dilation_field(n: int) -> NumberField:
     n = int(n)
     if abs(n) < 2:
         raise ValueError("integer dilation must satisfy |n| >= 2")
-    return _build_field((-n,), require_degree_2=False)
+    return _build_field((-n,))
 
 
 def parse_poly(text: str):
@@ -480,11 +471,6 @@ def parse_poly(text: str):
 
 # ---------------------------------------------------------------------------
 # spec operations
-
-
-def is_pisot(field: NumberField) -> str:
-    """Return the certified verdict: 'PV', 'not-PV', or 'indeterminate'."""
-    return field.pv_status
 
 
 def _int_trace(field: NumberField, nums) -> int:

@@ -402,8 +402,10 @@ def _cmd_bernoulli(cfg: RunConfig):
 
 
 def _cmd_lattice_density(cfg: RunConfig):
-    f = _field_of(cfg)
     L = _require(cfg, "L")
+    if L < 1:
+        raise ValueError("--L must be >= 1 for lattice-density (it reports the counts at L/100, L/10, L >= 1)")
+    f = _field_of(cfg)
     eps = _require(cfg, "eps")
     m = cfg.m if cfg.m is not None else 0
     gamma = gamma_density(f, LatticeCylinder(L, m, eps))

@@ -403,7 +403,8 @@ def enumerate_Y(field: NumberField, cyl: LatticeCylinder):
     ys, accept = ys[idx], np.ones(len(idx), dtype=bool)
     for j in np.flatnonzero(band[idx]):
         emb = _embeddings(field, _mu_from_integer_vector(field, rows[idx[j]].tolist(), m))
-        accept[j] = abs(mp.re(emb[0])) < L and all(abs(emb[k]) < eps[k - 1] for k in range(1, d))
+        with mp.workprec(precision_bits()):  # abs() rounds to the context's precision
+            accept[j] = abs(mp.re(emb[0])) < L and all(abs(emb[k]) < eps[k - 1] for k in range(1, d))
         ys[j] = float(mp.re(emb[0]))
     idx, ys = idx[accept], ys[accept]
     order = np.lexsort((idx, ys))

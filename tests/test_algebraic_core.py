@@ -47,7 +47,6 @@ def test_make_field_verdicts(plastic):
     assert abs(abs(plastic.roots[1]) - 0.8688369618) < 1e-9
     assert pv.make_field((-2, 0)).pv_status == "not-PV"
     assert pv.make_field((-8, -2, -1)).pv_status == "not-PV"
-    assert pv.is_pisot(pv.make_field((-1, -1))) == "PV"
 
 
 def test_make_field_rejections():

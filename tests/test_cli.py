@@ -102,10 +102,20 @@ def test_field_check_golden(tmp_path, capsys):
     assert mods[0] == pytest.approx(0.6180339887498949, abs=1e-12)
 
 
+# 10^150 and -(10^150 + 2): X^2 - (10^150 + 2) X + 10^150, conjugate 10^150 / alpha = 1 - 10^-150 + ...
+HUGE = "%d,%d" % (10**150, -(10**150 + 2))
+
+
 @pytest.mark.parametrize("poly, verdict", [
     ("1,-1,-1,-1", "not-PV"),  # Salem X^4 - X^3 - X^2 - X + 1: two conjugates on |z| = 1
     ("1,0,0,0", "not-PV"),     # X^4 + 1: every conjugate on |z| = 1
     ("1,-3", "PV"),            # X^2 - 3X + 1 is reciprocal, but 1/alpha is its only conjugate
+    ("1,1", "not-PV"),         # X^2 + X + 1, X^2 + 1, X^2 - X + 1: both roots on |z| = 1
+    ("1,0", "not-PV"),
+    ("1,-1", "not-PV"),
+    # not reciprocal: the conjugate 1 - 10^-10 + ... clears the circle once the disks shrink
+    ("10000000000,-10000000002", "PV"),
+    pytest.param(HUGE, "PV", id="10^150"),
 ])
 def test_field_check_reciprocal_verdict(tmp_path, capsys, poly, verdict):
     assert run_cli("field-check", "--poly", poly, "--out", str(tmp_path / "fc.csv")) == 0
@@ -113,9 +123,11 @@ def test_field_check_reciprocal_verdict(tmp_path, capsys, poly, verdict):
 
 
 def test_field_check_reducible_exit_2(tmp_path, capsys):
-    rc = run_cli("field-check", "--poly", "-1,0", "--out", str(tmp_path / "r.csv"))
-    assert rc == 2
-    assert "error:" in capsys.readouterr().err
+    # X^2 - 1, and (X - 3)(X^2 + X + 1), whose factor has roots on |z| = 1
+    for poly in ("-1,0", "-3,-2,-2"):
+        rc = run_cli("field-check", "--poly", poly, "--out", str(tmp_path / "r.csv"))
+        assert rc == 2
+        assert "error: monic factor" in capsys.readouterr().err
 
 
 def test_symbol_scan_csv_and_svg(tmp_path):
@@ -259,6 +271,12 @@ def test_missing_option_named_in_message(tmp_path, capsys):
                  "--out", str(tmp_path / "x.csv"))
     assert rc == 2
     assert "--range" in capsys.readouterr().err
+    # L < 1 leaves lattice-density no row to report: one line naming --L, no traceback
+    rc = run_cli("lattice-density", "--poly", "-1,-1", "--eps", "0.1", "--L", "0.5",
+                 "--out", str(tmp_path / "x.csv"))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "--L" in err and err.count("\n") == 1
 
 
 def test_unknown_mask_exit_2(tmp_path, capsys):
@@ -339,6 +357,11 @@ def test_numeric_budget_exit_3(tmp_path, capsys):
                  "--out", str(tmp_path / "x.csv"))
     assert rc == 3
     assert "error:" in capsys.readouterr().err
+    # 64 to 512 bits cannot move the conjugate 1 - 10^-150 off the circle: the cap
+    rc = run_cli("field-check", "--poly", HUGE, "--precision-bits", "16", "--out", str(tmp_path / "x.csv"))
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: roots not certified") and err.count("\n") == 1
 
 
 def test_precision_bits_flag_raises_budget(tmp_path, monkeypatch):
@@ -392,7 +415,7 @@ _FUZZ_VALUES = {
     "--jmax": ("-1", "0", "1", "4", "x", "1000000"),
     "--jmin": ("-6", "0", "2", "x", "-1000000000"),
     "--eps": ("0.1", "0", "-0.1", "nan", "0.1,0.1", "x"),
-    "--L": ("100", "0", "-5", "nan", "inf", "x", "1e3"),
+    "--L": ("100", "0.5", "0", "-5", "nan", "inf", "x", "1e3"),
     "--box": ("3", "0", "-1", "x"),
     "--n": ("1", "2", "0", "40", "x"),
     "--samples": ("20", "0", "-1", "x"),

@@ -2,7 +2,9 @@
 
 fe_inv inverts, the norm is multiplicative, the trace is Q-linear, norm and
 trace equal the product and sum of the 200-bit embeddings, and the Bareiss
-determinant agrees with the Leibniz formula on small integer matrices.
+determinant agrees with the Leibniz formula on small integer matrices.  The
+PV verdict of small monic polynomials matches a classification of their
+300-bit mpmath roots.
 """
 
 import functools
@@ -17,7 +19,7 @@ import pvrefine as pv
 from pvrefine.algebraic_core import _int_det, fe_add, fe_embed, fe_inv, fe_mul, fe_scale
 
 pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 FIELDS = ((-1, -1), (-1, -1, 0), (-1, -1, -1), (-1, 0, 0, -2), (-1, -1, -1, -1, -1))
 # deterministic examples, and no example database written next to the tests
@@ -98,3 +100,34 @@ matrices = st.integers(1, 4).flatmap(
 @example([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
 def test_int_det_matches_leibniz(m):
     assert _int_det(m) == leibniz_det(m)
+
+
+def direct_verdict(coeffs):
+    """PV when the largest root is real of modulus > 1 and the others have modulus < 1,
+    from 300-bit roots; a modulus within 10^-50 of 1 counts as on the circle."""
+    with mp.workprec(300):
+        roots = sorted(mp.polyroots([1] + list(reversed(coeffs)), maxsteps=400, extraprec=300), key=abs)
+        tol = mp.mpf(10) ** -50
+        alpha = mp.mpc(roots[-1])
+        pv = abs(alpha.imag) < tol and abs(alpha) > 1 + tol and all(abs(z) < 1 - tol for z in roots[:-1])
+    return "PV" if pv else "not-PV"
+
+
+monic = st.integers(2, 4).flatmap(lambda d: st.tuples(*[st.integers(-3, 3)] * d))
+
+
+@field_property
+@given(monic)
+@example((-1, -1))             # golden mean
+@example((1, -3))              # reciprocal, PV
+@example((1, 1))               # X^2 + X + 1: roots on |z| = 1
+@example((1, -1, -1, -1))      # Salem
+@example((1, 0, 0, 0))         # X^4 + 1
+def test_pv_verdict_matches_direct_roots(coeffs):
+    assume(coeffs[0] != 0)
+    try:
+        f = pv.make_field(coeffs)
+    except (pv.ReducibleError, pv.DegenerateError):
+        assume(False)
+    assert f.pv_status in ("PV", "not-PV")
+    assert f.pv_status == direct_verdict(coeffs)

@@ -226,13 +226,13 @@ def test_enumerate_Y_plastic_pair(plastic):
 def test_enumerate_Y_band_redecision(golden, monkeypatch):
     # L = float(alpha^k) puts +-alpha^k (|conjugate| = alpha^-k < 0.9) on the
     # boundary |y| = L: each call re-decides exactly those 2 band rows from the
-    # exact element.  The re-decision's abs() rounds to mpmath's 53-bit default,
-    # which lands on L itself for k <= 3, so +-alpha^k is kept only for k = 4, 5.
-    # Counts and verdicts are pinned from the per-point filter this replaced.
+    # exact element.  At working precision alpha^k < L for every k here, so
+    # +-alpha^k is kept; a re-decision rounded to 53 bits lands on L itself for
+    # k <= 3 and drops them (counts 13, 21, 33).
     redecided = []
     embeddings = so._embeddings
     monkeypatch.setattr(so, "_embeddings", lambda *a: redecided.append(a) or embeddings(*a))
-    for k, count, kept in ((1, 13, False), (2, 21, False), (3, 33, False), (4, 57, True), (5, 91, True)):
+    for k, count, kept in ((1, 15, True), (2, 23, True), (3, 35, True), (4, 57, True), (5, 91, True)):
         redecided.clear()
         L = golden.alpha**k
         ys = so.enumerate_Y(golden, so.LatticeCylinder(L, 0, (0.9,)))
