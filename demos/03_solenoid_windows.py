@@ -44,9 +44,8 @@ print("\nin_U(L_30 = 1860498, eps=1e-4): %s, conjugate coordinate %.3e" % (insid
 # Y(L) = the xi-image of the lattice points in the cylinder W(L): a point
 # set of density gamma = |det V| prod(2 eps) along the line
 L = 10**4
-cyl0 = so.LatticeCylinder(L, 0, (0.1,))
-gamma = so.gamma_density(golden, cyl0)
-cyl = so.LatticeCylinder(L, 0, (0.1,), gamma)
+cyl = so.LatticeCylinder(L, 0, (0.1,))
+gamma = so.gamma_density(golden, cyl)
 ys = np.asarray(so.enumerate_Y(golden, cyl))
 print("\nY(%d): %d points, density %.6f, gamma %.6f" % (L, len(ys), len(ys) / (2 * L), gamma))
 for t in (10**2, 10**3, 10**4):

@@ -1,7 +1,7 @@
 """Computational machinery for refinable functions with PV dilations.
 
 Submodules:
-  algebraic_core: Q[alpha] exact arithmetic, PV certification, V/C/D matrices
+  algebraic_core: Q[alpha] exact arithmetic, PV certification, Lagrange dual basis
   refinement:     masks, Fourier symbol, infinite products, builtin examples
   solenoid:       finite windows of the torus-sequence machinery, lattice counts
   zero_density:   near-zero scans, vanishing probes, norm-form counting
@@ -24,14 +24,12 @@ from .errors import (
 )
 from .algebraic_core import (
     FieldElement,
-    FieldMatrices,
     LaurentTranslate,
     NumberField,
     dist_to_int,
     fe,
     fe_alpha,
     fe_rational,
-    field_matrices,
     first_lagrange_row,
     homoclinic_profile,
     integer_dilation_field,

@@ -112,22 +112,6 @@ class LaurentTranslate:
         return dict(self.items)
 
 
-@dataclass(frozen=True)
-class FieldMatrices:
-    """Vandermonde V, its inverse, companion C, and diagonal D for one field.
-
-    Row k of V_inv holds the coefficients of the Lagrange polynomial
-    Q_k(X) = P(X) / ((X - alpha_k) P'(alpha_k)).
-    """
-
-    V: object
-    V_inv: object
-    C: object
-    D: object
-    det_V_abs: float
-    disc: int
-
-
 # ---------------------------------------------------------------------------
 # constructors
 
@@ -613,38 +597,6 @@ def first_lagrange_row(field: NumberField):
     # P'(alpha): P' has exactly d coefficients, so they are its coordinates
     inv = fe_inv(field, fe(field, _poly_derivative(_monic_poly(field.coeffs))))
     return tuple(fe_mul(field, qi, inv) for qi in q)
-
-
-def field_matrices(field: NumberField) -> FieldMatrices:
-    """Build V (Vandermonde of roots), V^{-1} (Lagrange rows), companion C, diagonal D."""
-    import numpy as np
-
-    d = field.degree
-    prec = precision_bits()
-    with mp.workprec(prec):
-        V = np.array(
-            [[complex(field.roots_mp[k] ** i) for k in range(d)] for i in range(d)],
-            dtype=complex,
-        )
-        row1 = first_lagrange_row(field)
-        V_inv = np.array(
-            [[complex(fe_embed(field, row1[i], k, prec)) for i in range(d)] for k in range(d)],
-            dtype=complex,
-        )
-        det = mp.mpc(1)
-        for i in range(d):
-            for j in range(i + 1, d):
-                det *= field.roots_mp[j] - field.roots_mp[i]
-        det_abs = float(abs(det))
-    C = np.zeros((d, d), dtype=complex)
-    for i in range(d - 1):
-        C[i, i + 1] = 1.0
-    C[d - 1, :] = [-c for c in field.coeffs]
-    D = np.diag(np.array(field.roots, dtype=complex))
-    err = np.max(np.abs(C @ V - V @ D))
-    if err > 1e-8:
-        raise PrecisionError("companion/Vandermonde consistency error %.3e" % err)
-    return FieldMatrices(V=V, V_inv=V_inv, C=C, D=D, det_V_abs=det_abs, disc=discriminant(field.coeffs))
 
 
 def laurent_embed(field: NumberField, t: LaurentTranslate):

@@ -110,19 +110,18 @@ class RunConfig:
     def __post_init__(self):
         if self.command not in _COMMANDS:
             raise ValueError("unknown command %r" % (self.command,))
-        flag = {"grid_step": "step", "J_max": "jmax", "lo": "range", "hi": "range"}
         for name in ("lo", "hi", "grid_step", "delta", "tol", "L", "eps"):
             v = getattr(self, name)
             if v is not None and not all(math.isfinite(x) for x in np.atleast_1d(v)):
-                raise ValueError("--%s must be finite" % flag.get(name, name))
+                raise ValueError("--%s must be finite" % _flag(name))
         for name in ("grid_step", "delta", "tol", "L"):
             v = getattr(self, name)
             if v is not None and v <= 0:
-                raise ValueError("--%s must be positive" % flag.get(name, name.replace("_", "-")))
+                raise ValueError("--%s must be positive" % _flag(name))
         for name in ("J_max", "box", "n", "samples", "threads", "precision_bits"):
             v = getattr(self, name)
             if v is not None and v < 1:
-                raise ValueError("--%s must be a positive integer" % flag.get(name, name.replace("_", "-")))
+                raise ValueError("--%s must be a positive integer" % _flag(name))
         if self.samples is not None and self.samples > MAX_SAMPLES:
             raise SizeError("equidistribution: %d samples exceed the %d-sample limit" % (self.samples, MAX_SAMPLES))
         if self.command not in ("phihat-orbit", "vanishing-probe", "bernoulli"):
@@ -270,10 +269,7 @@ def emit_svg(plot: PlotSpec, path) -> None:
 def _require(cfg: RunConfig, name: str):
     v = getattr(cfg, name)
     if v is None:
-        flag = {"lam": "lambda", "J_max": "jmax", "lo": "range", "hi": "range", "grid_step": "step"}.get(
-            name, name.replace("_", "-")
-        )
-        raise ValueError("--%s is required for %s" % (flag, cfg.command))
+        raise ValueError("--%s is required for %s" % (_flag(name), cfg.command))
     return v
 
 
@@ -408,8 +404,8 @@ def _cmd_lattice_density(cfg: RunConfig):
     f = _field_of(cfg)
     eps = _require(cfg, "eps")
     m = cfg.m if cfg.m is not None else 0
-    gamma = gamma_density(f, LatticeCylinder(L, m, eps))
-    cyl = LatticeCylinder(L, m, eps, gamma)
+    cyl = LatticeCylinder(L, m, eps)
+    gamma = gamma_density(f, cyl)
     ys = np.asarray(enumerate_Y(f, cyl))
     rows = []
     for t in (L / 100.0, L / 10.0, L):
@@ -610,30 +606,38 @@ def _parse_bool(s: str) -> bool:
     raise argparse.ArgumentTypeError("boolean flag wants true/false, got %r" % s)
 
 
-# dest -> (config key, converter); used both for argparse and config files
+# dest -> (config key, converter, help); used for argparse, config files and error messages
 _OPTIONS = {
-    "poly": ("poly", _parse_poly),
-    "mask": ("mask", str),
-    "range": ("range", _parse_range),
-    "grid_step": ("step", float),
-    "delta": ("delta", float),
-    "tol": ("tol", float),
-    "J_max": ("jmax", int),
-    "j_min": ("jmin", int),
-    "lam": ("lambda", str),
-    "m": ("m", int),
-    "eps": ("eps", _parse_eps),
-    "L": ("L", float),
-    "box": ("box", int),
-    "n": ("n", int),
-    "samples": ("samples", int),
-    "seed": ("seed", int),
-    "threads": ("threads", int),
-    "precision_bits": ("precision-bits", int),
-    "target": ("target", str),
-    "out": ("out", str),
-    "svg": ("svg", _parse_bool),
+    "poly": ("poly", _parse_poly, "low-order coefficients c0,c1,... of the monic dilation polynomial"),
+    "mask": ("mask", str, "builtin mask name (boxcar, dyadic, bernoulli, golden_vector) or mask-file path"),
+    "range": ("range", _parse_range, "scan interval lo:hi"),
+    "grid_step": ("step", float, "grid spacing"),
+    "delta": ("delta", float, "near-zero / probe threshold"),
+    "tol": ("tol", float, "evaluation tolerance"),
+    "J_max": ("jmax", int, "largest orbit exponent J"),
+    "j_min": ("jmin", int, "smallest orbit exponent (phihat-orbit) or product cutoff (bernoulli)"),
+    "lam": ("lambda", str, "comma-separated rational lambda values"),
+    "m": ("m", int, "cylinder shift exponent"),
+    "eps": ("eps", _parse_eps, "comma-separated conjugate radii eps_2..eps_d"),
+    "L": ("L", float, "window half-length / count limit"),
+    "box": ("box", int, "integer box half-width for norm counting"),
+    "n": ("n", int, "number of dilation powers checked for equidistribution"),
+    "samples": ("samples", int, "number of sample points"),
+    "seed": ("seed", int, "RNG seed for sampled subcommands"),
+    "threads": ("threads", int,
+                "accepted for compatibility; runs are serial and output bytes never depend on it"),
+    "precision_bits": ("precision-bits", int,
+                       "working precision in bits for this run (default PISOT_PRECISION_BITS, else 128)"),
+    "target": ("target", str, "zeros-scan target: symbol or phihat"),
+    "out": ("out", str, "output CSV path (default <command>.csv)"),
+    "svg": ("svg", _parse_bool, "also write a line-chart SVG next to the CSV"),
 }
+
+
+def _flag(name: str) -> str:
+    """The flag of a RunConfig field, without its dashes; lo and hi share --range."""
+    return _OPTIONS["range" if name in ("lo", "hi") else name][0]
+
 
 # which options each subcommand accepts
 _ACCEPTS = {
@@ -649,30 +653,6 @@ _ACCEPTS = {
 }
 _COMMON = ("out", "svg", "threads", "precision_bits")
 
-_HELP = {
-    "poly": "low-order coefficients c0,c1,... of the monic dilation polynomial",
-    "mask": "builtin mask name (boxcar, dyadic, bernoulli, golden_vector) or mask-file path",
-    "range": "scan interval lo:hi",
-    "grid_step": "grid spacing",
-    "delta": "near-zero / probe threshold",
-    "tol": "evaluation tolerance",
-    "J_max": "largest orbit exponent J",
-    "j_min": "smallest orbit exponent (phihat-orbit) or product cutoff (bernoulli)",
-    "lam": "comma-separated rational lambda values",
-    "m": "cylinder shift exponent",
-    "eps": "comma-separated conjugate radii eps_2..eps_d",
-    "L": "window half-length / count limit",
-    "box": "integer box half-width for norm counting",
-    "n": "number of dilation powers checked for equidistribution",
-    "samples": "number of sample points",
-    "seed": "RNG seed for sampled subcommands",
-    "threads": "accepted for compatibility; runs are serial and output bytes never depend on it",
-    "precision_bits": "working precision in bits for this run (default PISOT_PRECISION_BITS, else 128)",
-    "target": "zeros-scan target: symbol or phihat",
-    "out": "output CSV path (default <command>.csv)",
-    "svg": "also write a line-chart SVG next to the CSV",
-}
-
 
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
@@ -684,11 +664,11 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(cmd, help="%s report" % cmd)
         sp.add_argument("--config", default=None, help="key=value options file; explicit flags win")
         for dest in _ACCEPTS[cmd] + _COMMON:
-            key, conv = _OPTIONS[dest]
+            key, conv, text = _OPTIONS[dest]
             if dest == "svg":
-                sp.add_argument("--svg", dest="svg", action="store_true", default=None, help=_HELP["svg"])
+                sp.add_argument("--svg", dest="svg", action="store_true", default=None, help=text)
             else:
-                sp.add_argument("--%s" % key, dest=dest, type=conv, default=None, help=_HELP[dest])
+                sp.add_argument("--%s" % key, dest=dest, type=conv, default=None, help=text)
     return p
 
 
@@ -706,11 +686,11 @@ def _load_config_file(path: str) -> dict:
     return opts
 
 
-_KEY_TO_DEST = {key: dest for dest, (key, _) in _OPTIONS.items()}
+_KEY_TO_DEST = {opt[0]: dest for dest, opt in _OPTIONS.items()}
 
 # flags that take a value; negative-looking values get merged as --flag=value
 _VALUE_FLAGS = {"--config"} | {
-    "--%s" % key for dest, (key, _) in _OPTIONS.items() if dest != "svg"
+    "--%s" % opt[0] for dest, opt in _OPTIONS.items() if dest != "svg"
 }
 _NOVALUE_FLAGS = {"--svg", "-h", "--help"}
 

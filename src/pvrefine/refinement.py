@@ -503,10 +503,9 @@ def bernoulli_orbit(field: NumberField, J_max: int, j_min: int):
     return values, bound
 
 
-def bernoulli_phihat(field: NumberField, J: int, j_min: int, return_bound: bool = False):
+def bernoulli_phihat(field: NumberField, J: int, j_min: int):
     """phihat(alpha^J), J >= 0, for the Bernoulli mask: the last value of bernoulli_orbit."""
-    values, bound = bernoulli_orbit(field, J, j_min)
-    return (values[-1], bound) if return_bound else values[-1]
+    return bernoulli_orbit(field, J, j_min)[0][-1]
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ import numpy as np
 from .algebraic_core import (
     FieldElement,
     NumberField,
+    discriminant,
     dist_to_int,
     fe_add,
     fe_alpha,
@@ -39,7 +40,6 @@ from .algebraic_core import (
     fe_pow,
     fe_rational,
     fe_scale,
-    field_matrices,
     first_lagrange_row,
     precision_bits,
 )
@@ -111,12 +111,11 @@ class UNeighborhood:
 
 @dataclass(frozen=True)
 class LatticeCylinder:
-    """W(L) parameters: half-length L, shift exponent m, radii, cached gamma."""
+    """W(L) parameters: half-length L, shift exponent m, radii."""
 
     L: float
     m: int
     eps: tuple
-    gamma: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "eps", tuple(float(e) for e in self.eps))
@@ -124,21 +123,10 @@ class LatticeCylinder:
             raise ValueError("L must be positive")
         if not self.eps or any(e <= 0 for e in self.eps):
             raise ValueError("eps entries must be positive")
-        if self.gamma < 0:
-            raise ValueError("gamma must be nonnegative")
 
 
 # ---------------------------------------------------------------------------
 # shared helpers
-
-
-@functools.lru_cache(maxsize=32)
-def _matrices_at(field: NumberField, prec: int):
-    return field_matrices(field)
-
-
-def _matrices(field: NumberField):
-    return _matrices_at(field, precision_bits())
 
 
 def _check_eps(field: NumberField, eps) -> tuple:
@@ -271,6 +259,7 @@ def eval_A(mask: RefinementMask, g: SolenoidWindow):
 
 _INT_TOL = 1e-6  # float integrality tolerance before exact confirmation
 _CANDIDATE_CAP = 10**6
+_MAX_ROWS = 10**7  # bounds the forecast |Y(L)| and the candidate rows of every enumeration level
 
 
 def in_U(field: NumberField, y: float, u: UNeighborhood):
@@ -338,12 +327,15 @@ def _expand_rows(rows, ylo, yhi, r_i, scale, back, fudge):
     lo = np.ceil(clo - r_i - fudge).astype(np.int64)
     hi = np.floor(chi + r_i + fudge).astype(np.int64)
     counts = np.maximum(hi - lo + 1, 0)
+    total = int(counts.sum())
+    if total > _MAX_ROWS:
+        raise SizeError("lattice enumeration: %d candidate rows at one level exceed 1e7" % total)
     keep = counts > 0
     rows, lo, counts = rows[keep], lo[keep], counts[keep]
     ylo, yhi = ylo[keep], yhi[keep]
     idx = np.repeat(np.arange(len(counts)), counts)
     starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    offs = np.arange(counts.sum(), dtype=np.int64) - np.repeat(starts, counts)
+    offs = np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
     n_i = lo[idx] + offs
     rows = np.column_stack([rows[idx], n_i])
     ylo, yhi = ylo[idx], yhi[idx]
@@ -369,7 +361,7 @@ def enumerate_Y(field: NumberField, cyl: LatticeCylinder):
     L, m = float(cyl.L), int(cyl.m)
     d = field.degree
     gamma = gamma_density(field, cyl)
-    if 2 * L * gamma > 1e7:
+    if 2 * L * gamma > _MAX_ROWS:
         raise SizeError("forecast |Y(L)| = 2 L gamma = %.3g exceeds 1e7" % (2 * L * gamma))
     mods = [abs(field.roots[k]) for k in range(1, d)]
     r = [sum(e * mod ** (i - m) for e, mod in zip(eps, mods)) for i in range(d)]
@@ -390,8 +382,10 @@ def enumerate_Y(field: NumberField, cyl: LatticeCylinder):
         rows, ylo, yhi = _expand_rows(rows, ylo, yhi, r[i], al ** (i - m), al ** (m - i), fudge)
         if not len(rows):
             return []
-    fm = _matrices(field)
-    w = np.array([field.roots[k] ** m * fm.V_inv[k] for k in range(d)])
+    # row k of V^{-1} is sigma_k of the Lagrange dual basis e_0..e_{d-1}
+    row = first_lagrange_row(field)
+    e = np.array([[complex(fe_embed(field, ei, k)) for ei in row] for k in range(d)])
+    w = np.array([field.roots[k] ** m * e[k] for k in range(d)])
     ys = (rows @ w[0]).real
     ok = np.abs(ys) < L
     band = np.abs(np.abs(ys) - L) < 1e-9 * max(1.0, L)
@@ -428,8 +422,8 @@ def gamma_density(field: NumberField, cyl) -> float:
     """
     _require_pv(field)
     eps = _check_eps(field, cyl.eps)
-    fm = _matrices(field)
-    out = fm.det_V_abs * float(abs(field.coeffs[0])) ** (-cyl.m)
+    with mp.workprec(precision_bits()):  # |det V| = sqrt|disc P|
+        out = float(mp.sqrt(abs(discriminant(field.coeffs)))) * float(abs(field.coeffs[0])) ** (-cyl.m)
     k = 1
     while k < field.degree:
         if field.roots[k].imag != 0.0:

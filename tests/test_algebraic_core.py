@@ -1,4 +1,4 @@
-"""Field arithmetic, PV certification, and matrix-trio checks.
+"""Field arithmetic, PV certification, and dual-basis checks.
 
 Oracle values are frozen from independent derivations: exact golden-mean
 roots (1 +- sqrt5)/2, Newton power sums for X^3 - X - 1, and hand-expanded
@@ -181,32 +181,32 @@ def test_homoclinic_large_j_no_blowup(golden):
     assert pts[0][1] == pytest.approx(abs(beta) ** 200, rel=1e-6)
 
 
-def test_field_matrices_identities(golden, plastic):
+def _vandermonde(f):
+    # V[i, k] = alpha_k^i from the certified roots, independently of the Lagrange row
+    return np.array([[z**i for z in f.roots] for i in range(f.degree)])
+
+
+def _lagrange_embeddings(f):
+    # row k: sigma_k of the exact dual basis e_0..e_{d-1}
+    row = pv.first_lagrange_row(f)
+    return np.array([[complex(pv.algebraic_core.fe_embed(f, e, k)) for e in row] for k in range(f.degree)])
+
+
+def test_dual_basis_inverts_vandermonde(golden, plastic):
     for f, disc in ((golden, 5), (plastic, -23)):
-        M = pv.field_matrices(f)
-        d = f.degree
-        assert np.max(np.abs(M.C @ M.V - M.V @ M.D)) < 1e-10
-        assert np.max(np.abs(M.V_inv @ M.C - M.D @ M.V_inv)) < 1e-8
-        assert np.max(np.abs(M.V @ M.V_inv - np.eye(d))) < 1e-12
-        assert M.disc == disc
-        assert abs(M.det_V_abs**2 - abs(disc)) < 1e-8
-        assert np.allclose(M.V_inv, np.linalg.inv(M.V), atol=1e-10)
-        # companion layout: superdiagonal ones, last row -c_i
-        for i in range(d - 1):
-            assert M.C[i, i + 1] == 1
-        assert list(M.C[d - 1, :].real) == [-c for c in f.coeffs]
+        assert np.max(np.abs(_lagrange_embeddings(f) @ _vandermonde(f) - np.eye(f.degree))) < 1e-12
+        assert discriminant(f.coeffs) == disc
+        # at eps = 1/2, gamma = |det V| times 2 pi eps^2 per complex pair, and |det V|^2 = |disc|
+        g = pv.gamma_density(f, pv.LatticeCylinder(1, 0, (0.5,) * (f.degree - 1)))
+        assert abs((g / (math.pi / 2) ** f.complex_pair_count) ** 2 - abs(disc)) < 1e-8
 
 
 def test_lagrange_row_reconstructs_inverse(golden):
     row = pv.first_lagrange_row(golden)
     assert row[0].coords == (Fraction(3, 5), Fraction(-1, 5))
     assert row[1].coords == (Fraction(-1, 5), Fraction(2, 5))
-    # numeric check at both embeddings: V_inv rows are the conjugated row
-    M = pv.field_matrices(golden)
-    for k in range(2):
-        for i in range(2):
-            num = complex(pv.algebraic_core.fe_embed(golden, row[i], k))
-            assert abs(num - M.V_inv[k, i]) < 1e-12
+    # numeric check at both embeddings: the conjugated rows invert V
+    assert np.allclose(_lagrange_embeddings(golden), np.linalg.inv(_vandermonde(golden)), rtol=0, atol=1e-12)
 
 
 def test_laurent_embed(golden):

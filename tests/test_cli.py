@@ -181,6 +181,21 @@ def test_lattice_density_report(tmp_path, capsys):
     assert rel[-1] <= rel[0]
 
 
+def test_lattice_density_large_alpha(tmp_path, capsys):
+    # X^2 - (10^10 + 2) X + 10^10: alpha ~ 10^10 and beta ~ 1 - 10^-10.  At m = 1,
+    # |sigma_2| < 0.3 forces n_0 = 0 and y = n_1 alpha / (alpha - beta), so
+    # |y| < 300 holds for n_1 = -299..299 exactly
+    argv = ("lattice-density", "--poly", "10000000000,-10000000002", "--eps", "0.3", "--L", "300")
+    rc = run_cli(*argv, "--m", "1", "--out", str(tmp_path / "m1.csv"))
+    assert rc == 0
+    assert "card Y(300) = 599," in capsys.readouterr().out
+    # at m = 0, gamma = sqrt(10^20 + 4) * 0.6: refused from the forecast
+    rc = run_cli(*argv, "--m", "0", "--out", str(tmp_path / "m0.csv"))
+    assert rc == 2
+    assert "2 L gamma = 3.6e+12" in capsys.readouterr().err
+    assert not (tmp_path / "m0.csv").exists()
+
+
 def test_zeros_scan_report(tmp_path, capsys):
     out = tmp_path / "z.csv"
     rc = run_cli("zeros-scan", "--mask", "boxcar", "--range", "0:12", "--step", "0.01",
@@ -317,6 +332,9 @@ def test_oversized_grid_exit_2(tmp_path, capsys):
         # 10^12 samples: refused before the sample array is drawn
         (("equidistribution", "--poly", "-1,-1", "--samples", "1000000000000"),
          "1000000000000 samples exceed the 1000000-sample limit"),
+        # degree 8: 2 L gamma is 8.4e5, but one enumeration level asks for 1.7e7 candidate rows
+        (("lattice-density", "--poly", "-1,-1,-1,-1,-1,-1,-1,-1", "--eps", "0.3,0.3,0.3,0.3,0.3,0.3,0.3",
+          "--L", "300"), "17089085 candidate rows"),
     ):
         capsys.readouterr()
         rc = run_cli(*argv, "--out", str(tmp_path / "o.csv"))

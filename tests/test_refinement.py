@@ -220,8 +220,8 @@ def test_bernoulli_phihat_nonvanishing_tail():
 
 def test_bernoulli_phihat_bound_reported():
     gold = pv.make_field((-1, -1))
-    v30, b30 = rf.bernoulli_phihat(gold, 2, -30, return_bound=True)
-    v60, b60 = rf.bernoulli_phihat(gold, 2, -60, return_bound=True)
+    (*_, v30), b30 = rf.bernoulli_orbit(gold, 2, -30)
+    (*_, v60), b60 = rf.bernoulli_orbit(gold, 2, -60)
     assert b60 < b30 < 1e-10
     assert abs(v30 - v60) <= b30 + 1e-14
 
