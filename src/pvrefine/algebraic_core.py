@@ -26,6 +26,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 
 from .errors import (
     DegenerateError,
@@ -190,24 +191,27 @@ def _power_combination(field, nums):
 
 
 def _int_det(rows):
-    """Determinant of an integer matrix by fraction-free Bareiss elimination (Bareiss 1968):
-    every division is exact, and a zero pivot swaps in a lower row.  The 0x0
-    determinant is 1."""
-    m = [list(r) for r in rows]
+    """Determinant of an integer matrix by fraction-free Bareiss elimination (Bareiss 1968), or of
+    each matrix of an object array (..., n, n) of Python ints, whose entries then run as arrays over
+    the leading axes.  Every division is exact: a zero pivot gets the rows below added until it is
+    not, and one that stays zero leaves a zero block, 1 its stand-in divisor.  0x0 gives 1."""
+    stack = isinstance(rows, np.ndarray) and rows.ndim > 2
+    m = [list(r) for r in (np.moveaxis(rows, (-2, -1), (0, 1)) if stack else rows)]
     n = len(m)
-    sign, prev = 1, 1
+    if not n:
+        return np.ones(rows.shape[:-2], dtype=object) if stack else 1
+    prev = 1
     for k in range(n - 1):
-        if m[k][k] == 0:
-            piv = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
-            if piv is None:
-                return 0
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
+        zero = m[k][k] == 0
+        if zero.any() if stack else zero:
+            for r in range(k + 1, n):
+                m[k] = [a + zero * b for a, b in zip(m[k], m[r])]
+                zero = m[k][k] == 0
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1] if n else 1
+        prev = m[k][k] + zero
+    return m[n - 1][n - 1]
 
 
 def fe_add(a: FieldElement, b: FieldElement) -> FieldElement:
@@ -468,14 +472,9 @@ def trace(elem: FieldElement, field: NumberField) -> Fraction:
     return Fraction(_int_trace(field, elem.nums), elem.den)
 
 
-def int_norm(field: NumberField, nums) -> int:
-    """N(sum_i nums_i alpha^i) for integer nums: the Bareiss determinant of sum_i nums_i C^i."""
-    return _int_det(_power_combination(field, nums))
-
-
 def norm(elem: FieldElement, field: NumberField) -> Fraction:
-    """N(elem) = product of conjugates, exactly: int_norm(nums)/den^d."""
-    return Fraction(int_norm(field, elem.nums), elem.den**field.degree)
+    """N(elem) = product of conjugates, exactly: the Bareiss determinant of sum_i nums_i C^i over den^d."""
+    return Fraction(_int_det(_power_combination(field, elem.nums)), elem.den**field.degree)
 
 
 def trace_power_sequence(field: NumberField, mu: FieldElement, j_max: int):

@@ -33,6 +33,7 @@ from .refinement import (
     RefinementMask,
     bernoulli_orbit,
     builtin_mask,
+    check_orbit_points,
     eval_phihat,
     eval_symbol,
     eval_symbol_grid,
@@ -63,12 +64,11 @@ _COMMANDS = (
 )
 
 
-# RunConfig raises SizeError beyond these: phihat-orbit, vanishing-probe and bernoulli
-# build one entry per orbit point, and bernoulli keeps T(alpha^j) exactly for each
-# j < J_max, about J_max^2 log10|alpha| / 2 digits (|alpha| <= 1 + max|c_i|); at
-# either limit a run takes seconds; equidistribution keeps a few samples-by-n arrays,
-# 8 n MB each at 10^6 samples
-MAX_ORBIT_POINTS = 10**5
+# RunConfig raises SizeError beyond these and refinement.MAX_ORBIT_POINTS, forecast from
+# argv: phihat-orbit, vanishing-probe and bernoulli build one entry per orbit point, and
+# bernoulli keeps T(alpha^j) exactly for each j < J_max, about J_max^2 log10|alpha| / 2
+# digits (|alpha| <= 1 + max|c_i|); at either limit a run takes seconds; equidistribution
+# keeps a few samples-by-n arrays, 8 n MB each at 10^6 samples
 MAX_TRACE_DIGITS = 10**6
 MAX_SAMPLES = 10**6
 
@@ -132,9 +132,7 @@ class RunConfig:
         jmin = self.j_min if self.j_min is not None else (BERNOULLI_J_MIN if bern else 0)
         # bernoulli multiplies the factors j_min <= j < 0, then takes J = 0..J_max
         first = {"bernoulli": min(jmin, 0), "phihat-orbit": jmin}.get(self.command, 0)
-        if jmax - first + 1 > MAX_ORBIT_POINTS:
-            raise SizeError("%s: %d orbit points (j = %d..%d) exceed the %d-point limit"
-                            % (self.command, jmax - first + 1, first, jmax, MAX_ORBIT_POINTS))
+        check_orbit_points(self.command, first, jmax)
         if bern and self.poly:
             digits = jmax**2 * math.log10(1 + max(abs(c) for c in self.poly)) / 2
             if digits > MAX_TRACE_DIGITS:

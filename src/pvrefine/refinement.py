@@ -49,10 +49,14 @@ from .errors import (
     NormalizationError,
     NotPisotError,
     PrecisionError,
+    SizeError,
     UnknownExampleError,
 )
 
 _PRODUCT_FACTOR_BUDGET = 10**6
+
+# phihat_orbit and bernoulli_orbit refuse more orbit points before building any (seconds at the limit)
+MAX_ORBIT_POINTS = 10**5
 
 # above this magnitude a float64 argument has too few fractional bits left
 # for phase reduction; evaluation switches to extended precision
@@ -421,6 +425,13 @@ def phihat_grid(mask: RefinementMask, ys, tol: float = 1e-12):
     return out.reshape(ys.shape if mask.rank == 1 else ys.shape + (mask.rank,)), err
 
 
+def check_orbit_points(name: str, first: int, last: int) -> None:
+    """SizeError, naming `name`, when the orbit j = first..last exceeds MAX_ORBIT_POINTS."""
+    if last - first + 1 > MAX_ORBIT_POINTS:
+        raise SizeError("%s: %d orbit points (j = %d..%d) exceed the %d-point limit"
+                        % (name, last - first + 1, first, last, MAX_ORBIT_POINTS))
+
+
 def phihat_orbit(mask: RefinementMask, lam: float, J_range, tol: float = 1e-12):
     """phihat(lam alpha^J) along the dilation orbit, computed incrementally.
 
@@ -428,12 +439,14 @@ def phihat_orbit(mask: RefinementMask, lam: float, J_range, tol: float = 1e-12):
     base evaluation one factor at a time, so consecutive entries satisfy it
     by construction.
     """
-    js = sorted(int(j) for j in J_range)
+    js = J_range if isinstance(J_range, range) else sorted(int(j) for j in J_range)
     if not js:
         return []
+    check_orbit_points("phihat_orbit", *sorted((js[0], js[-1])))  # a range is read from its ends
+    js = sorted(js)
     prec = precision_bits()
-    growth = abs(lam) * abs(mask.alpha) ** max(js[-1], 0)
-    if growth > 0 and math.log2(growth) > prec - 32:
+    # log2 |lam alpha^J|, a sum of logs so that a large J cannot overflow a float
+    if lam and math.log2(abs(lam)) + max(js[-1], 0) * math.log2(abs(mask.alpha)) > prec - 32:
         raise PrecisionError(
             "lam alpha^J overflows the %d-bit budget at J=%d; raise "
             "PISOT_PRECISION_BITS or lower J_max" % (prec, js[-1])
@@ -470,6 +483,7 @@ def bernoulli_orbit(field: NumberField, J_max: int, j_min: int):
         raise NotPisotError("bernoulli product needs a certified PV dilation")
     if J_max < 0:
         raise ValueError("J_max must be >= 0")
+    check_orbit_points("bernoulli_orbit", min(j_min, 0), J_max)
     prec = max(precision_bits(), 64)
     d = field.degree
     al = fe_alpha(field)

@@ -24,10 +24,11 @@ import numpy as np
 from .algebraic_core import (
     FieldElement,
     NumberField,
+    _companion_powers,
+    _int_det,
     _power_combination,
     fe_embed,
     first_lagrange_row,
-    int_norm,
 )
 from .errors import PrecisionError, SizeError
 from .refinement import RefinementMask, phihat_orbit
@@ -92,19 +93,19 @@ class NormForm:
     def degree(self) -> int:
         return sum(self.numerator_form[0][0])
 
-    def evaluate_numerator(self, n) -> int:
-        powers = []  # powers[i][e] = n_i^e, built once per call
-        for ni in n:
-            row = [1]
-            for _ in range(self.degree):
-                row.append(row[-1] * ni)
-            powers.append(row)
+    def evaluate_numerator(self, n):
+        """form(n) for one integer vector, or for every row of an object array (..., d)
+        of Python ints: the powers are arrays over the leading axes, so one monomial
+        loop serves both."""
+        n = np.moveaxis(np.asarray(n, dtype=object), -1, 0)
+        powers = [[ni**e for e in range(self.degree + 1)] for ni in n]  # powers[i][e] = n_i^e
         acc = 0
         for exps, c in self.numerator_form:
             term = c
             for p, e in zip(powers, exps):
-                term *= p[e]
-            acc += term
+                if e:
+                    term = term * p[e]
+            acc = acc + term
         return acc
 
     def evaluate(self, n) -> Fraction:
@@ -329,13 +330,14 @@ def norm_form(field: NumberField) -> NormForm:
         numerator_form=tuple(sorted((e, c // g) for e, c in ints.items())),
         denominator=den**d // g,
     )
-    # mu = sum n_i e_i has integer numerators over den, so N(mu) = int_norm(numerators)/den^d,
-    # compared cross-multiplied
-    rng = np.random.default_rng(17)
-    for n in rng.integers(-50, 51, size=(10**3, d)).tolist():
-        mu = [sum(ni * e[k] for ni, e in zip(n, nums)) for k in range(d)]
-        if nf.evaluate_numerator(n) * den**d != int_norm(field, mu) * nf.denominator:
-            raise PrecisionError("norm form disagrees with the exact norm at %s" % (tuple(n),))
+    # mu = sum n_i e_i has numerators ns . nums over den, so N(mu) = det(sum_i mu_i C^i)/den^d;
+    # all 10^3 vectors go through one stacked pass in Python ints, compared cross-multiplied
+    ns = np.random.default_rng(17).integers(-50, 51, size=(10**3, d)).astype(object)
+    pows = np.array(_companion_powers(field.coeffs), dtype=object)
+    mats = np.tensordot(ns.dot(np.array(nums, dtype=object)), pows, 1)
+    bad = np.flatnonzero(nf.evaluate_numerator(ns) * den**d != _int_det(mats) * nf.denominator)
+    if bad.size:
+        raise PrecisionError("norm form disagrees with the exact norm at %s" % (tuple(ns[bad[0]]),))
     return nf
 
 
@@ -368,14 +370,21 @@ def count_norm_values(field: NumberField, L: int, box: int, checkpoints: bool = 
     bound = sum(abs(c) for c in coeffs.values()) * (box + 1) ** deg
     if bound >= 2**62:
         raise SizeError("form values overflow 64-bit integers at box %d" % box)
+    # blocks of at most 2^20 box values, each cut to 1 <= |v| <= L: memory follows what is kept
     ns = np.arange(-box, box + 1, dtype=np.int64)
-    n1, n2 = np.meshgrid(ns, ns, indexing="ij")
-    vals = np.zeros_like(n1)
-    for (e1, e2), c in sorted(coeffs.items()):
-        vals += c * n1**e1 * n2**e2
-    uniq = np.unique(np.abs(vals))
-    uniq = uniq[uniq >= 1]
-    count = int(np.searchsorted(uniq, L, side="right"))
+    rows = max(1, 2**20 // ns.size)
+    kept = []
+    for lo in range(0, ns.size, rows):
+        n1 = ns[lo:lo + rows, None]
+        vals = np.zeros((n1.size, ns.size), dtype=np.int64)
+        for (e1, e2), c in sorted(coeffs.items()):
+            vals += c * n1**e1 * ns**e2
+        np.abs(vals, out=vals)
+        kept.append(vals[(vals >= 1) & (vals <= L)])
+    # the distinct values by a sort and an adjacent-difference mask (all are >= 1, so 0 leads)
+    uniq = np.sort(np.concatenate(kept))
+    uniq = uniq[np.diff(uniq, prepend=0) != 0]
+    count = uniq.size
     marks = []
     t = int(L)
     while t >= 10:
@@ -384,12 +393,10 @@ def count_norm_values(field: NumberField, L: int, box: int, checkpoints: bool = 
     marks.reverse()
     pts = [(c, int(np.searchsorted(uniq, c, side="right"))) for c in marks]
     pts = [(c, k) for c, k in pts if k > 0]
+    exponent = float("nan")
     if len(pts) >= 2:
-        xs = np.log([c for c, _ in pts])
-        ks = np.log([k for _, k in pts])
+        xs, ks = np.log(np.array(pts, dtype=float)).T  # float: an L past 2^64 is no int64
         exponent = float(np.polyfit(xs, ks, 1)[0])
-    else:
-        exponent = float("nan")
     if checkpoints:
         return count, exponent, pts
     return count, exponent

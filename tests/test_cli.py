@@ -234,6 +234,10 @@ def test_norms_count_report(tmp_path, capsys):
     assert rows[0] == ["L", "count", "ratio"]
     counts = [int(r[1]) for r in rows[1:]]
     assert counts == sorted(counts)
+    # checkpoints past 2^64 are fitted as floats
+    rc = run_cli("norms-count", "--poly", "-1,-1", "--L", "1e30", "--box", "20", "--out", str(out))
+    assert rc == 0
+    assert "114 distinct norm values" in capsys.readouterr().out
 
 
 def test_equidistribution_report(tmp_path, capsys):
@@ -371,10 +375,12 @@ def test_non_finite_option_exit_2(tmp_path, capsys, argv, flag):
 
 
 def test_numeric_budget_exit_3(tmp_path, capsys):
-    rc = run_cli("phihat-orbit", "--mask", "dyadic", "--lambda", "1", "--jmax", "500",
-                 "--out", str(tmp_path / "x.csv"))
-    assert rc == 3
-    assert "error:" in capsys.readouterr().err
+    # at J = 5000, 2^J itself overflows a float: the budget is forecast in logs
+    for jmax in ("500", "5000"):
+        rc = run_cli("phihat-orbit", "--mask", "dyadic", "--lambda", "1", "--jmax", jmax,
+                     "--out", str(tmp_path / "x.csv"))
+        assert rc == 3
+        assert "overflows the 128-bit budget" in capsys.readouterr().err
     # 64 to 512 bits cannot move the conjugate 1 - 10^-150 off the circle: the cap
     rc = run_cli("field-check", "--poly", HUGE, "--precision-bits", "16", "--out", str(tmp_path / "x.csv"))
     assert rc == 3

@@ -2,9 +2,10 @@
 
 fe_inv inverts, the norm is multiplicative, the trace is Q-linear, norm and
 trace equal the product and sum of the 200-bit embeddings, and the Bareiss
-determinant agrees with the Leibniz formula on small integer matrices.  The
-PV verdict of small monic polynomials matches a classification of their
-300-bit mpmath roots.
+determinant agrees with the Leibniz formula on small integer matrices, one
+at a time and stacked; a stacked norm-form evaluation agrees with the one
+vector at a time.  The PV verdict of small monic polynomials matches a
+classification of their 300-bit mpmath roots.
 """
 
 import functools
@@ -13,10 +14,12 @@ import math
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 import pvrefine as pv
 from pvrefine.algebraic_core import _int_det, fe_add, fe_embed, fe_inv, fe_mul, fe_scale
+from pvrefine.zero_density import norm_form
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
@@ -100,6 +103,43 @@ matrices = st.integers(1, 4).flatmap(
 @example([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
 def test_int_det_matches_leibniz(m):
     assert _int_det(m) == leibniz_det(m)
+
+
+square_stacks = st.integers(0, 4).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n), min_size=1, max_size=6)))
+
+
+@field_property
+@given(square_stacks)
+@example((2, [[[0, 1], [1, 0]], [[1, 2], [2, 4]], [[0, 0], [0, 0]], [[3, 1], [4, 1]]]))
+@example((3, [[[0, 0, 1], [0, 1, 0], [1, 0, 0]], [[1, 2, 3], [2, 4, 6], [0, 0, 1]], [[0, 0, 1], [0, 0, 2], [1, 1, 1]]]))
+@example((0, [[], [], []]))
+def test_stacked_int_det_matches_each_matrix(stack):
+    # zero pivots, singular matrices and 0x0 in one stack, under one and two leading axes
+    n, mats = stack
+    want = [_int_det(m) for m in mats]
+    assert want == [leibniz_det(m) for m in mats]
+    arr = np.array(mats, dtype=object).reshape(len(mats), n, n)
+    for shape in ((len(mats),), (1, len(mats))):
+        dets = _int_det(arr.reshape(shape + (n, n)))
+        assert dets.shape == shape and dets.ravel().tolist() == want
+        assert all(type(x) is int for x in dets.ravel())
+
+
+@functools.lru_cache(maxsize=None)
+def form(coeffs):
+    return norm_form(field(coeffs))
+
+
+@field_property
+@given(st.sampled_from(FIELDS), st.lists(st.integers(-10**6, 10**6), min_size=15, max_size=15), st.integers(1, 3))
+def test_stacked_form_matches_each_vector(coeffs, flat, rows):
+    nf = form(coeffs)
+    vecs = [flat[i * nf.degree:(i + 1) * nf.degree] for i in range(rows)]
+    want = [sum(c * math.prod(x**e for x, e in zip(v, exps)) for exps, c in nf.numerator_form) for v in vecs]
+    assert [nf.evaluate_numerator(v) for v in vecs] == want
+    stacked = nf.evaluate_numerator(np.array(vecs, dtype=object).reshape(1, rows, nf.degree))
+    assert stacked.shape == (1, rows) and stacked.ravel().tolist() == want
 
 
 def direct_verdict(coeffs):

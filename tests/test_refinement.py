@@ -173,6 +173,17 @@ def test_orbit_matches_fresh_evaluation(dyadic):
     assert abs(orbit[0][1].value - fresh.value) < 1e-10
 
 
+def test_orbits_refuse_before_building(dyadic):
+    # 10^9 orbit points: refused from the range's ends, before any point is listed;
+    # lam = 0 skips the precision guard, so only the size guard stands in the way
+    with pytest.raises(pv.SizeError, match="1000000000 orbit points"):
+        rf.phihat_orbit(dyadic, 0.0, range(10**9))
+    with pytest.raises(pv.SizeError, match="1000000000 orbit points"):
+        rf.phihat_orbit(dyadic, 1.0, range(10**9 - 1, -1, -1))
+    with pytest.raises(pv.SizeError, match="1000041 orbit points"):
+        rf.bernoulli_orbit(pv.make_field((-1, -1)), 10**6, -40)
+
+
 def test_golden_vector_multiprod(golden_vector):
     al = golden_vector.alpha
 

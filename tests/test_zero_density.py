@@ -1,6 +1,8 @@
 """Near-zero scans, density proxies, vanishing probes, norm-form counting."""
 
 import math
+import re
+import tracemalloc
 from fractions import Fraction
 
 import mpmath as mp
@@ -268,6 +270,69 @@ def test_norm_form_matches_embedding_product(coeffs):
                 prod *= fe_embed(f, mu, k, 300)
             want = nf.evaluate(n)
             assert abs(prod - mp.mpf(want.numerator) / want.denominator) <= mp.mpf(10) ** -60 * (1 + abs(prod))
+
+
+@pytest.mark.parametrize("coeffs", [(-1, -1), (-1, -1, -1)])
+def test_norm_form_names_the_first_failing_vector(coeffs, monkeypatch):
+    # a form off by n_0^d fails at the first of the 10^3 default_rng(17) vectors with n_0 != 0
+    f = pv.make_field(coeffs)
+    d = f.degree
+    exact = zd._det_form
+    top = (d,) + (0,) * (d - 1)
+
+    def corrupted(mats):
+        form = exact(mats)
+        return {**form, top: form.get(top, 0) + 1}
+
+    monkeypatch.setattr(zd, "_det_form", corrupted)
+    ns = np.random.default_rng(17).integers(-50, 51, size=(10**3, d)).tolist()
+    first = next(n for n in ns if n[0] != 0)
+    with pytest.raises(pv.PrecisionError, match=re.escape("at %s" % (tuple(first),)) + "$"):
+        zd.norm_form(f)
+
+
+def dyadic_marks(L):
+    marks, t = [], L
+    while t >= 10:
+        marks.append(t)
+        t //= 2
+    return marks[::-1]
+
+
+@pytest.mark.parametrize("coeffs", [(-1, -1), (-2, 0), (-1, -1, -1), (-1, 0, 0, -1)])
+def test_count_values_match_a_python_set(coeffs):
+    # every value of the form on the box with the other coordinates at 0, counted in a set
+    f = pv.make_field(coeffs)
+    nf = zd.norm_form(f)
+    pad = (0,) * (f.degree - 2)
+    for box in (1, 2, 7, 12):
+        values = {abs(nf.evaluate_numerator((a, b) + pad)) for a in range(-box, box + 1) for b in range(-box, box + 1)}
+        for L in (1, 10, 97, 5000):
+            cnt, _, pts = zd.count_norm_values(f, L, box, checkpoints=True)
+            assert cnt == len({v for v in values if 1 <= v <= L})
+            want = [(t, len({v for v in values if 1 <= v <= t})) for t in dyadic_marks(L)]
+            assert pts == [(t, k) for t, k in want if k]
+
+
+@pytest.mark.parametrize("coeffs, count, exponent", [((-1, -1), 1828, 0.8945), ((-1, -1, -1), 862, 0.7475),
+                                                     ((-1, -1, -1, -1, -1), 65, 0.4767)])
+def test_count_values_pinned(coeffs, count, exponent):
+    # the counts and fitted exponents the benchmark's norms-count fields printed at L = 10^4, box 200
+    cnt, expn = zd.count_norm_values(pv.make_field(coeffs), 10**4, 200)
+    assert (cnt, "%.4f" % expn) == (count, "%.4f" % exponent)
+
+
+def test_count_values_memory_stays_off_box_squared(golden):
+    # box 1500 is 3001^2 = 9.0e6 values, 72 MB as one int64 array; the blocks stay far below
+    zd.norm_form(golden)  # warm the field's caches outside the measurement
+    tracemalloc.start()
+    try:
+        cnt, _ = zd.count_norm_values(golden, 10**4, 1500)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cnt >= 1828  # the box-200 count: a larger box only adds values
+    assert peak < 40 * 2**20
 
 
 def test_count_values_small(golden):
