@@ -49,7 +49,6 @@ from .refinement import (
     RefinementMask,
     SymbolValue,
     bernoulli_orbit,
-    bernoulli_phihat,
     builtin_mask,
     eval_phihat,
     eval_symbol,

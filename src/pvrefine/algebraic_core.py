@@ -93,11 +93,6 @@ class FieldElement:
         """The power-basis coordinates as Fractions."""
         return tuple(Fraction(n, self.den) for n in self.nums)
 
-    @property
-    def denominator_lcm(self) -> int:
-        """lcm of coordinate denominators (1 iff the element lies in Z[alpha])."""
-        return self.den
-
     def is_zero(self) -> bool:
         return not any(self.nums)
 

@@ -517,11 +517,6 @@ def bernoulli_orbit(field: NumberField, J_max: int, j_min: int):
     return values, bound
 
 
-def bernoulli_phihat(field: NumberField, J: int, j_min: int):
-    """phihat(alpha^J), J >= 0, for the Bernoulli mask: the last value of bernoulli_orbit."""
-    return bernoulli_orbit(field, J, j_min)[0][-1]
-
-
 # ---------------------------------------------------------------------------
 # mask description files
 

@@ -16,8 +16,10 @@ precondition log2(|y| |alpha|^{j_max}) <= precision_bits() - 32 keeps at least
 Lattice membership runs through the exact Lagrange dual basis e_0..e_{d-1}
 (rows of V^{-1} are its conjugate embeddings): an integer vector n corresponds
 to the field element mu = alpha^m sum_i n_i e_i, and [y, s_2..s_d] are the
-conjugate embeddings of mu.  Floating-point candidate generation is always
-confirmed by exact arithmetic before a lattice hit is reported.
+conjugate embeddings of mu.  One enumerator, _lattice_points, serves both
+in_U and enumerate_Y: candidates are generated and filtered in floating point,
+and only the rows within 1e-9 of a boundary are re-decided in exact
+arithmetic.
 """
 
 import functools
@@ -257,154 +259,126 @@ def eval_A(mask: RefinementMask, g: SolenoidWindow):
 # ---------------------------------------------------------------------------
 # cylinder membership and lattice enumeration
 
-_INT_TOL = 1e-6  # float integrality tolerance before exact confirmation
-_CANDIDATE_CAP = 10**6
 _MAX_ROWS = 10**7  # bounds the forecast |Y(L)| and the candidate rows of every enumeration level
+_MAX_EXACT = 10**5  # bounds the band rows re-decided one by one in exact arithmetic
 
 
 def in_U(field: NumberField, y: float, u: UNeighborhood):
     """Membership of theta(y) in U(m, eps).
 
     True iff some s = (s_2..s_d) with |s_k| < eps_k makes V D^{-m} [y, s]^T
-    integral.  Candidate integer vectors n_i in y alpha^{i-m} +- r_i are
-    enumerated, each is mapped back to the exact field element
-    mu = alpha^m sum n_i e_i, and the hit is confirmed when sigma_1(mu)
-    matches y to 1e-6 with every conjugate |sigma_k(mu)| < eps_k.
-    Returns (flag, witness s or None).
+    integral, i.e. some lattice point mu = alpha^m sum n_i e_i has
+    sigma_1(mu) in the open window (y - 1e-6, y + 1e-6) and every conjugate
+    |sigma_k(mu)| < eps_k; the points come from _lattice_points, as for
+    enumerate_Y.  Returns (flag, witness s or None), s taken from the exact
+    embeddings of the hit with the smallest sigma_1.  From |y| = 2^34 on,
+    y +- 1e-6 rounds to y in float64 and the window is refused.
     """
     _require_pv(field)
     eps = _check_eps(field, u.eps)
-    d = field.degree
-    m = u.m
-    prec = precision_bits()
-    with mp.workprec(prec):
-        al = mp.mpf(field.roots_mp[0].real)
-        mods = [abs(field.roots[k]) for k in range(1, d)]
-        ranges = []
-        for i in range(d):
-            c = float(mp.mpf(y) * al ** (i - m))
-            r = sum(e * mod ** (i - m) for e, mod in zip(eps, mods))
-            slack = _INT_TOL * (1.0 + abs(field.alpha) ** (i - m)) + 1e-9 * (1.0 + abs(c))
-            lo = math.ceil(c - r - slack)
-            hi = math.floor(c + r + slack)
-            if hi < lo:
-                return False, None
-            if hi - lo > 10**3:
-                raise SizeError("candidate row %d spans %d integers" % (i, hi - lo + 1))
-            ranges.append(range(lo, hi + 1))
-    total = 1
-    for rg in ranges:
-        total *= len(rg)
-        if total > _CANDIDATE_CAP:
-            raise SizeError("candidate box exceeds %d integer vectors" % _CANDIDATE_CAP)
-    for n in itertools.product(*ranges):
-        mu = _mu_from_integer_vector(field, n, m)
-        emb = _embeddings(field, mu)
-        if abs(float(mp.re(emb[0])) - y) > _INT_TOL:
-            continue
-        s = []
-        ok = True
-        for k in range(1, d):
-            sk = complex(emb[k])
-            if abs(sk) >= eps[k - 1]:
-                ok = False
-                break
-            s.append(sk if field.roots[k].imag != 0.0 else sk.real)
-        if ok:
-            return True, tuple(s)
-    return False, None
+    y = float(y)
+    if not math.isfinite(y):
+        raise ValueError("in_U needs a finite y, got %r" % y)
+    if not y - 1e-6 < y < y + 1e-6:
+        raise SizeError("in_U: |y| = %.3g is too large, y +- 1e-6 rounds to y in float64" % abs(y))
+    rows, _ = _lattice_points(field, u.m, eps, y - 1e-6, y + 1e-6)
+    if not len(rows):
+        return False, None
+    emb = _embeddings(field, _mu_from_integer_vector(field, rows[0].tolist(), u.m))
+    s = (complex(x) for x in emb[1:])
+    return True, tuple(sk if field.roots[k].imag != 0.0 else sk.real for k, sk in enumerate(s, 1))
 
 
 def _interval_scale(lo, hi, c: float):
-    """Elementwise image of [lo, hi] under multiplication by c."""
-    a, b = lo * c, hi * c
-    return np.minimum(a, b), np.maximum(a, b)
+    """Elementwise image of [lo, hi] (lo <= hi) under multiplication by the scalar c."""
+    return (lo * c, hi * c) if c >= 0 else (hi * c, lo * c)
 
 
 def _expand_rows(rows, ylo, yhi, r_i, scale, back, fudge):
     """One enumeration level: integer candidates n_i for each partial row."""
     clo, chi = _interval_scale(ylo, yhi, scale)
     lo = np.ceil(clo - r_i - fudge).astype(np.int64)
-    hi = np.floor(chi + r_i + fudge).astype(np.int64)
-    counts = np.maximum(hi - lo + 1, 0)
+    counts = np.maximum(np.floor(chi + r_i + fudge).astype(np.int64) - lo + 1, 0)
     total = int(counts.sum())
     if total > _MAX_ROWS:
         raise SizeError("lattice enumeration: %d candidate rows at one level exceed 1e7" % total)
-    keep = counts > 0
-    rows, lo, counts = rows[keep], lo[keep], counts[keep]
-    ylo, yhi = ylo[keep], yhi[keep]
-    idx = np.repeat(np.arange(len(counts)), counts)
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    offs = np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
-    n_i = lo[idx] + offs
-    rows = np.column_stack([rows[idx], n_i])
-    ylo, yhi = ylo[idx], yhi[idx]
+    # row j's candidates lo_j, lo_j + 1, .. occupy positions starts_j, starts_j + 1, ..
+    n_i = np.arange(total, dtype=np.int64) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    rows = np.column_stack([np.repeat(rows, counts, axis=0), n_i])
     # tighten the y interval with the new coordinate (back = alpha^{m-i})
     tlo, thi = _interval_scale(n_i - r_i - fudge, n_i + r_i + fudge, back)
-    ylo = np.maximum(ylo, tlo)
-    yhi = np.minimum(yhi, thi)
+    ylo = np.maximum(np.repeat(ylo, counts), tlo)
+    yhi = np.minimum(np.repeat(yhi, counts), thi)
     keep = ylo <= yhi
     return rows[keep], ylo[keep], yhi[keep]
 
 
-def enumerate_Y(field: NumberField, cyl: LatticeCylinder):
-    """Sorted Y(L) = xi(W(L) cap Z^d) for the cylinder's (L, m, eps).
+def _lattice_points(field: NumberField, m: int, eps: tuple, y_lo: float, y_hi: float):
+    """Integer rows n and y = sigma_1(mu), sorted by y, of every lattice point
+    mu = alpha^m sum n_i e_i with y_lo < y < y_hi and |sigma_k(mu)| < eps_k.
 
-    Integer vectors are generated by interval nesting along the rows of
-    V D^{-m} and filtered in floating point, all as array passes; only the
-    boundary-grazing candidates are re-decided, one by one, from the exact
-    field element's extended-precision embeddings.  The map xi is injective,
-    so an exact duplicate output is an internal error.
+    Starting from one empty row on [y_lo, y_hi], each level appends the
+    integer candidates n_i and narrows the row's y interval (interval nesting
+    along the rows of V D^{-m}); the candidates are filtered in floating
+    point, all as array passes, and only the band rows (within 1e-9 of a
+    boundary, relative for y) are re-decided, one by one, from the exact
+    element's extended-precision embeddings; more than 1e5 of them raise
+    SizeError.  The candidate slack grows with |y|, so large windows keep the
+    points that float rounding would push out.
     """
-    _require_pv(field)
-    eps = _check_eps(field, cyl.eps)
-    L, m = float(cyl.L), int(cyl.m)
     d = field.degree
-    gamma = gamma_density(field, cyl)
-    if 2 * L * gamma > _MAX_ROWS:
-        raise SizeError("forecast |Y(L)| = 2 L gamma = %.3g exceeds 1e7" % (2 * L * gamma))
-    mods = [abs(field.roots[k]) for k in range(1, d)]
-    r = [sum(e * mod ** (i - m) for e, mod in zip(eps, mods)) for i in range(d)]
     al = field.alpha
-    fudge = 1e-9
-    # scan the first row: n_0 in alpha^{-m} (-L, L) +- r_0
-    c_lo, c_hi = _interval_scale(np.float64(-L), np.float64(L), al ** (0 - m))
-    n0_lo = math.ceil(float(c_lo) - r[0] - fudge)
-    n0_hi = math.floor(float(c_hi) + r[0] + fudge)
-    if n0_hi - n0_lo > 5e7:
-        raise SizeError("first-row scan spans %d integers" % (n0_hi - n0_lo + 1))
-    n0 = np.arange(n0_lo, n0_hi + 1, dtype=np.int64)
-    tlo, thi = _interval_scale(n0 - r[0] - fudge, n0 + r[0] + fudge, al**m)
-    ylo, yhi = np.maximum(tlo, -L), np.minimum(thi, L)
-    keep = ylo <= yhi
-    rows, ylo, yhi = n0[keep].reshape(-1, 1), ylo[keep], yhi[keep]
-    for i in range(1, d):
-        rows, ylo, yhi = _expand_rows(rows, ylo, yhi, r[i], al ** (i - m), al ** (m - i), fudge)
-        if not len(rows):
-            return []
+    big = max(abs(y_lo), abs(y_hi))
+    mods = [abs(field.roots[k]) for k in range(1, d)]
+    rows, ylo, yhi = np.zeros((1, 0), dtype=np.int64), np.array([float(y_lo)]), np.array([float(y_hi)])
+    for i in range(d):
+        r_i = sum(e * mod ** (i - m) for e, mod in zip(eps, mods))
+        fudge = 1e-9 * (1.0 + big * abs(al) ** (i - m))  # 1e-9 (1 + |c|), c = y alpha^{i-m} at its largest
+        rows, ylo, yhi = _expand_rows(rows, ylo, yhi, r_i, al ** (i - m), al ** (m - i), fudge)
     # row k of V^{-1} is sigma_k of the Lagrange dual basis e_0..e_{d-1}
     row = first_lagrange_row(field)
     e = np.array([[complex(fe_embed(field, ei, k)) for ei in row] for k in range(d)])
     w = np.array([field.roots[k] ** m * e[k] for k in range(d)])
+    c, h = (y_lo + y_hi) / 2, (y_hi - y_lo) / 2
     ys = (rows @ w[0]).real
-    ok = np.abs(ys) < L
-    band = np.abs(np.abs(ys) - L) < 1e-9 * max(1.0, L)
+    dist = np.abs(ys - c)
+    ok = dist < h
+    band = np.abs(dist - h) < 1e-9 * max(1.0, big)
     for k in range(1, d):
         sk = np.abs(rows @ w[k])
         ok &= sk < eps[k - 1]
         band |= np.abs(sk - eps[k - 1]) < 1e-9
     idx = np.flatnonzero(ok | band)
     ys, accept = ys[idx], np.ones(len(idx), dtype=bool)
-    for j in np.flatnonzero(band[idx]):
+    redo = np.flatnonzero(band[idx])
+    if len(redo) > _MAX_EXACT:
+        raise SizeError("lattice enumeration: %d band rows to re-decide exactly exceed 1e5" % len(redo))
+    for j in redo:
         emb = _embeddings(field, _mu_from_integer_vector(field, rows[idx[j]].tolist(), m))
         with mp.workprec(precision_bits()):  # abs() rounds to the context's precision
-            accept[j] = abs(mp.re(emb[0])) < L and all(abs(emb[k]) < eps[k - 1] for k in range(1, d))
+            accept[j] = y_lo < mp.re(emb[0]) < y_hi and all(abs(emb[k]) < eps[k - 1] for k in range(1, d))
         ys[j] = float(mp.re(emb[0]))
     idx, ys = idx[accept], ys[accept]
     order = np.lexsort((idx, ys))
-    idx, ys = idx[order], ys[order]
+    return rows[idx[order]], ys[order]
+
+
+def enumerate_Y(field: NumberField, cyl: LatticeCylinder):
+    """Sorted Y(L) = xi(W(L) cap Z^d) for the cylinder's (L, m, eps).
+
+    The points are _lattice_points on the window (-L, L), after the forecast
+    2 L gamma is checked against 1e7.  The map xi is injective, so an exact
+    duplicate output is an internal error.
+    """
+    _require_pv(field)
+    eps = _check_eps(field, cyl.eps)
+    L, m = float(cyl.L), int(cyl.m)
+    gamma = gamma_density(field, cyl)
+    if 2 * L * gamma > _MAX_ROWS:
+        raise SizeError("forecast |Y(L)| = 2 L gamma = %.3g exceeds 1e7" % (2 * L * gamma))
+    rows, ys = _lattice_points(field, m, eps, -L, L)
     for j in np.flatnonzero(ys[1:] == ys[:-1]):
-        m1, m2 = (_mu_from_integer_vector(field, rows[i].tolist(), m) for i in idx[j:j + 2])
+        m1, m2 = (_mu_from_integer_vector(field, r.tolist(), m) for r in rows[j:j + 2])
         if m1 == m2:
             raise RuntimeError("xi produced a duplicate; enumeration is inconsistent")
     return ys.tolist()

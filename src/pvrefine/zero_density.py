@@ -225,7 +225,7 @@ def density_estimate(z: NearZeroSet):
 
 def _reduces_to_laurent_ring(field: NumberField, lam: FieldElement) -> bool:
     """True iff lam lies in Z[alpha, alpha^{-1}]: denominator primes divide c_0."""
-    den = lam.denominator_lcm
+    den = lam.den
     c0 = abs(field.coeffs[0])
     if den == 1:
         return True

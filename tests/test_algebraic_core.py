@@ -241,7 +241,7 @@ def test_field_element_algebra(golden):
         if x.is_zero():
             continue
         assert fe_mul(golden, x, fe_inv(golden, x)).coords == one.coords
-    assert pv.fe(golden, (Fraction(1, 6), 1)).denominator_lcm == 6
+    assert pv.fe(golden, (Fraction(1, 6), 1)).den == 6
     assert fe_scale(one, Fraction(2, 3)).coords == (Fraction(2, 3), Fraction(0))
 
 

@@ -1,14 +1,24 @@
 """Window dynamics, lifted symbol, cylinder membership, lattice enumeration."""
 
+import functools
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pvrefine as pv
 from pvrefine import refinement as rf
 from pvrefine import solenoid as so
+
+# golden (real conjugate), plastic and tribonacci (a complex-conjugate pair each)
+LATTICE_FIELDS = ((-1, -1), (-1, -1, 0), (-1, -1, -1))
+
+
+@functools.lru_cache(maxsize=None)
+def lattice_field(coeffs):
+    return pv.make_field(coeffs)
 
 
 @pytest.fixture(scope="module")
@@ -157,6 +167,15 @@ def test_in_U_rejections(golden):
     # integer y needs eps >= 1 to admit the constant witness
     ok, _ = so.in_U(golden, 3.0, so.UNeighborhood(0, (3.5,)))
     assert ok
+    for y in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite y, got"):
+            so.in_U(golden, y, u)
+    # y +- 1e-6 rounds to y; refused before any candidate row is built
+    with pytest.raises(pv.SizeError, match="rounds to y"):
+        so.in_U(golden, 1e12, u)
+    # eps = 1e8 asks for 2e8 first-level candidates, over the 1e7 cap
+    with pytest.raises(pv.SizeError, match="candidate rows"):
+        so.in_U(golden, 3.0, so.UNeighborhood(0, (1e8,)))
 
 
 def test_in_U_requires_pv():
@@ -239,6 +258,44 @@ def test_enumerate_Y_band_redecision(golden, monkeypatch):
         assert len(redecided) == 2
         assert len(ys) == count and ys == sorted(ys)
         assert any(abs(abs(y) - L) < 1e-9 for y in ys) == kept
+
+
+def test_enumerate_Y_exact_redecision_cap(golden, monkeypatch):
+    # the band rows are counted before the first exact check
+    monkeypatch.setattr(so, "_MAX_EXACT", 1)
+    with pytest.raises(pv.SizeError, match="2 band rows"):
+        so.enumerate_Y(golden, so.LatticeCylinder(golden.alpha**2, 0, (0.9,)))
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(LATTICE_FIELDS), st.integers(-1, 1), st.floats(0.1, 0.4), st.floats(2.0, 12.0))
+def test_enumerate_Y_points_pass_in_U(coeffs, m, e, L):
+    # every point of Y(L) is a hit of in_U with |s_k| < eps_k, and the
+    # midpoint between two neighbouring points is not
+    f = lattice_field(coeffs)
+    eps = (e,) * (f.degree - 1)
+    ys = so.enumerate_Y(f, so.LatticeCylinder(L, m, eps))
+    u = so.UNeighborhood(m, eps)
+    for y in ys:
+        ok, s = so.in_U(f, y, u)
+        assert ok and all(abs(sk) < ek for sk, ek in zip(s, eps))
+        if f.degree == 3:  # the witness is the complex pair s_3 = conj(s_2)
+            assert isinstance(s[0], complex) and abs(s[1] - s[0].conjugate()) < 1e-12
+    for a, b in zip(ys, ys[1:]):
+        assert so.in_U(f, (a + b) / 2, u) == (False, None)
+
+
+def test_lattice_points_off_centre_window():
+    # a window (a, b) away from 0, its ends midway between neighbouring points
+    for coeffs, e in zip(LATTICE_FIELDS, (0.3, 0.4, 0.4)):
+        f = lattice_field(coeffs)
+        eps = (e,) * (f.degree - 1)
+        ys = np.asarray(so.enumerate_Y(f, so.LatticeCylinder(60.0, 1, eps)))
+        i, j = np.searchsorted(ys, [17.0, 43.0])
+        a, b = (ys[i - 1] + ys[i]) / 2, (ys[j - 1] + ys[j]) / 2
+        rows, got = so._lattice_points(f, 1, eps, a, b)
+        assert len(got) > 20 and np.array_equal(got, ys[i:j])
+        assert rows.shape == (len(got), f.degree)
 
 
 def test_enumerate_Y_sigma_invariance(golden):
