@@ -18,8 +18,8 @@ Lattice membership runs through the exact Lagrange dual basis e_0..e_{d-1}
 to the field element mu = alpha^m sum_i n_i e_i, and [y, s_2..s_d] are the
 conjugate embeddings of mu.  One enumerator, _lattice_points, serves both
 in_U and enumerate_Y: candidates are generated and filtered in floating point,
-and only the rows within 1e-9 of a boundary are re-decided in exact
-arithmetic.
+and only the rows within 1e-9 of a boundary, or within the float rounding of
+their embeddings, are re-decided in exact arithmetic.
 """
 
 import functools
@@ -271,8 +271,9 @@ def in_U(field: NumberField, y: float, u: UNeighborhood):
     sigma_1(mu) in the open window (y - 1e-6, y + 1e-6) and every conjugate
     |sigma_k(mu)| < eps_k; the points come from _lattice_points, as for
     enumerate_Y.  Returns (flag, witness s or None), s taken from the exact
-    embeddings of the hit with the smallest sigma_1.  From |y| = 2^34 on,
-    y +- 1e-6 rounds to y in float64 and the window is refused.
+    embeddings of the hit with the smallest sigma_1.  From |y| = 2^34 (about
+    1.7e10) on, y +- 1e-6 rounds to y in float64 and the window is refused
+    with SizeError.
     """
     _require_pv(field)
     eps = _check_eps(field, u.eps)
@@ -294,14 +295,14 @@ def _interval_scale(lo, hi, c: float):
     return (lo * c, hi * c) if c >= 0 else (hi * c, lo * c)
 
 
-def _expand_rows(rows, ylo, yhi, r_i, scale, back, fudge):
+def _expand_rows(rows, ylo, yhi, r_i, scale, back, fudge, cap):
     """One enumeration level: integer candidates n_i for each partial row."""
     clo, chi = _interval_scale(ylo, yhi, scale)
     lo = np.ceil(clo - r_i - fudge).astype(np.int64)
     counts = np.maximum(np.floor(chi + r_i + fudge).astype(np.int64) - lo + 1, 0)
     total = int(counts.sum())
-    if total > _MAX_ROWS:
-        raise SizeError("lattice enumeration: %d candidate rows at one level exceed 1e7" % total)
+    if total > cap:
+        raise SizeError("lattice enumeration: %d candidate rows at one level exceed %de7" % (total, cap // 10**7))
     # row j's candidates lo_j, lo_j + 1, .. occupy positions starts_j, starts_j + 1, ..
     n_i = np.arange(total, dtype=np.int64) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
     rows = np.column_stack([np.repeat(rows, counts, axis=0), n_i])
@@ -323,8 +324,13 @@ def _lattice_points(field: NumberField, m: int, eps: tuple, y_lo: float, y_hi: f
     point, all as array passes, and only the band rows (within 1e-9 of a
     boundary, relative for y) are re-decided, one by one, from the exact
     element's extended-precision embeddings; more than 1e5 of them raise
-    SizeError.  The candidate slack grows with |y|, so large windows keep the
-    points that float rounding would push out.
+    SizeError.  The band also covers the float64 rounding of each row's
+    embeddings, at most 4 d ulp sum_i |n_i| |w_k,i| with w rounded once from
+    the exact sigma_k(alpha^m e_i), which outgrows 1e-9 at large |n| and
+    negative m.  The candidate slack grows with |y|, so large windows keep the
+    points that float rounding would push out.  The first level, one column
+    expanded from the single empty row, may hold 5e7 candidates; every later
+    level 1e7.
     """
     d = field.degree
     al = field.alpha
@@ -334,20 +340,21 @@ def _lattice_points(field: NumberField, m: int, eps: tuple, y_lo: float, y_hi: f
     for i in range(d):
         r_i = sum(e * mod ** (i - m) for e, mod in zip(eps, mods))
         fudge = 1e-9 * (1.0 + big * abs(al) ** (i - m))  # 1e-9 (1 + |c|), c = y alpha^{i-m} at its largest
-        rows, ylo, yhi = _expand_rows(rows, ylo, yhi, r_i, al ** (i - m), al ** (m - i), fudge)
-    # row k of V^{-1} is sigma_k of the Lagrange dual basis e_0..e_{d-1}
-    row = first_lagrange_row(field)
-    e = np.array([[complex(fe_embed(field, ei, k)) for ei in row] for k in range(d)])
-    w = np.array([field.roots[k] ** m * e[k] for k in range(d)])
+        cap = 5 * _MAX_ROWS if i == 0 else _MAX_ROWS
+        rows, ylo, yhi = _expand_rows(rows, ylo, yhi, r_i, al ** (i - m), al ** (m - i), fudge, cap)
+    # w[k, i] = sigma_k(alpha^m e_i), e_0..e_{d-1} the Lagrange dual basis (rows of V^{-1})
+    basis = [_mu_from_integer_vector(field, unit, m) for unit in np.eye(d, dtype=int).tolist()]
+    w = np.array([[complex(fe_embed(field, b, k)) for b in basis] for k in range(d)])
+    ulps = 4 * d * np.finfo(float).eps
     c, h = (y_lo + y_hi) / 2, (y_hi - y_lo) / 2
     ys = (rows @ w[0]).real
     dist = np.abs(ys - c)
     ok = dist < h
-    band = np.abs(dist - h) < 1e-9 * max(1.0, big)
+    band = np.abs(dist - h) < 1e-9 * max(1.0, big) + ulps * (np.abs(rows) @ np.abs(w[0]))
     for k in range(1, d):
         sk = np.abs(rows @ w[k])
         ok &= sk < eps[k - 1]
-        band |= np.abs(sk - eps[k - 1]) < 1e-9
+        band |= np.abs(sk - eps[k - 1]) < 1e-9 + ulps * (np.abs(rows) @ np.abs(w[k]))
     idx = np.flatnonzero(ok | band)
     ys, accept = ys[idx], np.ones(len(idx), dtype=bool)
     redo = np.flatnonzero(band[idx])

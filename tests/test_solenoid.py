@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -173,9 +174,25 @@ def test_in_U_rejections(golden):
     # y +- 1e-6 rounds to y; refused before any candidate row is built
     with pytest.raises(pv.SizeError, match="rounds to y"):
         so.in_U(golden, 1e12, u)
-    # eps = 1e8 asks for 2e8 first-level candidates, over the 1e7 cap
+    # eps = 1e8 asks for 2e8 first-level candidates, over the 5e7 cap
     with pytest.raises(pv.SizeError, match="candidate rows"):
         so.in_U(golden, 3.0, so.UNeighborhood(0, (1e8,)))
+
+
+def test_in_U_exact_near_eps_at_negative_m(golden):
+    # at m = -20 the rows hold integers near 1e6 and float64 misplaces |s| by
+    # far more than 1e-9; with eps one float either side of a point's exact
+    # |s|, the exact embeddings decide both verdicts
+    m = -20
+    rows, _ = so._lattice_points(golden, m, (0.5,), 50.0, 100.0)
+    emb = so._embeddings(golden, so._mu_from_integer_vector(golden, rows[-1].tolist(), m))
+    with mp.workprec(pv.precision_bits()):  # abs() rounds to the context's precision
+        y, a = float(mp.re(emb[0])), abs(emb[1])
+    f = float(a)
+    below, above = (math.nextafter(f, 0.0), f) if f > a else (f, math.nextafter(f, math.inf))
+    ok, s = so.in_U(golden, y, so.UNeighborhood(m, (above,)))
+    assert ok and s == (float(mp.re(emb[1])),)
+    assert so.in_U(golden, y, so.UNeighborhood(m, (below,))) == (False, None)
 
 
 def test_in_U_requires_pv():
