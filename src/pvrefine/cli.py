@@ -18,6 +18,7 @@ Exit status: 0 success, 2 validation or usage error, 3 numeric error.
 from __future__ import annotations
 
 import argparse
+import bisect
 import csv
 import math
 import os
@@ -404,12 +405,12 @@ def _cmd_lattice_density(cfg: RunConfig):
     m = cfg.m if cfg.m is not None else 0
     cyl = LatticeCylinder(L, m, eps)
     gamma = gamma_density(f, cyl)
-    ys = np.asarray(enumerate_Y(f, cyl))
+    ys = enumerate_Y(f, cyl)
     rows = []
     for t in (L / 100.0, L / 10.0, L):
         if t < 1.0:
             continue
-        cnt = int(np.searchsorted(ys, t, side="right") - np.searchsorted(ys, -t, side="left"))
+        cnt = bisect.bisect_right(ys, t) - bisect.bisect_left(ys, -t)
         dens = cnt / (2.0 * t)
         rows.append([t, cnt, dens, gamma, abs(dens - gamma) / gamma])
     summary = "card Y(%g) = %d, density %.6g vs gamma %.6g (rel err %.3g)" % (

@@ -17,9 +17,9 @@ Lattice membership runs through the exact Lagrange dual basis e_0..e_{d-1}
 (rows of V^{-1} are its conjugate embeddings): an integer vector n corresponds
 to the field element mu = alpha^m sum_i n_i e_i, and [y, s_2..s_d] are the
 conjugate embeddings of mu.  One enumerator, _lattice_points, serves both
-in_U and enumerate_Y: candidates are generated and filtered in floating point,
-and only the rows within 1e-9 of a boundary, or within the float rounding of
-their embeddings, are re-decided in exact arithmetic.
+in_U and enumerate_Y: blocks of candidates are generated and filtered in float
+(embeddings as real column sums), and only the rows within 1e-9 of a boundary,
+or within the float rounding of their embeddings, are re-decided exactly.
 """
 
 import functools
@@ -139,15 +139,19 @@ def _check_eps(field: NumberField, eps) -> tuple:
         raise ValueError("eps needs %d entries for degree %d" % (d - 1, d))
     if any(e <= 0 for e in eps):
         raise ValueError("eps entries must be positive")
-    k = 1
-    while k < d:
-        if field.roots[k].imag != 0.0:
-            if k + 1 >= d or eps[k - 1] != eps[k]:
-                raise ValueError("eps must match on the conjugate pair at positions %d,%d" % (k, k + 1))
-            k += 2
-        else:
-            k += 1
+    for k, pair in _conjugate_slots(field):
+        if pair and (k + 1 >= d or eps[k - 1] != eps[k]):
+            raise ValueError("eps must match on the conjugate pair at positions %d,%d" % (k, k + 1))
     return eps
+
+
+def _conjugate_slots(field: NumberField):
+    """(k, pair) for each real conjugate k >= 1 and each complex pair (k, k+1)."""
+    k = 1
+    while k < field.degree:
+        pair = field.roots[k].imag != 0.0
+        yield k, pair
+        k += 2 if pair else 1
 
 
 def _require_pv(field: NumberField):
@@ -260,6 +264,7 @@ def eval_A(mask: RefinementMask, g: SolenoidWindow):
 # cylinder membership and lattice enumeration
 
 _MAX_ROWS = 10**7  # bounds the forecast |Y(L)| and the candidate rows of every enumeration level
+_BLOCK = 2**14  # first-level candidates carried through the later levels and the filters at once
 _MAX_EXACT = 10**5  # bounds the band rows re-decided one by one in exact arithmetic
 
 
@@ -295,79 +300,105 @@ def _interval_scale(lo, hi, c: float):
     return (lo * c, hi * c) if c >= 0 else (hi * c, lo * c)
 
 
-def _expand_rows(rows, ylo, yhi, r_i, scale, back, fudge, cap):
-    """One enumeration level: integer candidates n_i for each partial row."""
-    clo, chi = _interval_scale(ylo, yhi, scale)
-    lo = np.ceil(clo - r_i - fudge).astype(np.int64)
-    counts = np.maximum(np.floor(chi + r_i + fudge).astype(np.int64) - lo + 1, 0)
-    total = int(counts.sum())
-    if total > cap:
-        raise SizeError("lattice enumeration: %d candidate rows at one level exceed %de7" % (total, cap // 10**7))
-    # row j's candidates lo_j, lo_j + 1, .. occupy positions starts_j, starts_j + 1, ..
-    n_i = np.arange(total, dtype=np.int64) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
-    rows = np.column_stack([np.repeat(rows, counts, axis=0), n_i])
+def _expand_rows(cols, ylo, yhi, lo, counts, r_i, back, fudge):
+    """One level on column-stored rows: append row j's candidates lo_j, .., lo_j + counts_j - 1."""
+    # row j's candidates occupy positions starts_j, starts_j + 1, ..
+    n_i = np.arange(int(counts.sum()), dtype=np.int64) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
     # tighten the y interval with the new coordinate (back = alpha^{m-i})
     tlo, thi = _interval_scale(n_i - r_i - fudge, n_i + r_i + fudge, back)
     ylo = np.maximum(np.repeat(ylo, counts), tlo)
     yhi = np.minimum(np.repeat(yhi, counts), thi)
     keep = ylo <= yhi
-    return rows[keep], ylo[keep], yhi[keep]
+    return [np.repeat(col, counts)[keep] for col in cols] + [n_i[keep]], ylo[keep], yhi[keep]
+
+
+def _column_sum(cols, w):
+    """sum_i n_i w_i for every row, added in index order: no complex cast, no BLAS."""
+    return functools.reduce(np.add, map(np.multiply, cols, w))
 
 
 def _lattice_points(field: NumberField, m: int, eps: tuple, y_lo: float, y_hi: float):
     """Integer rows n and y = sigma_1(mu), sorted by y, of every lattice point
     mu = alpha^m sum n_i e_i with y_lo < y < y_hi and |sigma_k(mu)| < eps_k.
 
-    Starting from one empty row on [y_lo, y_hi], each level appends the
-    integer candidates n_i and narrows the row's y interval (interval nesting
-    along the rows of V D^{-m}); the candidates are filtered in floating
-    point, all as array passes, and only the band rows (within 1e-9 of a
-    boundary, relative for y) are re-decided, one by one, from the exact
-    element's extended-precision embeddings; more than 1e5 of them raise
-    SizeError.  The band also covers the float64 rounding of each row's
-    embeddings, at most 4 d ulp sum_i |n_i| |w_k,i| with w rounded once from
-    the exact sigma_k(alpha^m e_i), which outgrows 1e-9 at large |n| and
-    negative m.  The candidate slack grows with |y|, so large windows keep the
-    points that float rounding would push out.  The first level, one column
-    expanded from the single empty row, may hold 5e7 candidates; every later
-    level 1e7.
+    Level i appends the integer candidates n_i and narrows each row's y
+    interval (interval nesting along the rows of V D^{-m}).  The first level is
+    one integer range; blocks of _BLOCK of its candidates pass through the
+    later levels and the float filter one at a time and keep only their
+    accepted and band rows.  y and sigma_k are real column sums of n_i Re w_k,i
+    and n_i Im w_k,i in index order, w_k,i = sigma_k(alpha^m e_i) rounded once,
+    one modulus per conjugate pair.  Band rows lie within 1e-9 of a boundary
+    (relative for y) or within the sums' rounding, 4 d ulp sum_i |n_i| |w_k,i|;
+    over 1e5 of them raise SizeError, the rest are re-decided one by one from
+    the exact embeddings.  The candidate slack grows with |y|, so large windows
+    keep the points that float rounding would push out.  The first level may
+    hold 5e7 candidates, each later level 1e7 summed over the blocks (the
+    lowest level over its cap is refused with its total), and alpha^(i-m) must
+    stay inside float64.
     """
     d = field.degree
     al = field.alpha
     big = max(abs(y_lo), abs(y_hi))
     mods = [abs(field.roots[k]) for k in range(1, d)]
-    rows, ylo, yhi = np.zeros((1, 0), dtype=np.int64), np.array([float(y_lo)]), np.array([float(y_hi)])
-    for i in range(d):
-        r_i = sum(e * mod ** (i - m) for e, mod in zip(eps, mods))
-        fudge = 1e-9 * (1.0 + big * abs(al) ** (i - m))  # 1e-9 (1 + |c|), c = y alpha^{i-m} at its largest
-        cap = 5 * _MAX_ROWS if i == 0 else _MAX_ROWS
-        rows, ylo, yhi = _expand_rows(rows, ylo, yhi, r_i, al ** (i - m), al ** (m - i), fudge, cap)
+    try:
+        # (r_i, slack 1e-9 (1 + |c|) with c = y alpha^{i-m} at its largest, alpha^{i-m}, alpha^{m-i})
+        levels = [(sum(e * mod ** (i - m) for e, mod in zip(eps, mods)), 1e-9 * (1.0 + big * abs(al) ** (i - m)),
+                   al ** (i - m), al ** (m - i)) for i in range(d)]
+        r, fudge, scale, back = levels[0]
+        clo, chi = _interval_scale(y_lo, y_hi, scale)
+        lo, hi = math.ceil(clo - r - fudge), math.floor(chi + r + fudge)
+    except OverflowError:
+        raise SizeError("lattice enumeration: alpha^(i - m) overflows float64 at m = %d" % m) from None
+    totals = [max(hi - lo + 1, 0)] + [0] * (d - 1)
+    if totals[0] > 5 * _MAX_ROWS:
+        raise SizeError("lattice enumeration: %d candidate rows at one level exceed 5e7" % totals[0])
     # w[k, i] = sigma_k(alpha^m e_i), e_0..e_{d-1} the Lagrange dual basis (rows of V^{-1})
     basis = [_mu_from_integer_vector(field, unit, m) for unit in np.eye(d, dtype=int).tolist()]
     w = np.array([[complex(fe_embed(field, b, k)) for b in basis] for k in range(d)])
+    wabs = np.abs(w)
     ulps = 4 * d * np.finfo(float).eps
     c, h = (y_lo + y_hi) / 2, (y_hi - y_lo) / 2
-    ys = (rows @ w[0]).real
-    dist = np.abs(ys - c)
-    ok = dist < h
-    band = np.abs(dist - h) < 1e-9 * max(1.0, big) + ulps * (np.abs(rows) @ np.abs(w[0]))
-    for k in range(1, d):
-        sk = np.abs(rows @ w[k])
-        ok &= sk < eps[k - 1]
-        band |= np.abs(sk - eps[k - 1]) < 1e-9 + ulps * (np.abs(rows) @ np.abs(w[k]))
-    idx = np.flatnonzero(ok | band)
-    ys, accept = ys[idx], np.ones(len(idx), dtype=bool)
-    redo = np.flatnonzero(band[idx])
+    kept, breach = [(np.zeros((0, d), dtype=np.int64), np.zeros(0), np.zeros(0, dtype=bool))], d
+    for start in range(lo, hi + 1, _BLOCK):
+        cols, ylo, yhi = _expand_rows([], np.array([float(y_lo)]), np.array([float(y_hi)]), np.array([start]),
+                                      np.array([min(_BLOCK, hi + 1 - start)]), r, back, fudge)
+        for i, (r_i, fudge_i, scale_i, back_i) in enumerate(levels[1:], 1):
+            clo, chi = _interval_scale(ylo, yhi, scale_i)
+            lo_i = np.ceil(clo - r_i - fudge_i)
+            counts = np.maximum(np.floor(chi + r_i + fudge_i) - lo_i + 1, 0)  # in float: may pass int64
+            totals[i] += counts.sum()
+            if not totals[i] <= _MAX_ROWS:  # within the cap, every bound fits int64
+                breach = i  # lowest so far: a level over its cap stops every later block there
+                break
+            cols, ylo, yhi = _expand_rows(cols, ylo, yhi, lo_i.astype(np.int64), counts.astype(np.int64),
+                                          r_i, back_i, fudge_i)
+        else:
+            ys = _column_sum(cols, w[0].real)
+            abscols = [np.abs(col) for col in cols]
+            dist = np.abs(ys - c)
+            ok = dist < h
+            band = np.abs(dist - h) < 1e-9 * max(1.0, big) + ulps * _column_sum(abscols, wabs[0])
+            for k, _ in _conjugate_slots(field):  # the second of a pair has the same modulus and eps
+                sk = np.abs(_column_sum(cols, w[k].real) + 1j * _column_sum(cols, w[k].imag))
+                ok &= sk < eps[k - 1]
+                band |= np.abs(sk - eps[k - 1]) < 1e-9 + ulps * _column_sum(abscols, wabs[k])
+            idx = np.flatnonzero(ok | band)
+            kept.append((np.column_stack([col[idx] for col in cols]), ys[idx], band[idx]))
+    if breach < d:
+        raise SizeError("lattice enumeration: %.0f candidate rows at one level exceed 1e7" % totals[breach])
+    rows, ys, band = (np.concatenate(part) for part in zip(*kept))
+    accept = np.ones(len(ys), dtype=bool)
+    redo = np.flatnonzero(band)
     if len(redo) > _MAX_EXACT:
         raise SizeError("lattice enumeration: %d band rows to re-decide exactly exceed 1e5" % len(redo))
     for j in redo:
-        emb = _embeddings(field, _mu_from_integer_vector(field, rows[idx[j]].tolist(), m))
+        emb = _embeddings(field, _mu_from_integer_vector(field, rows[j].tolist(), m))
         with mp.workprec(precision_bits()):  # abs() rounds to the context's precision
             accept[j] = y_lo < mp.re(emb[0]) < y_hi and all(abs(emb[k]) < eps[k - 1] for k in range(1, d))
         ys[j] = float(mp.re(emb[0]))
-    idx, ys = idx[accept], ys[accept]
-    order = np.lexsort((idx, ys))
-    return rows[idx[order]], ys[order]
+    rows, ys = rows[accept], ys[accept]
+    order = np.argsort(ys, kind="stable")  # ties keep the candidate order
+    return rows[order], ys[order]
 
 
 def enumerate_Y(field: NumberField, cyl: LatticeCylinder):
@@ -404,15 +435,13 @@ def gamma_density(field: NumberField, cyl) -> float:
     _require_pv(field)
     eps = _check_eps(field, cyl.eps)
     with mp.workprec(precision_bits()):  # |det V| = sqrt|disc P|
-        out = float(mp.sqrt(abs(discriminant(field.coeffs)))) * float(abs(field.coeffs[0])) ** (-cyl.m)
-    k = 1
-    while k < field.degree:
-        if field.roots[k].imag != 0.0:
-            out *= 2.0 * math.pi * eps[k - 1] ** 2
-            k += 2
-        else:
-            out *= 2.0 * eps[k - 1]
-            k += 1
+        out = float(mp.sqrt(abs(discriminant(field.coeffs))))
+    try:
+        out *= float(abs(field.coeffs[0])) ** (-cyl.m)
+    except OverflowError:  # |c_0|^{-m} past float64: enumerate_Y's forecast refuses it
+        out = math.inf
+    for k, pair in _conjugate_slots(field):
+        out *= 2.0 * math.pi * eps[k - 1] ** 2 if pair else 2.0 * eps[k - 1]
     return out
 
 

@@ -1,6 +1,7 @@
 """Command surface: argument handling, CSV/SVG emission, exit codes, determinism."""
 
 import csv
+import hashlib
 import os
 import random
 import subprocess
@@ -194,6 +195,61 @@ def test_lattice_density_large_alpha(tmp_path, capsys):
     assert rc == 2
     assert "2 L gamma = 3.6e+12" in capsys.readouterr().err
     assert not (tmp_path / "m0.csv").exists()
+
+
+def test_lattice_density_large_m_exit_2(tmp_path, capsys):
+    # alpha^(i - m) and |c_0|^(-m) leave float64 near |m| = 1,500 (golden) and
+    # 1,024 (|c_0| = 2); at |m| = 200 the first-level bounds lie past int64 and
+    # must not wrap to an empty range.  Each is a one-line refusal before any row exists
+    for poly, m, message in (
+        ("-1,-1", "2000", "overflows float64 at m = 2000"),
+        ("-1,-1", "-2000", "overflows float64 at m = -2000"),
+        ("-1,-1", "200", "candidate rows at one level exceed 5e7"),
+        ("-1,-1", "-200", "candidate rows at one level exceed 5e7"),
+        ("-2,-2", "-1100", "2 L gamma = inf"),
+    ):
+        capsys.readouterr()
+        rc = run_cli("lattice-density", "--poly", poly, "--eps", "0.1", "--L", "100", "--m", m,
+                     "--out", str(tmp_path / "o.csv"))
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert message in err and err.count("\n") == 1
+        assert not (tmp_path / "o.csv").exists()
+
+
+# sha256 of lattice-density's CSV and SVG, taken before the enumerator was streamed
+# in blocks; every later enumerator must reproduce them byte for byte
+LATTICE_BYTES = (
+    (("-1,-1", "0.1", "200000", "0"),
+     "bce676242e7cc4cb5ee9035c3c34c326e775ed2f6b27eda3972ff9d2870c8e43",
+     "8d924854a5893a7603287a1486f7b20c25bcd4a7591a8e7214da4623bf23e0ab"),
+    (("-1,-1,0", "0.301511,0.301511", "24750", "0"),
+     "e064ec2e65a6daccfd69a6823640583ae81cfbf94921e364fa67fe0e33d3173f",
+     "7b34a2405a4f029b07b4fb730b22cad5974c567a6fede48e5e6f66839a3c8946"),
+    (("-1,-1,-1", "0.298511,0.298511", "25250", "0"),
+     "898ddc0c4b63e2a1938f7f856dc95b214000dd1ec438cfa7924047bcc127b684",
+     "3493ea381bb258e4cf23896e2599df705be6ab48d8f67462bc6277bb5eb1942a"),
+    (("-1,-1", "0.1", "100", "-20"),
+     "ba2d76a034ed800457ac3383cf0aad3d67597f3b56e594f68b98d52818b4a5c0",
+     "72363120b354af443543598615fb8ec89209b09e3921872a5d0af5181447f742"),
+    (("-1,-1", "0.9", "4.23606797749979", "0"),  # one row: no SVG
+     "60dcc3eb69bf55304c3c541be7248f480e7c571f6871310abb9f92559bc24543", None),
+    (("-1,0,0,-1", "0.4,0.4,0.4", "500", "2"),
+     "da6acc2f75ae1b10137bf8be8c1b54e157f9964459169bb90e34dfcee854d641",
+     "6c1057233e2e31e0b1a8730b194af036c83eb2b27c72a4b02f755da108ee4087"),
+)
+
+
+@pytest.mark.parametrize("cfg, csv_sha, svg_sha", LATTICE_BYTES, ids=lambda v: ":".join(v) if isinstance(v, tuple) else "")
+def test_lattice_density_bytes_pinned(tmp_path, cfg, csv_sha, svg_sha):
+    poly, eps, L, m = cfg
+    out = tmp_path / "ld.csv"
+    svg = ("--svg",) if svg_sha else ()
+    rc = run_cli("lattice-density", "--poly", poly, "--eps", eps, "--L", L, "--m", m, "--out", str(out), *svg)
+    assert rc == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha
+    if svg_sha:
+        assert hashlib.sha256((tmp_path / "ld.svg").read_bytes()).hexdigest() == svg_sha
 
 
 def test_zeros_scan_report(tmp_path, capsys):

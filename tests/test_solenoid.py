@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -313,6 +314,71 @@ def test_lattice_points_off_centre_window():
         rows, got = so._lattice_points(f, 1, eps, a, b)
         assert len(got) > 20 and np.array_equal(got, ys[i:j])
         assert rows.shape == (len(got), f.degree)
+
+
+def _off_centre_windows():
+    # the windows of test_lattice_points_off_centre_window, ends midway between points
+    for coeffs, e in zip(LATTICE_FIELDS, (0.3, 0.4, 0.4)):
+        f = lattice_field(coeffs)
+        eps = (e,) * (f.degree - 1)
+        ys = np.asarray(so.enumerate_Y(f, so.LatticeCylinder(60.0, 1, eps)))
+        i, j = np.searchsorted(ys, [17.0, 43.0])
+        yield f, 1, eps, (ys[i - 1] + ys[i]) / 2, (ys[j - 1] + ys[j]) / 2
+
+
+@pytest.mark.parametrize("block", [1, 7, 2**30])
+def test_lattice_points_block_size_invariance(golden, monkeypatch, block):
+    # the block size moves no row, no y bit, no in_U verdict and no refusal
+    cases = [(lattice_field(c), m, (e,) * (len(c) - 1), -40.0, 40.0)
+             for c, e in zip(LATTICE_FIELDS, (0.3, 0.4, 0.4)) for m in (-1, 0, 1)]
+    cases += list(_off_centre_windows())
+    probes = [(f, y, so.UNeighborhood(m, eps)) for f, m, eps, a, b in cases for y in (a, 1.0, float(f.alpha), b)]
+    want = [so._lattice_points(*c) for c in cases]
+    verdicts = [so.in_U(*p) for p in probes]
+    monkeypatch.setattr(so, "_BLOCK", block)
+    for c, (rows, ys) in zip(cases, want):
+        got_rows, got_ys = so._lattice_points(*c)
+        assert got_rows.shape == rows.shape and np.array_equal(got_rows, rows)
+        assert got_ys.tobytes() == ys.tobytes()
+    assert [so.in_U(*p) for p in probes] == verdicts
+    if block == 1:
+        # refusals: the lowest level over 1e7, with its whole-level total, though
+        # later blocks cross the cap; and the band count before any exact check
+        deg8 = pv.make_field((-1,) * 8)
+        with pytest.raises(pv.SizeError, match="17089085 candidate rows at one level exceed 1e7"):
+            so.enumerate_Y(deg8, so.LatticeCylinder(300.0, 0, (0.3,) * 7))
+        monkeypatch.setattr(so, "_MAX_EXACT", 1)
+        with pytest.raises(pv.SizeError, match="2 band rows"):
+            so.enumerate_Y(golden, so.LatticeCylinder(golden.alpha**2, 0, (0.9,)))
+
+
+def test_lattice_points_bounds_past_int64_refused(golden):
+    # alpha^(i - m) leaves float64 from about |m| = 1,500 on the golden field
+    for m in (2000, -2000):
+        with pytest.raises(pv.SizeError, match="overflows float64 at m = %d" % m):
+            so.in_U(golden, 1.0, so.UNeighborhood(m, (0.1,)))
+    # at |m| = 200 the first level is counted exactly, far past int64's range
+    with pytest.raises(pv.SizeError, match="exceed 5e7"):
+        so.in_U(golden, 1.0, so.UNeighborhood(200, (0.1,)))
+    # X^2 - (10^10 + 2) X + 10^10 at y = 1e9: the second level's bounds near
+    # 1e19 pass int64, and their count, taken in float, is over the cap
+    f = pv.make_field((10**10, -(10**10 + 2)))
+    with pytest.raises(pv.SizeError, match="60000061443 candidate rows at one level exceed 1e7"):
+        so.in_U(f, 1e9, so.UNeighborhood(0, (0.3,)))
+
+
+def test_enumerate_Y_memory_stays_per_block(golden):
+    # L = 1e6: 2e6 first-level candidates; the returned list is about 27 MB and
+    # the block pass adds its kept rows, not full-level temporaries
+    so.enumerate_Y(golden, so.LatticeCylinder(10.0, 0, (0.1,)))  # warm the field's caches
+    tracemalloc.start()
+    try:
+        ys = so.enumerate_Y(golden, so.LatticeCylinder(1e6, 0, (0.1,)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ys) == 894425
+    assert peak < 120 * 2**20
 
 
 def test_enumerate_Y_sigma_invariance(golden):
