@@ -21,7 +21,6 @@ import contextvars
 import functools
 import itertools
 import math
-import os
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
@@ -41,14 +40,31 @@ _RADIUS_FLOOR = 1e-290
 _MAX_DEGREE = 8  # factor search is exhaustive; keeps it desk-scale
 
 
-# the working precision of the current context; None defers to the environment
-working_precision = contextvars.ContextVar("working_precision", default=None)
+# the working precision of the current context, in mantissa bits
+working_precision = contextvars.ContextVar("working_precision", default=128)
+
+# the floor: at 32 bits lattice-density miscounts Y(L), and from 64 bits its bytes equal 128's
+_MIN_PRECISION_BITS = 64
 
 
 def precision_bits() -> int:
     """Working mantissa bits for extended-precision steps: the context's
-    working_precision when set, else PISOT_PRECISION_BITS, else 128."""
-    return working_precision.get() or int(os.environ.get("PISOT_PRECISION_BITS", "128"))
+    working_precision, 128 unless set.  ValueError below 64 bits."""
+    bits = working_precision.get()
+    if bits < _MIN_PRECISION_BITS:
+        raise ValueError("working precision %d is under the %d-bit floor; raise --precision-bits"
+                         % (bits, _MIN_PRECISION_BITS))
+    return bits
+
+
+def _check_fraction_bits(what: str, y, log2_scale: float, bits: int, advice: str = "raise --precision-bits"):
+    """PrecisionError unless |y| 2^log2_scale keeps 32 fractional bits in a bits-bit
+    mantissa.  The magnitude is taken in logs, so a large power cannot overflow,
+    and a non-finite y is refused too."""
+    log2_mag = math.log2(abs(y)) + log2_scale if y else -math.inf
+    if not log2_mag <= bits - 32:
+        raise PrecisionError("%s = 2^%.4g overflows the %d-bit budget, leaving under 32 fractional bits; %s"
+                             % (what, log2_mag, bits, advice))
 
 
 # ---------------------------------------------------------------------------
@@ -493,14 +509,19 @@ def trace_power_sequence(field: NumberField, mu: FieldElement, j_max: int):
     return [Fraction(s, mu.den) for s in seq]
 
 
+def _require_pv(field: NumberField, what: str):
+    """NotPisotError, naming `what`, unless the field is certified PV."""
+    if field.pv_status != "PV":
+        raise NotPisotError("%s needs a certified PV dilation, got %s" % (what, field.pv_status))
+
+
 def pisot_set_test(field: NumberField, mu: FieldElement) -> bool:
     """Integer-trace test: T(mu alpha^j) in Z for j = 0..d-1.
 
     Characterizes membership of mu in the Pisot set of alpha up to powers of
     alpha; requires a certified PV field.
     """
-    if field.pv_status != "PV":
-        raise NotPisotError("field is %s, need certified PV" % field.pv_status)
+    _require_pv(field, "pisot_set_test")
     if mu.is_zero():
         raise ValueError("mu must be nonzero")
     return all(s.denominator == 1 for s in trace_power_sequence(field, mu, field.degree - 1))
@@ -527,8 +548,7 @@ def homoclinic_profile(field: NumberField, lam: FieldElement, j_range):
     Also verifies the certified bound dist <= sum_{k>=2} |sigma_k(lam)| |alpha_k|^j
     pointwise at every j with integer s(j); a violation raises PrecisionError.
     """
-    if field.pv_status != "PV":
-        raise NotPisotError("field is %s, need certified PV" % field.pv_status)
+    _require_pv(field, "homoclinic_profile")
     js = sorted(int(j) for j in j_range)
     if not js:
         raise ValueError("empty j_range")
@@ -565,12 +585,7 @@ def homoclinic_profile(field: NumberField, lam: FieldElement, j_range):
     tail = [(j, d) for j, d in pts[len(pts) // 2 :] if d > 0]
     slope = float("nan")
     if len(tail) >= 2:
-        xs = [j for j, _ in tail]
-        ys = [math.log(d) for _, d in tail]
-        n = len(xs)
-        mx, my = sum(xs) / n, sum(ys) / n
-        denom = sum((x - mx) ** 2 for x in xs)
-        slope = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / denom
+        slope = float(np.polyfit([j for j, _ in tail], [math.log(d) for _, d in tail], 1)[0])
     return pts, slope
 
 

@@ -10,7 +10,7 @@ for compatibility; every subcommand runs serially.
 
 Options may come from a flat key=value config file (--config); explicit
 command-line flags win.  --precision-bits sets the internal working precision
-for the run; PISOT_PRECISION_BITS gives the default, else 128 bits.
+for the run, 128 bits by default and at least 64.
 
 Exit status: 0 success, 2 validation or usage error, 3 numeric error.
 """
@@ -34,7 +34,6 @@ from .refinement import (
     RefinementMask,
     bernoulli_orbit,
     builtin_mask,
-    check_orbit_points,
     eval_phihat,
     eval_symbol,
     eval_symbol_grid,
@@ -65,15 +64,9 @@ _COMMANDS = (
 )
 
 
-# RunConfig raises SizeError beyond these and refinement.MAX_ORBIT_POINTS, forecast from
-# argv: phihat-orbit, vanishing-probe and bernoulli build one entry per orbit point, and
-# bernoulli keeps T(alpha^j) exactly for each j < J_max, about J_max^2 log10|alpha| / 2
-# digits (|alpha| <= 1 + max|c_i|); at either limit a run takes seconds; equidistribution
-# keeps a few samples-by-n arrays, 8 n MB each at 10^6 samples
-MAX_TRACE_DIGITS = 10**6
+# RunConfig raises SizeError beyond this: equidistribution keeps a few samples-by-n
+# arrays, 8 n MB each at 10^6 samples
 MAX_SAMPLES = 10**6
-
-BERNOULLI_J_MAX, BERNOULLI_J_MIN = 40, -40  # bernoulli's defaults for --jmax and --jmin
 
 
 # ---------------------------------------------------------------------------
@@ -119,26 +112,12 @@ class RunConfig:
             v = getattr(self, name)
             if v is not None and v <= 0:
                 raise ValueError("--%s must be positive" % _flag(name))
-        for name in ("J_max", "box", "n", "samples", "threads", "precision_bits"):
+        for name in ("J_max", "box", "n", "samples", "threads"):
             v = getattr(self, name)
             if v is not None and v < 1:
                 raise ValueError("--%s must be a positive integer" % _flag(name))
         if self.samples is not None and self.samples > MAX_SAMPLES:
             raise SizeError("equidistribution: %d samples exceed the %d-sample limit" % (self.samples, MAX_SAMPLES))
-        if self.command not in ("phihat-orbit", "vanishing-probe", "bernoulli"):
-            return
-        # forecast the orbit, and bernoulli's exact traces, before anything is built
-        bern = self.command == "bernoulli"
-        jmax = self.J_max if self.J_max is not None else (BERNOULLI_J_MAX if bern else 0)
-        jmin = self.j_min if self.j_min is not None else (BERNOULLI_J_MIN if bern else 0)
-        # bernoulli multiplies the factors j_min <= j < 0, then takes J = 0..J_max
-        first = {"bernoulli": min(jmin, 0), "phihat-orbit": jmin}.get(self.command, 0)
-        check_orbit_points(self.command, first, jmax)
-        if bern and self.poly:
-            digits = jmax**2 * math.log10(1 + max(abs(c) for c in self.poly)) / 2
-            if digits > MAX_TRACE_DIGITS:
-                raise SizeError("bernoulli: exact traces to J=%d take up to %.3g digits, over the %d-digit limit"
-                                % (jmax, digits, MAX_TRACE_DIGITS))
 
 
 @dataclass(frozen=True)
@@ -382,8 +361,8 @@ def _cmd_phihat_orbit(cfg: RunConfig):
 
 def _cmd_bernoulli(cfg: RunConfig):
     f = _field_of(cfg)
-    jmax = cfg.J_max if cfg.J_max is not None else BERNOULLI_J_MAX
-    jmin = cfg.j_min if cfg.j_min is not None else BERNOULLI_J_MIN
+    jmax = cfg.J_max if cfg.J_max is not None else 40
+    jmin = cfg.j_min if cfg.j_min is not None else -40
     values, _ = bernoulli_orbit(f, jmax, jmin)
     rows = [[J, z.real, z.imag, abs(z)] for J, z in enumerate(values)]
     summary = "|phihat| tail %.6g at J=%d (cutoff j_min=%d)" % (rows[-1][3], jmax, jmin)
@@ -546,8 +525,8 @@ _HANDLERS = {
 
 def run(cfg: RunConfig) -> int:
     """Dispatch one command, write its CSV (and SVG when requested), print summary."""
-    # the precision holds for this invocation only
-    token = working_precision.set(cfg.precision_bits)
+    # the precision holds for this invocation only; precision_bits() refuses one under 64 bits
+    token = working_precision.set(working_precision.get() if cfg.precision_bits is None else cfg.precision_bits)
     try:
         header, rows, lines, plot = _HANDLERS[cfg.command](cfg)
     finally:
@@ -626,7 +605,7 @@ _OPTIONS = {
     "threads": ("threads", int,
                 "accepted for compatibility; runs are serial and output bytes never depend on it"),
     "precision_bits": ("precision-bits", int,
-                       "working precision in bits for this run (default PISOT_PRECISION_BITS, else 128)"),
+                       "working precision in bits for this run, at least 64 (default 128)"),
     "target": ("target", str, "zeros-scan target: symbol or phihat"),
     "out": ("out", str, "output CSV path (default <command>.csv)"),
     "svg": ("svg", _parse_bool, "also write a line-chart SVG next to the CSV"),

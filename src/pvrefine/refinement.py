@@ -27,6 +27,8 @@ import numpy as np
 from .algebraic_core import (
     NumberField,
     LaurentTranslate,
+    _check_fraction_bits,
+    _require_pv,
     fe_add,
     fe_alpha,
     fe_embed,
@@ -47,16 +49,16 @@ from .errors import (
     EigenError,
     NonconvergenceError,
     NormalizationError,
-    NotPisotError,
-    PrecisionError,
     SizeError,
     UnknownExampleError,
 )
 
 _PRODUCT_FACTOR_BUDGET = 10**6
 
-# phihat_orbit and bernoulli_orbit refuse more orbit points before building any (seconds at the limit)
+# phihat_orbit and bernoulli_orbit refuse more orbit points before building any, and
+# bernoulli_orbit exact traces of more digits (seconds at either limit)
 MAX_ORBIT_POINTS = 10**5
+MAX_TRACE_DIGITS = 10**6
 
 # above this magnitude a float64 argument has too few fractional bits left
 # for phase reduction; evaluation switches to extended precision
@@ -174,8 +176,7 @@ def builtin_mask(name: str, field: NumberField = None) -> RefinementMask:
     if name == "bernoulli":
         if field is None:
             raise ValueError("bernoulli mask needs a dilation field")
-        if field.pv_status != "PV":
-            raise NotPisotError("bernoulli mask needs a certified PV dilation")
+        _require_pv(field, "bernoulli mask")
         h = abs(field.alpha) / 2.0
         m = make_mask(field, (h, h), (laurent_int(0), laurent_int(1)))
         return dataclasses.replace(m, name="bernoulli")
@@ -239,12 +240,7 @@ def _extended_phases(mask: RefinementMask, K, ys):
     """frac(tau_k y) reduced at extended precision: a (K, len(ys)) float array."""
     prec = precision_bits()
     for y in ys:
-        yf = float(y)
-        if not math.isfinite(yf) or (abs(yf) > 1 and math.log2(abs(yf)) > prec - 32):
-            raise PrecisionError(
-                "argument magnitude %.3g leaves under 32 fractional bits at %d-bit "
-                "precision; raise PISOT_PRECISION_BITS" % (abs(yf), prec)
-            )
+        _check_fraction_bits("argument |y|", float(y), 0.0, prec)
     taus = _kernel_terms(mask, K, prec)[1]
     with mp.workprec(prec):
         yms = [mp.mpf(y) for y in ys]
@@ -445,12 +441,8 @@ def phihat_orbit(mask: RefinementMask, lam: float, J_range, tol: float = 1e-12):
     check_orbit_points("phihat_orbit", *sorted((js[0], js[-1])))  # a range is read from its ends
     js = sorted(js)
     prec = precision_bits()
-    # log2 |lam alpha^J|, a sum of logs so that a large J cannot overflow a float
-    if lam and math.log2(abs(lam)) + max(js[-1], 0) * math.log2(abs(mask.alpha)) > prec - 32:
-        raise PrecisionError(
-            "lam alpha^J overflows the %d-bit budget at J=%d; raise "
-            "PISOT_PRECISION_BITS or lower J_max" % (prec, js[-1])
-        )
+    _check_fraction_bits("|lam alpha^J| at J=%d" % js[-1], lam, max(js[-1], 0) * math.log2(abs(mask.alpha)), prec,
+                         "raise --precision-bits or lower J_max")
     with mp.workprec(prec):
         al = mp.re(mask.field.roots_mp[0])
         args = [mp.mpf(lam) * al ** js[0]]
@@ -479,12 +471,16 @@ def bernoulli_orbit(field: NumberField, J_max: int, j_min: int):
     The dropped factors below j_min satisfy
     |1 - prod| <= (pi^2/2) alpha^{2 j_min} / (alpha^2 - 1), reported as bound.
     """
-    if field.pv_status != "PV":
-        raise NotPisotError("bernoulli product needs a certified PV dilation")
+    _require_pv(field, "bernoulli product")
     if J_max < 0:
         raise ValueError("J_max must be >= 0")
     check_orbit_points("bernoulli_orbit", min(j_min, 0), J_max)
-    prec = max(precision_bits(), 64)
+    # T(alpha^j) for j < J_max keeps about J_max^2 log10|alpha| / 2 digits, |alpha| <= 1 + max|c_i|
+    digits = J_max**2 * math.log10(1 + max(abs(c) for c in field.coeffs)) / 2
+    if digits > MAX_TRACE_DIGITS:
+        raise SizeError("bernoulli_orbit: exact traces to J=%d take up to %.3g digits, over the %d-digit limit"
+                        % (J_max, digits, MAX_TRACE_DIGITS))
+    prec = precision_bits()
     d = field.degree
     al = fe_alpha(field)
     mu = fe_inv(field, fe_add(al, fe_rational(field, -1)))

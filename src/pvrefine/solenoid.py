@@ -33,6 +33,8 @@ import numpy as np
 from .algebraic_core import (
     FieldElement,
     NumberField,
+    _check_fraction_bits,
+    _require_pv,
     discriminant,
     dist_to_int,
     fe_add,
@@ -47,8 +49,6 @@ from .algebraic_core import (
 )
 from .errors import (
     EmptyWindowError,
-    NotPisotError,
-    PrecisionError,
     SizeError,
     WindowTooSmallError,
 )
@@ -154,11 +154,6 @@ def _conjugate_slots(field: NumberField):
         k += 2 if pair else 1
 
 
-def _require_pv(field: NumberField):
-    if field.pv_status != "PV":
-        raise NotPisotError("operation requires a PV dilation, got %s" % field.pv_status)
-
-
 def _mu_from_integer_vector(field: NumberField, n, m: int) -> FieldElement:
     """Exact mu = alpha^m sum_i n_i e_i for integer coordinates n."""
     row = first_lagrange_row(field)
@@ -187,14 +182,8 @@ def theta(field: NumberField, y: float, j_min: int, j_max: int) -> SolenoidWindo
     if j_min > j_max:
         raise EmptyWindowError("window [%d, %d] is empty" % (j_min, j_max))
     prec = precision_bits()
-    absalpha = abs(field.alpha)
-    mag = abs(y) * absalpha ** max(j_max, 0)
-    if mag > 0 and math.log2(mag) > prec - 32:
-        j_ok = int((prec - 32 - math.log2(abs(y))) / math.log2(absalpha)) if abs(y) >= 1 else j_max
-        raise PrecisionError(
-            "y alpha^j exceeds the precision budget at j_max=%d; shrink the window "
-            "(j_max <= %d works at %d bits) or raise PISOT_PRECISION_BITS" % (j_max, j_ok, prec)
-        )
+    _check_fraction_bits("|y alpha^j| at j_max=%d" % j_max, y, max(j_max, 0) * math.log2(abs(field.alpha)), prec,
+                         "shrink the window or raise --precision-bits")
     vals = []
     with mp.workprec(prec):
         al = mp.mpf(field.roots_mp[0].real)
@@ -280,7 +269,7 @@ def in_U(field: NumberField, y: float, u: UNeighborhood):
     1.7e10) on, y +- 1e-6 rounds to y in float64 and the window is refused
     with SizeError.
     """
-    _require_pv(field)
+    _require_pv(field, "in_U")
     eps = _check_eps(field, u.eps)
     y = float(y)
     if not math.isfinite(y):
@@ -317,6 +306,12 @@ def _column_sum(cols, w):
     return functools.reduce(np.add, map(np.multiply, cols, w))
 
 
+def _level_refusal(total: float, cap: str) -> SizeError:
+    """The refusal of a level of `total` candidate rows: exact below 1e15, else 3 digits."""
+    return SizeError("lattice enumeration: %s candidate rows at one level exceed %s"
+                     % ("%d" % total if total < 1e15 else "%.3g" % total, cap))
+
+
 def _lattice_points(field: NumberField, m: int, eps: tuple, y_lo: float, y_hi: float):
     """Integer rows n and y = sigma_1(mu), sorted by y, of every lattice point
     mu = alpha^m sum n_i e_i with y_lo < y < y_hi and |sigma_k(mu)| < eps_k.
@@ -349,9 +344,9 @@ def _lattice_points(field: NumberField, m: int, eps: tuple, y_lo: float, y_hi: f
         lo, hi = math.ceil(clo - r - fudge), math.floor(chi + r + fudge)
     except OverflowError:
         raise SizeError("lattice enumeration: alpha^(i - m) overflows float64 at m = %d" % m) from None
-    totals = [max(hi - lo + 1, 0)] + [0] * (d - 1)
+    totals = [max(float(hi) - float(lo) + 1, 0.0)] + [0.0] * (d - 1)  # exact below 2^53
     if totals[0] > 5 * _MAX_ROWS:
-        raise SizeError("lattice enumeration: %d candidate rows at one level exceed 5e7" % totals[0])
+        raise _level_refusal(totals[0], "5e7")
     # w[k, i] = sigma_k(alpha^m e_i), e_0..e_{d-1} the Lagrange dual basis (rows of V^{-1})
     basis = [_mu_from_integer_vector(field, unit, m) for unit in np.eye(d, dtype=int).tolist()]
     w = np.array([[complex(fe_embed(field, b, k)) for b in basis] for k in range(d)])
@@ -385,7 +380,7 @@ def _lattice_points(field: NumberField, m: int, eps: tuple, y_lo: float, y_hi: f
             idx = np.flatnonzero(ok | band)
             kept.append((np.column_stack([col[idx] for col in cols]), ys[idx], band[idx]))
     if breach < d:
-        raise SizeError("lattice enumeration: %.0f candidate rows at one level exceed 1e7" % totals[breach])
+        raise _level_refusal(totals[breach], "1e7")
     rows, ys, band = (np.concatenate(part) for part in zip(*kept))
     accept = np.ones(len(ys), dtype=bool)
     redo = np.flatnonzero(band)
@@ -408,7 +403,7 @@ def enumerate_Y(field: NumberField, cyl: LatticeCylinder):
     2 L gamma is checked against 1e7.  The map xi is injective, so an exact
     duplicate output is an internal error.
     """
-    _require_pv(field)
+    _require_pv(field, "enumerate_Y")
     eps = _check_eps(field, cyl.eps)
     L, m = float(cyl.L), int(cyl.m)
     gamma = gamma_density(field, cyl)
@@ -432,7 +427,7 @@ def gamma_density(field: NumberField, cyl) -> float:
     variables; the integer-point density of the enumerated cylinders
     confirms the factor (see the plastic-field regression).
     """
-    _require_pv(field)
+    _require_pv(field, "gamma_density")
     eps = _check_eps(field, cyl.eps)
     with mp.workprec(precision_bits()):  # |det V| = sqrt|disc P|
         out = float(mp.sqrt(abs(discriminant(field.coeffs))))
@@ -499,11 +494,9 @@ def equidistribution_check(field: NumberField, y_samples, n: int) -> float:
     if n * math.log10(q) > math.log10(_MAX_CORNER_BOXES):
         raise SizeError("%d^%d (about 1e%d) corner boxes exceed %d; lower n"
                         % (q, n, n * math.log10(q), _MAX_CORNER_BOXES))
-    # as in theta: y alpha^(n-1) must leave 32 of float64's 53 bits below the binary point
-    mag = float(max(ys.max(), -ys.min())) * abs(field.alpha) ** (n - 1)
-    if mag > 0 and math.log2(mag) > 53 - 32:
-        raise PrecisionError("|y alpha^%d| reaches %.3g, leaving under 32 fractional bits "
-                             "in float64; lower n or the sample range" % (n - 1, mag))
+    # as in theta, with float64's 53-bit mantissa
+    _check_fraction_bits("|y alpha^%d|" % (n - 1), float(max(ys.max(), -ys.min())),
+                         (n - 1) * math.log2(abs(field.alpha)), 53, "lower n or the sample range")
     pts = np.outer(ys, field.alpha ** np.arange(n))
     pts -= np.floor(pts)
     # x has bin b = #{k : k/q <= x}, so x < k/q exactly when b < k; b = q (x

@@ -288,10 +288,20 @@ def test_discriminant_values():
     assert discriminant((-2, 0)) == 8
 
 
-def test_precision_env(monkeypatch):
-    monkeypatch.setenv("PISOT_PRECISION_BITS", "192")
-    assert pv.precision_bits() == 192
-    monkeypatch.delenv("PISOT_PRECISION_BITS")
+def test_precision_context():
+    # the context variable is the only setting: 128 bits unless set, and none under 64
+    from pvrefine.algebraic_core import working_precision
+
+    for bits, want in ((192, 192), (64, 64), (63, None)):
+        token = working_precision.set(bits)
+        try:
+            if want is None:
+                with pytest.raises(ValueError, match="under the 64-bit floor"):
+                    pv.precision_bits()
+            else:
+                assert pv.precision_bits() == want
+        finally:
+            working_precision.reset(token)
     assert pv.precision_bits() == 128
 
 

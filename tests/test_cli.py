@@ -217,6 +217,15 @@ def test_lattice_density_large_m_exit_2(tmp_path, capsys):
         assert not (tmp_path / "o.csv").exists()
 
 
+def test_lattice_refusal_count_stays_short(tmp_path, capsys):
+    # the first level holds about 7.65e291 candidates: three digits, not 292
+    rc = run_cli("lattice-density", "--poly", "-1,-1", "--eps", "0.1", "--L", "100", "--m", "1400",
+                 "--out", str(tmp_path / "o.csv"))
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "7.65e+291 candidate rows at one level exceed 5e7" in err and len(err) < 100
+
+
 # sha256 of lattice-density's CSV and SVG, taken before the enumerator was streamed
 # in blocks; every later enumerator must reproduce them byte for byte
 LATTICE_BYTES = (
@@ -250,6 +259,40 @@ def test_lattice_density_bytes_pinned(tmp_path, cfg, csv_sha, svg_sha):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha
     if svg_sha:
         assert hashlib.sha256((tmp_path / "ld.svg").read_bytes()).hexdigest() == svg_sha
+
+
+def test_lattice_density_bytes_at_64_bits(tmp_path):
+    # the precision floor still gives the default bytes on a pinned config
+    (poly, eps, L, m), csv_sha, svg_sha = LATTICE_BYTES[0]
+    out = tmp_path / "ld.csv"
+    rc = run_cli("lattice-density", "--poly", poly, "--eps", eps, "--L", L, "--m", m, "--precision-bits", "64",
+                 "--out", str(out), "--svg")
+    assert rc == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha
+    assert hashlib.sha256((tmp_path / "ld.svg").read_bytes()).hexdigest() == svg_sha
+
+
+# sha256 of the CSV of commands that take the extended-precision paths (exact traces,
+# mpf orbits, phases reduced past 2^20), taken before the precision guards were merged
+EXTENDED_BYTES = (
+    (("bernoulli", "--poly", "-1,-1,-1", "--jmax", "40", "--jmin", "-40", "--precision-bits", "256"),
+     "28f47b0c5d7c9728f189a10c957428c02f73b47372d88c447c411c0465b96b36"),
+    (("bernoulli", "--poly", "-1,-1,-1,-1,-1", "--jmax", "30", "--jmin", "-40"),
+     "c06cea80648c6a05c28af329d82a3060802599af5fdfefb0a26a6b6a24ced544"),
+    (("phihat-orbit", "--mask", "dyadic", "--lambda", "3/2", "--jmax", "150", "--precision-bits", "256"),
+     "01d99cf37253941ddda82b5ba86d193fd305c3451a8a68703f3b1f197b92b29b"),
+    (("vanishing-probe", "--mask", "bernoulli", "--poly", "-1,-1,0", "--lambda", "1,2", "--jmax", "40"),
+     "d7842a465ec8ecfa3fee3113a29c1f8b3162241c89ec6bdd3c8ccccc10af1185"),
+    (("symbol-scan", "--mask", "golden_vector", "--range", "2097152:2097202", "--step", "0.01"),
+     "ed874a35096797ed13afd02e4fe3d9bf122726d6ef16c7e88f3d4d712ec65215"),
+)
+
+
+@pytest.mark.parametrize("argv, csv_sha", EXTENDED_BYTES, ids=lambda v: v[0] if isinstance(v, tuple) else "")
+def test_extended_precision_bytes_pinned(tmp_path, argv, csv_sha):
+    out = tmp_path / "x.csv"
+    assert run_cli(*argv, "--out", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha
 
 
 def test_zeros_scan_report(tmp_path, capsys):
@@ -437,11 +480,25 @@ def test_numeric_budget_exit_3(tmp_path, capsys):
                      "--out", str(tmp_path / "x.csv"))
         assert rc == 3
         assert "overflows the 128-bit budget" in capsys.readouterr().err
-    # 64 to 512 bits cannot move the conjugate 1 - 10^-150 off the circle: the cap
-    rc = run_cli("field-check", "--poly", HUGE, "--precision-bits", "16", "--out", str(tmp_path / "x.csv"))
+    # 256 to 2048 bits cannot move the conjugate 1 - 10^-700 off the circle: the cap
+    rc = run_cli("field-check", "--poly", "%d,%d" % (10**700, -(10**700 + 2)), "--precision-bits", "64",
+                 "--out", str(tmp_path / "x.csv"))
     assert rc == 3
     err = capsys.readouterr().err
-    assert err.startswith("error: roots not certified") and err.count("\n") == 1
+    assert err.startswith("error: roots not certified") and "by 2048 bits" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    # 32 bits counted 89,445 points where 53 to 128 bits count 89,443
+    ("lattice-density", "--poly", "-1,-1", "--eps", "0.1", "--L", "1e5", "--precision-bits", "32"),
+    # 1 bit certified a conjugate modulus of 0.6250 (it is 0.6180)
+    ("field-check", "--poly", "-1,-1", "--precision-bits", "1"),
+])
+def test_precision_floor_exit_2(tmp_path, capsys, argv):
+    assert run_cli(*argv, "--out", str(tmp_path / "x.csv")) == 2
+    err = capsys.readouterr().err
+    assert "under the 64-bit floor; raise --precision-bits" in err and err.count("\n") == 1
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_precision_bits_flag_raises_budget(tmp_path, monkeypatch):

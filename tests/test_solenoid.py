@@ -72,6 +72,13 @@ def test_theta_precision_budget(golden):
     so.theta(golden, 1e6, 0, 100)
 
 
+def test_theta_long_window_precision_error(golden):
+    # |alpha|^j_max itself overflows a float here: the budget is read in logs
+    for y, j_max in ((1.0, 10**6), (1e-300, 2000)):
+        with pytest.raises(pv.PrecisionError, match="overflows the 128-bit budget"):
+            so.theta(golden, y, 0, j_max)
+
+
 def test_shift_frame_semantics(golden):
     w = so.theta(golden, 0.37, -2, 4)
     s = so.shift(w, 2)
