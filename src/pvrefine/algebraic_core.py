@@ -340,13 +340,19 @@ def _certified_roots(coeffs, prec):
     except mp.mp.NoConvergence:
         return None
     roots = [mp.mpc(z) for z in roots]
+    # The radius needs the exact |P(z_i)|.  Horner at unit roundoff u = 2^-prec rounds
+    # each of its d steps s -> s z + c within (2 sqrt 2 + 1) u (|s z| + |c|), so to first
+    # order |fl P(z) - P(z)| <= 4 d u sum_k |c_k| |z|^k; the computed gap exceeds the
+    # true one by a relative 3 (d - 1) u at most, so gap (1 - 4 d u) bounds it below.
+    slack = 4 * d * mp.mpf(2) ** -prec
     radii = []
     for i, z in enumerate(roots):
         gap = mp.mpf(1)
         for j, u in enumerate(roots):
             if j != i:
                 gap *= abs(z - u)
-        radii.append(d * abs(mp.polyval(desc, z)) / gap)
+        horner = slack * mp.polyval([abs(c) for c in desc], abs(z))
+        radii.append(d * (abs(mp.polyval(desc, z)) + horner) / (gap * (1 - slack)))
     disjoint = all(
         abs(roots[i] - roots[j]) > radii[i] + radii[j]
         for i in range(d)

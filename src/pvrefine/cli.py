@@ -2,7 +2,10 @@
 
 Nine subcommands cover field certification, symbol scans, dilation orbits,
 Bernoulli products, lattice densities, near-zero scans, vanishing probes,
-norm-value counts, and equidistribution estimates.  Output is reproducible
+norm-value counts, and equidistribution estimates.  Each is declared once, in
+the `_COMMANDS` table: its handler and, per option, a default or `_REQUIRED`.
+RunConfig fills the defaults and refuses a missing required option from that
+table, and `pvrefine <command> --help` prints them.  Output is reproducible
 byte for byte: CSV is RFC-4180 style (CRLF line ends, '.' decimal point,
 17 significant digits) and SVG is assembled by plain string formatting, so
 identical configs give identical files.  --threads is accepted and validated
@@ -28,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebraic_core import NumberField, fe_rational, make_field, working_precision
+from .algebraic_core import fe_rational, make_field, working_precision
 from .errors import NonconvergenceError, PrecisionError, PvrefineError, SizeError
 from .refinement import (
     RefinementMask,
@@ -51,22 +54,12 @@ __all__ = ["RunConfig", "PlotSpec", "run", "emit_csv", "emit_svg", "main"]
 # --lambda 1/0) and every other package error exit 2
 _NUMERIC_ERRORS = (PrecisionError, NonconvergenceError, OSError)
 
-_COMMANDS = (
-    "field-check",
-    "symbol-scan",
-    "phihat-orbit",
-    "bernoulli",
-    "lattice-density",
-    "zeros-scan",
-    "vanishing-probe",
-    "norms-count",
-    "equidistribution",
-)
-
-
 # RunConfig raises SizeError beyond this: equidistribution keeps a few samples-by-n
 # arrays, 8 n MB each at 10^6 samples
 MAX_SAMPLES = 10**6
+
+# the table default of an option the command cannot run without
+_REQUIRED = object()
 
 
 # ---------------------------------------------------------------------------
@@ -75,13 +68,13 @@ MAX_SAMPLES = 10**6
 
 @dataclass
 class RunConfig:
-    """One resolved invocation: command, field/mask selection, numeric knobs."""
+    """One invocation: the command and its options.  A field left None takes its
+    default from `_COMMANDS` or `_COMMON`, or raises ValueError if required."""
 
     command: str
     poly: tuple = None          # low-order coefficients of the monic dilation poly
     mask: str = None            # builtin name or mask-file path
-    lo: float = None            # scan range [lo, hi]
-    hi: float = None
+    range: tuple = None         # scan range (lo, hi)
     grid_step: float = None
     delta: float = None
     tol: float = None
@@ -94,30 +87,35 @@ class RunConfig:
     box: int = None
     n: int = None
     samples: int = None
-    seed: int = 0
-    threads: int = 1
+    seed: int = None
+    threads: int = None
     precision_bits: int = None
     target: str = None          # zeros-scan: symbol | phihat
     out: str = None
-    svg: bool = False
+    svg: bool = None
 
     def __post_init__(self):
         if self.command not in _COMMANDS:
             raise ValueError("unknown command %r" % (self.command,))
-        for name in ("lo", "hi", "grid_step", "delta", "tol", "L", "eps"):
+        for name in ("range", "grid_step", "delta", "tol", "L", "eps"):
             v = getattr(self, name)
             if v is not None and not all(math.isfinite(x) for x in np.atleast_1d(v)):
-                raise ValueError("--%s must be finite" % _flag(name))
+                raise ValueError("--%s must be finite" % _OPTIONS[name][0])
         for name in ("grid_step", "delta", "tol", "L"):
             v = getattr(self, name)
             if v is not None and v <= 0:
-                raise ValueError("--%s must be positive" % _flag(name))
+                raise ValueError("--%s must be positive" % _OPTIONS[name][0])
         for name in ("J_max", "box", "n", "samples", "threads"):
             v = getattr(self, name)
             if v is not None and v < 1:
-                raise ValueError("--%s must be a positive integer" % _flag(name))
+                raise ValueError("--%s must be a positive integer" % _OPTIONS[name][0])
         if self.samples is not None and self.samples > MAX_SAMPLES:
             raise SizeError("equidistribution: %d samples exceed the %d-sample limit" % (self.samples, MAX_SAMPLES))
+        for name, default in {**_COMMANDS[self.command][1], **_COMMON}.items():
+            if getattr(self, name) is None:
+                if default is _REQUIRED:
+                    raise ValueError("--%s is required for %s" % (_OPTIONS[name][0], self.command))
+                setattr(self, name, default)
 
 
 @dataclass(frozen=True)
@@ -244,26 +242,14 @@ def emit_svg(plot: PlotSpec, path) -> None:
 # shared resolution helpers
 
 
-def _require(cfg: RunConfig, name: str):
-    v = getattr(cfg, name)
-    if v is None:
-        raise ValueError("--%s is required for %s" % (_flag(name), cfg.command))
-    return v
-
-
-def _field_of(cfg: RunConfig) -> NumberField:
-    return make_field(_require(cfg, "poly"))
-
-
 def _mask_of(cfg: RunConfig) -> RefinementMask:
-    name = _require(cfg, "mask")
-    if os.path.isfile(name):
-        return mask_from_file(name)
-    if name == "bernoulli":
+    if os.path.isfile(cfg.mask):
+        return mask_from_file(cfg.mask)
+    if cfg.mask == "bernoulli":
         if cfg.poly is None:
             raise ValueError("--mask bernoulli requires --poly for the dilation field")
-        return builtin_mask(name, _field_of(cfg))
-    return builtin_mask(name)
+        return builtin_mask(cfg.mask, make_field(cfg.poly))
+    return builtin_mask(cfg.mask)
 
 
 def _magnitudes(vals, lead: int = 1):
@@ -296,11 +282,12 @@ def _grid(lo: float, hi: float, step: float):
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers; each returns (header, rows, summary lines, plot or None)
+# subcommand handlers; each reads a resolved RunConfig and returns
+# (header, rows, summary lines, plot or None)
 
 
 def _cmd_field_check(cfg: RunConfig):
-    f = _field_of(cfg)
+    f = make_field(cfg.poly)
     mods = sorted(abs(r) for r in f.roots)
     conj = mods[-2] if len(mods) > 1 else 0.0
     rows = [[k, r.real, r.imag, abs(r)] for k, r in enumerate(f.roots)]
@@ -310,11 +297,9 @@ def _cmd_field_check(cfg: RunConfig):
 
 def _cmd_symbol_scan(cfg: RunConfig):
     mask = _mask_of(cfg)
-    lo, hi = _require(cfg, "lo"), _require(cfg, "hi")
-    step = _require(cfg, "grid_step")
-    tol = cfg.tol if cfg.tol is not None else 1e-14
+    (lo, hi), step = cfg.range, cfg.grid_step
     ys = _grid(lo, hi, step)
-    vals, tail = eval_symbol_grid(mask, ys, tol)
+    vals, tail = eval_symbol_grid(mask, ys, cfg.tol)
     mags = _magnitudes(vals)
     if mask.rank == 1:
         rows = [[float(y), z.real, z.imag, abs(z), tail] for y, z in zip(ys, vals)]
@@ -335,16 +320,13 @@ def _cmd_symbol_scan(cfg: RunConfig):
 
 def _cmd_phihat_orbit(cfg: RunConfig):
     mask = _mask_of(cfg)
-    lam = float(Fraction(_require(cfg, "lam")))
-    jmax = _require(cfg, "J_max")
-    jmin = cfg.j_min if cfg.j_min is not None else 0
+    lam = float(Fraction(cfg.lam))
+    jmin, jmax = cfg.j_min, cfg.J_max
     if jmax < jmin:
         raise ValueError("--jmax must be >= --jmin")
-    tol = cfg.tol if cfg.tol is not None else 1e-12
-    orbit = phihat_orbit(mask, lam, range(jmin, jmax + 1), tol)
+    orbit = phihat_orbit(mask, lam, range(jmin, jmax + 1), cfg.tol)
     rows = [_sv_row(j, sv) for j, sv in orbit]
-    last = orbit[-1][1]
-    v = np.asarray(last.value)
+    v = np.asarray(orbit[-1][1].value)
     if v.ndim == 0:
         z = complex(v)
         summary = "tail value %.6g%+.6gi (modulus %.6g) at J=%d" % (z.real, z.imag, abs(z), jmax)
@@ -360,12 +342,9 @@ def _cmd_phihat_orbit(cfg: RunConfig):
 
 
 def _cmd_bernoulli(cfg: RunConfig):
-    f = _field_of(cfg)
-    jmax = cfg.J_max if cfg.J_max is not None else 40
-    jmin = cfg.j_min if cfg.j_min is not None else -40
-    values, _ = bernoulli_orbit(f, jmax, jmin)
+    values, _ = bernoulli_orbit(make_field(cfg.poly), cfg.J_max, cfg.j_min)
     rows = [[J, z.real, z.imag, abs(z)] for J, z in enumerate(values)]
-    summary = "|phihat| tail %.6g at J=%d (cutoff j_min=%d)" % (rows[-1][3], jmax, jmin)
+    summary = "|phihat| tail %.6g at J=%d (cutoff j_min=%d)" % (rows[-1][3], cfg.J_max, cfg.j_min)
     plot = PlotSpec(
         points=tuple((float(r[0]), r[3]) for r in rows),
         xlabel="J",
@@ -376,13 +355,11 @@ def _cmd_bernoulli(cfg: RunConfig):
 
 
 def _cmd_lattice_density(cfg: RunConfig):
-    L = _require(cfg, "L")
+    L = cfg.L
     if L < 1:
         raise ValueError("--L must be >= 1 for lattice-density (it reports the counts at L/100, L/10, L >= 1)")
-    f = _field_of(cfg)
-    eps = _require(cfg, "eps")
-    m = cfg.m if cfg.m is not None else 0
-    cyl = LatticeCylinder(L, m, eps)
+    f = make_field(cfg.poly)
+    cyl = LatticeCylinder(L, cfg.m, cfg.eps)
     gamma = gamma_density(f, cyl)
     ys = enumerate_Y(f, cyl)
     rows = []
@@ -408,12 +385,9 @@ def _cmd_lattice_density(cfg: RunConfig):
 
 def _cmd_zeros_scan(cfg: RunConfig):
     mask = _mask_of(cfg)
-    lo, hi = _require(cfg, "lo"), _require(cfg, "hi")
+    (lo, hi), step, delta, target = cfg.range, cfg.grid_step, cfg.delta, cfg.target
     if lo != 0.0:
         raise ValueError("--range for zeros-scan must start at 0")
-    step = _require(cfg, "grid_step")
-    delta = cfg.delta if cfg.delta is not None else 1e-3
-    target = cfg.target if cfg.target is not None else "symbol"
     if target not in ("symbol", "phihat"):
         raise ValueError("--target must be symbol or phihat")
     ev, ev_grid = (eval_symbol, eval_symbol_grid) if target == "symbol" else (eval_phihat, phihat_grid)
@@ -445,14 +419,11 @@ def _cmd_zeros_scan(cfg: RunConfig):
 
 def _cmd_vanishing_probe(cfg: RunConfig):
     mask = _mask_of(cfg)
-    lam_spec = _require(cfg, "lam")
-    jmax = _require(cfg, "J_max")
-    lams = [fe_rational(mask.field, Fraction(tok.strip())) for tok in lam_spec.split(",") if tok.strip()]
+    lams = [fe_rational(mask.field, Fraction(tok.strip())) for tok in cfg.lam.split(",") if tok.strip()]
     if not lams:
         raise ValueError("--lambda needs at least one value")
-    records = vanishing_probe(mask, lams, jmax, cfg.delta, cfg.tol)
-    rows = []
-    lines = []
+    records = vanishing_probe(mask, lams, cfg.J_max, cfg.delta, cfg.tol)
+    rows, lines = [], []
     for rec in records:
         for J, v in enumerate(rec.values):
             rows.append([rec.lam_value, J, v, rec.verdict])
@@ -471,10 +442,8 @@ def _cmd_vanishing_probe(cfg: RunConfig):
 
 
 def _cmd_norms_count(cfg: RunConfig):
-    f = _field_of(cfg)
-    L = int(_require(cfg, "L"))
-    box = _require(cfg, "box")
-    count, exponent, pts = count_norm_values(f, L, box, checkpoints=True)
+    L, box = int(cfg.L), cfg.box
+    count, exponent, pts = count_norm_values(make_field(cfg.poly), L, box, checkpoints=True)
     rows = []
     prev = None
     for t, cnt in pts:
@@ -496,31 +465,36 @@ def _cmd_norms_count(cfg: RunConfig):
 
 
 def _cmd_equidistribution(cfg: RunConfig):
-    f = _field_of(cfg)
-    n = cfg.n if cfg.n is not None else 1
-    samples = cfg.samples if cfg.samples is not None else 10000
-    L = cfg.L if cfg.L is not None else 1000.0
-    rng = np.random.default_rng(cfg.seed)
-    ys = rng.uniform(0.0, L, size=samples)
-    disc = equidistribution_check(f, ys, n)
-    rows = [[n, samples, L, cfg.seed, disc]]
+    n, samples, L, seed = cfg.n, cfg.samples, cfg.L, cfg.seed
+    ys = np.random.default_rng(seed).uniform(0.0, L, size=samples)
+    disc = equidistribution_check(make_field(cfg.poly), ys, n)
+    rows = [[n, samples, L, seed, disc]]
     summary = "discrepancy %.6g for n=%d over %d samples in [0, %g) (seed %d)" % (
-        disc, n, samples, L, cfg.seed,
+        disc, n, samples, L, seed,
     )
     return ["n", "samples", "L", "seed", "discrepancy"], rows, [summary], None
 
 
-_HANDLERS = {
-    "field-check": _cmd_field_check,
-    "symbol-scan": _cmd_symbol_scan,
-    "phihat-orbit": _cmd_phihat_orbit,
-    "bernoulli": _cmd_bernoulli,
-    "lattice-density": _cmd_lattice_density,
-    "zeros-scan": _cmd_zeros_scan,
-    "vanishing-probe": _cmd_vanishing_probe,
-    "norms-count": _cmd_norms_count,
-    "equidistribution": _cmd_equidistribution,
+# the one command table: name -> (handler, {option: default or _REQUIRED}), in
+# --help order; a None default leaves the choice to the handler (see _UNSET)
+_COMMANDS = {
+    "field-check": (_cmd_field_check, {"poly": _REQUIRED}),
+    "symbol-scan": (_cmd_symbol_scan, {"mask": _REQUIRED, "poly": None, "range": _REQUIRED,
+                                       "grid_step": _REQUIRED, "tol": 1e-14}),
+    "phihat-orbit": (_cmd_phihat_orbit, {"mask": _REQUIRED, "poly": None, "lam": _REQUIRED,
+                                         "J_max": _REQUIRED, "j_min": 0, "tol": 1e-12}),
+    "bernoulli": (_cmd_bernoulli, {"poly": _REQUIRED, "J_max": 40, "j_min": -40}),
+    "lattice-density": (_cmd_lattice_density, {"poly": _REQUIRED, "L": _REQUIRED, "m": 0, "eps": _REQUIRED}),
+    "zeros-scan": (_cmd_zeros_scan, {"mask": _REQUIRED, "poly": None, "range": _REQUIRED,
+                                     "grid_step": _REQUIRED, "delta": 1e-3, "target": "symbol"}),
+    "vanishing-probe": (_cmd_vanishing_probe, {"mask": _REQUIRED, "poly": None, "lam": _REQUIRED,
+                                               "J_max": _REQUIRED, "delta": None, "tol": None}),
+    "norms-count": (_cmd_norms_count, {"poly": _REQUIRED, "L": _REQUIRED, "box": _REQUIRED}),
+    "equidistribution": (_cmd_equidistribution, {"poly": _REQUIRED, "n": 1, "samples": 10000,
+                                                 "L": 1000.0, "seed": 0}),
 }
+# options every command accepts
+_COMMON = {"out": None, "svg": False, "threads": 1, "precision_bits": None}
 
 
 def run(cfg: RunConfig) -> int:
@@ -528,7 +502,7 @@ def run(cfg: RunConfig) -> int:
     # the precision holds for this invocation only; precision_bits() refuses one under 64 bits
     token = working_precision.set(working_precision.get() if cfg.precision_bits is None else cfg.precision_bits)
     try:
-        header, rows, lines, plot = _HANDLERS[cfg.command](cfg)
+        header, rows, lines, plot = _COMMANDS[cfg.command][0](cfg)
     finally:
         working_precision.reset(token)
     out = cfg.out if cfg.out is not None else "%s.csv" % cfg.command
@@ -584,7 +558,8 @@ def _parse_bool(s: str) -> bool:
     raise argparse.ArgumentTypeError("boolean flag wants true/false, got %r" % s)
 
 
-# dest -> (config key, converter, help); used for argparse, config files and error messages
+# RunConfig field -> (flag and config key, converter, help); used for argparse,
+# config files and error messages
 _OPTIONS = {
     "poly": ("poly", _parse_poly, "low-order coefficients c0,c1,... of the monic dilation polynomial"),
     "mask": ("mask", str, "builtin mask name (boxcar, dyadic, bernoulli, golden_vector) or mask-file path"),
@@ -604,32 +579,20 @@ _OPTIONS = {
     "seed": ("seed", int, "RNG seed for sampled subcommands"),
     "threads": ("threads", int,
                 "accepted for compatibility; runs are serial and output bytes never depend on it"),
-    "precision_bits": ("precision-bits", int,
-                       "working precision in bits for this run, at least 64 (default 128)"),
+    "precision_bits": ("precision-bits", int, "working precision in bits for this run, at least 64"),
     "target": ("target", str, "zeros-scan target: symbol or phihat"),
-    "out": ("out", str, "output CSV path (default <command>.csv)"),
+    "out": ("out", str, "output CSV path"),
     "svg": ("svg", _parse_bool, "also write a line-chart SVG next to the CSV"),
 }
 
-
-def _flag(name: str) -> str:
-    """The flag of a RunConfig field, without its dashes; lo and hi share --range."""
-    return _OPTIONS["range" if name in ("lo", "hi") else name][0]
-
-
-# which options each subcommand accepts
-_ACCEPTS = {
-    "field-check": ("poly",),
-    "symbol-scan": ("mask", "poly", "range", "grid_step", "tol"),
-    "phihat-orbit": ("mask", "poly", "lam", "J_max", "j_min", "tol"),
-    "bernoulli": ("poly", "J_max", "j_min"),
-    "lattice-density": ("poly", "L", "m", "eps"),
-    "zeros-scan": ("mask", "poly", "range", "grid_step", "delta", "target"),
-    "vanishing-probe": ("mask", "poly", "lam", "J_max", "delta", "tol"),
-    "norms-count": ("poly", "L", "box"),
-    "equidistribution": ("poly", "n", "samples", "L", "seed"),
+# the --help text of a None table default: what the run does without the option
+_UNSET = {
+    "poly": "none; --mask bernoulli needs it",
+    "delta": "1e-06 for an infinite mask, else 1e-08",
+    "tol": "1e-10 for an infinite mask, else 1e-12",
+    "precision_bits": "128",
+    "out": "<command>.csv",
 }
-_COMMON = ("out", "svg", "threads", "precision_bits")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -638,11 +601,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="refinable functions with Pisot dilations: batch CSV/SVG reports",
     )
     sub = p.add_subparsers(dest="command", required=True, metavar="command")
-    for cmd in _COMMANDS:
+    for cmd, (_, defaults) in _COMMANDS.items():
         sp = sub.add_parser(cmd, help="%s report" % cmd)
         sp.add_argument("--config", default=None, help="key=value options file; explicit flags win")
-        for dest in _ACCEPTS[cmd] + _COMMON:
+        for dest, default in {**defaults, **_COMMON}.items():
             key, conv, text = _OPTIONS[dest]
+            text += " (required)" if default is _REQUIRED else " (default %s)" % (
+                _UNSET[dest] if default is None else default)
             if dest == "svg":
                 sp.add_argument("--svg", dest="svg", action="store_true", default=None, help=text)
             else:
@@ -667,9 +632,7 @@ def _load_config_file(path: str) -> dict:
 _KEY_TO_DEST = {opt[0]: dest for dest, opt in _OPTIONS.items()}
 
 # flags that take a value; negative-looking values get merged as --flag=value
-_VALUE_FLAGS = {"--config"} | {
-    "--%s" % opt[0] for dest, opt in _OPTIONS.items() if dest != "svg"
-}
+_VALUE_FLAGS = {"--config"} | {"--%s" % opt[0] for dest, opt in _OPTIONS.items() if dest != "svg"}
 _NOVALUE_FLAGS = {"--svg", "-h", "--help"}
 
 
@@ -701,30 +664,18 @@ def build_config(argv) -> RunConfig:
         argv = sys.argv[1:]
     args = _build_parser().parse_args(_merge_negative_values(list(argv)))
     cmd = args.command
-    allowed = set(_ACCEPTS[cmd] + _COMMON)
+    allowed = {**_COMMANDS[cmd][1], **_COMMON}
     if args.config is not None:
-        file_opts = _load_config_file(args.config)
-        for key, text in file_opts.items():
+        for key, text in _load_config_file(args.config).items():
             dest = _KEY_TO_DEST.get(key)
             if dest is None or dest not in allowed:
                 raise ValueError("config option %r not recognized for %s" % (key, cmd))
             if getattr(args, dest, None) is None:
-                conv = _OPTIONS[dest][1]
                 try:
-                    setattr(args, dest, conv(text))
+                    setattr(args, dest, _OPTIONS[dest][1](text))
                 except argparse.ArgumentTypeError as e:
                     raise ValueError(str(e))
-    kwargs = {"command": cmd}
-    for dest in allowed:
-        if dest == "range":
-            rng = getattr(args, "range", None)
-            if rng is not None:
-                kwargs["lo"], kwargs["hi"] = rng
-            continue
-        v = getattr(args, dest, None)
-        if v is not None:
-            kwargs[dest] = v
-    return RunConfig(**kwargs)
+    return RunConfig(cmd, **{dest: getattr(args, dest) for dest in allowed})
 
 
 def main(argv=None) -> int:

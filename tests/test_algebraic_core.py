@@ -8,6 +8,7 @@ Lagrange rows.
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -69,6 +70,19 @@ def test_root_certificates(golden, plastic):
         for i in range(f.degree):
             for j in range(i + 1, f.degree):
                 assert abs(f.roots[i] - f.roots[j]) > f.radii[i] + f.radii[j]
+
+
+@pytest.mark.parametrize("poly", [(-1, -1), (-1, -1, 0), (-1, -1, -1), (1, -3), (-1, -2),
+                                  (-1, -1, -1, -1, -1), (10**10, -(10**10 + 2))],
+                         ids=["golden", "plastic", "tribonacci", "1,-3", "-1,-2", "pentanacci", "10^10"])
+def test_root_radii_bound_the_root_error(poly):
+    # each radius covers the distance from roots_mp[i] to the nearest root at 2000 bits,
+    # also where |P(z_i)| rounds to zero in the certifying precision
+    f = pv.make_field(poly)
+    with mp.workprec(2000):
+        exact = mp.polyroots([1] + list(reversed(poly)), maxsteps=500, extraprec=2000)
+        for z, r in zip(f.roots_mp, f.radii):
+            assert min(abs(z - w) for w in exact) <= r
 
 
 def test_integer_dilation_field():

@@ -1,8 +1,8 @@
 """Command surface: argument handling, CSV/SVG emission, exit codes, determinism."""
 
 import csv
+import dataclasses
 import hashlib
-import os
 import random
 import subprocess
 import sys
@@ -501,30 +501,28 @@ def test_precision_floor_exit_2(tmp_path, capsys, argv):
     assert not (tmp_path / "x.csv").exists()
 
 
-def test_precision_bits_flag_raises_budget(tmp_path, monkeypatch):
-    monkeypatch.delenv("PISOT_PRECISION_BITS", raising=False)
+def test_precision_bits_flag_raises_budget(tmp_path):
     out = tmp_path / "deep.csv"
     assert run_cli("phihat-orbit", "--mask", "dyadic", "--lambda", "1", "--jmax", "150",
                    "--out", str(out)) == 3
     rc = run_cli("phihat-orbit", "--mask", "dyadic", "--lambda", "1", "--jmax", "150",
                  "--precision-bits", "256", "--out", str(out))
     assert rc == 0
-    # the override is scoped to the invocation, not left in the process env
-    assert "PISOT_PRECISION_BITS" not in os.environ
+    # the override is scoped to the invocation
+    assert pv.precision_bits() == 128
 
 
 def test_precision_flag_scopes_a_context_not_os_environ(tmp_path, monkeypatch):
-    monkeypatch.delenv("PISOT_PRECISION_BITS", raising=False)
     seen = []
 
     def handler(cfg):
-        seen.append((pv.precision_bits(), "PISOT_PRECISION_BITS" in os.environ))
+        seen.append(pv.precision_bits())
         return ["x"], [[1]], [], None
 
-    monkeypatch.setitem(cli._HANDLERS, "field-check", handler)
+    monkeypatch.setitem(cli._COMMANDS, "field-check", (handler, cli._COMMANDS["field-check"][1]))
     assert run_cli("field-check", "--poly", "-1,-1", "--precision-bits", "256",
                    "--out", str(tmp_path / "p.csv")) == 0
-    assert seen == [(256, False)]
+    assert seen == [256]
     assert pv.precision_bits() == 128
 
 
@@ -597,6 +595,39 @@ def test_argv_fuzz_exits_0_2_or_3(tmp_path, capsys):
         err = capsys.readouterr().err
         assert rc in (0, 2, 3), argv
         assert "Traceback" not in err, argv
+
+
+_REQUIRED_FLAGS = [(cmd, dest) for cmd, (_, defaults) in cli._COMMANDS.items()
+                   for dest, default in defaults.items() if default is cli._REQUIRED]
+
+
+@pytest.mark.parametrize("cmd,dest", _REQUIRED_FLAGS, ids=["%s-%s" % p for p in _REQUIRED_FLAGS])
+def test_each_required_flag_named_when_missing(tmp_path, capsys, cmd, dest):
+    flag = "--" + cli._OPTIONS[dest][0]
+    argv = list(_FUZZ_BASE[cmd])
+    i = argv.index(flag)
+    del argv[i:i + 2]
+    assert run_cli(cmd, *argv, "--out", str(tmp_path / "x.csv")) == 2
+    assert capsys.readouterr().err == "error: %s is required for %s\n" % (flag, cmd)
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_command_table_covers_every_option(capsys, monkeypatch):
+    fields = {f.name for f in dataclasses.fields(cli.RunConfig)} - {"command"}
+    assert fields == set(cli._OPTIONS)
+    assert set(cli._COMMON).union(*(d for _, d in cli._COMMANDS.values())) == fields
+    # a direct RunConfig resolves from the same table as the command line
+    assert cli.RunConfig("bernoulli", poly=(-1, -1)).J_max == 40
+    with pytest.raises(ValueError, match="--box is required for norms-count"):
+        cli.RunConfig("norms-count", poly=(-1, -1), L=10.0)
+    # and --help prints each option's default, or marks it required (unwrapped here)
+    monkeypatch.setenv("COLUMNS", "1000")
+    for cmd, (_, defaults) in cli._COMMANDS.items():
+        assert run_cli(cmd, "--help") == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for dest, default in {**defaults, **cli._COMMON}.items():
+            tag = "(required)" if default is cli._REQUIRED else "(default "
+            assert "%s %s" % (cli._OPTIONS[dest][2], tag) in text, (cmd, dest)
 
 
 # ---------------------------------------------------------------------------
