@@ -476,7 +476,7 @@ def _cmd_equidistribution(cfg: RunConfig):
 
 
 # the one command table: name -> (handler, {option: default or _REQUIRED}), in
-# --help order; a None default leaves the choice to the handler (see _UNSET)
+# --help order; a None default leaves the choice to the handler
 _COMMANDS = {
     "field-check": (_cmd_field_check, {"poly": _REQUIRED}),
     "symbol-scan": (_cmd_symbol_scan, {"mask": _REQUIRED, "poly": None, "range": _REQUIRED,
@@ -585,16 +585,6 @@ _OPTIONS = {
     "svg": ("svg", _parse_bool, "also write a line-chart SVG next to the CSV"),
 }
 
-# the --help text of a None table default: what the run does without the option
-_UNSET = {
-    "poly": "none; --mask bernoulli needs it",
-    "delta": "1e-06 for an infinite mask, else 1e-08",
-    "tol": "1e-10 for an infinite mask, else 1e-12",
-    "precision_bits": "128",
-    "out": "<command>.csv",
-}
-
-
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="pvrefine",
@@ -607,7 +597,7 @@ def _build_parser() -> argparse.ArgumentParser:
         for dest, default in {**defaults, **_COMMON}.items():
             key, conv, text = _OPTIONS[dest]
             text += " (required)" if default is _REQUIRED else " (default %s)" % (
-                _UNSET[dest] if default is None else default)
+                "chosen at run time" if default is None else default)
             if dest == "svg":
                 sp.add_argument("--svg", dest="svg", action="store_true", default=None, help=text)
             else:

@@ -449,12 +449,12 @@ def phihat_orbit(mask: RefinementMask, lam: float, J_range, tol: float = 1e-12):
         for _ in range(js[0], js[-1]):
             args.append(args[-1] * al)
     # floats up to 2^20 keep the float path; larger arguments stay mpf
-    args = np.array([float(x) if abs(x) <= _MP_ARG_CUTOFF else x for x in args], dtype=object)
+    args = [float(x) if abs(x) <= _MP_ARG_CUTOFF else x for x in args]
     steps = [eval_phihat(mask, args[0], tol)]  # phihat(lam alpha^j), j = js[0]..js[-1]
-    factors, tail = eval_symbol_grid(mask, args[:-1], min(tol, 1e-14))  # ahat at every step at once
-    for s in factors.tolist() if mask.rank == 1 else factors:
-        cur = steps[-1]
-        steps.append(SymbolValue(s * cur.value if mask.rank == 1 else s @ cur.value, cur.truncation_error + tail))
+    for x in args[:-1]:
+        s, cur = eval_symbol(mask, x, min(tol, 1e-14)), steps[-1]
+        steps.append(SymbolValue(s.value * cur.value if mask.rank == 1 else s.value @ cur.value,
+                                 cur.truncation_error + s.truncation_error))
     return [(j, steps[j - js[0]]) for j in js]
 
 

@@ -626,7 +626,8 @@ def test_command_table_covers_every_option(capsys, monkeypatch):
         assert run_cli(cmd, "--help") == 0
         text = " ".join(capsys.readouterr().out.split())
         for dest, default in {**defaults, **cli._COMMON}.items():
-            tag = "(required)" if default is cli._REQUIRED else "(default "
+            tag = "(required)" if default is cli._REQUIRED else "(default %s)" % (
+                "chosen at run time" if default is None else default)
             assert "%s %s" % (cli._OPTIONS[dest][2], tag) in text, (cmd, dest)
 
 
