@@ -6,11 +6,14 @@ work runs on integers: products and inverses (by the adjugate) go through
 the cached integer companion powers C^0..C^{d-1}, norms and the discriminant
 are fraction-free Bareiss determinants, and traces follow the integer trace
 recurrence.  Fraction is only the input and output type at the public edge.
-Complex embeddings come from certified roots: simultaneous iteration at
-extended precision with Weierstrass a-posteriori inclusion disks.  The PV
-verdict is exact, "PV" or "not-PV": the precision doubles until the disks
-clear the unit circle, which they do for every irreducible P that is not
-reciprocal, and a reciprocal P is decided from its degree and discriminant.
+Complex embeddings come from certified roots with Weierstrass a-posteriori
+inclusion disks: float64 companion eigenvalues refined by Newton at doubling
+precision and rounded to the roots mp.polyroots gives, whose simultaneous
+iteration takes over where a coefficient or seed is not a finite double or
+the refined roots do not certify.  The PV verdict is exact, "PV" or
+"not-PV": the precision doubles until the disks clear the unit circle, which
+they do for every irreducible P that is not reciprocal, and a reciprocal P
+is decided from its degree and discriminant.
 
 A PV (Pisot-Vijayaraghavan) number here: a real algebraic integer of degree
 >= 2 with |alpha| > 1 whose remaining conjugates lie strictly inside the
@@ -324,40 +327,97 @@ def _int_poly_divides(field_coeffs, factor_coeffs) -> bool:
 # root certification
 
 
-def _certified_roots(coeffs, prec):
-    """Simultaneous-iteration roots plus Weierstrass inclusion radii, sorted by
-    descending modulus (ties broken by real then imaginary part, descending).
-
-    The union of disks |z - z_i| <= d * |P(z_i)| / prod_{j != i} |z_i - z_j|
-    contains every root; pairwise disjoint disks certify one root each.  None
-    when the iteration does not converge, or the disks overlap or reach 1e-9.
-    Call inside mp.workprec(prec).
-    """
-    d = len(coeffs)
-    desc = [mp.mpf(1)] + [mp.mpf(c) for c in reversed(coeffs)]
-    try:
-        roots = mp.polyroots(desc, maxsteps=200, extraprec=prec // 2, cleanup=True)
-    except mp.mp.NoConvergence:
+def _newton_roots(desc, prec):
+    """The roots of the monic P with descending coefficients desc, as mp.polyroots gives
+    them: float64 companion eigenvalues (np.roots) refined by Newton at doubling precision
+    up to polyroots' working precision prec + prec // 2, then rounded to prec after
+    polyroots' cleanup of parts below eps, and sorted by polyroots' key.  A real seed is
+    refined in real arithmetic, and a seed below the real axis gives the conjugate of its
+    partner's root.  None when a coefficient or seed is not a finite double, or the last
+    step, repeated at full precision, exceeds 2^(16 - prec) max(1, |z|).  Call inside
+    mp.workprec(prec)."""
+    floats = np.array([float(c) for c in desc])
+    if not np.isfinite(floats).all():  # np.roots raises LinAlgError on inf
         return None
-    roots = [mp.mpc(z) for z in roots]
+    with np.errstate(all="ignore"):
+        seeds = np.roots(floats)
+    if not np.isfinite(seeds).all():
+        return None
+    top = prec + prec // 2
+    precs = [top, top]
+    while precs[0] > 128:
+        precs.insert(0, precs[0] // 2)
+    tol = +mp.eps
+    roots = []
+    for s in seeds[seeds.imag >= 0]:
+        z = mp.mpf(s.real) if s.imag == 0 else mp.mpc(complex(s))
+        for p in precs:
+            with mp.workprec(p):
+                v, dv = mp.polyval(desc, z, derivative=True)
+                if not dv:
+                    return None
+                step = v / dv
+                z -= step
+        if abs(step) > mp.ldexp(max(1, abs(z)), 16 - prec):
+            return None
+        if abs(z) < tol:
+            z = mp.mpc(0)
+        elif abs(mp.im(z)) < tol:
+            z = mp.mpc(mp.re(z))
+        elif abs(mp.re(z)) < tol:
+            z = mp.mpc(0, mp.im(z))
+        else:
+            z = mp.mpc(z)
+        roots += [z, mp.conj(z)] if s.imag > 0 else [z]
+    if len(roots) != len(seeds):  # the seeds were not closed under conjugation
+        return None
+    return sorted(roots, key=lambda z: (abs(mp.im(z)), mp.re(z)))
+
+
+def _certified_roots(coeffs, prec):
+    """Roots plus Weierstrass inclusion radii, sorted by descending modulus (ties
+    broken by real then imaginary part, descending).
+
+    The roots are _newton_roots', or mp.polyroots' (simultaneous iteration) when
+    a coefficient or seed is not a finite double, Newton does not settle, or its
+    roots fail to certify.  The union of disks |z - z_i| <= d * |P(z_i)| /
+    prod_{j != i} |z_i - z_j| contains every root; pairwise disjoint disks certify
+    one root each.  None when polyroots does not converge, or the disks overlap or
+    reach 1e-9.  Call inside mp.workprec(prec).
+    """
+    desc = [mp.mpf(1)] + [mp.mpf(c) for c in reversed(coeffs)]
+    roots = _newton_roots(desc, prec)
+    cert = None if roots is None else _inclusion_disks(desc, roots, prec)
+    if cert is None:
+        try:
+            roots = mp.polyroots(desc, maxsteps=200, extraprec=prec // 2, cleanup=True)
+        except mp.mp.NoConvergence:
+            return None
+        cert = _inclusion_disks(desc, [mp.mpc(z) for z in roots], prec)
+    return cert
+
+
+def _inclusion_disks(desc, roots, prec):
+    """(roots, radii) sorted as _certified_roots returns them, or None unless the
+    Weierstrass disks are pairwise disjoint and below 1e-9."""
+    d = len(roots)
     # The radius needs the exact |P(z_i)|.  Horner at unit roundoff u = 2^-prec rounds
     # each of its d steps s -> s z + c within (2 sqrt 2 + 1) u (|s z| + |c|), so to first
     # order |fl P(z) - P(z)| <= 4 d u sum_k |c_k| |z|^k; the computed gap exceeds the
     # true one by a relative 3 (d - 1) u at most, so gap (1 - 4 d u) bounds it below.
     slack = 4 * d * mp.mpf(2) ** -prec
+    dist = {}
+    for i, j in itertools.combinations(range(d), 2):
+        dist[i, j] = dist[j, i] = abs(roots[i] - roots[j])
     radii = []
     for i, z in enumerate(roots):
         gap = mp.mpf(1)
-        for j, u in enumerate(roots):
+        for j in range(d):
             if j != i:
-                gap *= abs(z - u)
+                gap *= dist[i, j]
         horner = slack * mp.polyval([abs(c) for c in desc], abs(z))
         radii.append(d * (abs(mp.polyval(desc, z)) + horner) / (gap * (1 - slack)))
-    disjoint = all(
-        abs(roots[i] - roots[j]) > radii[i] + radii[j]
-        for i in range(d)
-        for j in range(i + 1, d)
-    )
+    disjoint = all(dist[i, j] > radii[i] + radii[j] for i, j in itertools.combinations(range(d), 2))
     if not (disjoint and all(r < 1e-9 for r in radii)):
         return None
     order = sorted(range(d), key=lambda i: (-abs(roots[i]), -mp.re(roots[i]), -mp.im(roots[i])))

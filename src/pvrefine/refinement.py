@@ -9,10 +9,11 @@ ahat(y alpha^j)) phihat(0), factors ordered with decreasing j to the right.
 One kernel evaluates the symbol: the terms' phases go through a single sum,
 |alpha|^{-1} sum_k a(k) e^{-2 pi i phase_k}, added in term order.  The phase
 of term k is tau(k) y in float64, except for mpmath arguments and |y| > 2^20,
-where frac(tau(k) y) is reduced at extended precision first; without that
-the phase is garbage long before tau*y overflows a double mantissa (the
-dilation orbits used here reach y ~ alpha^40).  eval_symbol, eval_phihat,
-phihat_orbit and the lifted symbol A of the solenoid layer all call it.
+where frac(tau(k) y) is reduced at extended precision first, in Python ints
+that round as mpmath does; without that the phase is garbage long before
+tau*y overflows a double mantissa (the dilation orbits used here reach
+y ~ alpha^40).  eval_symbol, eval_phihat, phihat_orbit and the lifted symbol
+A of the solenoid layer all call it.
 """
 
 import ast
@@ -241,10 +242,62 @@ def _extended_phases(mask: RefinementMask, K, ys):
     prec = precision_bits()
     for y in ys:
         _check_fraction_bits("argument |y|", float(y), 0.0, prec)
-    taus = _kernel_terms(mask, K, prec)[1]
+    return _frac_products(_kernel_terms(mask, K, prec)[1], ys, prec)
+
+
+def _round_bits(m: int, prec: int):
+    """(m rounded to prec bits, the number of bits dropped) for an int m > 0, to
+    nearest with ties to even, as mpmath rounds a mantissa."""
+    n = m.bit_length() - prec
+    if n <= 0:
+        return m, 0
+    t = m >> (n - 1)  # the kept bits and the first dropped one
+    if t & 1 and (t & 2 or m & ((1 << (n - 1)) - 1)):
+        return (t >> 1) + 1, n
+    return t >> 1, n
+
+
+def _mantissa(y, prec: int):
+    """(m, e) with signed int m and mp.mpf(y) = m 2^e at prec bits: floats and ints
+    exactly, anything else (mpf of any precision) through mp.mpf."""
+    if isinstance(y, float):
+        n, d = y.as_integer_ratio()
+        return n, 1 - d.bit_length()
+    if isinstance(y, (int, np.integer)):
+        return int(y), 0
     with mp.workprec(prec):
-        yms = [mp.mpf(y) for y in ys]
-        return np.array([[float(x - mp.floor(x)) for x in (te * ym for ym in yms)] for te in taus])
+        sign, m, e, _ = mp.mpf(y)._mpf_
+    return (-m if sign else m), e
+
+
+def _frac(m: int, e: int, prec: int) -> float:
+    """float(x - mp.floor(x)) at prec bits for x = m 2^e rounded to prec bits, bit for bit.
+    The fraction is the floor-mod of the signed mantissa; it fits prec bits unless
+    -1 < x < 0, where 1 + x rounds too.  Int true division rounds once, to nearest,
+    as mpmath's float conversion does (outside the subnormal range)."""
+    neg = m < 0
+    m, n = _round_bits(-m if neg else m, prec)
+    k = -(e + n)  # fractional bits of x
+    if k <= 0:
+        return 0.0
+    r = (-m if neg else m) & ((1 << k) - 1)
+    if r.bit_length() > prec:
+        r, n = _round_bits(r, prec)
+        k -= n
+    return r / (1 << k)
+
+
+def _frac_products(taus, ys, prec: int):
+    """frac(tau_k y) for mpf taus and real ys as a (len(taus), len(ys)) float array: the
+    product tau_k * mp.mpf(y) rounded to prec bits and reduced mod 1 in Python ints, equal
+    to float(x - mp.floor(x)) under mp.workprec(prec) bit for bit."""
+    ms = [_mantissa(y, prec) for y in ys]
+    out = np.empty((len(taus), len(ms)))
+    for row, tau in zip(out, taus):
+        sign, mt, et, _ = tau._mpf_
+        mt = -mt if sign else mt
+        row[:] = [_frac(mt * my, et + ey, prec) for my, ey in ms]
+    return out
 
 
 def _symbol_sum(coeffs, alpha: float, phases):

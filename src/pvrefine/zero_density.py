@@ -16,6 +16,7 @@ and verified against exact field norms before it is returned.
 """
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -332,7 +333,8 @@ def norm_form(field: NumberField) -> NormForm:
     )
     # mu = sum n_i e_i has numerators ns . nums over den, so N(mu) = det(sum_i mu_i C^i)/den^d;
     # all 10^3 vectors go through one stacked pass in Python ints, compared cross-multiplied
-    ns = np.random.default_rng(17).integers(-50, 51, size=(10**3, d)).astype(object)
+    rng = random.Random(17)
+    ns = np.array([[rng.randint(-50, 50) for _ in range(d)] for _ in range(10**3)], dtype=object)
     pows = np.array(_companion_powers(field.coeffs), dtype=object)
     mats = np.tensordot(ns.dot(np.array(nums, dtype=object)), pows, 1)
     bad = np.flatnonzero(nf.evaluate_numerator(ns) * den**d != _int_det(mats) * nf.denominator)

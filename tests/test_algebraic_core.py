@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import pvrefine as pv
+from pvrefine import algebraic_core as ac
 from pvrefine.algebraic_core import fe_add, fe_inv, fe_mul, fe_pow, fe_scale, discriminant
 
 GOLDEN = (-1, -1)  # X^2 - X - 1
@@ -73,8 +74,10 @@ def test_root_certificates(golden, plastic):
 
 
 @pytest.mark.parametrize("poly", [(-1, -1), (-1, -1, 0), (-1, -1, -1), (1, -3), (-1, -2),
-                                  (-1, -1, -1, -1, -1), (10**10, -(10**10 + 2))],
-                         ids=["golden", "plastic", "tribonacci", "1,-3", "-1,-2", "pentanacci", "10^10"])
+                                  (-1, -1, -1, -1, -1), (10**10, -(10**10 + 2)),
+                                  (10**24 - 2, -2 * 10**12), (10**400, -(10**400 + 2))],
+                         ids=["golden", "plastic", "tribonacci", "1,-3", "-1,-2", "pentanacci", "10^10",
+                              "10^12+-sqrt2", "10^400"])
 def test_root_radii_bound_the_root_error(poly):
     # each radius covers the distance from roots_mp[i] to the nearest root at 2000 bits,
     # also where |P(z_i)| rounds to zero in the certifying precision
@@ -83,6 +86,27 @@ def test_root_radii_bound_the_root_error(poly):
         exact = mp.polyroots([1] + list(reversed(poly)), maxsteps=500, extraprec=2000)
         for z, r in zip(f.roots_mp, f.radii):
             assert min(abs(z - w) for w in exact) <= r
+
+
+@pytest.mark.parametrize("poly, verdict", [((10**24 - 2, -2 * 10**12), "not-PV"), ((10**400, -(10**400 + 2)), "PV")],
+                         ids=["10^12+-sqrt2", "10^400"])
+def test_newton_declines_to_polyroots(poly, verdict):
+    # roots 10^12 +- sqrt 2 are too close for float64 seeds to separate, and 10^400 is no
+    # finite double: Newton gives up and mp.polyroots supplies the roots that certify
+    with mp.workprec(512):
+        desc = [mp.mpf(1)] + [mp.mpf(c) for c in reversed(poly)]
+        assert ac._newton_roots(desc, 512) is None
+    assert pv.make_field(poly).pv_status == verdict
+
+
+def test_newton_roots_are_polyroots_roots():
+    # refined past the precision and rounded, Newton's roots are polyroots' to the last bit
+    for poly in [(-1, -1), (-1, -1, -1, -1, -1), (1, -1, -1, -1), (2, 0), (1, 0, 1), (-1,) * 8]:
+        with mp.workprec(512):
+            desc = [mp.mpf(1)] + [mp.mpf(c) for c in reversed(poly)]
+            want = mp.polyroots(desc, maxsteps=200, extraprec=256, cleanup=True)
+            got = ac._newton_roots(desc, 512)
+            assert sorted(z._mpc_ for z in got) == sorted(mp.mpc(z)._mpc_ for z in want), poly
 
 
 def test_integer_dilation_field():

@@ -285,7 +285,34 @@ EXTENDED_BYTES = (
      "d7842a465ec8ecfa3fee3113a29c1f8b3162241c89ec6bdd3c8ccccc10af1185"),
     (("symbol-scan", "--mask", "golden_vector", "--range", "2097152:2097202", "--step", "0.01"),
      "ed874a35096797ed13afd02e4fe3d9bf122726d6ef16c7e88f3d4d712ec65215"),
+    # phases of negative arguments past 2^20, and of an mpf orbit at 320 bits
+    pytest.param(("symbol-scan", "--mask", "dyadic", "--range=-1048676:-1048576", "--step", "0.37"),
+                 "00dfe195a2fa807cfebd7a23ede534376816dbb20f0084e88fff9a99beaaf15a", id="symbol-scan-negative"),
+    pytest.param(("phihat-orbit", "--mask", "dyadic", "--lambda", "-7/4", "--jmax", "150", "--precision-bits", "320"),
+                 "b0e930c36ee11f1182daa98b3605fa4da766beb18de5fdbd6440a328412e9aa5", id="phihat-orbit-320-bit"),
 )
+# the certified roots, rounded to doubles: the benchmark's PV pool (degrees 2-6), a Salem
+# number, degree 8, and alpha near 10^10 with a conjugate near 1
+EXTENDED_BYTES += tuple(pytest.param(("field-check", "--poly", poly), sha, id="field-check:" + poly) for poly, sha in (
+    ("-1,-1", "bccf9d4d6fca9b06001a652e29e8b2600ad0c091b5b0002c80fcb9d33082c418"),
+    ("-1,-2", "a5c4a1e676496958f8c1a362a55db556fd10eb0b9a73ffdbca7dabf7168f2ea7"),
+    ("1,-3", "49bb64cda90d9ca82ac23ef19d41a6d13fb78e996981c2582148a7e1d4aa791b"),
+    ("-1,-1,0", "11b0393a05be5e912fc391204a7d51fe639a7c25cdb051d7fcf8a59ec4c07e14"),
+    ("-1,-1,-1", "3a002bced1958c3f3b078e13768bbefd89d1aca0eedcd77ffc482d58bdb7b899"),
+    ("-1,1,-2", "1ce3ce3604d183d7268bf37fac19fd8de9b5edfde98dea9d0c2050cd348cc6fa"),
+    ("-1,-1,-1,-1", "d5535f8172eba239bb5b0bf9edaaa63ed8604e991bf2d4213fbc0eb51a6b4d11"),
+    ("-1,0,0,-1", "4ab1ff857e55e704d57b214eabaca275ee99bc01ebf103bc34ed911e8dad7163"),
+    ("-1,0,0,-2", "6d4eb40bd7a10bf060c13999106e3c05ced9d5c3294cc192bc72958b42e6bb32"),
+    ("-1,-1,-1,-2", "8b7a005384b815450655090bdd2d1305982557525e272f9b75bd2d80a0bc2b5f"),
+    ("-1,-1,-1,-1,-1", "eb54b6277c22ba033b0e300afcb0077c1eeae8cfb637a79ffe332c0e629c39df"),
+    ("-1,0,-1,-1,-1", "b52787121031ad1d7bdac0ea2218e516c3657fdcffa16d1e1452da21862373ce"),
+    ("-1,-1,0,-1,-1", "cb33363a2bb46a96c48311882ec003f11d381b98c6d9c3e16035e25d790adf60"),
+    ("-1,-1,-1,-1,-1,-1", "1d7af7f9820a3ebea5dfe4515b0592bd5dec01ed226b5123a7878bd0ead0b422"),
+    ("-1,0,0,0,0,-2", "867ac117910380222581789ea7efc0e0e9194cd4c937f2bc74d514b05c7d6732"),
+    ("1,-1,-1,-1", "08f5ff3f25cb15cd85350924a9f529371747a40cb7d1ffe0da65fa625c0a22a9"),
+    ("-1,-1,-1,-1,-1,-1,-1,-1", "59bae18004625aa66015c27041e1cf9f2fe71bb242d178772f5ad960ce076bef"),
+    ("10000000000,-10000000002", "ce89f304c5548a23442d7915758622d7729d3d2e0d269b06d2b5f7d7a2248b21"),
+))
 
 
 @pytest.mark.parametrize("argv, csv_sha", EXTENDED_BYTES, ids=lambda v: v[0] if isinstance(v, tuple) else "")

@@ -2,8 +2,9 @@
 
 The 0-d and grid entries of the kernel agree bit for bit, for float
 arguments on both sides of 2^20 and for mpmath arguments in object arrays;
-the lifted symbol A on a covering theta window equals ahat; and phihat
-satisfies the two-scale identity phihat(alpha y) = ahat(y) phihat(y).
+the lifted symbol A on a covering theta window equals ahat; phihat
+satisfies the two-scale identity phihat(alpha y) = ahat(y) phihat(y); and
+the integer phase reduction equals mpmath's, rounding ties included.
 """
 
 import functools
@@ -17,7 +18,7 @@ from pvrefine import refinement as rf
 from pvrefine import solenoid as so
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 BUILTINS = ("boxcar", "dyadic", "golden_vector", "bernoulli")
 # deterministic examples, and no example database written next to the tests
@@ -80,3 +81,50 @@ def test_property_two_scale_identity(name, y):
     base = rf.eval_phihat(mask, y, 1e-11).value
     rhs = sym * base if mask.rank == 1 else sym @ base
     assert np.max(np.abs(np.atleast_1d(lhs - rhs))) < 1e-9
+
+
+def mpf_reduction(taus, ys, prec):
+    # the mpmath reduction that refinement._frac_products reproduces in Python ints
+    with mp.workprec(prec):
+        return np.array([[float(x - mp.floor(x)) for x in (t * mp.mpf(y) for y in ys)] for t in taus])
+
+
+@st.composite
+def phase_inputs(draw):
+    prec = draw(st.integers(64, 512))
+    signs = st.sampled_from((1, -1))
+    # odd full-width mantissas, near 1 or so large that tau y keeps under a float's
+    # worth of fractional bits, where a rounding tie shows in the phase
+    scales = st.one_of(st.integers(-prec - 64, -prec + 24), st.integers(-64, -20))
+    mantissas = st.builds(lambda high, low: high << 2 | low, st.integers(2 ** (prec - 3), 2 ** (prec - 2) - 1),
+                          st.sampled_from((1, 3)))
+    tau_parts = [(draw(signs) * draw(mantissas), draw(scales)) for _ in range(draw(st.integers(1, 3)))]
+    with mp.workprec(prec):
+        taus = [mp.mpf(t) for t in tau_parts] + [mp.mpf(0), mp.mpf(1), mp.mpf(-1) / 3]
+    short = st.builds(lambda m, e: m * 2.0**e, st.integers(-2**12, 2**12), st.integers(-40, 40))
+    # an odd prec-bit mantissa times 3 that carries to prec + 1 bits drops one set bit: a tie
+    tie = st.builds(lambda s, e: s * 3 * 2.0**e, signs, st.integers(-40, 0))
+    # mpf entries of up to 60 bits more than prec, which mp.mpf(y) rounds
+    wide = st.builds(lambda m, e, bits: wide_mpf(m, e, prec + bits), st.integers(-2 ** (prec + 60), 2 ** (prec + 60)),
+                     st.integers(-prec - 100, -prec), st.integers(0, 60))
+    exact = st.integers(-2 ** (prec - 40), 2 ** (prec - 40))
+    ys = draw(st.lists(st.one_of(short, tie, st.floats(-2.0**40, 2.0**40, allow_nan=False), wide, exact,
+                                 st.sampled_from((0, 0.0))), min_size=1, max_size=8))
+    return prec, taus, ys
+
+
+def wide_mpf(m, e, bits):
+    with mp.workprec(bits):
+        return mp.mpf((m, e))
+
+
+@kernel_property
+@given(phase_inputs())
+# 3 (2^63 + 3) 2^-30 is a tie at 64 bits that rounds to even, down; and 1 + x for
+# x = -2^-54 (1 + 2^-63) rounds to 64 bits, then ties to even at 53: 1.0, not 1 - 2^-53
+@example((64, [wide_mpf(2**63 + 3, -30, 64)], [3.0]))
+@example((64, [wide_mpf(-(2**63 + 1), -117, 64)], [1.0]))
+def test_property_integer_phase_reduction_is_mpmath_bit_for_bit(args):
+    prec, taus, ys = args
+    got = rf._frac_products(taus, ys, prec)
+    assert got.tobytes() == mpf_reduction(taus, ys, prec).tobytes()

@@ -1,6 +1,7 @@
 """Near-zero scans, density proxies, vanishing probes, norm-form counting."""
 
 import math
+import random
 import re
 import tracemalloc
 from fractions import Fraction
@@ -274,7 +275,7 @@ def test_norm_form_matches_embedding_product(coeffs):
 
 @pytest.mark.parametrize("coeffs", [(-1, -1), (-1, -1, -1)])
 def test_norm_form_names_the_first_failing_vector(coeffs, monkeypatch):
-    # a form off by n_0^d fails at the first of the 10^3 default_rng(17) vectors with n_0 != 0
+    # a form off by n_0^d fails at the first of the 10^3 random.Random(17) vectors with n_0 != 0
     f = pv.make_field(coeffs)
     d = f.degree
     exact = zd._det_form
@@ -285,7 +286,8 @@ def test_norm_form_names_the_first_failing_vector(coeffs, monkeypatch):
         return {**form, top: form.get(top, 0) + 1}
 
     monkeypatch.setattr(zd, "_det_form", corrupted)
-    ns = np.random.default_rng(17).integers(-50, 51, size=(10**3, d)).tolist()
+    rng = random.Random(17)
+    ns = [[rng.randint(-50, 50) for _ in range(d)] for _ in range(10**3)]
     first = next(n for n in ns if n[0] != 0)
     with pytest.raises(pv.PrecisionError, match=re.escape("at %s" % (tuple(first),)) + "$"):
         zd.norm_form(f)
