@@ -8,8 +8,11 @@ values ahat(y alpha^-j).  This script evaluates the worked examples and
 follows one dilation orbit to its nonzero limit.
 """
 
+from fractions import Fraction
+
 import numpy as np
 
+import pvrefine as pv
 from pvrefine import refinement as rf
 
 # Example: the boxcar chi_[0,1] with alpha = 2, a = (1,1), tau = (0,1).
@@ -40,6 +43,13 @@ for J, sv in orbit[::8]:
     print("  J=%2d   %.15f%+.15fi" % (J, sv.value.real, sv.value.imag))
 tail = orbit[-1][1].value
 print("  limit modulus %.9f" % abs(tail))
+
+# lambda is exact: the golden Bernoulli orbit of lambda = 1/3 (not a float) to
+# J = 400, where lambda alpha^J is near 2^276; the phases past 2^20 come from
+# the exact traces of lambda alpha^J and its conjugate residue
+golden = pv.make_field((-1, -1))
+(_, sv), = rf.phihat_orbit(rf.builtin_mask("bernoulli", golden), Fraction(1, 3), [400])
+print("\ngolden Bernoulli  |phihat(alpha^400 / 3)| = %.6e" % abs(sv.value))
 
 # Example: the golden-mean vector mask; its 2x2 symbol is never singular,
 # which a smallest-singular-value scan confirms

@@ -554,25 +554,24 @@ def norm(elem: FieldElement, field: NumberField) -> Fraction:
     return Fraction(_int_det(_power_combination(field, elem.nums)), elem.den**field.degree)
 
 
-def trace_power_sequence(field: NumberField, mu: FieldElement, j_max: int):
-    """s(j) = T(mu * alpha^j) for j = 0..j_max, exact.
-
-    First d values from explicit traces, then the integer-coefficient
-    recurrence s(j) = -c_{d-1} s(j-1) - ... - c_0 s(j-d), both on the integer
-    traces of the numerators over mu.den.
-    """
-    d = field.degree
-    if j_max < d - 1:
-        raise ValueError("j_max must be >= degree-1")
-    c = field.coeffs
+def _traces(field: NumberField, nums, count: int, m: int = 0):
+    """T(x alpha^j), j < count, for x with integer numerators nums (mod m unless m is 0): the
+    first d from the companion traces, then s(j) = -c_{d-1} s(j-1) - ... - c_0 s(j-d)."""
     seq = []
-    nums = mu.nums
-    for _ in range(d):
-        seq.append(_int_trace(field, nums))
-        nums = _times_alpha(c, nums)
-    for j in range(d, j_max + 1):
-        seq.append(-sum(c[i] * seq[j - d + i] for i in range(d)))
-    return [Fraction(s, mu.den) for s in seq]
+    for j in range(count):
+        if j < field.degree:
+            t, nums = _int_trace(field, nums), _times_alpha(field.coeffs, nums)
+        else:
+            t = -sum(c * x for c, x in zip(field.coeffs, seq[j - field.degree:]))
+        seq.append(t % m if m else t)
+    return seq
+
+
+def trace_power_sequence(field: NumberField, mu: FieldElement, j_max: int):
+    """s(j) = T(mu * alpha^j) for j = 0..j_max, exact: _traces of the numerators over mu.den."""
+    if j_max < field.degree - 1:
+        raise ValueError("j_max must be >= degree-1")
+    return [Fraction(s, mu.den) for s in _traces(field, mu.nums, j_max + 1)]
 
 
 def _require_pv(field: NumberField, what: str):
@@ -595,58 +594,79 @@ def pisot_set_test(field: NumberField, mu: FieldElement) -> bool:
 
 def dist_to_int(x):
     """Distance from x to the nearest integer, in [0, 1/2]."""
-    if isinstance(x, mp.mpf):
-        f = x - mp.floor(x)
-        return min(f, 1 - f)
     f = x - math.floor(x)
     return min(f, 1 - f)
 
 
+def orbit_phases(field: NumberField, mu: FieldElement, n_lo: int, n_hi: int, mod: int = 1):
+    """(den, traces, residues, bounds) with sigma_1(mu alpha^n) = traces[i] / den - residues[i]
+    (mod `mod`) at n = n_lo + i <= n_hi: den is that of mu alpha^n_lo, traces[i] = den
+    T(mu alpha^n) mod (mod den), so no number grows with n, residues[i] = sum_{k>=2}
+    sigma_k(mu alpha^n) (mpf) and bounds[i] >= the sum of their moduli (float, b_n).  The
+    conjugates step by alpha_k from sigma_k(mu) alpha_k^n_lo at precision_bits() plus the bits
+    of the largest at n_lo; the one budget keeps 32 fractional bits of the largest over the
+    range, there and in the root radii (a PV field trips it only from about 2^470 at n_lo)."""
+    nu = fe_mul(field, mu, fe_pow(field, fe_alpha(field), n_lo))
+    n = max(n_hi - n_lo + 1, 0)
+    traces, ks = _traces(field, nu.nums, n, mod * nu.den), range(1, field.degree)
+    if mu.is_zero() or not ks:
+        return nu.den, traces, [mp.mpf(0)] * n, [0.0] * n
+    top = max(map(abs, mu.nums)).bit_length()
+    # (log2 |alpha_k|, log2 of sum_i |mu_i| |alpha_k|^i / den, a bound on |sigma_k(mu)|)
+    logs = [(math.log2(abs(z)), top - math.log2(mu.den) + math.log2(
+        sum(abs(q) / (1 << top) * abs(z) ** i for i, q in enumerate(mu.nums)))) for z in field.roots[1:]]
+    lg_lo, lg_hi = (max(s + e * lr for lr, s in logs) for e in (n_lo, n_hi))
+    wp = precision_bits() + max(0, math.ceil(lg_lo))
+    # each step multiplies in a root's relative error, its radius over its modulus
+    root_bits = -max(math.log2(field.radii[k] / abs(field.roots[k])) for k in ks) - math.log2(1 + abs(n_lo) + n)
+    _check_fraction_bits("conjugate part of mu alpha^n at n=%d" % (n_lo if lg_lo >= lg_hi else n_hi), 1.0,
+                         max(lg_lo, lg_hi), int(min(wp, root_bits)))
+    with mp.workprec(wp):
+        zs = [fe_embed(field, mu, k, wp) * field.roots_mp[k] ** n_lo for k in ks]
+        lg_z = [float(mp.log(abs(z), 2)) for z in zs]
+        residues = []
+        for _ in range(n):
+            residues.append(mp.re(sum(zs)))
+            zs = [z * field.roots_mp[k] for z, k in zip(zs, ks)]
+    return nu.den, traces, residues, [sum(2.0 ** (g + i * lr) for g, (lr, _) in zip(lg_z, logs)) for i in range(n)]
+
+
+def orbit_fractions(field: NumberField, mu: FieldElement, n_lo: int, n_hi: int):
+    """frac(sigma_1(mu alpha^n)), n = n_lo..n_hi, from orbit_phases as floats in [0, 1]:
+    t / den by int true division in degree 1, else at precision_bits() after the residue
+    loses its nearest integer (exactly; a residue below 1/2 keeps its own bits)."""
+    den, traces, residues, _ = orbit_phases(field, mu, n_lo, n_hi)
+    if field.degree == 1:
+        return [t / den for t in traces]
+    with mp.workprec(precision_bits()):
+        xs = [mp.mpf(t) / den - (r - mp.nint(r)) for t, r in zip(traces, residues)]
+        return [float(x - mp.floor(x)) for x in xs]
+
+
 def homoclinic_profile(field: NumberField, lam: FieldElement, j_range):
-    """Tabulate ||lam * alpha^j|| with the exact-trace residue trick.
-
-    lam * alpha^j = s(j) - sum_{k>=2} sigma_k(lam) alpha_k^j with s(j) the exact
-    rational trace, so the distance is computed from small residues only; large
-    powers never enter floating arithmetic.  Returns (points, fitted_slope)
-    where points = [(j, dist), ...] and the slope is the least-squares fit of
-    log dist over the last half of the range (zero distances excluded).
-
-    Also verifies the certified bound dist <= sum_{k>=2} |sigma_k(lam)| |alpha_k|^j
-    pointwise at every j with integer s(j); a violation raises PrecisionError.
-    """
+    """Tabulate ||lam * alpha^j|| from orbit_phases: lam alpha^j = s(j) - r_j with s(j)
+    the exact trace and r_j the conjugate residue, so the distance comes from small
+    residues only, in mpf before it is rounded.  Returns (points, fitted_slope): points
+    = [(j, dist), ...], the slope a least-squares fit of log dist over the last half of
+    the range (zero distances excluded).  PrecisionError where an integer s(j) leaves
+    dist above the bound b_j = sum_{k>=2} |sigma_k(lam)| |alpha_k|^j."""
     _require_pv(field, "homoclinic_profile")
     js = sorted(int(j) for j in j_range)
     if not js:
         raise ValueError("empty j_range")
-    # membership (up to a power shift): some alpha^m * lam must pass the trace test
-    al = fe_alpha(field)
-    shifted = lam
-    for _ in range(64):
-        if pisot_set_test(field, shifted):
-            break
-        shifted = fe_mul(field, shifted, al)
-    else:
+    # membership up to a power shift: T(lam alpha^j) integral for j = m..m+d-1, some m < 64
+    whole = [t == 0 for t in _traces(field, lam.nums, 63 + field.degree, lam.den)]
+    if not any(all(whole[m:m + field.degree]) for m in range(64)):
         raise ValueError("lam does not reach the Pisot set within 64 power shifts")
-
-    prec = precision_bits()
-    seq = trace_power_sequence(field, lam, max(js[-1], field.degree - 1))
+    den, traces, residues, bounds = orbit_phases(field, lam, js[0], js[-1])
     pts = []
-    with mp.workprec(prec):
-        conj = [fe_embed(field, lam, k, prec) for k in range(1, field.degree)]
-        mods = [abs(c) for c in conj]
-        rk = [abs(field.roots_mp[k]) for k in range(1, field.degree)]
+    with mp.workprec(precision_bits()):
         for j in js:
-            if j >= 0:
-                s_j = seq[j]
-            else:
-                s_j = trace(fe_mul(field, lam, fe_pow(field, al, j)), field)
-            res = -sum(c * field.roots_mp[k + 1] ** j for k, c in enumerate(conj))
-            x = mp.mpf(s_j.numerator % s_j.denominator) / s_j.denominator + mp.re(res)
-            dist = float(dist_to_int(x))
-            if s_j.denominator == 1:
-                bound = float(sum(m * (r ** j) for m, r in zip(mods, rk)))
-                if dist > bound + 1e-12 * (1 + bound):
-                    raise PrecisionError("homoclinic bound violated at j=%d" % j)
+            i = j - js[0]
+            x = mp.mpf(traces[i]) / den - residues[i]
+            dist = float(abs(x - mp.nint(x)))
+            if traces[i] == 0 and dist > bounds[i] + 1e-12 * (1 + bounds[i]):
+                raise PrecisionError("homoclinic bound violated at j=%d" % j)
             pts.append((j, dist))
     tail = [(j, d) for j, d in pts[len(pts) // 2 :] if d > 0]
     slope = float("nan")

@@ -318,13 +318,25 @@ def _cmd_symbol_scan(cfg: RunConfig):
     return ["y", "re", "im", "abs", "truncation_error"], rows, [summary], plot
 
 
+def _lambdas(cfg: RunConfig):
+    """--lambda as exact rationals; ValueError on none, or on one past the largest float."""
+    lams = [Fraction(tok.strip()) for tok in cfg.lam.split(",") if tok.strip()]
+    if not lams:
+        raise ValueError("--lambda needs at least one value")
+    if not all(abs(q) <= sys.float_info.max for q in lams):
+        raise ValueError("--lambda must be finite")
+    return lams
+
+
 def _cmd_phihat_orbit(cfg: RunConfig):
     mask = _mask_of(cfg)
-    lam = float(Fraction(cfg.lam))
+    lams = _lambdas(cfg)
+    if len(lams) != 1:
+        raise ValueError("--lambda takes one value for phihat-orbit")
     jmin, jmax = cfg.j_min, cfg.J_max
     if jmax < jmin:
         raise ValueError("--jmax must be >= --jmin")
-    orbit = phihat_orbit(mask, lam, range(jmin, jmax + 1), cfg.tol)
+    orbit = phihat_orbit(mask, lams[0], range(jmin, jmax + 1), cfg.tol)
     rows = [_sv_row(j, sv) for j, sv in orbit]
     v = np.asarray(orbit[-1][1].value)
     if v.ndim == 0:
@@ -336,7 +348,7 @@ def _cmd_phihat_orbit(cfg: RunConfig):
         points=tuple((float(j), r[3]) for j, r in zip(range(jmin, jmax + 1), rows)),
         xlabel="J",
         ylabel="|phihat(lambda alpha^J)|",
-        title="dilation orbit: %s, lambda=%g" % (mask.name, lam),
+        title="dilation orbit: %s, lambda=%g" % (mask.name, float(lams[0])),
     )
     return ["j", "re", "im", "abs", "truncation_error"], rows, [summary], plot
 
@@ -419,9 +431,7 @@ def _cmd_zeros_scan(cfg: RunConfig):
 
 def _cmd_vanishing_probe(cfg: RunConfig):
     mask = _mask_of(cfg)
-    lams = [fe_rational(mask.field, Fraction(tok.strip())) for tok in cfg.lam.split(",") if tok.strip()]
-    if not lams:
-        raise ValueError("--lambda needs at least one value")
+    lams = [fe_rational(mask.field, q) for q in _lambdas(cfg)]
     records = vanishing_probe(mask, lams, cfg.J_max, cfg.delta, cfg.tol)
     rows, lines = [], []
     for rec in records:

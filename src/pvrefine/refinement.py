@@ -11,9 +11,10 @@ One kernel evaluates the symbol: the terms' phases go through a single sum,
 of term k is tau(k) y in float64, except for mpmath arguments and |y| > 2^20,
 where frac(tau(k) y) is reduced at extended precision first, in Python ints
 that round as mpmath does; without that the phase is garbage long before
-tau*y overflows a double mantissa (the dilation orbits used here reach
-y ~ alpha^40).  eval_symbol, eval_phihat, phihat_orbit and the lifted symbol
-A of the solenoid layer all call it.
+tau*y overflows a double mantissa; along a dilation orbit lam alpha^n those
+phases come exactly from algebraic_core.orbit_fractions instead.  eval_symbol,
+eval_phihat, phihat_orbit and the lifted symbol A of the solenoid layer all
+call the kernel.
 """
 
 import ast
@@ -21,11 +22,13 @@ import dataclasses
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 
 from .algebraic_core import (
+    FieldElement,
     NumberField,
     LaurentTranslate,
     _check_fraction_bits,
@@ -41,10 +44,10 @@ from .algebraic_core import (
     laurent_embed,
     laurent_int,
     make_field,
+    orbit_fractions,
+    orbit_phases,
     parse_poly,
     precision_bits,
-    trace,
-    trace_power_sequence,
 )
 from .errors import (
     EigenError,
@@ -56,15 +59,15 @@ from .errors import (
 
 _PRODUCT_FACTOR_BUDGET = 10**6
 
-# phihat_orbit and bernoulli_orbit refuse more orbit points before building any, and
-# bernoulli_orbit exact traces of more digits (seconds at either limit)
+# the orbits (phihat_orbit, bernoulli_orbit, solenoid.theta) refuse more points before
+# building any (seconds at the limit)
 MAX_ORBIT_POINTS = 10**5
-MAX_TRACE_DIGITS = 10**6
 
 # above this magnitude a float64 argument has too few fractional bits left
 # for phase reduction; evaluation switches to extended precision
 _MP_ARG_CUTOFF = 2.0**20
 _SUM_BLOCK = 4096  # (term, point) coefficients per block of the symbol sum: temporaries near 64 KB
+_ORBIT_BLOCK = 1024  # orbit steps past 2^20 whose phases phihat_orbit holds at once
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,16 +228,17 @@ def mask_terms(mask: RefinementMask, tol: float = 1e-14):
 @functools.lru_cache(maxsize=256)
 def _kernel_terms(mask: RefinementMask, K, prec: int = None):
     # the first K terms (all of a finite mask) as a (K,) or (K, r, r) complex
-    # coefficient array, plus the translate embeddings tau_k: a float array, or
-    # mpf at prec bits, since a float64 embedding times a huge argument would
-    # lose the entire fractional part of the phase
+    # coefficient array, plus the translates tau_k: their embeddings as a float
+    # array and the exact field elements, or the embeddings as mpf at prec bits,
+    # since a float64 embedding times a huge argument would lose the entire
+    # fractional part of the phase
     terms = _terms(mask, K)
     coeffs = np.array([a for a, _ in terms], dtype=complex)
+    taus = [laurent_embed(mask.field, t) for _, t in terms]
     if prec is None:
-        return coeffs, np.array([laurent_embed(mask.field, t)[1] for _, t in terms])
+        return coeffs, np.array([x for _, x in taus]), tuple(e for e, _ in taus)
     with mp.workprec(prec):
-        return coeffs, tuple(mp.re(fe_embed(mask.field, laurent_embed(mask.field, t)[0], 0, prec))
-                             for _, t in terms)
+        return coeffs, tuple(mp.re(fe_embed(mask.field, e, 0, prec)) for e, _ in taus)
 
 
 def _extended_phases(mask: RefinementMask, K, ys):
@@ -320,7 +324,7 @@ def lipschitz_bound(mask: RefinementMask, tol: float = 1e-14) -> float:
     generated masks shipped here).
     """
     K, tail = _truncation(mask, tol)
-    coeffs, taus = _kernel_terms(mask, K)
+    coeffs, taus, _ = _kernel_terms(mask, K)
     norms = np.abs(coeffs) if mask.rank == 1 else np.linalg.norm(coeffs, 2, axis=(1, 2))
     s = sum(norms * np.abs(taus))  # a Python sum, in term order
     if tail:
@@ -352,7 +356,7 @@ def eval_symbol_grid(mask: RefinementMask, ys, tol: float = 1e-14):
     precision first.  Every point then takes the same sum, in term order.
     """
     K, tail = _truncation(mask, tol)
-    coeffs, taus = _kernel_terms(mask, K)
+    coeffs, taus, _ = _kernel_terms(mask, K)
     ys = np.asarray(ys)
     src = ys.reshape(-1)
     yf = src.astype(float)
@@ -413,7 +417,7 @@ def eval_phihat(mask: RefinementMask, y, tol: float = 1e-12) -> SymbolValue:
     yf = float(y)
     j0 = _product_depths(mask, yf, tol)
     sym_tol, err = _product_plan(mask, j0, tol)
-    if isinstance(y, mp.mpf) or abs(yf) > _MP_ARG_CUTOFF:
+    if abs(yf) > _MP_ARG_CUTOFF:
         with mp.workprec(precision_bits()):
             al = mp.re(mask.field.roots_mp[0])
             args = [mp.mpf(y) / al**j0]
@@ -481,65 +485,78 @@ def check_orbit_points(name: str, first: int, last: int) -> None:
                         % (name, last - first + 1, first, last, MAX_ORBIT_POINTS))
 
 
-def phihat_orbit(mask: RefinementMask, lam: float, J_range, tol: float = 1e-12):
+def phihat_orbit(mask: RefinementMask, lam, J_range, tol: float = 1e-12):
     """phihat(lam alpha^J) along the dilation orbit, computed incrementally.
 
-    The two-scale identity phihat(alpha y) = ahat(y) phihat(y) extends the
-    base evaluation one factor at a time, so consecutive entries satisfy it
-    by construction.
+    lam is exact: a FieldElement, or an int, Fraction or float taken as a Fraction.
+    The orbit starts from eval_phihat at the last n_b <= J_min with |lam alpha^n_b|
+    <= 2^20, and phihat(alpha y) = ahat(y) phihat(y) extends it one factor at a
+    time, so consecutive entries satisfy it by construction.  A factor at a float
+    point is one eval_symbol call; past 2^20 the phases frac(tau_k lam alpha^n)
+    come from orbit_fractions, one call per term, and one _symbol_sum per block.
     """
     js = J_range if isinstance(J_range, range) else sorted(int(j) for j in J_range)
     if not js:
         return []
     check_orbit_points("phihat_orbit", *sorted((js[0], js[-1])))  # a range is read from its ends
     js = sorted(js)
-    prec = precision_bits()
-    _check_fraction_bits("|lam alpha^J| at J=%d" % js[-1], lam, max(js[-1], 0) * math.log2(abs(mask.alpha)), prec,
-                         "raise --precision-bits or lower J_max")
-    with mp.workprec(prec):
-        al = mp.re(mask.field.roots_mp[0])
-        args = [mp.mpf(lam) * al ** js[0]]
-        for _ in range(js[0], js[-1]):
-            args.append(args[-1] * al)
-    # floats up to 2^20 keep the float path; larger arguments stay mpf
-    args = [float(x) if abs(x) <= _MP_ARG_CUTOFF else x for x in args]
-    steps = [eval_phihat(mask, args[0], tol)]  # phihat(lam alpha^j), j = js[0]..js[-1]
-    for x in args[:-1]:
-        s, cur = eval_symbol(mask, x, min(tol, 1e-14)), steps[-1]
+    field, sym_tol = mask.field, min(tol, 1e-14)
+    if not isinstance(lam, FieldElement):
+        lam = fe_rational(field, Fraction(lam))
+    with mp.workprec(precision_bits()):
+        al, s1 = mp.re(field.roots_mp[0]), mp.re(fe_embed(field, lam, 0))
+        lg, step = (float(mp.log(abs(s1), 2)) if s1 else -math.inf), math.log2(abs(mask.alpha))
+
+    def point(n):  # float(lam alpha^n) if it is at most 2^20, the kernel's own cutoff, else None
+        if lg + n * step <= 21:
+            with mp.workprec(precision_bits()):
+                x = s1 * al**n
+            if abs(x) <= _MP_ARG_CUTOFF:
+                return float(x)
+
+    n_b = js[0]
+    while point(n_b) is None and js[-1] - n_b < MAX_ORBIT_POINTS:
+        n_b -= 1
+    check_orbit_points("phihat_orbit", n_b, js[-1])
+    pts = [point(n) for n in range(n_b, js[-1])]
+    K, tail = _truncation(mask, sym_tol)
+    coeffs, _, taus = _kernel_terms(mask, K)
+    mus = [fe_mul(field, t, lam) for t in taus]
+    far = [n for n, x in zip(range(n_b, js[-1]), pts) if x is None]
+    ext = {}  # n -> ahat(lam alpha^n) past 2^20
+    for lo in range(0, len(far), _ORBIT_BLOCK):
+        ns = far[lo:lo + _ORBIT_BLOCK]
+        phases = np.array([orbit_fractions(field, mu, ns[0], ns[-1]) for mu in mus])[:, np.subtract(ns, ns[0])]
+        sums = _symbol_sum(coeffs, mask.alpha, phases)
+        ext.update(zip(ns, sums.tolist() if mask.rank == 1 else sums))
+    steps = [eval_phihat(mask, point(n_b), tol)]  # phihat(lam alpha^n), n = n_b..js[-1]
+    for n, x in zip(range(n_b, js[-1]), pts):
+        s = eval_symbol(mask, x, sym_tol) if x is not None else SymbolValue(ext[n], tail)
+        cur = steps[-1]
         steps.append(SymbolValue(s.value * cur.value if mask.rank == 1 else s.value @ cur.value,
                                  cur.truncation_error + s.truncation_error))
-    return [(j, steps[j - js[0]]) for j in js]
+    return [(j, steps[j - n_b]) for j in js]
 
 
 def bernoulli_orbit(field: NumberField, J_max: int, j_min: int):
     """([phihat(alpha^J) for J = 0..J_max], bound) for the Bernoulli mask, in one pass.
 
-    phihat(alpha^J) = e^{-pi i alpha^J/(alpha-1)} prod_{j_min<=j<J} cos(pi alpha^j).
-    Uses the exact-trace residue route for both the phase and the large-j
-    cosines, so alpha^j never meets floating arithmetic at full size:
-    cos(pi alpha^j) = (-1)^{s(j)} cos(pi r_j) with s(j) = T(alpha^j) and
-    r_j = sum_{k>=2} alpha_k^j.  The running product takes the factors in
-    increasing j and mu = alpha^J/(alpha-1) steps by one exact multiplication
-    by alpha, so each value is the one the product for that J alone gives.
-    The dropped factors below j_min satisfy
+    phihat(alpha^J) = e^{-pi i alpha^J/(alpha-1)} prod_{j_min<=j<J} cos(pi alpha^j), both
+    parts from orbit_phases mod 2: cos(pi alpha^j) = (-1)^{T(alpha^j)} cos(pi r_j) with
+    r_j = sum_{k>=2} alpha_k^j, and the phase T(mu) - r(mu) for mu = alpha^J/(alpha-1).
+    The product takes the factors in increasing j, so each value is the one the product
+    for that J alone gives.  The dropped factors below j_min satisfy
     |1 - prod| <= (pi^2/2) alpha^{2 j_min} / (alpha^2 - 1), reported as bound.
     """
     _require_pv(field, "bernoulli product")
     if J_max < 0:
         raise ValueError("J_max must be >= 0")
     check_orbit_points("bernoulli_orbit", min(j_min, 0), J_max)
-    # T(alpha^j) for j < J_max keeps about J_max^2 log10|alpha| / 2 digits, |alpha| <= 1 + max|c_i|
-    digits = J_max**2 * math.log10(1 + max(abs(c) for c in field.coeffs)) / 2
-    if digits > MAX_TRACE_DIGITS:
-        raise SizeError("bernoulli_orbit: exact traces to J=%d take up to %.3g digits, over the %d-digit limit"
-                        % (J_max, digits, MAX_TRACE_DIGITS))
-    prec = precision_bits()
-    d = field.degree
-    al = fe_alpha(field)
-    mu = fe_inv(field, fe_add(al, fe_rational(field, -1)))
-    traces = trace_power_sequence(field, fe_rational(field, 1), max(J_max - 1, d - 1))
+    _, parity, cos_res, _ = orbit_phases(field, fe_rational(field, 1), 0, J_max - 1, 2)
+    mu = fe_inv(field, fe_add(fe_alpha(field), fe_rational(field, -1)))
+    den, phase_t, phase_r, _ = orbit_phases(field, mu, 0, J_max, 2)
     values = []
-    with mp.workprec(prec):
+    with mp.workprec(precision_bits()):
         alpha = field.roots_mp[0].real
         prod = mp.mpf(1)
         sign = 1
@@ -547,21 +564,15 @@ def bernoulli_orbit(field: NumberField, J_max: int, j_min: int):
             prod *= mp.cos(mp.pi * alpha**j)
         for J in range(J_max + 1):
             j = J - 1  # the factor that joins the product at this J
-            if j >= 0:
-                mu = fe_mul(field, mu, al)
-                if j >= j_min:
-                    r_j = sum(field.roots_mp[k] ** j for k in range(1, d))
-                    prod *= mp.cos(mp.pi * mp.re(r_j))
-                    if int(traces[j]) % 2:
-                        sign = -sign
-            # phase: embed mu via trace minus conjugates, with the integer
-            # part of T(mu) reduced mod 2 before it meets pi
-            tmu = trace(mu, field)
-            conj_sum = sum(fe_embed(field, mu, k, prec) for k in range(1, d))
-            n, den = tmu.numerator, tmu.denominator
-            x_red = (n // den % 2) + mp.mpf(n % den) / den - mp.re(conj_sum)
-            phase = mp.e ** (-1j * mp.pi * x_red)
-            values.append(complex(sign * prod * phase))
+            if j >= max(j_min, 0):
+                prod *= mp.cos(mp.pi * cos_res[j])
+                if parity[j]:
+                    sign = -sign
+            # phase: T(mu) mod 2 minus the residue, its integer part a sign, so a tiny
+            # fraction minus the residue keeps its relative precision
+            t = phase_t[J]
+            phase = mp.e ** (-1j * mp.pi * (mp.mpf(t % den) / den - phase_r[J]))
+            values.append(complex((-sign if t // den else sign) * prod * phase))
         bound = float(mp.pi**2 / 2 * alpha ** (2 * j_min) / (alpha**2 - 1))
     return values, bound
 

@@ -8,10 +8,10 @@ neighborhoods U(m, eps), the lattice section Y(L) enumerated through the
 Vandermonde transform, its density gamma, the kernel-window predicate, and a
 star-discrepancy estimate for window equidistribution.
 
-Windows produced by theta(field, y, j_min, j_max) hold frac(y alpha^j).  The
-fractional parts are taken at extended precision because y alpha^j grows; the
-precondition log2(|y| |alpha|^{j_max}) <= precision_bits() - 32 keeps at least
-32 fractional bits in every coordinate.
+Windows produced by theta(field, y, j_min, j_max) hold frac(y alpha^j).  A float
+y is an exact dyadic rational, so the fractional parts come exactly from
+algebraic_core.orbit_fractions (integer traces mod den plus the conjugate
+residue), however large y alpha^j grows.
 
 Lattice membership runs through the exact Lagrange dual basis e_0..e_{d-1}
 (rows of V^{-1} are its conjugate embeddings): an integer vector n corresponds
@@ -26,6 +26,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -45,6 +46,7 @@ from .algebraic_core import (
     fe_rational,
     fe_scale,
     first_lagrange_row,
+    orbit_fractions,
     precision_bits,
 )
 from .errors import (
@@ -52,7 +54,7 @@ from .errors import (
     SizeError,
     WindowTooSmallError,
 )
-from .refinement import RefinementMask, _symbol_sum, mask_terms
+from .refinement import RefinementMask, _symbol_sum, check_orbit_points, mask_terms
 
 __all__ = [
     "SolenoidWindow",
@@ -178,24 +180,17 @@ def _embeddings(field: NumberField, elem: FieldElement, prec=None):
 
 
 def theta(field: NumberField, y: float, j_min: int, j_max: int) -> SolenoidWindow:
-    """Window of fractional parts frac(y alpha^j), j_min <= j <= j_max."""
+    """Window of fractional parts frac(y alpha^j), j_min <= j <= j_max, from
+    orbit_fractions on the exact rational y; a window of over MAX_ORBIT_POINTS
+    coordinates raises SizeError, a non-finite y PrecisionError."""
     if j_min > j_max:
         raise EmptyWindowError("window [%d, %d] is empty" % (j_min, j_max))
-    prec = precision_bits()
-    _check_fraction_bits("|y alpha^j| at j_max=%d" % j_max, y, max(j_max, 0) * math.log2(abs(field.alpha)), prec,
-                         "shrink the window or raise --precision-bits")
-    vals = []
-    with mp.workprec(prec):
-        al = mp.mpf(field.roots_mp[0].real)
-        x = mp.mpf(y) * al**j_min
-        for _ in range(j_min, j_max + 1):
-            f = x - mp.floor(x)
-            v = float(f)
-            if v >= 1.0:  # rounding at the torus seam
-                v = 0.0
-            vals.append(v)
-            x = x * al
-    return SolenoidWindow(j_min, j_max, tuple(vals))
+    check_orbit_points("theta", j_min, j_max)
+    if not math.isfinite(y):  # the budget's own refusal: no fractional bit of y survives
+        _check_fraction_bits("|y alpha^j| at j_max=%d" % j_max, y, 0.0, precision_bits(),
+                             "shrink the window or raise --precision-bits")
+    vals = orbit_fractions(field, fe_rational(field, Fraction(y)), j_min, j_max)
+    return SolenoidWindow(j_min, j_max, tuple(v if v < 1.0 else 0.0 for v in vals))  # 1.0: the torus seam
 
 
 def shift(g: SolenoidWindow, k: int) -> SolenoidWindow:
@@ -494,7 +489,7 @@ def equidistribution_check(field: NumberField, y_samples, n: int) -> float:
     if n * math.log10(q) > math.log10(_MAX_CORNER_BOXES):
         raise SizeError("%d^%d (about 1e%d) corner boxes exceed %d; lower n"
                         % (q, n, n * math.log10(q), _MAX_CORNER_BOXES))
-    # as in theta, with float64's 53-bit mantissa
+    # each coordinate keeps 32 fractional bits of float64's 53-bit mantissa
     _check_fraction_bits("|y alpha^%d|" % (n - 1), float(max(ys.max(), -ys.min())),
                          (n - 1) * math.log2(abs(field.alpha)), 53, "lower n or the sample range")
     pts = np.outer(ys, field.alpha ** np.arange(n))

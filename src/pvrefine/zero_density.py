@@ -262,7 +262,7 @@ def vanishing_probe(mask: RefinementMask, lambdas, J_max: int, delta: float = No
         lam_val = complex(fe_embed(mask.field, lam)).real
         if lam.is_zero():
             raise ValueError("lambda must be nonzero")
-        orbit = phihat_orbit(mask, lam_val, range(0, J_max + 1), tol)
+        orbit = phihat_orbit(mask, lam, range(0, J_max + 1), tol)
         vals = tuple(float(np.linalg.norm(np.atleast_1d(sv.value))) for _, sv in orbit)
         tail_start = (2 * (J_max + 1)) // 3
         tail = vals[tail_start:]

@@ -449,12 +449,11 @@ def test_oversized_grid_exit_2(tmp_path, capsys):
         assert rc == 2
         assert count in capsys.readouterr().err
         assert not (tmp_path / "e.csv").exists()
-    # orbits of 10^6 to 10^9 points, 3.8e6 exact-trace digits and 10^12 samples:
-    # refused from the forecast, before an orbit list, a trace or a sample exists
+    # orbits of 10^6 to 10^9 points and 10^12 samples: refused from the forecast,
+    # before an orbit list or a sample exists
     for argv, forecast in (
         (("bernoulli", "--poly", "-1,-1", "--jmin", "-1000000000"), "1000000041 orbit points"),
         (("bernoulli", "--poly", "-1,-1", "--jmax", "1000000"), "1000041 orbit points"),
-        (("bernoulli", "--poly", "-1,-1", "--jmax", "5000"), "3.76e+06 digits"),
         (("phihat-orbit", "--mask", "boxcar", "--lambda", "1", "--jmax", "3", "--jmin", "-1000000000"),
          "1000000004 orbit points"),
         (("vanishing-probe", "--mask", "boxcar", "--lambda", "1", "--jmax", "1000000000"),
@@ -471,6 +470,17 @@ def test_oversized_grid_exit_2(tmp_path, capsys):
         assert rc == 2
         assert forecast in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
+
+
+def test_bernoulli_long_orbit_runs(tmp_path):
+    # the traces run mod 2, so J = 5000 needs no 3.76e6-digit integers; its first 41
+    # rows are those of the default J = 40 run
+    rows = []
+    for jmax in ("5000", "40"):
+        out = tmp_path / ("b%s.csv" % jmax)
+        assert run_cli("bernoulli", "--poly", "-1,-1", "--jmax", jmax, "--out", str(out)) == 0
+        rows.append(out.read_bytes().split(b"\r\n"))
+    assert len(rows[0]) == 5003 and rows[0][:42] == rows[1][:42]
 
 
 def test_zeros_scan_grid_past_2_20(tmp_path, capsys):
@@ -494,6 +504,9 @@ def test_zeros_scan_grid_past_2_20(tmp_path, capsys):
     (("symbol-scan", "--mask", "dyadic", "--range", "0:1", "--step", "nan"), "--step"),
     (("symbol-scan", "--mask", "dyadic", "--range", "0:1", "--step", "0.5", "--tol", "inf"), "--tol"),
     (("zeros-scan", "--mask", "boxcar", "--range", "0:16", "--step", "0.5", "--delta", "nan"), "--delta"),
+    # exact rationals, but past the largest float
+    (("phihat-orbit", "--mask", "dyadic", "--lambda", "1e400", "--jmax", "3"), "--lambda"),
+    (("vanishing-probe", "--mask", "bernoulli", "--poly", "-1,-1", "--lambda", "1e400", "--jmax", "3"), "--lambda"),
 ])
 def test_non_finite_option_exit_2(tmp_path, capsys, argv, flag):
     assert run_cli(*argv, "--out", str(tmp_path / "x.csv")) == 2
@@ -501,12 +514,13 @@ def test_non_finite_option_exit_2(tmp_path, capsys, argv, flag):
 
 
 def test_numeric_budget_exit_3(tmp_path, capsys):
-    # at J = 5000, 2^J itself overflows a float: the budget is forecast in logs
+    # the orbit phases past 2^20 come from exact traces, so no budget stands on
+    # |lam alpha^J|: J = 500 and 5000 (where 2^J overflows a float) run
     for jmax in ("500", "5000"):
         rc = run_cli("phihat-orbit", "--mask", "dyadic", "--lambda", "1", "--jmax", jmax,
                      "--out", str(tmp_path / "x.csv"))
-        assert rc == 3
-        assert "overflows the 128-bit budget" in capsys.readouterr().err
+        assert rc == 0
+        assert "tail value 0.025764+0.0692222i" in capsys.readouterr().out
     # 256 to 2048 bits cannot move the conjugate 1 - 10^-700 off the circle: the cap
     rc = run_cli("field-check", "--poly", "%d,%d" % (10**700, -(10**700 + 2)), "--precision-bits", "64",
                  "--out", str(tmp_path / "x.csv"))
@@ -530,12 +544,15 @@ def test_precision_floor_exit_2(tmp_path, capsys, argv):
 
 def test_precision_bits_flag_raises_budget(tmp_path):
     out = tmp_path / "deep.csv"
-    assert run_cli("phihat-orbit", "--mask", "dyadic", "--lambda", "1", "--jmax", "150",
-                   "--out", str(out)) == 3
-    rc = run_cli("phihat-orbit", "--mask", "dyadic", "--lambda", "1", "--jmax", "150",
-                 "--precision-bits", "256", "--out", str(out))
-    assert rc == 0
-    # the override is scoped to the invocation
+    # the exact orbit phases need no raised precision: 128 bits give the pinned 256-bit bytes
+    assert run_cli("phihat-orbit", "--mask", "dyadic", "--lambda", "3/2", "--jmax", "150",
+                   "--out", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == EXTENDED_BYTES[2][1]
+    # a scan point near 10^30 still needs the flag, and it holds for one invocation
+    scan = ("symbol-scan", "--mask", "bernoulli", "--poly", "-1,-1", "--range", "1e30:1.0000000000001e30",
+            "--step", "1e16", "--out", str(out))
+    assert run_cli(*scan) == 3
+    assert run_cli(*scan, "--precision-bits", "256") == 0
     assert pv.precision_bits() == 128
 
 

@@ -65,18 +65,26 @@ def test_theta_consistency_invariant(golden):
         lift *= al
 
 
+def _frac_reference(coeffs, y, j_min, j_max):
+    # frac(y alpha^j) from a 1,200-bit alpha of mpmath's own roots, without pvrefine
+    with mp.workprec(1200):
+        alpha = max(mp.re(z) for z in mp.polyroots([1] + list(reversed(coeffs)), maxsteps=400, extraprec=1200))
+        return [float(mp.frac(mp.mpf(y) * alpha**j)) for j in range(j_min, j_max + 1)]
+
+
 def test_theta_precision_budget(golden):
-    with pytest.raises(pv.PrecisionError):
-        so.theta(golden, 1e6, 0, 200)
-    # and the suggested window indeed works
-    so.theta(golden, 1e6, 0, 100)
+    # |y alpha^j| reaches 2^157 at j = 200, and alpha^2000 is past a float: the fractional
+    # parts come from exact traces and equal the reference
+    for y, j_max in ((1e6, 200), (1e-300, 2000)):
+        want = _frac_reference((-1, -1), y, 0, j_max)
+        got = so.theta(golden, y, 0, j_max).vals
+        assert all(min(abs(a - b), 1 - abs(a - b)) <= 2**-52 for a, b in zip(got, want)), y
 
 
 def test_theta_long_window_precision_error(golden):
-    # |alpha|^j_max itself overflows a float here: the budget is read in logs
-    for y, j_max in ((1.0, 10**6), (1e-300, 2000)):
-        with pytest.raises(pv.PrecisionError, match="overflows the 128-bit budget"):
-            so.theta(golden, y, 0, j_max)
+    # a window of 10^6 coordinates is refused for its size, before any is computed
+    with pytest.raises(pv.SizeError, match="1000001 orbit points"):
+        so.theta(golden, 1.0, 0, 10**6)
 
 
 def test_shift_frame_semantics(golden):
