@@ -28,6 +28,7 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -151,18 +152,47 @@ def _cell(v) -> str:
     return str(v)
 
 
+_FLOATS = {float, np.float64}
+_BLOCK_ROWS = 4096
+
+
 def emit_csv(rows, header, path) -> None:
-    """RFC-4180-style CSV: CRLF, '.' decimal separator, 17 significant digits."""
+    """RFC-4180-style CSV: CRLF, '.' decimal separator, 17 significant digits.
+
+    Each column is formatted in one pass (%.17g for floats, empty if all None,
+    else its `_cell` text), one %-format per block of `_BLOCK_ROWS` rows.  A table
+    csv.writer would quote (one column, an empty or quote-worthy cell) goes through it.
+    """
     header = list(header)
     rows = [list(r) for r in rows]
     for r in rows:
         if len(r) != len(header):
             raise ValueError("rows must be rectangular (want %d columns, got %d)" % (len(header), len(r)))
+    slots, cols, texts = [], [], []
+    for col in zip(*rows):
+        kinds = set(map(type, col))
+        if kinds <= _FLOATS:
+            slots.append("%.17g")
+            cols.append(col)
+        elif kinds == {type(None)}:
+            slots.append("")
+        else:
+            slots.append("%s")
+            cols.append(list(map(_cell, col)))
+            texts.append(cols[-1])
+    joined = "".join(chain.from_iterable(texts))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh, lineterminator="\r\n")
         w.writerow(header)
-        for r in rows:
-            w.writerow([_cell(v) for v in r])
+        # csv.writer quotes , " \r and \n, and alone decides how an empty field is written
+        if len(header) < 2 or any("" in t for t in texts) or any(ch in joined for ch in ',"\r\n'):
+            for r in rows:
+                w.writerow([_cell(v) for v in r])
+            return
+        fmt = ",".join(slots) + "\r\n"
+        for i in range(0, len(rows), _BLOCK_ROWS):
+            n = min(_BLOCK_ROWS, len(rows) - i)
+            fh.write((fmt * n) % tuple(chain.from_iterable(zip(*(c[i:i + n] for c in cols)))))
 
 
 _SVG_W, _SVG_H = 800.0, 500.0
@@ -283,7 +313,8 @@ def _grid(lo: float, hi: float, step: float):
 
 # ---------------------------------------------------------------------------
 # subcommand handlers; each reads a resolved RunConfig and returns
-# (header, rows, summary lines, plot or None)
+# (header, rows, summary lines, plot), where plot is None or a zero-argument
+# callable giving the PlotSpec, called only under --svg
 
 
 def _cmd_field_check(cfg: RunConfig):
@@ -301,16 +332,18 @@ def _cmd_symbol_scan(cfg: RunConfig):
     ys = _grid(lo, hi, step)
     vals, tail = eval_symbol_grid(mask, ys, cfg.tol)
     mags = _magnitudes(vals)
+    y_list, m_list = ys.tolist(), mags.tolist()
     if mask.rank == 1:
-        rows = [[float(y), z.real, z.imag, abs(z), tail] for y, z in zip(ys, vals)]
+        # abs of each complex, not the vectorized np.abs: the two can differ in the last bit
+        rows = [[y, z.real, z.imag, abs(z), tail] for y, z in zip(y_list, vals.tolist())]
     else:
-        rows = [[y, None, None, m, tail] for y, m in zip(ys.tolist(), mags.tolist())]
+        rows = [[y, None, None, m, tail] for y, m in zip(y_list, m_list)]
     i = int(np.argmin(mags))
     summary = "min |ahat| = %.6g at y = %.6g over [%g, %g] step %g (%d points)" % (
         mags[i], ys[i], lo, hi, step, len(ys),
     )
-    plot = PlotSpec(
-        points=tuple(zip(ys.tolist(), mags.tolist())),
+    plot = lambda: PlotSpec(
+        points=tuple(zip(y_list, m_list)),
         xlabel="y",
         ylabel="|ahat(y)|",
         title="Fourier symbol modulus: %s" % mask.name,
@@ -344,7 +377,7 @@ def _cmd_phihat_orbit(cfg: RunConfig):
         summary = "tail value %.6g%+.6gi (modulus %.6g) at J=%d" % (z.real, z.imag, abs(z), jmax)
     else:
         summary = "tail smallest singular value %.6g at J=%d" % (_magnitude(v), jmax)
-    plot = PlotSpec(
+    plot = lambda: PlotSpec(
         points=tuple((float(j), r[3]) for j, r in zip(range(jmin, jmax + 1), rows)),
         xlabel="J",
         ylabel="|phihat(lambda alpha^J)|",
@@ -357,7 +390,7 @@ def _cmd_bernoulli(cfg: RunConfig):
     values, _ = bernoulli_orbit(make_field(cfg.poly), cfg.J_max, cfg.j_min)
     rows = [[J, z.real, z.imag, abs(z)] for J, z in enumerate(values)]
     summary = "|phihat| tail %.6g at J=%d (cutoff j_min=%d)" % (rows[-1][3], cfg.J_max, cfg.j_min)
-    plot = PlotSpec(
+    plot = lambda: PlotSpec(
         points=tuple((float(r[0]), r[3]) for r in rows),
         xlabel="J",
         ylabel="|phihat(alpha^J)|",
@@ -384,14 +417,12 @@ def _cmd_lattice_density(cfg: RunConfig):
     summary = "card Y(%g) = %d, density %.6g vs gamma %.6g (rel err %.3g)" % (
         L, rows[-1][1], rows[-1][2], gamma, rows[-1][4],
     )
-    plot = None
-    if len(rows) >= 2:
-        plot = PlotSpec(
-            points=tuple((math.log10(r[0]), r[4]) for r in rows),
-            xlabel="log10 L",
-            ylabel="relative error",
-            title="lattice density vs gamma",
-        )
+    plot = None if len(rows) < 2 else lambda: PlotSpec(
+        points=tuple((math.log10(r[0]), r[4]) for r in rows),
+        xlabel="log10 L",
+        ylabel="relative error",
+        title="lattice density vs gamma",
+    )
     return ["L", "count", "density", "gamma", "rel_err"], rows, [summary], plot
 
 
@@ -420,7 +451,7 @@ def _cmd_zeros_scan(cfg: RunConfig):
     summary = "%d near-zeros of |%s| below delta=%g on [0, %g]; density in [%.6g, %.6g]" % (
         len(z.points), target, delta, hi, lo_d, hi_d,
     )
-    plot = PlotSpec(
+    plot = lambda: PlotSpec(
         points=tuple((r[0], r[2]) for r in rows),
         xlabel="t",
         ylabel="count / t",
@@ -442,7 +473,7 @@ def _cmd_vanishing_probe(cfg: RunConfig):
             % (rec.lam_value, rec.verdict, rec.tail_mean, rec.slope)
         )
     r0 = records[0]
-    plot = PlotSpec(
+    plot = lambda: PlotSpec(
         points=tuple((float(J), v) for J, v in enumerate(r0.values)),
         xlabel="J",
         ylabel="|phihat(lambda alpha^J)|",
@@ -463,14 +494,12 @@ def _cmd_norms_count(cfg: RunConfig):
     summary = "%d distinct norm values in [1, %d] (box %d); fitted exponent %.4f" % (
         count, L, box, exponent,
     )
-    plot = None
-    if len(rows) >= 2:
-        plot = PlotSpec(
-            points=tuple((math.log10(r[0]), math.log10(r[1])) for r in rows),
-            xlabel="log10 L",
-            ylabel="log10 count",
-            title="norm-value counting",
-        )
+    plot = None if len(rows) < 2 else lambda: PlotSpec(
+        points=tuple((math.log10(r[0]), math.log10(r[1])) for r in rows),
+        xlabel="log10 L",
+        ylabel="log10 count",
+        title="norm-value counting",
+    )
     return ["L", "count", "ratio"], rows, [summary], plot
 
 
@@ -522,7 +551,7 @@ def run(cfg: RunConfig) -> int:
         if plot is None:
             raise ValueError("--svg is not available for %s (no plottable series)" % cfg.command)
         svg_path = os.path.splitext(out)[0] + ".svg"
-        emit_svg(plot, svg_path)
+        emit_svg(plot(), svg_path)
         lines.append("wrote %s" % svg_path)
     for ln in lines:
         print(ln)
@@ -595,13 +624,16 @@ _OPTIONS = {
     "svg": ("svg", _parse_bool, "also write a line-chart SVG next to the CSV"),
 }
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(only: str = None) -> argparse.ArgumentParser:
+    # only: add just this command's subparser (the one a parse of its argv enters)
     p = argparse.ArgumentParser(
         prog="pvrefine",
         description="refinable functions with Pisot dilations: batch CSV/SVG reports",
     )
     sub = p.add_subparsers(dest="command", required=True, metavar="command")
     for cmd, (_, defaults) in _COMMANDS.items():
+        if only is not None and cmd != only:
+            continue
         sp = sub.add_parser(cmd, help="%s report" % cmd)
         sp.add_argument("--config", default=None, help="key=value options file; explicit flags win")
         for dest, default in {**defaults, **_COMMON}.items():
@@ -662,7 +694,9 @@ def _merge_negative_values(argv):
 def build_config(argv) -> RunConfig:
     if argv is None:
         argv = sys.argv[1:]
-    args = _build_parser().parse_args(_merge_negative_values(list(argv)))
+    argv = list(argv)
+    only = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = _build_parser(only).parse_args(_merge_negative_values(argv))
     cmd = args.command
     allowed = {**_COMMANDS[cmd][1], **_COMMON}
     if args.config is not None:

@@ -247,7 +247,7 @@ def vanishing_probe(mask: RefinementMask, lambdas, J_max: int, delta: float = No
     means the orbit has already hit the zero proxy (tends-to-zero); otherwise
     the least-squares slope of log|phihat| decides: |slope| < 1e-3 at a level
     above 10*delta is bounded-away, slope < -0.05 is tends-to-zero, anything
-    else is inconclusive.
+    else is inconclusive, as is a tail of one point (J_max = 2), whose slope is nan.
     """
     if J_max < 2:
         raise ValueError("J_max must be at least 2 so the tail fit has points")
@@ -270,9 +270,11 @@ def vanishing_probe(mask: RefinementMask, lambdas, J_max: int, delta: float = No
         if all(v <= delta for v in tail):
             records.append(ProbeRecord(lam, lam_val, vals, level, float("-inf"), "tends-to-zero"))
             continue
-        xs = np.arange(tail_start, J_max + 1, dtype=float)
-        logs = np.log(np.maximum(tail, 1e-300))
-        slope = float(np.polyfit(xs, logs, 1)[0])
+        slope = float("nan")  # a one-point tail (J_max = 2) has no fit
+        if len(tail) >= 2:
+            xs = np.arange(tail_start, J_max + 1, dtype=float)
+            logs = np.log(np.maximum(tail, 1e-300))
+            slope = float(np.polyfit(xs, logs, 1)[0])
         if abs(slope) < 1e-3 and level > 10 * delta:
             verdict = "bounded-away"
         elif slope < -0.05:

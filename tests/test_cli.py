@@ -322,6 +322,41 @@ def test_extended_precision_bytes_pinned(tmp_path, argv, csv_sha):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha
 
 
+# sha256 of the CSV and SVG of the benchmark's grid commands (symbol scans at
+# 6,401 points, near-zero scans of the symbol and of phihat), taken before
+# emit_csv formatted whole columns
+GRID_BYTES = (
+    (("symbol-scan", "--mask", "dyadic", "--range", "0:64", "--step", "0.01"),
+     "4104605c31923c7f6179f165d571d53163ca6856cd5eb345446a6fd8200c3363",
+     "2a3dc9e7c7ae3e45d77a654cd33e3cd996de99bb40c6193a135cb04fdceef8b8"),
+    (("symbol-scan", "--mask", "boxcar", "--range", "0:64", "--step", "0.01"),
+     "48cd32441b1a3ed7ce3b5026197f2561aa825a62f0c9de53a77e9fa4e268da18",
+     "23fb96cb4ec88429346a2232eb54157f47aada5680706252d8069409f1582a91"),
+    (("symbol-scan", "--mask", "golden_vector", "--range", "0:64", "--step", "0.01"),
+     "b1589eb35b48b036c2e6e003f060a430b89f6588065b82e387f6d65432b4d991",
+     "bfd1d8b083ecacc3f923fa1352e9b9365f5914a763f3d765f70e39eec1076e17"),
+    (("zeros-scan", "--mask", "dyadic", "--range", "0:10", "--step", "0.04", "--delta", "1e-3", "--target", "phihat"),
+     "f4edb415cd19f71c86d782c694172807ca310521556cbfd75be6897d3ba8af17",
+     "35344cf99fc2443e0c07a9c9516c92d9e8d1351ed96207749789bb99cd9c5b87"),
+    (("zeros-scan", "--mask", "boxcar", "--range", "0:10.5", "--step", "0.01", "--delta", "1e-3",
+      "--target", "phihat"),
+     "96a15b7d4523bef7632b21aa7c21a5a6d5b4e071be490b427a5d4603c7b99447",
+     "ae720ebfb85daf2d9123b04bc18039746f31f7ac6892f2e9ebab4957e69eb5ce"),
+    (("zeros-scan", "--mask", "dyadic", "--range", "0:32", "--step", "0.01", "--delta", "1e-3", "--target", "symbol"),
+     "c27f51d43857e78fbf865ec6d2385f06ff0c9c765166bb50186271d207cb6e04",
+     "3e4b5ccaadf7ac18fa544d142c2c6398e4d5fdb70d9cd723195901906d2ad9a1"),
+)
+
+
+@pytest.mark.parametrize("argv, csv_sha, svg_sha", GRID_BYTES,
+                         ids=[":".join((a[0], a[2]) + a[-1:] * (a[0] == "zeros-scan")) for a, _, _ in GRID_BYTES])
+def test_grid_bytes_pinned(tmp_path, argv, csv_sha, svg_sha):
+    out = tmp_path / "g.csv"
+    assert run_cli(*argv, "--out", str(out), "--svg") == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha
+    assert hashlib.sha256((tmp_path / "g.svg").read_bytes()).hexdigest() == svg_sha
+
+
 def test_zeros_scan_report(tmp_path, capsys):
     out = tmp_path / "z.csv"
     rc = run_cli("zeros-scan", "--mask", "boxcar", "--range", "0:12", "--step", "0.01",
@@ -394,13 +429,34 @@ def test_mask_file_path(tmp_path):
 # exit codes and option errors
 
 
+def _full_parse(argv, capsys):
+    # what the parser with all nine subcommands prints and exits with for argv
+    with pytest.raises(SystemExit) as e:
+        cli._build_parser().parse_args(argv)
+    out, err = capsys.readouterr()
+    return e.value.code, out, err
+
+
 def test_unknown_flag_rejected(capsys):
     assert run_cli("symbol-scan", "--mask", "dyadic", "--range", "0:1", "--step", "0.5",
                    "--frob") == 2
 
 
-def test_unknown_command_rejected():
-    assert run_cli("frobnicate") == 2
+def test_unknown_command_rejected(capsys):
+    # an unknown command meets the full parser, whose error names the nine choices
+    want = _full_parse(["frobnicate"], capsys)
+    assert run_cli("frobnicate") == want[0] == 2
+    assert capsys.readouterr() == want[1:]
+
+
+@pytest.mark.parametrize("cmd", list(cli._COMMANDS))
+def test_one_subparser_parse_prints_what_the_full_parser_prints(capsys, monkeypatch, cmd):
+    monkeypatch.setenv("COLUMNS", "100")
+    for argv in ([cmd, "--help"], [cmd, "--frob"], [cmd, "--threads", "two"], [cmd, "--svg=1"]):
+        want = _full_parse(argv, capsys)
+        assert want[0] in (0, 2)
+        assert run_cli(*argv) == want[0], argv
+        assert capsys.readouterr() == want[1:], argv
 
 
 def test_help_exits_zero(capsys):

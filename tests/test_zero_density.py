@@ -209,6 +209,20 @@ def test_probe_lambda_validation(golden, boxcar):
         zd.vanishing_probe(bern, [pv.fe_rational(golden, 0)], 10)
 
 
+def test_probe_one_point_tail_is_inconclusive():
+    # at J_max = 2 the tail is the one point J = 2: no slope is fitted (the pytest
+    # config turns numpy's RankWarning into an error), and one point decides nothing
+    plastic = pv.make_field((-1, -1, 0))
+    bern = rf.builtin_mask("bernoulli", plastic)
+    (rec,) = zd.vanishing_probe(bern, [pv.fe_rational(plastic, 1)], 2)
+    assert math.isnan(rec.slope)
+    assert rec.verdict == "inconclusive"
+    assert len(rec.values) == 3 and rec.tail_mean == rec.values[2] > 1e-6
+    # two tail points (J_max = 3) are fitted
+    (rec3,) = zd.vanishing_probe(bern, [pv.fe_rational(plastic, 1)], 3)
+    assert math.isfinite(rec3.slope)
+
+
 # ---------------------------------------------------------------------------
 # norm forms
 
