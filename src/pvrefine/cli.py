@@ -331,16 +331,19 @@ def _cmd_symbol_scan(cfg: RunConfig):
     (lo, hi), step = cfg.range, cfg.grid_step
     ys = _grid(lo, hi, step)
     vals, tail = eval_symbol_grid(mask, ys, cfg.tol)
-    mags = _magnitudes(vals)
-    y_list, m_list = ys.tolist(), mags.tolist()
+    y_list = ys.tolist()
     if mask.rank == 1:
-        # abs of each complex, not the vectorized np.abs: the two can differ in the last bit
-        rows = [[y, z.real, z.imag, abs(z), tail] for y, z in zip(y_list, vals.tolist())]
+        # abs of each complex, not the vectorized np.abs: the two can differ in the last bit,
+        # and the CSV, the minimum and the plot all take these
+        zs = vals.tolist()
+        m_list = [abs(z) for z in zs]
+        rows = [[y, z.real, z.imag, m, tail] for y, z, m in zip(y_list, zs, m_list)]
     else:
+        m_list = _magnitudes(vals).tolist()
         rows = [[y, None, None, m, tail] for y, m in zip(y_list, m_list)]
-    i = int(np.argmin(mags))
+    i = int(np.argmin(m_list))
     summary = "min |ahat| = %.6g at y = %.6g over [%g, %g] step %g (%d points)" % (
-        mags[i], ys[i], lo, hi, step, len(ys),
+        m_list[i], y_list[i], lo, hi, step, len(ys),
     )
     plot = lambda: PlotSpec(
         points=tuple(zip(y_list, m_list)),

@@ -17,9 +17,12 @@ Lattice membership runs through the exact Lagrange dual basis e_0..e_{d-1}
 (rows of V^{-1} are its conjugate embeddings): an integer vector n corresponds
 to the field element mu = alpha^m sum_i n_i e_i, and [y, s_2..s_d] are the
 conjugate embeddings of mu.  One enumerator, _lattice_points, serves both
-in_U and enumerate_Y: blocks of candidates are generated and filtered in float
-(embeddings as real column sums), and only the rows within 1e-9 of a boundary,
-or within the float rounding of their embeddings, are re-decided exactly.
+in_U and enumerate_Y: Fincke-Pohst (Math. Comp. 44, 1985) on a basis reduced
+exactly by LLL (Lenstra, Lenstra and Lovasz, Math. Ann. 261, 1982), whose
+weights put the cylinder in the unit ball.  Its last level is cut by each
+constraint itself, so the rows it yields are the points; only rows within the
+float margin of a bound go through the float filter, and the filter's band rows
+are re-decided exactly.
 """
 
 import functools
@@ -35,6 +38,7 @@ from .algebraic_core import (
     FieldElement,
     NumberField,
     _check_fraction_bits,
+    _int_det,
     _require_pv,
     discriminant,
     dist_to_int,
@@ -51,6 +55,7 @@ from .algebraic_core import (
 )
 from .errors import (
     EmptyWindowError,
+    PrecisionError,
     SizeError,
     WindowTooSmallError,
 )
@@ -247,9 +252,11 @@ def eval_A(mask: RefinementMask, g: SolenoidWindow):
 # ---------------------------------------------------------------------------
 # cylinder membership and lattice enumeration
 
-_MAX_ROWS = 10**7  # bounds the forecast |Y(L)| and the candidate rows of every enumeration level
-_BLOCK = 2**14  # first-level candidates carried through the later levels and the filters at once
+_MAX_ROWS = 10**7  # bounds the forecast |Y(L)| and the nodes of every enumeration level
+_BLOCK = 2**14  # nodes expanded, or leaf rows filtered, at once at every level
 _MAX_EXACT = 10**5  # bounds the band rows re-decided one by one in exact arithmetic
+_INT64_SAFE = 2.0**62  # bound on every integer coordinate and partial sum of the enumeration
+_UNIT = 2.0**-53  # unit roundoff of float64
 
 
 def in_U(field: NumberField, y: float, u: UNeighborhood):
@@ -260,9 +267,9 @@ def in_U(field: NumberField, y: float, u: UNeighborhood):
     sigma_1(mu) in the open window (y - 1e-6, y + 1e-6) and every conjugate
     |sigma_k(mu)| < eps_k; the points come from _lattice_points, as for
     enumerate_Y.  Returns (flag, witness s or None), s taken from the exact
-    embeddings of the hit with the smallest sigma_1.  From |y| = 2^34 (about
-    1.7e10) on, y +- 1e-6 rounds to y in float64 and the window is refused
-    with SizeError.
+    embeddings of the hit with the smallest sigma_1 (equal sigma_1 in float:
+    the lexicographically least row n).  From |y| = 2^34 (about 1.7e10) on,
+    y +- 1e-6 rounds to y in float64 and the window is refused with SizeError.
     """
     _require_pv(field, "in_U")
     eps = _check_eps(field, u.eps)
@@ -271,29 +278,14 @@ def in_U(field: NumberField, y: float, u: UNeighborhood):
         raise ValueError("in_U needs a finite y, got %r" % y)
     if not y - 1e-6 < y < y + 1e-6:
         raise SizeError("in_U: |y| = %.3g is too large, y +- 1e-6 rounds to y in float64" % abs(y))
-    rows, _ = _lattice_points(field, u.m, eps, y - 1e-6, y + 1e-6)
+    rows, ys = _lattice_points(field, u.m, eps, y - 1e-6, y + 1e-6)
     if not len(rows):
         return False, None
-    emb = _embeddings(field, _mu_from_integer_vector(field, rows[0].tolist(), u.m))
+    hits = np.flatnonzero(ys == ys.min())
+    first = hits[np.lexsort(rows[hits].T[::-1])[0]]
+    emb = _embeddings(field, _mu_from_integer_vector(field, rows[first].tolist(), u.m))
     s = (complex(x) for x in emb[1:])
     return True, tuple(sk if field.roots[k].imag != 0.0 else sk.real for k, sk in enumerate(s, 1))
-
-
-def _interval_scale(lo, hi, c: float):
-    """Elementwise image of [lo, hi] (lo <= hi) under multiplication by the scalar c."""
-    return (lo * c, hi * c) if c >= 0 else (hi * c, lo * c)
-
-
-def _expand_rows(cols, ylo, yhi, lo, counts, r_i, back, fudge):
-    """One level on column-stored rows: append row j's candidates lo_j, .., lo_j + counts_j - 1."""
-    # row j's candidates occupy positions starts_j, starts_j + 1, ..
-    n_i = np.arange(int(counts.sum()), dtype=np.int64) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
-    # tighten the y interval with the new coordinate (back = alpha^{m-i})
-    tlo, thi = _interval_scale(n_i - r_i - fudge, n_i + r_i + fudge, back)
-    ylo = np.maximum(np.repeat(ylo, counts), tlo)
-    yhi = np.minimum(np.repeat(yhi, counts), thi)
-    keep = ylo <= yhi
-    return [np.repeat(col, counts)[keep] for col in cols] + [n_i[keep]], ylo[keep], yhi[keep]
 
 
 def _column_sum(cols, w):
@@ -301,102 +293,284 @@ def _column_sum(cols, w):
     return functools.reduce(np.add, map(np.multiply, cols, w))
 
 
-def _level_refusal(total: float, cap: str) -> SizeError:
-    """The refusal of a level of `total` candidate rows: exact below 1e15, else 3 digits."""
-    return SizeError("lattice enumeration: %s candidate rows at one level exceed %s"
-                     % ("%d" % total if total < 1e15 else "%.3g" % total, cap))
+def _int64_refusal(bound: float, m: int) -> SizeError:
+    return SizeError("lattice enumeration: coordinates up to %.3g pass int64 at m = %d" % (bound, m))
+
+
+def _lll(cols):
+    """Integer rows H, |det H| = 1, and the vectors b_j = sum_i H[j][i] cols[i],
+    LLL-reduced with delta = 99/100: the integral algorithm of Cohen (A
+    Course in Computational Algebraic Number Theory, Alg. 2.6.7), in which
+    every division is exact, run in Python ints."""
+    n = len(cols)
+    b = [list(v) for v in cols]
+    H = [[int(i == j) for j in range(n)] for i in range(n)]
+    D = [1, sum(x * x for x in b[0])] + [0] * (n - 1)  # D[i + 1]: Gram determinant of b_0..b_i
+    lam = [[0] * n for _ in range(n)]
+
+    def reduce(k, l):
+        if 2 * abs(lam[k][l]) > D[l + 1]:
+            q = (2 * lam[k][l] + D[l + 1]) // (2 * D[l + 1])
+            b[k] = [x - q * y for x, y in zip(b[k], b[l])]
+            H[k] = [x - q * y for x, y in zip(H[k], H[l])]
+            lam[k][l] -= q * D[l + 1]
+            for i in range(l):
+                lam[k][i] -= q * lam[l][i]
+
+    k, kmax = 1, 0
+    while k < n:
+        if k > kmax:
+            kmax = k
+            for j in range(k + 1):
+                g = sum(x * y for x, y in zip(b[k], b[j]))
+                for i in range(j):
+                    g = (D[i + 1] * g - lam[k][i] * lam[j][i]) // D[i]
+                if j < k:
+                    lam[k][j] = g
+                else:
+                    D[k + 1] = g
+        reduce(k, k - 1)
+        if 100 * D[k + 1] * D[k - 1] < 99 * D[k] ** 2 - 100 * lam[k][k - 1] ** 2:
+            b[k - 1], b[k], H[k - 1], H[k] = b[k], b[k - 1], H[k], H[k - 1]
+            for j in range(k - 1):
+                lam[k - 1][j], lam[k][j] = lam[k][j], lam[k - 1][j]
+            g = lam[k][k - 1]
+            B = (D[k - 1] * D[k + 1] + g * g) // D[k]
+            for i in range(k + 1, kmax + 1):
+                t = lam[i][k]
+                lam[i][k] = (D[k + 1] * lam[i][k - 1] - g * t) // D[k]
+                lam[i][k - 1] = (B * t + g * lam[i][k]) // D[k + 1]
+            D[k] = B
+            k = max(1, k - 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                reduce(k, l)
+            k += 1
+    return H, b
+
+
+def _reduced_basis(field: NumberField, basis, spec, log2s: float, m: int):
+    """Unimodular H and the weighted real rows (k, Re/Im, weight) of the
+    LLL-reduced basis b'_j = sum_i H_ji basis_i, as columns.
+
+    The basis is scaled to integers by 2^64 / det^(1/d) and reduced exactly, and
+    the round is repeated on the exact reduced elements until it moves nothing:
+    a basis skewed by alpha^m loses its next 100-odd bits each round, and the
+    last one rounds an already reduced basis."""
+    d = len(basis)
+    prec = max(precision_bits(), 192)
+    H = [[int(i == j) for j in range(d)] for i in range(d)]
+    for _ in range(64):
+        with mp.workprec(prec):
+            scale = mp.mpf(2) ** (64 - log2s)
+            step, red = _lll([[int(mp.nint((mp.im if part else mp.re)(fe_embed(field, b, k, prec)) * t * scale))
+                               for k, part, t in spec] for b in basis])
+        if all(step[i][j] == (i == j) for i in range(d) for j in range(d)):
+            break
+        basis = [functools.reduce(fe_add, (fe_scale(b, q) for b, q in zip(basis, row) if q)) for row in step]
+        H = [[sum(q * h[i] for q, h in zip(row, H)) for i in range(d)] for row in step]
+    else:
+        raise PrecisionError("lattice enumeration: the basis at m = %d stays unreduced; raise --precision-bits" % m)
+    if abs(_int_det(H)) != 1:
+        raise RuntimeError("the reduced lattice basis is not unimodular")
+    return H, np.array(red, dtype=float).T * 2.0 ** (log2s - 64)
+
+
+def _float_filter(cols, ys, c, h, big, eps, w, wabs, slots):
+    """Float verdict and band flag of rows n (columns cols, float ys): a row is
+    in the band when one of its values lies within 1e-9 (relative for y) or
+    within its sums' rounding, 4 d ulp sum_i |n_i| |w_k,i|, of its bound."""
+    ulps = 4 * len(cols) * np.finfo(float).eps
+    abscols = [np.abs(col) for col in cols]
+    dist = np.abs(ys - c)
+    ok = dist < h
+    band = np.abs(dist - h) < 1e-9 * max(1.0, big) + ulps * _column_sum(abscols, wabs[0])
+    for k, _ in slots:  # the second of a pair has the same modulus and eps
+        sk = np.abs(_column_sum(cols, w[k].real) + 1j * _column_sum(cols, w[k].imag))
+        ok &= sk < eps[k - 1]
+        band |= np.abs(sk - eps[k - 1]) < 1e-9 + ulps * _column_sum(abscols, wabs[k])
+    return ok, band
 
 
 def _lattice_points(field: NumberField, m: int, eps: tuple, y_lo: float, y_hi: float):
-    """Integer rows n and y = sigma_1(mu), sorted by y, of every lattice point
-    mu = alpha^m sum n_i e_i with y_lo < y < y_hi and |sigma_k(mu)| < eps_k.
+    """Integer rows n and y = sigma_1(mu), in enumeration order, of every
+    lattice point mu = alpha^m sum n_i e_i with y_lo < y < y_hi and
+    |sigma_k(mu)| < eps_k.
 
-    Level i appends the integer candidates n_i and narrows each row's y
-    interval (interval nesting along the rows of V D^{-m}).  The first level is
-    one integer range; blocks of _BLOCK of its candidates pass through the
-    later levels and the float filter one at a time and keep only their
-    accepted and band rows.  y and sigma_k are real column sums of n_i Re w_k,i
-    and n_i Im w_k,i in index order, w_k,i = sigma_k(alpha^m e_i) rounded once,
-    one modulus per conjugate pair.  Band rows lie within 1e-9 of a boundary
-    (relative for y) or within the sums' rounding, 4 d ulp sum_i |n_i| |w_k,i|;
-    over 1e5 of them raise SizeError, the rest are re-decided one by one from
-    the exact embeddings.  The candidate slack grows with |y|, so large windows
-    keep the points that float rounding would push out.  The first level may
-    hold 5e7 candidates, each later level 1e7 summed over the blocks (the
-    lowest level over its cap is refused with its total), and alpha^(i-m) must
-    stay inside float64.
+    The real embedding rows, weighted by 1/h, 1/eps_k and sqrt(d_g/d) (d_g = 1
+    for y and a real conjugate, 2 for a pair), map the cylinder into the unit
+    ball.  That basis is LLL-reduced exactly, n = U z, and z is enumerated
+    depth first by the Fincke-Pohst intervals of the ball, around the Babai
+    point of the window's centre, in blocks of _BLOCK nodes.  At the last
+    level every constraint cuts each parent's interval itself: y and a real
+    conjugate linearly, a pair by its disk.  Each cut has an outer and an inner
+    interval, apart by the float margin (1e-9, relative for y, plus 4 d ulp
+    sum_i |n_i| |w_k,i| and the rounding of the cut); inner rows are points,
+    rows outside the outer one are not, and only the rows between go through
+    the float filter.  y is the real column sum of n_i w_0,i in index order,
+    w_k,i = sigma_k(alpha^m e_i) rounded once.  Band rows of the filter are
+    re-decided one by one from the exact embeddings (over 1e5 raise
+    SizeError).  Each level may hold 1e7 nodes, alpha^(i-m) must stay inside
+    float64 and every coordinate inside 2^62.
     """
     d = field.degree
-    al = field.alpha
+    c, h = (y_lo + y_hi) / 2, (y_hi - y_lo) / 2
     big = max(abs(y_lo), abs(y_hi))
-    mods = [abs(field.roots[k]) for k in range(1, d)]
-    try:
-        # (r_i, slack 1e-9 (1 + |c|) with c = y alpha^{i-m} at its largest, alpha^{i-m}, alpha^{m-i})
-        levels = [(sum(e * mod ** (i - m) for e, mod in zip(eps, mods)), 1e-9 * (1.0 + big * abs(al) ** (i - m)),
-                   al ** (i - m), al ** (m - i)) for i in range(d)]
-        r, fudge, scale, back = levels[0]
-        clo, chi = _interval_scale(y_lo, y_hi, scale)
-        lo, hi = math.ceil(clo - r - fudge), math.floor(chi + r + fudge)
+    mods = [abs(r) for r in field.roots]
+    try:  # |n_i| = |Tr(alpha^(i-m) mu)| <= |y| alpha^(i-m) + sum_k eps_k |alpha_k|^(i-m)
+        nmax = max(big * mods[0] ** (i - m) + sum(e * a ** (i - m) for e, a in zip(eps, mods[1:])) for i in range(d))
     except OverflowError:
         raise SizeError("lattice enumeration: alpha^(i - m) overflows float64 at m = %d" % m) from None
-    totals = [max(float(hi) - float(lo) + 1, 0.0)] + [0.0] * (d - 1)  # exact below 2^53
-    if totals[0] > 5 * _MAX_ROWS:
-        raise _level_refusal(totals[0], "5e7")
+    if not nmax < _INT64_SAFE:
+        raise _int64_refusal(nmax, m)
+    slots = list(_conjugate_slots(field))
+    # (conjugate, pair, bound) per constraint; its real rows (k, Re/Im, weight)
+    groups = [(0, False, h)] + [(k, pair, eps[k - 1]) for k, pair in slots]
+    spec = [(k, part, math.sqrt((1 + pair) / d) / bound) for k, pair, bound in groups for part in range(1 + pair)]
+    wt = np.array([s[2] for s in spec])
     # w[k, i] = sigma_k(alpha^m e_i), e_0..e_{d-1} the Lagrange dual basis (rows of V^{-1})
     basis = [_mu_from_integer_vector(field, unit, m) for unit in np.eye(d, dtype=int).tolist()]
-    w = np.array([[complex(fe_embed(field, b, k)) for b in basis] for k in range(d)])
+    w = np.zeros((d, d), dtype=complex)
+    for k, _, _ in groups:
+        w[k] = [complex(fe_embed(field, b, k)) for b in basis]
+    if not np.isfinite(w).all():
+        raise SizeError("lattice enumeration: alpha^(i - m) overflows float64 at m = %d" % m)
     wabs = np.abs(w)
+
+    # log2 det^(1/d) of the weighted basis, from |disc P| = det(V)^2 and |N(alpha^m)| = |c_0|^m
+    log2s = (m * math.log2(abs(field.coeffs[0])) - 0.5 * math.log2(abs(discriminant(field.coeffs)))
+             - len(groups) + len(spec) + float(np.sum(np.log2(wt)))) / d
+    H, gp = _reduced_basis(field, basis, spec, log2s, m)
+    wp = gp / wt[:, None]
+    Q, R = np.linalg.qr(gp)
+    sign = np.where(np.diag(R) < 0, -1.0, 1.0)
+    Q, R = Q * sign, R * sign[:, None]
+
+    # root: the Babai point z_c of the centre (c, 0, .., 0); g0 = values at z_c minus the centre
+    zc = [int(v) for v in np.rint(np.linalg.solve(gp, wt * np.eye(d)[0] * c))]
+    nc = [sum(row[i] * z for row, z in zip(H, zc)) for i in range(d)]
+    g0 = np.array([-c] + [0.0] * (d - 1))
+    if any(zc):
+        mu = _mu_from_integer_vector(field, nc, m)
+        at = max(precision_bits(), 192) + max(map(abs, nc)).bit_length()
+        with mp.workprec(at):
+            g0 = np.array([float((mp.im if part else mp.re)(fe_embed(field, mu, k, at)) + g)
+                           for (k, part, _), g in zip(spec, g0)])
+    # |z_j| on the ball of radius rho about the root, and |n_i| from it
+    rho2 = 1.0 + 2.0**-20
+    inv = np.linalg.inv(gp)
+    reach = np.abs(inv @ (wt * g0)) + math.sqrt(rho2) * np.linalg.norm(inv, axis=1)
+    zbox = np.floor(reach + 2.0**-30 * (1.0 + reach))
+    nbox = [abs(nc[i]) + sum(abs(row[i]) * float(z) for row, z in zip(H, zbox)) for i in range(d)]
+    if not max(nbox) < _INT64_SAFE:
+        raise _int64_refusal(max(nbox), m)
+    U = np.array([row if z else [0] * d for row, z in zip(H, zbox)], dtype=np.int64).T  # z_j = 0 where zbox_j = 0
+
+    # per cut: its rows, bound, margin and the leaf coefficient; the margin covers the
+    # filter's band (1e-9 + 4 d ulp sum |n_i| |w_k,i|) and its rounding, and the cut's own
+    # rounding: of the sums over z, of g0, and of the reduced basis (2^(log2s - 65) an entry)
     ulps = 4 * d * np.finfo(float).eps
-    c, h = (y_lo + y_hi) / 2, (y_hi - y_lo) / 2
-    kept, breach = [(np.zeros((0, d), dtype=np.int64), np.zeros(0), np.zeros(0, dtype=bool))], d
-    for start in range(lo, hi + 1, _BLOCK):
-        cols, ylo, yhi = _expand_rows([], np.array([float(y_lo)]), np.array([float(y_hi)]), np.array([start]),
-                                      np.array([min(_BLOCK, hi + 1 - start)]), r, back, fudge)
-        for i, (r_i, fudge_i, scale_i, back_i) in enumerate(levels[1:], 1):
-            clo, chi = _interval_scale(ylo, yhi, scale_i)
-            lo_i = np.ceil(clo - r_i - fudge_i)
-            counts = np.maximum(np.floor(chi + r_i + fudge_i) - lo_i + 1, 0)  # in float: may pass int64
-            totals[i] += counts.sum()
-            if not totals[i] <= _MAX_ROWS:  # within the cap, every bound fits int64
-                breach = i  # lowest so far: a level over its cap stops every later block there
-                break
-            cols, ylo, yhi = _expand_rows(cols, ylo, yhi, lo_i.astype(np.int64), counts.astype(np.int64),
-                                          r_i, back_i, fudge_i)
-        else:
-            ys = _column_sum(cols, w[0].real)
-            abscols = [np.abs(col) for col in cols]
-            dist = np.abs(ys - c)
-            ok = dist < h
-            band = np.abs(dist - h) < 1e-9 * max(1.0, big) + ulps * _column_sum(abscols, wabs[0])
-            for k, _ in _conjugate_slots(field):  # the second of a pair has the same modulus and eps
-                sk = np.abs(_column_sum(cols, w[k].real) + 1j * _column_sum(cols, w[k].imag))
-                ok &= sk < eps[k - 1]
-                band |= np.abs(sk - eps[k - 1]) < 1e-9 + ulps * _column_sum(abscols, wabs[k])
-            idx = np.flatnonzero(ok | band)
-            kept.append((np.column_stack([col[idx] for col in cols]), ys[idx], band[idx]))
-    if breach < d:
-        raise _level_refusal(totals[breach], "1e7")
-    rows, ys, band = (np.concatenate(part) for part in zip(*kept))
-    accept = np.ones(len(ys), dtype=bool)
-    redo = np.flatnonzero(band)
+    slop = float((2 * (d + 2) * _UNIT * np.linalg.norm(gp, axis=0) + 2.0 ** (log2s - 64)) @ zbox)
+    cuts, r = [], 0
+    for k, pair, bound in groups:
+        rs = [r, r + 1] if pair else [r]
+        r += len(rs)
+        margin = (2 * (1e-9 * (max(1.0, big) if k == 0 else 1.0) + ulps * float(np.dot(nbox, wabs[k])))
+                  + sum(slop / wt[q] for q in rs)
+                  + 8 * _UNIT * (bound + sum(abs(g0[q]) for q in rs) + (abs(c) if k == 0 else 0.0)))
+        cuts.append((rs, bound, margin, complex(wp[rs[0], 0], wp[rs[1], 0] if pair else 0.0)))
+
+    def ball(part, rho, r_jj):
+        mid = -part / r_jj
+        half = np.sqrt(np.maximum(rho2 - rho, 0.0)) / r_jj
+        slack = 2.0**-40 * (1.0 + np.abs(mid) + half)
+        return np.ceil(mid - half - slack), np.floor(mid + half + slack)
+
+    def leaf_cuts(gpre, lo, hi):
+        # outer [lo, hi] and inner [ilo, ihi] of every cut, intersected (inner empty: ilo = inf)
+        ilo, ihi = lo, hi
+        empty = np.zeros(len(lo), dtype=bool)
+        for rs, bound, margin, coef in cuts:
+            a = gpre[:, rs[0]] + 1j * gpre[:, rs[1]] if len(rs) == 2 else gpre[:, rs[0]].astype(complex)
+            t = a * coef.conjugate()
+            mid, off = -t.real / abs(coef) ** 2, np.abs(t.imag) / abs(coef)  # |a + coef z|^2 = |coef|^2 (z - mid)^2 + off^2
+            for radius, inner in ((bound + margin, False), (bound - margin, True)):
+                half = np.sqrt(np.maximum(radius * radius - off * off, 0.0)) / abs(coef)
+                slack = 2.0**-40 * (1.0 + np.abs(mid) + half)
+                if inner:
+                    ilo = np.where(off < radius, np.maximum(ilo, np.ceil(mid - half + slack)), np.inf)
+                    ihi = np.minimum(ihi, np.floor(mid + half - slack))
+                else:
+                    empty |= off >= radius
+                    lo, hi = np.maximum(lo, np.ceil(mid - half - slack)), np.minimum(hi, np.floor(mid + half + slack))
+        hi = np.where(empty, lo - 1, hi)
+        between = np.maximum(np.minimum(ihi, hi) - np.maximum(ilo, lo) + 1, 0) < hi - lo + 1
+        return lo, hi, (ilo, ihi, between)
+
+    totals = [0] * d
+
+    def expand(j, part, rho, npre, gpre):
+        # blocks of the children of these nodes, depth first: z_j from the ball, at the last
+        # level from the cuts, with the mask of the rows between the inner and outer intervals
+        lo, hi = ball(part[:, j], rho, R[j, j])
+        if j == 0:
+            lo, hi, (ilo, ihi, between) = leaf_cuts(gpre, lo, hi)
+        counts = np.maximum(hi - lo + 1, 0).astype(np.int64)
+        totals[j] += int(counts.sum())
+        if totals[j] > _MAX_ROWS:
+            raise SizeError("lattice enumeration: %d nodes at level %d of %d exceed 1e7" % (totals[j], d - j, d))
+        cum = np.concatenate([[0], np.cumsum(counts)])
+        shift = lo.astype(np.int64) - cum[:-1]
+        for done in range(0, int(cum[-1]), _BLOCK):
+            stop = min(done + _BLOCK, int(cum[-1]))
+            p0, p1 = np.searchsorted(cum, [done, stop - 1], side="right") - [1, 0]  # the parents of this block
+            n_of = np.diff(np.clip(cum[p0:p1 + 1], done, stop))
+
+            def rep(a):
+                return np.repeat(a[p0:p1], n_of, axis=0)
+
+            z = rep(shift) + np.arange(done, stop)
+            if j:
+                res = rep(part[:, j]) + R[j, j] * z
+                yield from expand(j - 1, rep(part[:, :j]) + z[:, None] * R[:j, j], rep(rho) + res * res,
+                                  [rep(col) + U[i, j] * z for i, col in enumerate(npre)],
+                                  rep(gpre) + z[:, None] * wp[:, j])
+            else:
+                yield ([rep(col) + U[i, 0] * z for i, col in enumerate(npre)],
+                       (z < rep(ilo)) | (z > rep(ihi)) if between[p0:p1].any() else None)
+
+    kept = [(np.zeros((0, d), dtype=np.int64), np.zeros(0))]
+    redo, size = [], 0
+    root = ((Q.T @ (wt * g0))[None, :], np.zeros(1), [np.array([v], dtype=np.int64) for v in nc], g0[None, :])
+    for cols, between in expand(d - 1, *root):
+        ys = _column_sum(cols, w[0].real)
+        if between is not None:
+            sel = np.flatnonzero(between)
+            ok, band = _float_filter([col[sel] for col in cols], ys[sel], c, h, big, eps, w, wabs, slots)
+            keep, flags = np.ones(len(ys), dtype=bool), np.zeros(len(ys), dtype=bool)
+            keep[sel], flags[sel] = ok | band, band
+            cols, ys, flags = [col[keep] for col in cols], ys[keep], flags[keep]
+            redo.extend((size + np.flatnonzero(flags)).tolist())
+        kept.append((np.column_stack(cols), ys))
+        size += len(ys)
+    rows, ys = (np.concatenate(part) for part in zip(*kept))
     if len(redo) > _MAX_EXACT:
         raise SizeError("lattice enumeration: %d band rows to re-decide exactly exceed 1e5" % len(redo))
+    accept = np.ones(len(ys), dtype=bool)
     for j in redo:
         emb = _embeddings(field, _mu_from_integer_vector(field, rows[j].tolist(), m))
         with mp.workprec(precision_bits()):  # abs() rounds to the context's precision
             accept[j] = y_lo < mp.re(emb[0]) < y_hi and all(abs(emb[k]) < eps[k - 1] for k in range(1, d))
         ys[j] = float(mp.re(emb[0]))
-    rows, ys = rows[accept], ys[accept]
-    order = np.argsort(ys, kind="stable")  # ties keep the candidate order
-    return rows[order], ys[order]
+    return rows[accept], ys[accept]
 
 
 def enumerate_Y(field: NumberField, cyl: LatticeCylinder):
     """Sorted Y(L) = xi(W(L) cap Z^d) for the cylinder's (L, m, eps).
 
     The points are _lattice_points on the window (-L, L), after the forecast
-    2 L gamma is checked against 1e7.  The map xi is injective, so an exact
-    duplicate output is an internal error.
+    2 L gamma is checked against 1e7; only their ys are sorted.  The map xi is
+    injective, so two equal rows behind one float y are an internal error.
     """
     _require_pv(field, "enumerate_Y")
     eps = _check_eps(field, cyl.eps)
@@ -405,11 +579,12 @@ def enumerate_Y(field: NumberField, cyl: LatticeCylinder):
     if 2 * L * gamma > _MAX_ROWS:
         raise SizeError("forecast |Y(L)| = 2 L gamma = %.3g exceeds 1e7" % (2 * L * gamma))
     rows, ys = _lattice_points(field, m, eps, -L, L)
-    for j in np.flatnonzero(ys[1:] == ys[:-1]):
-        m1, m2 = (_mu_from_integer_vector(field, r.tolist(), m) for r in rows[j:j + 2])
-        if m1 == m2:
+    out = np.sort(ys)
+    for y in out[1:][out[1:] == out[:-1]]:  # distinct points may still share a float y
+        mus = [_mu_from_integer_vector(field, r.tolist(), m) for r in rows[ys == y]]
+        if len(set(mus)) < len(mus):
             raise RuntimeError("xi produced a duplicate; enumeration is inconsistent")
-    return ys.tolist()
+    return out.tolist()
 
 
 def gamma_density(field: NumberField, cyl) -> float:

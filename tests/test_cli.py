@@ -145,6 +145,18 @@ def test_symbol_scan_csv_and_svg(tmp_path):
     assert min(float(r[3]) for r in rows[1:]) > 0
 
 
+def test_symbol_scan_minimum_and_plot_read_the_csv_abs():
+    # the dyadic scan where the vectorized np.abs and abs(z) differ in the last bit
+    # (y = 0.01): the minimum and the plotted series are the CSV's own abs values
+    cfg = cli.build_config(["symbol-scan", "--mask", "dyadic", "--range", "0:64", "--step", "0.01"])
+    _, rows, summary, plot = cli._cmd_symbol_scan(cfg)
+    mags = [r[3] for r in rows]
+    assert mags[1] == 0.99974935969516388 and mags[1] == abs(complex(rows[1][1], rows[1][2]))
+    assert [p[1] for p in plot().points] == mags
+    i = mags.index(min(mags))
+    assert summary[0].startswith("min |ahat| = %.6g at y = %.6g" % (mags[i], rows[i][0]))
+
+
 def test_phihat_orbit_tail(tmp_path, capsys):
     out = tmp_path / "orbit.csv"
     rc = run_cli("phihat-orbit", "--mask", "dyadic", "--lambda", "1", "--jmax", "40",
@@ -199,13 +211,13 @@ def test_lattice_density_large_alpha(tmp_path, capsys):
 
 def test_lattice_density_large_m_exit_2(tmp_path, capsys):
     # alpha^(i - m) and |c_0|^(-m) leave float64 near |m| = 1,500 (golden) and
-    # 1,024 (|c_0| = 2); at |m| = 200 the first-level bounds lie past int64 and
-    # must not wrap to an empty range.  Each is a one-line refusal before any row exists
+    # 1,024 (|c_0| = 2); at |m| = 200 the integer coordinates n_i lie past int64 and
+    # must not wrap.  Each is a one-line refusal before any row exists
     for poly, m, message in (
         ("-1,-1", "2000", "overflows float64 at m = 2000"),
         ("-1,-1", "-2000", "overflows float64 at m = -2000"),
-        ("-1,-1", "200", "candidate rows at one level exceed 5e7"),
-        ("-1,-1", "-200", "candidate rows at one level exceed 5e7"),
+        ("-1,-1", "200", "coordinates up to 6.27e+40 pass int64 at m = 200"),
+        ("-1,-1", "-200", "coordinates up to 1.02e+44 pass int64 at m = -200"),
         ("-2,-2", "-1100", "2 L gamma = inf"),
     ):
         capsys.readouterr()
@@ -218,12 +230,21 @@ def test_lattice_density_large_m_exit_2(tmp_path, capsys):
 
 
 def test_lattice_refusal_count_stays_short(tmp_path, capsys):
-    # the first level holds about 7.65e291 candidates: three digits, not 292
+    # the coordinates reach about 3.83e291: three digits, not 292
     rc = run_cli("lattice-density", "--poly", "-1,-1", "--eps", "0.1", "--L", "100", "--m", "1400",
                  "--out", str(tmp_path / "o.csv"))
     err = capsys.readouterr().err
     assert rc == 2
-    assert "7.65e+291 candidate rows at one level exceed 5e7" in err and len(err) < 100
+    assert "coordinates up to 3.83e+291 pass int64 at m = 1400" in err and len(err) < 100
+
+
+def test_lattice_density_degree_5(tmp_path, capsys):
+    # X^5 - X^4 - X^3 - X^2 - X - 1 at L = 300: the pruned levels hold 144,913 / 46,163 /
+    # 3,719 / 287 / 19 nodes, the last one exactly the points
+    rc = run_cli("lattice-density", "--poly", "-1,-1,-1,-1,-1", "--eps", "0.5,0.5,0.5,0.5", "--L", "300",
+                 "--out", str(tmp_path / "d5.csv"))
+    assert rc == 0
+    assert "card Y(300) = 144913, density 241.522 vs gamma 241.553" in capsys.readouterr().out
 
 
 # sha256 of lattice-density's CSV and SVG, taken before the enumerator was streamed
@@ -517,15 +538,19 @@ def test_oversized_grid_exit_2(tmp_path, capsys):
         # 10^12 samples: refused before the sample array is drawn
         (("equidistribution", "--poly", "-1,-1", "--samples", "1000000000000"),
          "1000000000000 samples exceed the 1000000-sample limit"),
-        # degree 8: 2 L gamma is 8.4e5, but one enumeration level asks for 1.7e7 candidate rows
-        (("lattice-density", "--poly", "-1,-1,-1,-1,-1,-1,-1,-1", "--eps", "0.3,0.3,0.3,0.3,0.3,0.3,0.3",
-          "--L", "300"), "17089085 candidate rows"),
     ):
         capsys.readouterr()
         rc = run_cli(*argv, "--out", str(tmp_path / "o.csv"))
         assert rc == 2
         assert forecast in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
+    # degree 8, 2 L gamma = 8.4e5: no pruned level holds over 2.2e6 nodes, and the
+    # count meets the forecast
+    capsys.readouterr()
+    rc = run_cli("lattice-density", "--poly", "-1,-1,-1,-1,-1,-1,-1,-1", "--eps", "0.3,0.3,0.3,0.3,0.3,0.3,0.3",
+                 "--L", "300", "--out", str(tmp_path / "o.csv"))
+    assert rc == 0
+    assert "card Y(300) = 842337, density 1403.89 vs gamma 1403.76 (rel err 9.39e-05)" in capsys.readouterr().out
 
 
 def test_bernoulli_long_orbit_runs(tmp_path):

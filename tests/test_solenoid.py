@@ -1,9 +1,11 @@
 """Window dynamics, lifted symbol, cylinder membership, lattice enumeration."""
 
 import functools
+import hashlib
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -190,9 +192,14 @@ def test_in_U_rejections(golden):
     # y +- 1e-6 rounds to y; refused before any candidate row is built
     with pytest.raises(pv.SizeError, match="rounds to y"):
         so.in_U(golden, 1e12, u)
-    # eps = 1e8 asks for 2e8 first-level candidates, over the 5e7 cap
-    with pytest.raises(pv.SizeError, match="candidate rows"):
-        so.in_U(golden, 3.0, so.UNeighborhood(0, (1e8,)))
+    # eps = 1e8: the window holds about 2e-6 gamma = 894 points, and the witness is
+    # the one with the least y
+    rows, ys = so._lattice_points(golden, 0, (1e8,), 3.0 - 1e-6, 3.0 + 1e-6)
+    forecast = 2e-6 * so.gamma_density(golden, so.LatticeCylinder(1.0, 0, (1e8,)))
+    assert abs(len(ys) / forecast - 1) < 0.02
+    ok, s = so.in_U(golden, 3.0, so.UNeighborhood(0, (1e8,)))
+    emb = so._embeddings(golden, so._mu_from_integer_vector(golden, rows[np.argmin(ys)].tolist(), 0))
+    assert ok and s == (float(mp.re(emb[1])),) and abs(s[0]) < 1e8
 
 
 def test_in_U_exact_near_eps_at_negative_m(golden):
@@ -327,7 +334,7 @@ def test_lattice_points_off_centre_window():
         i, j = np.searchsorted(ys, [17.0, 43.0])
         a, b = (ys[i - 1] + ys[i]) / 2, (ys[j - 1] + ys[j]) / 2
         rows, got = so._lattice_points(f, 1, eps, a, b)
-        assert len(got) > 20 and np.array_equal(got, ys[i:j])
+        assert len(got) > 20 and np.array_equal(np.sort(got), ys[i:j])
         assert rows.shape == (len(got), f.degree)
 
 
@@ -357,11 +364,14 @@ def test_lattice_points_block_size_invariance(golden, monkeypatch, block):
         assert got_ys.tobytes() == ys.tobytes()
     assert [so.in_U(*p) for p in probes] == verdicts
     if block == 1:
-        # refusals: the lowest level over 1e7, with its whole-level total, though
-        # later blocks cross the cap; and the band count before any exact check
-        deg8 = pv.make_field((-1,) * 8)
-        with pytest.raises(pv.SizeError, match="17089085 candidate rows at one level exceed 1e7"):
-            so.enumerate_Y(deg8, so.LatticeCylinder(300.0, 0, (0.3,) * 7))
+        # refusals: a level over 1e7 nodes, counted before a block of it is built;
+        # and the band count before any exact check
+        with pytest.raises(pv.SizeError, match="13097763 nodes at level 1 of 2 exceed 1e7"):
+            so._lattice_points(golden, 0, (1e6,), -1e7, 1e7)
+        # the degree-8 cylinder runs (at the default block size): its count meets 2 L gamma
+        monkeypatch.setattr(so, "_BLOCK", 2**14)
+        deg8, cyl = pv.make_field((-1,) * 8), so.LatticeCylinder(300.0, 0, (0.3,) * 7)
+        assert abs(len(so.enumerate_Y(deg8, cyl)) / (600 * so.gamma_density(deg8, cyl)) - 1) < 1e-3
         monkeypatch.setattr(so, "_MAX_EXACT", 1)
         with pytest.raises(pv.SizeError, match="2 band rows"):
             so.enumerate_Y(golden, so.LatticeCylinder(golden.alpha**2, 0, (0.9,)))
@@ -372,14 +382,89 @@ def test_lattice_points_bounds_past_int64_refused(golden):
     for m in (2000, -2000):
         with pytest.raises(pv.SizeError, match="overflows float64 at m = %d" % m):
             so.in_U(golden, 1.0, so.UNeighborhood(m, (0.1,)))
-    # at |m| = 200 the first level is counted exactly, far past int64's range
-    with pytest.raises(pv.SizeError, match="exceed 5e7"):
+    # at |m| = 200 the coordinates |n_i| <= |y| alpha^(i-m) + eps |beta|^(i-m) reach 6e40
+    with pytest.raises(pv.SizeError, match=r"coordinates up to 6.27e\+40 pass int64 at m = 200"):
         so.in_U(golden, 1.0, so.UNeighborhood(200, (0.1,)))
-    # X^2 - (10^10 + 2) X + 10^10 at y = 1e9: the second level's bounds near
-    # 1e19 pass int64, and their count, taken in float, is over the cap
+    # X^2 - (10^10 + 2) X + 10^10 at y = 1e9: n_1 = Tr(alpha mu) is near 1e19
     f = pv.make_field((10**10, -(10**10 + 2)))
-    with pytest.raises(pv.SizeError, match="60000061443 candidate rows at one level exceed 1e7"):
+    with pytest.raises(pv.SizeError, match=r"coordinates up to 1e\+19 pass int64 at m = 0"):
         so.in_U(f, 1e9, so.UNeighborhood(0, (0.3,)))
+
+
+# fields of degree 2-6 for the oracle, with a non-unit c_0 = -2 among them
+ORACLE_FIELDS = ((-1, -1), (-2, -2), (-1, -1, 0), (-1, -1, -1), (-1, 1, -2), (-1, 0, 0, -1), (-1, -1, -1, -1),
+                 (-1, -1, -1, -1, -1), (-1, 0, -1, -1, -1), (-1, 0, 0, 0, 0, -2))
+
+
+def _oracle_box(f, m, eps, c, h):
+    # n_i = Tr(alpha^(i-m) mu) = sum_k alpha_k^(i-m) sigma_k(mu), so every point of the
+    # window (c - h, c + h) has |n_i - c alpha^(i-m)| <= h alpha^(i-m) + sum_k eps_k |alpha_k|^(i-m)
+    mods = [abs(r) for r in f.roots]
+    axes = []
+    for i in range(f.degree):
+        p = f.alpha ** (i - m)
+        r = h * p + sum(e * mods[k] ** (i - m) for k, e in enumerate(eps, 1)) + 1e-6
+        axes.append(np.arange(math.ceil(c * p - r), math.floor(c * p + r) + 1))
+    return axes
+
+
+def _oracle_points(f, m, eps, a, b):
+    """Every n of the box, decided from the embeddings of alpha^m e_i at working
+    precision: scaled by 2^P to integers, summed and compared exactly."""
+    d, P = f.degree, pv.precision_bits()
+    n = np.stack(np.meshgrid(*_oracle_box(f, m, eps, (a + b) / 2, (b - a) / 2), indexing="ij"), -1).reshape(-1, d)
+    with mp.workprec(P):
+        emb = [so._embeddings(f, so._mu_from_integer_vector(f, unit, m)) for unit in np.eye(d, dtype=int).tolist()]
+        S = np.array([[[int(mp.nint(mp.ldexp(part(x), P))) for part in (mp.re, mp.im)] for x in e] for e in emb],
+                     dtype=object)
+    re, im = n.astype(object) @ S[..., 0], n.astype(object) @ S[..., 1]  # 2^P sigma_k(mu), k = 0..d-1
+    # y is an integer, so y > a 2^P iff y > floor(a 2^P), and |s|^2 < e^2 2^2P iff |s|^2 < ceil(e^2 2^2P)
+    ok = (re[:, 0] > math.floor(Fraction(a) * 2**P)) & (re[:, 0] < math.ceil(Fraction(b) * 2**P))
+    for k, e in enumerate(eps, 1):
+        ok &= re[:, k] ** 2 + im[:, k] ** 2 < math.ceil(Fraction(e) ** 2 * 2 ** (2 * P))
+    return n[ok.astype(bool)], [float(Fraction(y, 2**P)) for y in re[ok.astype(bool), 0]]
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(ORACLE_FIELDS), st.integers(-3, 3), st.floats(-4.0, 4.0), st.floats(0.5, 4.0),
+       st.floats(0.2, 0.7))
+def test_lattice_points_equal_brute_force(coeffs, m, c, h, e):
+    # every n of a box proven to hold the window, decided exactly, against the pruned
+    # enumeration; windows off centre, radii shrunk until the box has at most 30000 rows
+    f = lattice_field(coeffs)
+    while math.prod(map(len, _oracle_box(f, m, (e,) * (f.degree - 1), c, h))) > 30000:
+        h, e = 0.8 * h, 0.8 * e
+    eps = (e,) * (f.degree - 1)
+    rows, ys = so._lattice_points(f, m, eps, c - h, c + h)
+    want, want_ys = _oracle_points(f, m, eps, c - h, c + h)
+    assert sorted(map(tuple, rows.tolist())) == sorted(map(tuple, want.tolist()))
+    got = dict(zip(map(tuple, rows.tolist()), ys.tolist()))
+    assert all(abs(got[tuple(r)] - y) <= 1e-12 * max(1.0, abs(y)) for r, y in zip(want.tolist(), want_ys))
+
+
+# (field, eps, L, m range): every m the interval-nesting enumerator accepted on these
+# cylinders (for c_0 = -2 from m = -6 up; below, the superlattice grows by 2^|m|), with
+# the point count and the sha256 of its rows and ys, both sorted by (y, n), m by m
+NESTING_M_RANGES = (
+    ((-1, -1), 0.1, 100.0, -25, 20, 4094, "8b092add6a3973f93435fe49baf6677e730c0c024a4dfc14c4c9dd15cf4884bd"),
+    ((-1, -1, 0), 0.3, 20.0, -45, 37, 9047, "716192f4a5172f5d8ac766b3c009ad8b834c3a85efdbfa9354014863b4fbf6ba"),
+    ((-1, -1, -1), 0.3, 20.0, -23, 18, 6258, "2bea661d5f9e30dad1e9e7e010b2cb13a839c9d39560b1317b392b95db9ed936"),
+    ((-2, -2), 0.3, 2.0, -6, 27, 1082, "615f64363e705c52ad86757b8c54b85e2d6c94ccaf7471b13a08523ec0356aea"),
+)
+
+
+@pytest.mark.parametrize("coeffs, e, L, m_lo, m_hi, count, digest", NESTING_M_RANGES, ids=[str(r[0]) for r in NESTING_M_RANGES])
+def test_lattice_points_match_interval_nesting_over_m(coeffs, e, L, m_lo, m_hi, count, digest):
+    # the basis is skewed by alpha^(+-m); the reduction keeps every point and every y bit
+    f = lattice_field(coeffs)
+    h, total = hashlib.sha256(), 0
+    for m in range(m_lo, m_hi + 1):
+        rows, ys = so._lattice_points(f, m, (e,) * (f.degree - 1), -L, L)
+        order = np.lexsort(tuple(rows.T[::-1]) + (ys,))
+        h.update(rows[order].tobytes())
+        h.update(ys[order].tobytes())
+        total += len(ys)
+    assert (total, h.hexdigest()) == (count, digest)
 
 
 def test_enumerate_Y_memory_stays_per_block(golden):
