@@ -327,8 +327,10 @@ def _lll(cols):
                     g = (D[i + 1] * g - lam[k][i] * lam[j][i]) // D[i]
                 if j < k:
                     lam[k][j] = g
-                else:
+                elif g:
                     D[k + 1] = g
+                else:
+                    raise ValueError("_lll needs independent vectors")
         reduce(k, k - 1)
         if 100 * D[k + 1] * D[k - 1] < 99 * D[k] ** 2 - 100 * lam[k][k - 1] ** 2:
             b[k - 1], b[k], H[k - 1], H[k] = b[k], b[k - 1], H[k], H[k - 1]
@@ -355,22 +357,39 @@ def _reduced_basis(field: NumberField, basis, spec, log2s: float, m: int):
 
     The basis is scaled to integers by 2^64 / det^(1/d) and reduced exactly, and
     the round is repeated on the exact reduced elements until it moves nothing:
-    a basis skewed by alpha^m loses its next 100-odd bits each round, and the
-    last one rounds an already reduced basis."""
+    a basis skewed by alpha^m or by far-apart radii loses its next 100-odd bits
+    each round, and the last one rounds an already reduced basis.  A round
+    whose rounded vectors are dependent (a row under the unit) runs at a unit
+    up to 2^448 finer; past that, or with a reduced vector under 2^40 units,
+    the lattice is refused with SizeError."""
     d = len(basis)
-    prec = max(precision_bits(), 192)
+    refusal = SizeError("lattice enumeration: the radii are too far apart to reduce the lattice exactly")
     H = [[int(i == j) for j in range(d)] for i in range(d)]
     for _ in range(64):
+        # the embeddings cancel the coordinates' bits: carry them on top of 192
+        prec = max(precision_bits(), 192) + max(max(map(abs, b.nums)).bit_length() - b.den.bit_length() for b in basis)
+        if prec > 4 * precision_bits():  # past the certified roots
+            raise PrecisionError("lattice enumeration: the basis at m = %d needs %d bits; raise --precision-bits"
+                                 % (m, prec))
         with mp.workprec(prec):
-            scale = mp.mpf(2) ** (64 - log2s)
-            step, red = _lll([[int(mp.nint((mp.im if part else mp.re)(fe_embed(field, b, k, prec)) * t * scale))
-                               for k, part, t in spec] for b in basis])
-        if all(step[i][j] == (i == j) for i in range(d) for j in range(d)):
+            rows = [[(mp.im if part else mp.re)(fe_embed(field, b, k, prec)) * t for b in basis] for k, part, t in spec]
+            for finer in range(0, 512, 64):
+                scale = mp.mpf(2) ** (64 + finer - log2s)
+                try:
+                    step, red = _lll([[int(mp.nint(r[i] * scale)) for r in rows] for i in range(d)])
+                    break
+                except ValueError:  # dependent after rounding
+                    continue
+            else:
+                raise refusal
+        if not finer and all(step[i][j] == (i == j) for i in range(d) for j in range(d)):
             break
         basis = [functools.reduce(fe_add, (fe_scale(b, q) for b, q in zip(basis, row) if q)) for row in step]
         H = [[sum(q * h[i] for q, h in zip(row, H)) for i in range(d)] for row in step]
     else:
         raise PrecisionError("lattice enumeration: the basis at m = %d stays unreduced; raise --precision-bits" % m)
+    if min(sum(x * x for x in v) for v in red) < 2**80:
+        raise refusal
     if abs(_int_det(H)) != 1:
         raise RuntimeError("the reduced lattice basis is not unimodular")
     return H, np.array(red, dtype=float).T * 2.0 ** (log2s - 64)
@@ -606,7 +625,10 @@ def gamma_density(field: NumberField, cyl) -> float:
     except OverflowError:  # |c_0|^{-m} past float64: enumerate_Y's forecast refuses it
         out = math.inf
     for k, pair in _conjugate_slots(field):
-        out *= 2.0 * math.pi * eps[k - 1] ** 2 if pair else 2.0 * eps[k - 1]
+        try:
+            out *= 2.0 * math.pi * eps[k - 1] ** 2 if pair else 2.0 * eps[k - 1]
+        except OverflowError:  # eps^2 past float64: enumerate_Y's forecast refuses it
+            out = math.inf
     return out
 
 

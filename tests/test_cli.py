@@ -229,6 +229,25 @@ def test_lattice_density_large_m_exit_2(tmp_path, capsys):
         assert not (tmp_path / "o.csv").exists()
 
 
+def test_lattice_density_extreme_radii_refused(tmp_path, capsys):
+    # eps^2 past float64 makes gamma infinite; eps 1e-300 against L 1e5 leaves rows too far
+    # apart for the exact reduction, or for the precision the working roots certify; at
+    # eps 1e-40 the reduction still resolves the lattice, whose one point is 0
+    for poly, eps, L, rc_want, message in (
+        ("-1,-1,0", "1e250,1e250", "1", 2, "2 L gamma = inf exceeds 1e7"),
+        ("-1,-1,-1", "1e-300,1e-300", "1e5", 2, "the radii are too far apart to reduce the lattice exactly"),
+        ("-1,-1", "1e-300", "1e5", 3, "the basis at m = 0 needs 567 bits; raise --precision-bits"),
+    ):
+        capsys.readouterr()
+        rc = run_cli("lattice-density", "--poly", poly, "--eps", eps, "--L", L, "--out", str(tmp_path / "o.csv"))
+        err = capsys.readouterr().err
+        assert rc == rc_want
+        assert message in err and err.count("\n") == 1
+        assert not (tmp_path / "o.csv").exists()
+    rc = run_cli("lattice-density", "--poly", "-1,-1", "--eps", "1e-40", "--L", "1000", "--out", str(tmp_path / "o.csv"))
+    assert rc == 0 and "card Y(1000) = 1," in capsys.readouterr().out
+
+
 def test_lattice_refusal_count_stays_short(tmp_path, capsys):
     # the coordinates reach about 3.83e291: three digits, not 292
     rc = run_cli("lattice-density", "--poly", "-1,-1", "--eps", "0.1", "--L", "100", "--m", "1400",
