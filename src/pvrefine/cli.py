@@ -11,16 +11,18 @@ byte for byte: CSV is RFC-4180 style (CRLF line ends, '.' decimal point,
 identical configs give identical files.  --threads is accepted and validated
 for compatibility; every subcommand runs serially.
 
-Options may come from a flat key=value config file (--config); explicit
-command-line flags win.  --precision-bits sets the internal working precision
-for the run, 128 bits by default and at least 64.
+argv is the command, then `--flag VALUE`, `--flag=VALUE` or the bare `--svg`,
+each flag matched by exact name; a value may start with '-' unless it is a
+flag, and a repeated flag keeps its last value.  Options may also come from a
+flat key=value config file (--config); explicit flags win.  --precision-bits
+sets the working precision for the run, 128 bits by default and at least 64.
 
-Exit status: 0 success, 2 validation or usage error, 3 numeric error.
+Exit status: 0 success, 2 validation or usage error, 3 numeric error, each
+error reported as one `error: ...` line on stderr.
 """
 
 from __future__ import annotations
 
-import argparse
 import bisect
 import csv
 import math
@@ -566,25 +568,16 @@ def run(cfg: RunConfig) -> int:
 
 
 def _parse_poly(s: str) -> tuple:
-    try:
-        return tuple(int(tok.strip()) for tok in s.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError("--poly wants comma-separated integers, got %r" % s)
+    return tuple(int(tok.strip()) for tok in s.split(","))
 
 
 def _parse_range(s: str) -> tuple:
-    try:
-        lo, hi = s.split(":")
-        return float(lo), float(hi)
-    except ValueError:
-        raise argparse.ArgumentTypeError("--range wants lo:hi, got %r" % s)
+    lo, hi = s.split(":")
+    return float(lo), float(hi)
 
 
 def _parse_eps(s: str) -> tuple:
-    try:
-        return tuple(float(tok.strip()) for tok in s.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError("--eps wants comma-separated floats, got %r" % s)
+    return tuple(float(tok.strip()) for tok in s.split(","))
 
 
 _TRUE = ("1", "true", "yes", "on")
@@ -597,11 +590,11 @@ def _parse_bool(s: str) -> bool:
         return True
     if t in _FALSE:
         return False
-    raise argparse.ArgumentTypeError("boolean flag wants true/false, got %r" % s)
+    raise ValueError(s)
 
 
-# RunConfig field -> (flag and config key, converter, help); used for argparse,
-# config files and error messages
+# RunConfig field -> (flag and config key, converter, help); used for argv,
+# config files, --help and error messages
 _OPTIONS = {
     "poly": ("poly", _parse_poly, "low-order coefficients c0,c1,... of the monic dilation polynomial"),
     "mask": ("mask", str, "builtin mask name (boxcar, dyadic, bernoulli, golden_vector) or mask-file path"),
@@ -627,27 +620,37 @@ _OPTIONS = {
     "svg": ("svg", _parse_bool, "also write a line-chart SVG next to the CSV"),
 }
 
-def _build_parser(only: str = None) -> argparse.ArgumentParser:
-    # only: add just this command's subparser (the one a parse of its argv enters)
-    p = argparse.ArgumentParser(
-        prog="pvrefine",
-        description="refinable functions with Pisot dilations: batch CSV/SVG reports",
-    )
-    sub = p.add_subparsers(dest="command", required=True, metavar="command")
-    for cmd, (_, defaults) in _COMMANDS.items():
-        if only is not None and cmd != only:
-            continue
-        sp = sub.add_parser(cmd, help="%s report" % cmd)
-        sp.add_argument("--config", default=None, help="key=value options file; explicit flags win")
-        for dest, default in {**defaults, **_COMMON}.items():
-            key, conv, text = _OPTIONS[dest]
-            text += " (required)" if default is _REQUIRED else " (default %s)" % (
-                "chosen at run time" if default is None else default)
-            if dest == "svg":
-                sp.add_argument("--svg", dest="svg", action="store_true", default=None, help=text)
-            else:
-                sp.add_argument("--%s" % key, dest=dest, type=conv, default=None, help=text)
-    return p
+# every flag -> what it sets: a RunConfig field, "config" or "help"
+_FLAGS = {"-h": "help", "--help": "help", "--config": "config",
+          **{"--" + opt[0]: dest for dest, opt in _OPTIONS.items()}}
+
+
+def _convert(dest: str, text: str):
+    key, conv, _ = _OPTIONS[dest]
+    try:
+        return conv(text)
+    except ValueError:
+        raise ValueError("--%s: invalid value %r" % (key, text)) from None
+
+
+class _Help(Exception):
+    """-h/--help: build_config raises it with the help text, which main prints."""
+
+
+def _help(cmd: str = None) -> str:
+    if cmd is None:
+        return ("usage: pvrefine <command> [--option VALUE ...]\n\n"
+                "refinable functions with Pisot dilations: batch CSV/SVG reports\n\n"
+                "commands: %s\n'pvrefine <command> --help' lists a command's options" % ", ".join(_COMMANDS))
+    rows = [("-h, --help", "print this help and exit"),
+            ("--config PATH", "key=value options file; explicit flags win")]
+    for dest, default in {**_COMMANDS[cmd][1], **_COMMON}.items():
+        key, _, text = _OPTIONS[dest]
+        tag = "(required)" if default is _REQUIRED else "(default %s)" % (
+            "chosen at run time" if default is None else default)
+        rows.append(("--" + key + ("" if dest == "svg" else " " + key.upper()), "%s %s" % (text, tag)))
+    return "\n".join(["usage: pvrefine %s [--option VALUE ...]" % cmd, "", "options:"]
+                     + ["  %-32s %s" % r for r in rows])
 
 
 def _load_config_file(path: str) -> dict:
@@ -664,63 +667,56 @@ def _load_config_file(path: str) -> dict:
     return opts
 
 
-_KEY_TO_DEST = {opt[0]: dest for dest, opt in _OPTIONS.items()}
-
-# flags that take a value; negative-looking values get merged as --flag=value
-_VALUE_FLAGS = {"--config"} | {"--%s" % opt[0] for dest, opt in _OPTIONS.items() if dest != "svg"}
-_NOVALUE_FLAGS = {"--svg", "-h", "--help"}
-
-
-def _merge_negative_values(argv):
-    # argparse rejects "--poly -1,-1" because the value starts with "-" and
-    # is not a plain negative number; rewrite to "--poly=-1,-1"
-    out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        nxt = argv[i + 1] if i + 1 < len(argv) else None
-        if (
-            tok in _VALUE_FLAGS
-            and nxt is not None
-            and nxt.startswith("-")
-            and nxt not in _VALUE_FLAGS
-            and nxt not in _NOVALUE_FLAGS
-        ):
-            out.append("%s=%s" % (tok, nxt))
-            i += 2
-        else:
-            out.append(tok)
-            i += 1
-    return out
-
-
 def build_config(argv) -> RunConfig:
-    if argv is None:
-        argv = sys.argv[1:]
-    argv = list(argv)
-    only = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = _build_parser(only).parse_args(_merge_negative_values(argv))
-    cmd = args.command
+    """RunConfig of argv, parsed by the grammar of the module docstring.
+
+    Raises ValueError on a usage error and _Help on -h or --help."""
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if argv[:1] in (["-h"], ["--help"]):
+        raise _Help(_help())
+    if not argv or argv[0] not in _COMMANDS:
+        raise ValueError("%s; the commands are %s" % (
+            "unknown command %r" % argv[0] if argv else "no command given", ", ".join(_COMMANDS)))
+    cmd = argv[0]
     allowed = {**_COMMANDS[cmd][1], **_COMMON}
-    if args.config is not None:
-        for key, text in _load_config_file(args.config).items():
-            dest = _KEY_TO_DEST.get(key)
-            if dest is None or dest not in allowed:
+    given = {}
+    i = 1
+    while i < len(argv):
+        flag, eq, value = argv[i].partition("=")
+        dest = _FLAGS.get(flag)
+        if dest == "help" and not eq:
+            raise _Help(_help(cmd))
+        if dest != "config" and dest not in allowed:
+            raise ValueError("unrecognized argument %r for %s" % (argv[i], cmd))
+        i += 1
+        if dest == "svg":
+            if eq:
+                raise ValueError("--svg takes no value")
+            given[dest] = True
+            continue
+        if not eq:
+            if i == len(argv) or argv[i].partition("=")[0] in _FLAGS:
+                raise ValueError("%s needs a value" % flag)
+            value = argv[i]
+            i += 1
+        given[dest] = value if dest == "config" else _convert(dest, value)
+    path = given.pop("config", None)
+    if path is not None:
+        for key, text in _load_config_file(path).items():
+            dest = _FLAGS.get("--" + key)
+            if dest not in allowed:
                 raise ValueError("config option %r not recognized for %s" % (key, cmd))
-            if getattr(args, dest, None) is None:
-                try:
-                    setattr(args, dest, _OPTIONS[dest][1](text))
-                except argparse.ArgumentTypeError as e:
-                    raise ValueError(str(e))
-    return RunConfig(cmd, **{dest: getattr(args, dest) for dest in allowed})
+            if dest not in given:
+                given[dest] = _convert(dest, text)
+    return RunConfig(cmd, **given)
 
 
 def main(argv=None) -> int:
     try:
         return run(build_config(argv))
-    except SystemExit as e:
-        # argparse already printed usage/help; normalize to our exit contract
-        return int(e.code) if e.code else 0
+    except _Help as e:
+        print(e)
+        return 0
     except _NUMERIC_ERRORS as e:
         print("error: %s" % e, file=sys.stderr)
         return 3

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import hashlib
+import os
 import random
 import subprocess
 import sys
@@ -469,34 +470,62 @@ def test_mask_file_path(tmp_path):
 # exit codes and option errors
 
 
-def _full_parse(argv, capsys):
-    # what the parser with all nine subcommands prints and exits with for argv
-    with pytest.raises(SystemExit) as e:
-        cli._build_parser().parse_args(argv)
-    out, err = capsys.readouterr()
-    return e.value.code, out, err
-
-
 def test_unknown_flag_rejected(capsys):
     assert run_cli("symbol-scan", "--mask", "dyadic", "--range", "0:1", "--step", "0.5",
                    "--frob") == 2
 
 
 def test_unknown_command_rejected(capsys):
-    # an unknown command meets the full parser, whose error names the nine choices
-    want = _full_parse(["frobnicate"], capsys)
-    assert run_cli("frobnicate") == want[0] == 2
-    assert capsys.readouterr() == want[1:]
+    # no command, an unknown one, or a flag in its place: one line naming the nine
+    for argv, named in (((), "no command given"), (("frobnicate",), "unknown command 'frobnicate'"),
+                        (("--poly", "-1,-1"), "unknown command '--poly'")):
+        assert run_cli(*argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: %s; the commands are %s\n" % (named, ", ".join(cli._COMMANDS))
+
+
+# argv appended to a valid command line, and the one error line each gives
+_USAGE_ERRORS = [
+    (["--frob"], "unrecognized argument '--frob' for {cmd}"),
+    (["--threads", "two"], "--threads: invalid value 'two'"),
+    (["--svg=1"], "--svg takes no value"),
+    (["--out"], "--out needs a value"),
+    (["--out", "--svg"], "--out needs a value"),
+    (["--", "extra"], "unrecognized argument '--' for {cmd}"),
+    (["--jm", "3"], "unrecognized argument '--jm' for {cmd}"),
+]
 
 
 @pytest.mark.parametrize("cmd", list(cli._COMMANDS))
-def test_one_subparser_parse_prints_what_the_full_parser_prints(capsys, monkeypatch, cmd):
-    monkeypatch.setenv("COLUMNS", "100")
-    for argv in ([cmd, "--help"], [cmd, "--frob"], [cmd, "--threads", "two"], [cmd, "--svg=1"]):
-        want = _full_parse(argv, capsys)
-        assert want[0] in (0, 2)
-        assert run_cli(*argv) == want[0], argv
-        assert capsys.readouterr() == want[1:], argv
+def test_usage_error_is_one_line(tmp_path, monkeypatch, capsys, cmd):
+    monkeypatch.chdir(tmp_path)
+    argv = [cmd, *_FUZZ_BASE[cmd]]
+    # flags match by exact name: a unique prefix of the command's first flag is no flag
+    prefix = argv[1][:-1]
+    cases = _USAGE_ERRORS + [([prefix, argv[2]], "unrecognized argument %r for {cmd}" % prefix)]
+    for extra, message in cases:
+        assert run_cli(*argv, *extra) == 2, extra
+        assert capsys.readouterr() == ("", "error: %s\n" % message.format(cmd=cmd)), extra
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_flag_values_may_start_with_a_dash_and_the_last_repeat_wins():
+    cfg = cli.build_config(["bernoulli", "--poly", "-1,-1", "--jmin", "-7"])
+    assert cfg == cli.build_config(["bernoulli", "--poly=-1,-1", "--jmin=-7"])
+    assert (cfg.poly, cfg.j_min) == ((-1, -1), -7)
+    cfg = cli.build_config(["bernoulli", "--poly", "1,-3", "--jmax", "5", "--poly", "-1,-1", "--jmax=6"])
+    assert (cfg.poly, cfg.J_max) == ((-1, -1), 6)
+
+
+def test_parse_and_help_import_no_argparse():
+    # argparse imports gettext, whose lookups import locale, on every command
+    code = ("import sys; from pvrefine import cli; cli.build_config(['field-check', '--poly', '-1,-1']); "
+            "cli.main(['field-check', '--help']); print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+                       env=dict(os.environ, PYTHONPATH=src))
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1] == "[]"
 
 
 def test_help_exits_zero(capsys):
@@ -739,6 +768,8 @@ def test_argv_fuzz_exits_0_2_or_3(tmp_path, capsys):
         err = capsys.readouterr().err
         assert rc in (0, 2, 3), argv
         assert "Traceback" not in err, argv
+        # every refusal is one line: no usage text, no traceback, no warning
+        assert rc == 0 or (err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")), argv
 
 
 _REQUIRED_FLAGS = [(cmd, dest) for cmd, (_, defaults) in cli._COMMANDS.items()
