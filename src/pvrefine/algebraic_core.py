@@ -46,17 +46,23 @@ _MAX_DEGREE = 8  # factor search is exhaustive; keeps it desk-scale
 # the working precision of the current context, in mantissa bits
 working_precision = contextvars.ContextVar("working_precision", default=128)
 
-# the floor: at 32 bits lattice-density miscounts Y(L), and from 64 bits its bytes equal 128's
+# the floor: at 32 bits lattice-density miscounts Y(L), and from 64 bits its bytes equal 128's;
+# the ceiling keeps a run to seconds: bernoulli on the tribonacci field takes 2.3 s at
+# 16,384 bits and 38 s at 65,536
 _MIN_PRECISION_BITS = 64
+_MAX_PRECISION_BITS = 16384
 
 
 def precision_bits() -> int:
     """Working mantissa bits for extended-precision steps: the context's
-    working_precision, 128 unless set.  ValueError below 64 bits."""
+    working_precision, 128 unless set.  ValueError below 64 or above 16,384 bits."""
     bits = working_precision.get()
     if bits < _MIN_PRECISION_BITS:
         raise ValueError("working precision %d is under the %d-bit floor; raise --precision-bits"
                          % (bits, _MIN_PRECISION_BITS))
+    if bits > _MAX_PRECISION_BITS:
+        raise ValueError("working precision %d is over the %d-bit ceiling; lower --precision-bits"
+                         % (bits, _MAX_PRECISION_BITS))
     return bits
 
 
@@ -527,11 +533,29 @@ def integer_dilation_field(n: int) -> NumberField:
 
 
 def parse_poly(text: str):
-    """Parse 'c0,c1,...' into an integer coefficient tuple (monic leading 1 implicit)."""
-    parts = [p.strip() for p in str(text).split(",") if p.strip() != ""]
-    if not parts:
-        raise ValueError("empty polynomial spec")
+    """Parse 'c0,c1,...' into an integer coefficient tuple (monic leading 1 implicit).
+    ValueError on a blank coefficient, as in '', '1,,2' or '-1,'."""
+    parts = str(text).split(",")
+    if not all(p.strip() for p in parts):
+        raise ValueError("blank coefficient in polynomial spec %r" % text)
     return tuple(int(p) for p in parts)
+
+
+def read_key_values(path: str) -> dict:
+    """{key: value} of a file of key = value lines, as --config and mask files are
+    written: '#' starts a comment, blank lines are skipped, a repeated key keeps its
+    last value.  ValueError naming path:lineno on any other line."""
+    out = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            key, eq, value = line.partition("=")
+            if not eq:
+                raise ValueError("%s:%d: expected key=value, got %r" % (path, lineno, raw.strip()))
+            out[key.strip()] = value.strip()
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,10 @@ Nine subcommands cover field certification, symbol scans, dilation orbits,
 Bernoulli products, lattice densities, near-zero scans, vanishing probes,
 norm-value counts, and equidistribution estimates.  Each is declared once, in
 the `_COMMANDS` table: its handler and, per option, a default or `_REQUIRED`.
-RunConfig fills the defaults and refuses a missing required option from that
-table, and `pvrefine <command> --help` prints them.  Output is reproducible
-byte for byte: CSV is RFC-4180 style (CRLF line ends, '.' decimal point,
+Each option is one `RunConfig` field, which holds its flag, converter, help and
+range rule for argv, --config, --help and the checks alike.  RunConfig fills the
+defaults and refuses a missing required option from the command table, and
+`pvrefine <command> --help` prints them.  Output is reproducible byte for byte: CSV is RFC-4180 style (CRLF line ends, '.' decimal point,
 17 significant digits) and SVG is assembled by plain string formatting, so
 identical configs give identical files.  --threads is accepted and validated
 for compatibility; every subcommand runs serially.
@@ -14,8 +15,9 @@ for compatibility; every subcommand runs serially.
 argv is the command, then `--flag VALUE`, `--flag=VALUE` or the bare `--svg`,
 each flag matched by exact name; a value may start with '-' unless it is a
 flag, and a repeated flag keeps its last value.  Options may also come from a
-flat key=value config file (--config); explicit flags win.  --precision-bits
-sets the working precision for the run, 128 bits by default and at least 64.
+flat key=value config file (--config), where '#' starts a comment; explicit
+flags win.  --precision-bits sets the working precision for the run, 128 bits
+by default, from 64 to 16,384.
 
 Exit status: 0 success, 2 validation or usage error, 3 numeric error, each
 error reported as one `error: ...` line on stderr.
@@ -28,13 +30,13 @@ import csv
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from itertools import chain
 
 import numpy as np
 
-from .algebraic_core import fe_rational, make_field, working_precision
+from .algebraic_core import fe_rational, make_field, parse_poly, read_key_values, working_precision
 from .errors import NonconvergenceError, PrecisionError, PvrefineError, SizeError
 from .refinement import (
     RefinementMask,
@@ -69,49 +71,79 @@ _REQUIRED = object()
 # domain types
 
 
+def _parse_range(s: str) -> tuple:
+    lo, hi = s.split(":")
+    return float(lo), float(hi)
+
+
+def _parse_eps(s: str) -> tuple:
+    return tuple(float(tok.strip()) for tok in s.split(","))
+
+
+_TRUE = ("1", "true", "yes", "on")
+_FALSE = ("0", "false", "no", "off")
+
+
+def _parse_bool(s: str) -> bool:
+    t = s.strip().lower()
+    if t in _TRUE:
+        return True
+    if t in _FALSE:
+        return False
+    raise ValueError(s)
+
+
+# option range rules: (test, complaint) checks in order; a count compares ints, so a
+# 400-digit --jmax reaches the size guards instead of overflowing a float
+_FINITE = ((lambda v: all(math.isfinite(x) for x in np.atleast_1d(v)), "must be finite"),)
+_POSITIVE = _FINITE + ((lambda v: v > 0, "must be positive"),)
+_COUNT = ((lambda v: v >= 1, "must be a positive integer"),)
+
+
+def _option(flag: str, conv, text: str, rule=()):
+    """A RunConfig option field, None until RunConfig fills it; its flag (also the
+    config key), converter, help and range rule serve argv, --config and --help."""
+    return field(default=None, metadata={"option": (flag, conv, text, rule)})
+
+
 @dataclass
 class RunConfig:
-    """One invocation: the command and its options.  A field left None takes its
-    default from `_COMMANDS` or `_COMMON`, or raises ValueError if required."""
+    """One invocation: the command and its options, each option declared by its
+    field (`_option`).  A field left None takes its default from `_COMMANDS` or
+    `_COMMON`, or raises ValueError if required."""
 
     command: str
-    poly: tuple = None          # low-order coefficients of the monic dilation poly
-    mask: str = None            # builtin name or mask-file path
-    range: tuple = None         # scan range (lo, hi)
-    grid_step: float = None
-    delta: float = None
-    tol: float = None
-    J_max: int = None
-    j_min: int = None
-    lam: str = None             # comma-separated rationals
-    m: int = None
-    eps: tuple = None
-    L: float = None
-    box: int = None
-    n: int = None
-    samples: int = None
-    seed: int = None
-    threads: int = None
-    precision_bits: int = None
-    target: str = None          # zeros-scan: symbol | phihat
-    out: str = None
-    svg: bool = None
+    poly: tuple = _option("poly", parse_poly, "low-order coefficients c0,c1,... of the monic dilation polynomial")
+    mask: str = _option("mask", str, "builtin mask name (boxcar, dyadic, bernoulli, golden_vector) or mask-file path")
+    range: tuple = _option("range", _parse_range, "scan interval lo:hi", _FINITE)
+    grid_step: float = _option("step", float, "grid spacing", _POSITIVE)
+    delta: float = _option("delta", float, "near-zero / probe threshold", _POSITIVE)
+    tol: float = _option("tol", float, "evaluation tolerance", _POSITIVE)
+    J_max: int = _option("jmax", int, "largest orbit exponent J", _COUNT)
+    j_min: int = _option("jmin", int, "smallest orbit exponent (phihat-orbit) or product cutoff (bernoulli)")
+    lam: str = _option("lambda", str, "comma-separated rational lambda values")
+    m: int = _option("m", int, "cylinder shift exponent")
+    eps: tuple = _option("eps", _parse_eps, "comma-separated conjugate radii eps_2..eps_d", _FINITE)
+    L: float = _option("L", float, "window half-length / count limit", _POSITIVE)
+    box: int = _option("box", int, "integer box half-width for norm counting", _COUNT)
+    n: int = _option("n", int, "number of dilation powers checked for equidistribution", _COUNT)
+    samples: int = _option("samples", int, "number of sample points", _COUNT)
+    seed: int = _option("seed", int, "RNG seed for sampled subcommands")
+    threads: int = _option("threads", int,
+                           "accepted for compatibility; runs are serial and output bytes never depend on it", _COUNT)
+    precision_bits: int = _option("precision-bits", int, "working precision in bits for this run, 64 to 16384")
+    target: str = _option("target", str, "zeros-scan target: symbol or phihat")
+    out: str = _option("out", str, "output CSV path")
+    svg: bool = _option("svg", _parse_bool, "also write a line-chart SVG next to the CSV")
 
     def __post_init__(self):
         if self.command not in _COMMANDS:
             raise ValueError("unknown command %r" % (self.command,))
-        for name in ("range", "grid_step", "delta", "tol", "L", "eps"):
+        for name, (flag, _, _, rule) in _OPTIONS.items():
             v = getattr(self, name)
-            if v is not None and not all(math.isfinite(x) for x in np.atleast_1d(v)):
-                raise ValueError("--%s must be finite" % _OPTIONS[name][0])
-        for name in ("grid_step", "delta", "tol", "L"):
-            v = getattr(self, name)
-            if v is not None and v <= 0:
-                raise ValueError("--%s must be positive" % _OPTIONS[name][0])
-        for name in ("J_max", "box", "n", "samples", "threads"):
-            v = getattr(self, name)
-            if v is not None and v < 1:
-                raise ValueError("--%s must be a positive integer" % _OPTIONS[name][0])
+            for test, complaint in rule:
+                if v is not None and not test(v):
+                    raise ValueError("--%s %s" % (flag, complaint))
         if self.samples is not None and self.samples > MAX_SAMPLES:
             raise SizeError("equidistribution: %d samples exceed the %d-sample limit" % (self.samples, MAX_SAMPLES))
         for name, default in {**_COMMANDS[self.command][1], **_COMMON}.items():
@@ -119,6 +151,10 @@ class RunConfig:
                 if default is _REQUIRED:
                     raise ValueError("--%s is required for %s" % (_OPTIONS[name][0], self.command))
                 setattr(self, name, default)
+
+
+# RunConfig field -> (flag and config key, converter, help, rule)
+_OPTIONS = {f.name: f.metadata["option"] for f in fields(RunConfig) if f.metadata}
 
 
 @dataclass(frozen=True)
@@ -567,66 +603,13 @@ def run(cfg: RunConfig) -> int:
 # argument parsing and config-file merge
 
 
-def _parse_poly(s: str) -> tuple:
-    return tuple(int(tok.strip()) for tok in s.split(","))
-
-
-def _parse_range(s: str) -> tuple:
-    lo, hi = s.split(":")
-    return float(lo), float(hi)
-
-
-def _parse_eps(s: str) -> tuple:
-    return tuple(float(tok.strip()) for tok in s.split(","))
-
-
-_TRUE = ("1", "true", "yes", "on")
-_FALSE = ("0", "false", "no", "off")
-
-
-def _parse_bool(s: str) -> bool:
-    t = s.strip().lower()
-    if t in _TRUE:
-        return True
-    if t in _FALSE:
-        return False
-    raise ValueError(s)
-
-
-# RunConfig field -> (flag and config key, converter, help); used for argv,
-# config files, --help and error messages
-_OPTIONS = {
-    "poly": ("poly", _parse_poly, "low-order coefficients c0,c1,... of the monic dilation polynomial"),
-    "mask": ("mask", str, "builtin mask name (boxcar, dyadic, bernoulli, golden_vector) or mask-file path"),
-    "range": ("range", _parse_range, "scan interval lo:hi"),
-    "grid_step": ("step", float, "grid spacing"),
-    "delta": ("delta", float, "near-zero / probe threshold"),
-    "tol": ("tol", float, "evaluation tolerance"),
-    "J_max": ("jmax", int, "largest orbit exponent J"),
-    "j_min": ("jmin", int, "smallest orbit exponent (phihat-orbit) or product cutoff (bernoulli)"),
-    "lam": ("lambda", str, "comma-separated rational lambda values"),
-    "m": ("m", int, "cylinder shift exponent"),
-    "eps": ("eps", _parse_eps, "comma-separated conjugate radii eps_2..eps_d"),
-    "L": ("L", float, "window half-length / count limit"),
-    "box": ("box", int, "integer box half-width for norm counting"),
-    "n": ("n", int, "number of dilation powers checked for equidistribution"),
-    "samples": ("samples", int, "number of sample points"),
-    "seed": ("seed", int, "RNG seed for sampled subcommands"),
-    "threads": ("threads", int,
-                "accepted for compatibility; runs are serial and output bytes never depend on it"),
-    "precision_bits": ("precision-bits", int, "working precision in bits for this run, at least 64"),
-    "target": ("target", str, "zeros-scan target: symbol or phihat"),
-    "out": ("out", str, "output CSV path"),
-    "svg": ("svg", _parse_bool, "also write a line-chart SVG next to the CSV"),
-}
-
 # every flag -> what it sets: a RunConfig field, "config" or "help"
 _FLAGS = {"-h": "help", "--help": "help", "--config": "config",
           **{"--" + opt[0]: dest for dest, opt in _OPTIONS.items()}}
 
 
 def _convert(dest: str, text: str):
-    key, conv, _ = _OPTIONS[dest]
+    key, conv = _OPTIONS[dest][:2]
     try:
         return conv(text)
     except ValueError:
@@ -645,26 +628,12 @@ def _help(cmd: str = None) -> str:
     rows = [("-h, --help", "print this help and exit"),
             ("--config PATH", "key=value options file; explicit flags win")]
     for dest, default in {**_COMMANDS[cmd][1], **_COMMON}.items():
-        key, _, text = _OPTIONS[dest]
+        key, _, text, _ = _OPTIONS[dest]
         tag = "(required)" if default is _REQUIRED else "(default %s)" % (
             "chosen at run time" if default is None else default)
         rows.append(("--" + key + ("" if dest == "svg" else " " + key.upper()), "%s %s" % (text, tag)))
     return "\n".join(["usage: pvrefine %s [--option VALUE ...]" % cmd, "", "options:"]
                      + ["  %-32s %s" % r for r in rows])
-
-
-def _load_config_file(path: str) -> dict:
-    opts = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            s = raw.strip()
-            if not s or s.startswith("#"):
-                continue
-            if "=" not in s:
-                raise ValueError("%s:%d: expected key=value, got %r" % (path, lineno, s))
-            k, v = s.split("=", 1)
-            opts[k.strip()] = v.strip()
-    return opts
 
 
 def build_config(argv) -> RunConfig:
@@ -702,7 +671,7 @@ def build_config(argv) -> RunConfig:
         given[dest] = value if dest == "config" else _convert(dest, value)
     path = given.pop("config", None)
     if path is not None:
-        for key, text in _load_config_file(path).items():
+        for key, text in read_key_values(path).items():
             dest = _FLAGS.get("--" + key)
             if dest not in allowed:
                 raise ValueError("config option %r not recognized for %s" % (key, cmd))

@@ -48,6 +48,7 @@ from .algebraic_core import (
     orbit_phases,
     parse_poly,
     precision_bits,
+    read_key_values,
 )
 from .errors import (
     EigenError,
@@ -66,6 +67,10 @@ MAX_ORBIT_POINTS = 10**5
 # above this magnitude a float64 argument has too few fractional bits left
 # for phase reduction; evaluation switches to extended precision
 _MP_ARG_CUTOFF = 2.0**20
+# phihat_grid refuses more points past 2^20 before evaluating any: each takes the
+# extended-precision path alone and a zeros-scan probes near most of them (a dyadic
+# zeros-scan at the limit takes about 6 s)
+MAX_EXTENDED_POINTS = 100
 _SUM_BLOCK = 4096  # (term, point) coefficients per block of the symbol sum: temporaries near 64 KB
 _ORBIT_BLOCK = 1024  # orbit steps past 2^20 whose phases phihat_orbit holds at once
 
@@ -452,10 +457,15 @@ def phihat_grid(mask: RefinementMask, ys, tol: float = 1e-12):
     |y| > 2^20 take the extended-precision path one at a time, and points of
     one depth share eval_symbol_grid calls over chunks whose j0 x chunk
     symbol arrays stay near 1 MB.  The bound is the largest over the points.
+    More than MAX_EXTENDED_POINTS points past 2^20 raise SizeError.
     """
     ys = np.asarray(ys, dtype=float)
     flat = ys.reshape(-1)
     big = np.abs(flat) > _MP_ARG_CUTOFF
+    n_big = np.count_nonzero(big)
+    if n_big > MAX_EXTENDED_POINTS:
+        raise SizeError("phihat_grid: %d points past 2^20 exceed the %d-point limit of the extended-precision path"
+                        % (n_big, MAX_EXTENDED_POINTS))
     depths = np.where(big, 0, _product_depths(mask, np.where(big, 0.0, flat), tol))
     out = np.empty(flat.shape + (mask.rank,), dtype=complex)
     err = 0.0
@@ -584,22 +594,14 @@ def bernoulli_orbit(field: NumberField, J_max: int, j_min: int):
 def mask_from_file(path: str) -> RefinementMask:
     """Parse a structured-text mask description.
 
-    Lines of key = value with keys dilation-poly (c0,c1,... of the monic
-    minimal polynomial; a single coefficient c0 means the degree-1 integer
-    dilation -c0), rank, coeffs (';'-separated scalars or matrix literals, or
-    generator:dyadic), translates (';'-separated: integer n, or j:c comma
-    maps), phihat0 (optional ','-separated complex entries).
+    Lines of key = value, as read_key_values reads them, with keys
+    dilation-poly (c0,c1,... of the monic minimal polynomial; a single
+    coefficient c0 means the degree-1 integer dilation -c0), rank, coeffs
+    (';'-separated scalars or matrix literals, or generator:dyadic),
+    translates (';'-separated: integer n, or j:c comma maps), phihat0
+    (optional ','-separated complex entries).
     """
-    fields = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError("bad mask file line: %r" % raw.rstrip())
-            key, val = line.split("=", 1)
-            fields[key.strip()] = val.strip()
+    fields = read_key_values(path)
     if "dilation-poly" not in fields:
         raise ValueError("mask file needs dilation-poly")
     coeffs_poly = parse_poly(fields["dilation-poly"])

@@ -681,11 +681,12 @@ def equidistribution_check(field: NumberField, y_samples, n: int) -> float:
         x, N = np.sort(ys - np.floor(ys)), len(ys)
         i = np.arange(1, N + 1)
         return float(max(np.max(i / N - x), np.max(x - (i - 1) / N)))
-    q = max(2, int(round(2048 ** (1.0 / n))))
-    # forecast in logs: a huge n must neither build q^n nor print its digits
-    if n * math.log10(q) > math.log10(_MAX_CORNER_BOXES):
-        raise SizeError("%d^%d (about 1e%d) corner boxes exceed %d; lower n"
-                        % (q, n, n * math.log10(q), _MAX_CORNER_BOXES))
+    # q = 2 from n = 9 on; the cap keeps 1.0 / n from overflowing for n past 1e308
+    q = max(2, int(round(2048 ** (1.0 / min(n, 64)))))
+    # forecast in exact logs: a huge n must neither build q^n, print its digits nor overflow a float
+    digits = n * Fraction(math.log10(q))
+    if digits > math.log10(_MAX_CORNER_BOXES):
+        raise SizeError("%d^%d (about 1e%d) corner boxes exceed %d; lower n" % (q, n, digits, _MAX_CORNER_BOXES))
     # each coordinate keeps 32 fractional bits of float64's 53-bit mantissa
     _check_fraction_bits("|y alpha^%d|" % (n - 1), float(max(ys.max(), -ys.min())),
                          (n - 1) * math.log2(abs(field.alpha)), 53, "lower n or the sample range")

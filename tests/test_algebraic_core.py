@@ -327,14 +327,15 @@ def test_discriminant_values():
 
 
 def test_precision_context():
-    # the context variable is the only setting: 128 bits unless set, and none under 64
+    # the context variable is the only setting: 128 bits unless set, none under 64 and none over 16,384
     from pvrefine.algebraic_core import working_precision
 
-    for bits, want in ((192, 192), (64, 64), (63, None)):
+    for bits, want in ((192, 192), (64, 64), (63, "under the 64-bit floor"), (16384, 16384),
+                       (16385, "over the 16384-bit ceiling"), (10**400, "over the 16384-bit ceiling")):
         token = working_precision.set(bits)
         try:
-            if want is None:
-                with pytest.raises(ValueError, match="under the 64-bit floor"):
+            if isinstance(want, str):
+                with pytest.raises(ValueError, match=want):
                     pv.precision_bits()
             else:
                 assert pv.precision_bits() == want
@@ -346,5 +347,7 @@ def test_precision_context():
 def test_parse_poly():
     assert pv.parse_poly("-1,-1") == (-1, -1)
     assert pv.parse_poly(" 0 , -1 , 0 ") == (0, -1, 0)
-    with pytest.raises(ValueError):
-        pv.parse_poly("")
+    # a blank coefficient is refused, never skipped
+    for text in ("", " ", "1,,2", "-1,-1,", ",-1"):
+        with pytest.raises(ValueError, match="blank coefficient"):
+            pv.parse_poly(text)

@@ -565,6 +565,14 @@ def test_oversized_grid_exit_2(tmp_path, capsys):
     rc = run_cli("zeros-scan", "--mask", "boxcar", "--range", "0:1e9", "--step", "1e-3",
                  "--out", str(tmp_path / "z.csv"))
     assert rc == 2
+    # 100,001 points under the grid limit, 100,000 of them past 2^20 (hours of phihat
+    # products): refused from the count before any is evaluated
+    capsys.readouterr()
+    rc = run_cli("zeros-scan", "--mask", "dyadic", "--range", "0:1e15", "--step", "1e10", "--target", "phihat",
+                 "--out", str(tmp_path / "z.csv"))
+    assert rc == 2
+    assert capsys.readouterr().err == ("error: phihat_grid: 100000 points past 2^20 exceed the 100-point limit "
+                                       "of the extended-precision path\n")
     assert not (tmp_path / "x.csv").exists() and not (tmp_path / "z.csv").exists()
     # 2^40 corner boxes: refused before the equidistribution scan starts; the
     # count is forecast in logs, so n = 10^5 gets the same message, not a huge integer
@@ -671,6 +679,18 @@ def test_precision_floor_exit_2(tmp_path, capsys, argv):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    # 10^8 and 10^7 bits did not finish in two minutes; at 16,384 bits these take seconds
+    ("field-check", "--poly", "-1,-1", "--precision-bits", "100000000"),
+    ("bernoulli", "--poly", "-1,-1", "--precision-bits", "10000000"),
+])
+def test_precision_ceiling_exit_2(tmp_path, capsys, argv):
+    assert run_cli(*argv, "--out", str(tmp_path / "x.csv")) == 2
+    assert capsys.readouterr().err == ("error: working precision %s is over the 16384-bit ceiling; "
+                                       "lower --precision-bits\n" % argv[-1])
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_precision_bits_flag_raises_budget(tmp_path):
     out = tmp_path / "deep.csv"
     # the exact orbit phases need no raised precision: 128 bits give the pinned 256-bit bytes
@@ -700,8 +720,10 @@ def test_precision_flag_scopes_a_context_not_os_environ(tmp_path, monkeypatch):
 
 
 # a small valid argv per subcommand, and the values a mutation may give each
-# flag: malformed, out of range, or small; grids, L, --n, --samples, --jmax and
-# --jmin stay small or hit a size guard, so no case allocates or loops at scale
+# flag: malformed, out of range, small or 400 digits long; grids, L, --n,
+# --samples, --jmax and --jmin stay small or hit a size guard, so no case
+# allocates or loops at scale
+_HUGE = "9" * 400
 _FUZZ_BASE = {
     "field-check": ("--poly", "-1,-1"),
     "symbol-scan": ("--mask", "boxcar", "--range", "0:2", "--step", "0.5"),
@@ -720,20 +742,20 @@ _FUZZ_VALUES = {
     "--range": ("0:2", "2:0", "0:0", "-1:1", "nan:1", "0:inf", "a:b", "1", "0:1e9"),
     "--step": ("0.5", "0", "-0.5", "nan", "x", "1e-300"),
     "--lambda": ("1", "3/2", "1,2", "0", "-1", "1/0", "x", ""),
-    "--jmax": ("-1", "0", "1", "4", "x", "1000000"),
-    "--jmin": ("-6", "0", "2", "x", "-1000000000"),
+    "--jmax": ("-1", "0", "1", "4", "x", "1000000", _HUGE),
+    "--jmin": ("-6", "0", "2", "x", "-1000000000", "-" + _HUGE),
     "--eps": ("0.1", "0", "-0.1", "nan", "0.1,0.1", "x"),
     "--L": ("100", "0.5", "0", "-5", "nan", "inf", "x", "1e3"),
-    "--box": ("3", "0", "-1", "x"),
-    "--n": ("1", "2", "0", "40", "x"),
-    "--samples": ("20", "0", "-1", "x"),
+    "--box": ("3", "0", "-1", "x", _HUGE),
+    "--n": ("1", "2", "0", "40", "x", _HUGE),
+    "--samples": ("20", "0", "-1", "x", _HUGE),
     "--target": ("symbol", "phihat", "x"),
     "--delta": ("1e-3", "0", "-1", "nan"),
     "--tol": ("1e-10", "0", "-1", "1", "inf"),
-    "--m": ("0", "-2", "3", "x"),
-    "--seed": ("0", "-1", "x"),
-    "--threads": ("1", "2", "0", "-1", "x"),
-    "--precision-bits": ("64", "0", "-8", "x"),
+    "--m": ("0", "-2", "3", "x", _HUGE),
+    "--seed": ("0", "-1", "x", _HUGE),
+    "--threads": ("1", "2", "0", "-1", "x", _HUGE),
+    "--precision-bits": ("64", "0", "-8", "x", "100000000", _HUGE),
 }
 
 
@@ -787,6 +809,52 @@ def test_each_required_flag_named_when_missing(tmp_path, capsys, cmd, dest):
     assert not (tmp_path / "x.csv").exists()
 
 
+# each range rule, the values it refuses and the complaint
+_RULE_CASES = {
+    cli._FINITE: (("nan", "must be finite"),),
+    cli._POSITIVE: (("nan", "must be finite"), ("0", "must be positive"), ("-1", "must be positive")),
+    cli._COUNT: (("0", "must be a positive integer"), ("-1", "must be a positive integer")),
+}
+_RULED = [dest for dest, opt in cli._OPTIONS.items() if opt[3]]
+
+
+@pytest.mark.parametrize("dest", _RULED)
+def test_option_rule_same_message_from_argv_config_and_runconfig(tmp_path, capsys, dest):
+    flag, conv, _, rule = cli._OPTIONS[dest]
+    cmd = "field-check" if dest in cli._COMMON else next(c for c, (_, d) in cli._COMMANDS.items() if dest in d)
+    base = list(_FUZZ_BASE[cmd])
+    valid = cli.build_config([cmd, *base])
+    # explicit flags win over the config file, so it gets an argv without the flag
+    rest = list(base)
+    if "--" + flag in rest:
+        i = rest.index("--" + flag)
+        del rest[i:i + 2]
+    for value, complaint in _RULE_CASES[rule]:
+        text = "0:" + value if dest == "range" else value
+        want = "--%s %s" % (flag, complaint)
+        out = str(tmp_path / "x.csv")
+        assert run_cli(cmd, *base, "--" + flag, text, "--out", out) == 2
+        assert capsys.readouterr().err == "error: %s\n" % want, (dest, value)
+        cfgf = tmp_path / "rule.cfg"
+        cfgf.write_text("%s = %s  # %s\n" % (flag, text, complaint))
+        assert run_cli(cmd, *rest, "--config", str(cfgf), "--out", out) == 2
+        assert capsys.readouterr().err == "error: %s\n" % want, (dest, value)
+        with pytest.raises(ValueError) as e:
+            dataclasses.replace(valid, **{dest: conv(text)})
+        assert str(e.value) == want
+        assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("cmd, flag", [("phihat-orbit", "--jmax"), ("norms-count", "--box"),
+                                       ("equidistribution", "--n")])
+def test_400_digit_count_exit_2(tmp_path, capsys, cmd, flag):
+    # a count is compared as an int, never made a float: each meets a size guard
+    assert run_cli(cmd, *_FUZZ_BASE[cmd], flag, "9" * 400, "--out", str(tmp_path / "x.csv")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_command_table_covers_every_option(capsys, monkeypatch):
     fields = {f.name for f in dataclasses.fields(cli.RunConfig)} - {"command"}
     assert fields == set(cli._OPTIONS)
@@ -812,7 +880,7 @@ def test_command_table_covers_every_option(capsys, monkeypatch):
 
 def test_config_file_with_cli_override(tmp_path):
     cfgf = tmp_path / "scan.cfg"
-    cfgf.write_text("mask=dyadic\nrange=0:4\nstep=0.02\n")
+    cfgf.write_text("# a dyadic scan\nmask=dyadic  # the 2-scale mask\nrange=0:4\nstep=0.02#spacing\n")
     out1 = tmp_path / "c1.csv"
     out2 = tmp_path / "c2.csv"
     assert run_cli("symbol-scan", "--config", str(cfgf), "--out", str(out1)) == 0
@@ -832,10 +900,11 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
     assert "wibble" in capsys.readouterr().err
 
 
-def test_config_malformed_line_rejected(tmp_path):
+def test_config_malformed_line_rejected(tmp_path, capsys):
     cfgf = tmp_path / "bad2.cfg"
-    cfgf.write_text("mask dyadic\n")
+    cfgf.write_text("# scan options\n\nmask dyadic\n")
     assert run_cli("symbol-scan", "--config", str(cfgf), "--range", "0:1", "--step", "0.5") == 2
+    assert capsys.readouterr().err == "error: %s:3: expected key=value, got 'mask dyadic'\n" % cfgf
 
 
 # ---------------------------------------------------------------------------

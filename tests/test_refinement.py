@@ -294,6 +294,15 @@ def _laurent_mask(tmp_path):
     return str(path), rf.mask_from_file(str(path))
 
 
+def test_phihat_grid_refuses_many_points_past_2_20(boxcar):
+    # each point past 2^20 takes the extended-precision path alone: more than the
+    # limit are refused from the count, before any is evaluated
+    ys = np.concatenate([np.linspace(0.0, 2.0**20, 5), np.full(rf.MAX_EXTENDED_POINTS + 1, -(2.0**21))])
+    with pytest.raises(pv.SizeError, match="101 points past 2\\^20 exceed the 100-point limit"):
+        rf.phihat_grid(boxcar, ys)
+    assert rf.phihat_grid(boxcar, ys[:-1])[0].shape == (105,)
+
+
 def test_grid_kernels_above_2_20_take_extended_precision(tmp_path, golden_vector):
     ys = np.array([1.5, 2.0**21 + 0.3, -(2.0**20) - 0.25, 2.0**20])
     for mask in (golden_vector, _laurent_mask(tmp_path)[1]):
@@ -355,6 +364,14 @@ def test_mask_file_roundtrip(tmp_path):
     bad = tmp_path / "bad.mask"
     bad.write_text("rank = 1\n")
     with pytest.raises(ValueError):
+        rf.mask_from_file(str(bad))
+    # the key=value reader --config shares: comments stripped, a bad line named by path:lineno
+    bad.write_text("dilation-poly = -2  # the integer dilation 2\n\nrank 1\n")
+    with pytest.raises(ValueError, match=r"bad\.mask:3: expected key=value, got 'rank 1'"):
+        rf.mask_from_file(str(bad))
+    # and a blank polynomial coefficient is refused
+    bad.write_text("dilation-poly = -1,-1,\ncoeffs = 1; 1\ntranslates = 0 ; 1\n")
+    with pytest.raises(ValueError, match="blank coefficient"):
         rf.mask_from_file(str(bad))
 
 
