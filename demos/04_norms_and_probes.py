@@ -38,14 +38,15 @@ cnt, expn = zd.count_norm_values(cubic, 10**5, 134)
 print("plastic cubic: %d distinct values up to 1e5, exponent %.3f" % (cnt, expn))
 
 # near-zero scan: the boxcar transform vanishes exactly at the nonzero
-# integers, and the refined minima find them to 1e-10
+# integers, and the refined minima find them to 1e-10; f takes the whole grid
+# as one array, then each refinement round as one more
 bx = rf.builtin_mask("boxcar")
-z = zd.scan_near_zeros(lambda y: abs(rf.eval_phihat(bx, y, 1e-12).value), 8.0, 0.01, 1e-3)
+z = zd.scan_near_zeros(lambda ys: rf.phihat_grid(bx, ys, 1e-12)[0], 8.0, 0.01, 1e-3)
 print("\nboxcar |phihat| near-zeros on [0,8]: %s" % ", ".join("%.6f" % p for p in z.positions()))
 
 # the dyadic mask has no near-zeros at all on [0,128]
 dy = rf.builtin_mask("dyadic")
-z2 = zd.scan_near_zeros(lambda y: abs(rf.eval_symbol(dy, y).value), 128.0, 0.05, 1e-3)
+z2 = zd.scan_near_zeros(lambda ys: rf.eval_symbol_grid(dy, ys)[0], 128.0, 0.05, 1e-3)
 print("dyadic |ahat| near-zeros on [0,128]: %d found" % len(z2.points))
 
 # vanishing probe along orbits lam * alpha^J: for the golden-mean

@@ -67,7 +67,6 @@ from .solenoid import (
     eval_A,
     gamma_density,
     in_U,
-    kernel_window_test,
     shift,
     theta,
 )

@@ -42,16 +42,13 @@ from .refinement import (
     RefinementMask,
     bernoulli_orbit,
     builtin_mask,
-    eval_phihat,
-    eval_symbol,
     eval_symbol_grid,
     mask_from_file,
     phihat_grid,
     phihat_orbit,
 )
 from .solenoid import LatticeCylinder, enumerate_Y, equidistribution_check, gamma_density
-from .zero_density import check_grid_points, count_norm_values, density_estimate, scan_near_zeros
-from .zero_density import tabulate_on_grid, vanishing_probe
+from .zero_density import check_grid_points, count_norm_values, density_estimate, scan_near_zeros, vanishing_probe
 
 __all__ = ["RunConfig", "PlotSpec", "run", "emit_csv", "emit_svg", "main"]
 
@@ -474,14 +471,8 @@ def _cmd_zeros_scan(cfg: RunConfig):
         raise ValueError("--range for zeros-scan must start at 0")
     if target not in ("symbol", "phihat"):
         raise ValueError("--target must be symbol or phihat")
-    ev, ev_grid = (eval_symbol, eval_symbol_grid) if target == "symbol" else (eval_phihat, phihat_grid)
-
-    def f(y):
-        return _magnitude(ev(mask, y).value)
-
-    # one kernel call tabulates the grid; golden-section probes call f
-    f = tabulate_on_grid(f, lambda ys: _magnitudes(ev_grid(mask, ys)[0]), hi, step)
-    z = scan_near_zeros(f, hi, step, delta)
+    ev = eval_symbol_grid if target == "symbol" else phihat_grid
+    z = scan_near_zeros(lambda ys: _magnitudes(ev(mask, ys)[0]), hi, step, delta)
     lo_d, hi_d = density_estimate(z)
     pos = np.asarray(z.positions())
     rows = []

@@ -12,9 +12,13 @@ of term k is tau(k) y in float64, except for mpmath arguments and |y| > 2^20,
 where frac(tau(k) y) is reduced at extended precision first, in Python ints
 that round as mpmath does; without that the phase is garbage long before
 tau*y overflows a double mantissa; along a dilation orbit lam alpha^n those
-phases come exactly from algebraic_core.orbit_fractions instead.  eval_symbol,
-eval_phihat, phihat_orbit and the lifted symbol A of the solenoid layer all
-call the kernel.
+phases come exactly from algebraic_core.orbit_fractions instead.  eval_symbol
+is a 0-d eval_symbol_grid call, and phihat_orbit and the lifted symbol A of
+the solenoid layer call the kernel too.
+
+One kernel takes the product: phihat_grid, of which eval_phihat is a 0-d
+call.  Past 2^20 it builds the arguments y alpha^j at extended precision
+itself, and each chunk of points runs one loop over its deepest depth.
 """
 
 import ast
@@ -67,9 +71,9 @@ MAX_ORBIT_POINTS = 10**5
 # above this magnitude a float64 argument has too few fractional bits left
 # for phase reduction; evaluation switches to extended precision
 _MP_ARG_CUTOFF = 2.0**20
-# phihat_grid refuses more points past 2^20 before evaluating any: each takes the
-# extended-precision path alone and a zeros-scan probes near most of them (a dyadic
-# zeros-scan at the limit takes about 6 s)
+# phihat_grid refuses more points past 2^20 before evaluating any: each builds its
+# arguments as an mpf chain and reduces every factor's phases in Python ints, and a
+# zeros-scan probes near most of them (a dyadic zeros-scan at the limit takes about 6 s)
 MAX_EXTENDED_POINTS = 100
 _SUM_BLOCK = 4096  # (term, point) coefficients per block of the symbol sum: temporaries near 64 KB
 _ORBIT_BLOCK = 1024  # orbit steps past 2^20 whose phases phihat_orbit holds at once
@@ -380,26 +384,27 @@ def eval_symbol_grid(mask: RefinementMask, ys, tol: float = 1e-14):
 
 
 def _product_depths(mask: RefinementMask, ys, tol: float):
-    """First depth j0 >= 1 with lip * |y| * sum_{j <= -j0} |alpha|^j below tol:
-    an int for a scalar y, else an int array shaped like ys.  The bound is
-    monotone in |y| and in j, so a point's depth is one plus the number of
-    depths, below the deepest point's, at which its bound is not yet below tol."""
+    """First depth j0 >= 1 with lip * |y| * sum_{j <= -j0} |alpha|^j below tol, for each
+    entry of the float array ys.  The bound falls with j, so j0 - 1 counts the depths at
+    which it is not yet below tol: a logarithm estimates that count, and the bound itself,
+    from a table of |alpha|^-j, moves each estimate to the exact first depth."""
     lip = lipschitz_bound(mask, min(tol, 1e-14))
     absalpha = abs(mask.alpha)
     geo = 1.0 / (absalpha - 1.0)
-
-    def deeper(ay, j):
-        return lip * ay * absalpha ** (-j) * geo * absalpha >= tol
-
-    ay = np.abs(ys)
-    ymax, top = float(ay.max(initial=0.0)), 1
-    while deeper(ymax, top):
-        top += 1
-        if top > _PRODUCT_FACTOR_BUDGET:
-            raise NonconvergenceError("product tail bound not reached within budget")
-    if ay.ndim == 0:
-        return top
-    return 1 + sum((deeper(ay, j) for j in range(1, top)), np.zeros(ay.shape, dtype=int))
+    c = lip * np.abs(ys)
+    est = np.floor((np.log(np.fmax(c, 1e-300)) + math.log(geo * absalpha / tol)) / math.log(absalpha))
+    top = est.max(initial=0.0) + 2
+    if not top <= _PRODUCT_FACTOR_BUDGET:
+        raise NonconvergenceError("product tail bound not reached within budget")
+    powers = np.array([absalpha ** (-j) for j in range(int(top) + 2)])
+    depths = 1 + np.maximum(est, 0).astype(int)
+    while True:
+        up = c * powers[depths] * geo * absalpha >= tol
+        down = ~up & (depths > 1) & (c * powers[depths - 1] * geo * absalpha < tol)
+        if not (up.any() or down.any()):
+            return depths
+        depths += up
+        depths -= down
 
 
 def _product_plan(mask: RefinementMask, j0: int, tol: float):
@@ -414,50 +419,28 @@ def _product_plan(mask: RefinementMask, j0: int, tol: float):
 def eval_phihat(mask: RefinementMask, y, tol: float = 1e-12) -> SymbolValue:
     """phihat(y) = (prod_{j<=-1} ahat(y alpha^j)) phihat(0), truncated to tol.
 
-    Matrix factors multiply with the most negative j applied first to
-    phihat(0); scalars commute but use the same order.  The j0 factors come
-    from one eval_symbol_grid call; large arguments ride the extended-precision
-    path so every factor keeps an accurate phase.
+    A 0-d phihat_grid call at the float y: a complex for scalar masks, an (r,)
+    vector for rank r.
     """
-    yf = float(y)
-    j0 = _product_depths(mask, yf, tol)
-    sym_tol, err = _product_plan(mask, j0, tol)
-    if abs(yf) > _MP_ARG_CUTOFF:
-        with mp.workprec(precision_bits()):
-            al = mp.re(mask.field.roots_mp[0])
-            args = [mp.mpf(y) / al**j0]
-            for _ in range(j0 - 1):
-                args.append(args[-1] * al)
-    else:
-        al = mask.alpha
-        args = [yf * al**j for j in range(-j0, 0)]
-    factors, _ = eval_symbol_grid(mask, args, sym_tol)
-    # Python complex products, so the value matches the scalar path bit for bit
-    factors = factors.tolist() if mask.rank == 1 else factors
-    v = complex(mask.phihat0[0]) if mask.rank == 1 else np.array(mask.phihat0, dtype=complex)
-    for a in factors:
-        v = a * v if mask.rank == 1 else a @ v
-    return SymbolValue(v, err)
-
-
-def _complex_product(a, b):
-    # a * b rounded as Python's complex product; numpy's SIMD loop may fuse
-    # the multiply-adds and land an ulp away from eval_phihat
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
+    values, err = phihat_grid(mask, float(y), tol)
+    return SymbolValue(values.item() if mask.rank == 1 else values, err)
 
 
 def phihat_grid(mask: RefinementMask, ys, tol: float = 1e-12):
     """phihat over a float array: (values, error bound).
 
-    values has shape ys.shape, plus (r,) for rank r, and equal eval_phihat's
-    point by point: each keeps its own product depth and factor order, points with
-    |y| > 2^20 take the extended-precision path one at a time, and points of
-    one depth share eval_symbol_grid calls over chunks whose j0 x chunk
-    symbol arrays stay near 1 MB.  The bound is the largest over the points.
-    More than MAX_EXTENDED_POINTS points past 2^20 raise SizeError.
+    values has shape ys.shape, plus (r,) for rank r.  Each point keeps its own
+    product depth j0: its factors ahat(y alpha^j), j = -j0..-1, apply with the
+    most negative j first to phihat(0), scalar factors in Python's complex
+    product rounding.  Points are taken in order of depth, in chunks whose
+    depth x chunk symbol arrays stay near 1 MB, and a chunk's product runs over
+    its deepest point's depth, shallower points padded in front by exact
+    identity factors.  Points with |y| > 2^20 form their own chunks, whose
+    arguments y alpha^-j0, ..., y alpha^-1 are built at extended precision, one
+    multiplication by alpha at a time, and take the extended-precision symbol
+    path; nor do points whose depths truncate the symbol differently share a
+    chunk.  The bound is the largest over the points.  More than
+    MAX_EXTENDED_POINTS points past 2^20 raise SizeError.
     """
     ys = np.asarray(ys, dtype=float)
     flat = ys.reshape(-1)
@@ -466,26 +449,60 @@ def phihat_grid(mask: RefinementMask, ys, tol: float = 1e-12):
     if n_big > MAX_EXTENDED_POINTS:
         raise SizeError("phihat_grid: %d points past 2^20 exceed the %d-point limit of the extended-precision path"
                         % (n_big, MAX_EXTENDED_POINTS))
-    depths = np.where(big, 0, _product_depths(mask, np.where(big, 0.0, flat), tol))
+    depths = _product_depths(mask, flat, tol)
+    plans = {j0: _product_plan(mask, j0, tol) for j0 in np.unique(depths).tolist()}
+    # a chunk keeps to one path, float or extended, and one symbol truncation K,
+    # which can only grow with the depth
+    key = np.zeros(max(plans, default=0) + 1, dtype=int)
+    for j0, (sym_tol, _) in plans.items():
+        key[j0] = 2 * (_truncation(mask, sym_tol)[0] or 0)
+    key = key[depths] + big
+    order = np.lexsort((depths, key))
     out = np.empty(flat.shape + (mask.rank,), dtype=complex)
-    err = 0.0
-    for j0 in sorted(set(depths[~big].tolist())):
-        sym_tol, e = _product_plan(mask, j0, tol)
-        err = max(err, e)
-        scales = np.array([mask.alpha**j for j in range(-j0, 0)])
-        pts = np.flatnonzero(depths == j0)
-        chunk = max(1, 2**16 // (j0 * mask.rank**2))
-        for lo in range(0, pts.size, chunk):
-            part = pts[lo:lo + chunk]
-            factors, _ = eval_symbol_grid(mask, np.multiply.outer(scales, flat[part]), sym_tol)
-            v = np.array(mask.phihat0, dtype=complex)
-            for a in factors:
-                v = _complex_product(a[:, None], v) if mask.rank == 1 else (a @ v[..., None])[..., 0]
-            out[part] = v
-    for i in np.flatnonzero(big):
-        sv = eval_phihat(mask, float(flat[i]), tol)
-        out[i], err = sv.value, max(err, sv.truncation_error)
+    for run in np.split(order, np.flatnonzero(np.diff(key[order])) + 1) if order.size else []:
+        step = max(1, 2**16 // (int(depths[run[-1]]) * mask.rank**2))
+        for lo in range(0, run.size, step):
+            part = run[lo:lo + step]
+            out[part] = _phihat_chunk(mask, flat[part], depths[part], plans, big[part[0]])
+    err = max((e for _, e in plans.values()), default=0.0)
     return out.reshape(ys.shape if mask.rank == 1 else ys.shape + (mask.rank,)), err
+
+
+def _phihat_chunk(mask: RefinementMask, ys, depths, plans, extended: bool):
+    """phihat at the points ys, whose depths ascend: an (n, r) complex array."""
+    top, n = int(depths[-1]), depths.size
+    pad = np.arange(top)[:, None] < top - depths  # the rows before a point's own factors
+    if extended:
+        args = np.full((top, n), 0.0, dtype=object)
+        with mp.workprec(precision_bits()):
+            al = mp.re(mask.field.roots_mp[0])
+            for col, (y, j0) in enumerate(zip(ys.tolist(), depths.tolist())):
+                x = mp.mpf(y) / al**j0
+                for row in range(top - j0, top):
+                    args[row, col], x = x, x * al
+    else:
+        al = mask.alpha
+        args = np.multiply.outer([al**j for j in range(-top, 0)], ys)
+        args[pad] = 0.0
+    factors, _ = eval_symbol_grid(mask, args, plans[top][0])
+    factors[pad] = 1.0 if mask.rank == 1 else np.eye(mask.rank)
+    if mask.rank > 1:
+        v = np.array(mask.phihat0, dtype=complex)
+        for a in factors:
+            v = (a @ v[..., None])[..., 0]
+        return v
+    # v = (re, im); a * v as Python rounds a complex product: re(a) v - im(a) (im, -re)
+    v, t = np.empty((2, n)), np.empty((2, n))
+    v[0], v[1] = mask.phihat0[0].real, mask.phihat0[0].imag
+    (re0, im0), (t0, t1), swapped = v, t, v[::-1]
+    for re, im in zip(factors.real, factors.imag):
+        np.multiply(im, swapped, out=t)
+        v *= re
+        re0 -= t0
+        im0 += t1
+    out = np.empty((n, 1), dtype=complex)
+    out.real[:, 0], out.imag[:, 0] = v
+    return out
 
 
 def check_orbit_points(name: str, first: int, last: int) -> None:

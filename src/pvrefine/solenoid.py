@@ -5,8 +5,8 @@ materialized.  Every statement is reduced to a finite window of coordinates
 g(j) in [0,1) plus exact lattice arithmetic in the dilation field: the lifted
 symbol A with ahat = A on theta fibers, membership in the cylinder
 neighborhoods U(m, eps), the lattice section Y(L) enumerated through the
-Vandermonde transform, its density gamma, the kernel-window predicate, and a
-star-discrepancy estimate for window equidistribution.
+Vandermonde transform, its density gamma, and a star-discrepancy estimate for
+window equidistribution.
 
 Windows produced by theta(field, y, j_min, j_max) hold frac(y alpha^j).  A float
 y is an exact dyadic rational, so the fractional parts come exactly from
@@ -41,7 +41,6 @@ from .algebraic_core import (
     _int_det,
     _require_pv,
     discriminant,
-    dist_to_int,
     fe_add,
     fe_alpha,
     fe_embed,
@@ -71,7 +70,6 @@ __all__ = [
     "in_U",
     "enumerate_Y",
     "gamma_density",
-    "kernel_window_test",
     "equidistribution_check",
 ]
 
@@ -630,31 +628,6 @@ def gamma_density(field: NumberField, cyl) -> float:
         except OverflowError:  # eps^2 past float64: enumerate_Y's forecast refuses it
             out = math.inf
     return out
-
-
-def kernel_window_test(field: NumberField, g: SolenoidWindow) -> bool:
-    """Window predicate for the adjoint kernel: g(k) = 0 for k >= 0 and
-    c_0^{-k} g(k) integral for k < 0.
-
-    Each coordinate is screened at 1e-9 and confirmed against the exact
-    rational p / |c_0|^{-k} it would have to equal.
-    """
-    if g.j_min >= 0 or g.j_max < 0:
-        raise ValueError("window must contain coordinates on both sides of 0")
-    c0 = abs(field.coeffs[0])
-    for j, v in g.items():
-        if j >= 0:
-            if min(v, 1.0 - v) > 1e-9:
-                return False
-        else:
-            q = c0 ** (-j)
-            t = v * q
-            p = round(t)
-            if dist_to_int(t) > 1e-9 * q or not 0 <= p < q:
-                return False
-            if abs(v - p / q) > 1e-9:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -39,8 +39,6 @@ __all__ = [
     "NormForm",
     "ProbeRecord",
     "scan_near_zeros",
-    "scan_grid",
-    "tabulate_on_grid",
     "check_grid_points",
     "density_estimate",
     "vanishing_probe",
@@ -129,73 +127,51 @@ class ProbeRecord:
 # near-zero scanning
 
 
-def _golden_section_min(f, a, b, xtol=_REFINE_XTOL):
-    """Golden-section minimum of f on [a, b], 0 <= a < b, to within xtol, or to
-    one float spacing of b where that exceeds xtol (b past 2^19 at 1e-10)."""
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > max(xtol, math.ulp(b)):
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
-    return (x1, f1) if f1 <= f2 else (x2, f2)
-
-
 def check_grid_points(points: float) -> None:
     """SizeError unless a forecast grid of `points` points fits MAX_GRID_POINTS."""
     if not points <= MAX_GRID_POINTS:
         raise SizeError("grid of %.3g points exceeds the %d-point limit" % (points, MAX_GRID_POINTS))
 
 
-def scan_grid(L: float, grid_step: float):
-    """The points 0, grid_step, ... <= L that scan_near_zeros evaluates."""
-    check_grid_points((L + grid_step / 2) / grid_step + 1)
-    return np.arange(0.0, L + grid_step / 2, grid_step)
-
-
-def tabulate_on_grid(f, f_grid, L: float, grid_step: float):
-    """|f| as a scalar function whose values on scan_grid(L, grid_step) come
-    from one call of f_grid on the whole grid array; elsewhere it calls f."""
-    ys = scan_grid(L, grid_step)
-    table = dict(zip(ys.tolist(), np.asarray(f_grid(ys), dtype=float).tolist()))
-    return lambda y: table[y] if y in table else abs(f(y))
-
-
 def scan_near_zeros(f, L: float, grid_step: float, delta: float) -> NearZeroSet:
     """Grid scan of |f| on [0, L] with local refinement of candidate minima.
 
-    Grid local minima below 10*delta are refined by golden-section search to
-    resolution 1e-10; refined minima with |f| < delta are kept.  The 10*delta
-    prefilter keeps refinement from chasing shallow ripples while never
-    dropping a true sub-delta minimum whose grid neighborhood dips below
-    10*delta.  To evaluate the grid in one vectorized call, pass
-    tabulate_on_grid(f, f_grid, L, grid_step) as f.
+    f maps a float array to an array of values, one per point.  Grid local
+    minima below 10*delta are refined by golden-section search on the grid
+    cell either side, to resolution 1e-10 or one float spacing of the
+    bracket's right end, whichever is larger; refined minima with |f| < delta
+    are kept.  The 10*delta prefilter keeps refinement from chasing shallow
+    ripples while never dropping a true sub-delta minimum whose grid
+    neighborhood dips below 10*delta.  One call of f evaluates the grid, two
+    more the opening probes x1 and x2 of every bracket, and one more per round
+    the next probe of every bracket still open, so no call holds more than
+    one point per bracket; each bracket's probes are those of its own search.
     """
     if grid_step <= 0 or delta <= 0:
         raise ValueError("grid_step and delta must be positive")
-    ys = scan_grid(L, grid_step)
-    mags = np.array([abs(f(float(y))) for y in ys])
-    n = len(ys)
+    check_grid_points((L + grid_step / 2) / grid_step + 1)
+    ys = np.arange(0.0, L + grid_step / 2, grid_step)
+    mags = np.abs(f(ys))
+    left_ok, right_ok = np.r_[True, mags[1:] <= mags[:-1]], np.r_[mags[:-1] <= mags[1:], True]
+    i = np.flatnonzero(~(mags >= 10 * delta) & left_ok & right_ok)
     found = []
-    for i in range(n):
-        if mags[i] >= 10 * delta:
-            continue
-        left_ok = i == 0 or mags[i] <= mags[i - 1]
-        right_ok = i == n - 1 or mags[i] <= mags[i + 1]
-        if not (left_ok and right_ok):
-            continue
-        a = ys[max(i - 1, 0)]
-        b = ys[min(i + 1, n - 1)]
-        y_star, v_star = _golden_section_min(lambda t: abs(f(t)), float(a), float(b))
-        if v_star < delta:
-            found.append((y_star, v_star))
-    found.sort()
+    if i.size:
+        a, b = ys[np.maximum(i - 1, 0)], ys[np.minimum(i + 1, ys.size - 1)]
+        x1, x2 = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+        f1, f2 = np.abs(f(x1)), np.abs(f(x2))
+        live = np.arange(i.size)
+        while (live := live[b[live] - a[live] > np.maximum(_REFINE_XTOL, np.spacing(b[live]))]).size:
+            left = f1[live] <= f2[live]  # the minimum lies in [a, x2]: x2 becomes b
+            l, r = live[left], live[~left]
+            b[l], x2[l], f2[l] = x2[l], x1[l], f1[l]
+            a[r], x1[r], f1[r] = x1[r], x2[r], f2[r]
+            x1[l] = b[l] - _GOLDEN * (b[l] - a[l])
+            x2[r] = a[r] + _GOLDEN * (b[r] - a[r])
+            fx = np.abs(f(np.where(left, x1[live], x2[live])))
+            f1[l], f2[r] = fx[left], fx[~left]
+        first = f1 <= f2
+        y_star, v_star = np.where(first, x1, x2), np.where(first, f1, f2)
+        found = sorted(zip(y_star[v_star < delta].tolist(), v_star[v_star < delta].tolist()))
     merged = []
     for y, v in found:
         if merged and y - merged[-1][0] <= 10 * _REFINE_XTOL:

@@ -626,11 +626,11 @@ def test_zeros_scan_grid_past_2_20(tmp_path, capsys):
     from pvrefine import zero_density as zd
 
     mask = rf.builtin_mask("boxcar")
-    for target, ev in (("phihat", rf.eval_phihat), ("symbol", rf.eval_symbol)):
+    for target, kernel in (("phihat", rf.phihat_grid), ("symbol", rf.eval_symbol_grid)):
         rc = run_cli("zeros-scan", "--mask", "boxcar", "--range", "0:1048576", "--step", "400000",
                      "--target", target, "--out", str(tmp_path / "z.csv"))
         assert rc == 0
-        z = zd.scan_near_zeros(lambda y: abs(ev(mask, y).value), 2.0**20, 4e5, 1e-3)
+        z = zd.scan_near_zeros(lambda ys: kernel(mask, ys)[0], 2.0**20, 4e5, 1e-3)
         assert "%d near-zeros" % len(z.points) in capsys.readouterr().out
 
 

@@ -273,17 +273,43 @@ def test_eval_symbol_grid_rank2_matches_scalar(golden_vector):
         assert tail == sv.truncation_error
 
 
+def _reference_phihat(mask, y, tol):
+    """(phihat(y), error bound) as one scalar product: the first depth j0 whose tail
+    bound is below tol, arguments y alpha^j in float64, or past 2^20 as an extended-
+    precision chain multiplied by alpha one step at a time, factors from
+    eval_symbol_grid, and Python complex products with the most negative j first."""
+    lip, al = rf.lipschitz_bound(mask, min(tol, 1e-14)), abs(mask.alpha)
+    j0 = 1
+    while lip * abs(y) * al ** (-j0) * (1.0 / (al - 1.0)) * al >= tol:
+        j0 += 1
+    if abs(y) > 2.0**20:
+        with mp.workprec(pv.precision_bits()):
+            root = mp.re(mask.field.roots_mp[0])
+            args = [mp.mpf(y) / root**j0]
+            for _ in range(j0 - 1):
+                args.append(args[-1] * root)
+    else:
+        args = [y * mask.alpha**j for j in range(-j0, 0)]
+    sym_tol = min(tol / j0, 1e-14)
+    factors, tail = rf.eval_symbol_grid(mask, np.array(args), sym_tol)
+    v = complex(mask.phihat0[0]) if mask.rank == 1 else np.array(mask.phihat0, dtype=complex)
+    for a in factors.tolist() if mask.rank == 1 else factors:
+        v = a * v if mask.rank == 1 else a @ v
+    return v, sum([tail] * j0) + tol
+
+
 def test_phihat_grid_matches_scalar(boxcar, dyadic, golden_vector, bernoulli_golden):
-    # each point keeps the scalar path's depth, factor order and rounding
+    # each point keeps the scalar product's depth, factor order and rounding
     ys = np.linspace(-12, 12, 301)
     for mask in all_builtins(boxcar, dyadic, golden_vector, bernoulli_golden):
         for tol in (1e-12, 1e-13):
             grid, err = rf.phihat_grid(mask, ys.reshape(7, 43), tol)
             assert grid.shape == ((7, 43) if mask.rank == 1 else (7, 43, mask.rank))
             for y, g in zip(ys, grid.reshape((301,) + grid.shape[2:])):
-                sv = rf.eval_phihat(mask, float(y), tol)
-                assert np.array_equal(g, sv.value), (mask.name, tol, y)
-                assert err >= sv.truncation_error
+                want, bound = _reference_phihat(mask, float(y), tol)
+                assert np.array_equal(g, want), (mask.name, tol, y)
+                assert err >= bound
+                assert np.array_equal(rf.eval_phihat(mask, float(y), tol).value, want)
 
 
 def _laurent_mask(tmp_path):
@@ -310,7 +336,7 @@ def test_grid_kernels_above_2_20_take_extended_precision(tmp_path, golden_vector
         phi, _ = rf.phihat_grid(mask, ys)
         for y, s, p in zip(ys, sym, phi):
             assert np.array_equal(s, rf.eval_symbol(mask, float(y)).value), (mask.name, y)
-            assert np.array_equal(p, rf.eval_phihat(mask, float(y)).value), (mask.name, y)
+            assert np.array_equal(p, _reference_phihat(mask, float(y), 1e-12)[0]), (mask.name, y)
 
 
 def test_extended_phases_match_an_mpmath_reference(tmp_path):

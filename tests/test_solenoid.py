@@ -513,29 +513,6 @@ def test_homoclinic_window_decay(golden):
 
 
 # ---------------------------------------------------------------------------
-# kernel predicate
-
-
-def test_kernel_window_golden(golden):
-    zero = so.SolenoidWindow(-2, 2, (0.0,) * 5)
-    assert so.kernel_window_test(golden, zero)
-    half = so.SolenoidWindow(-2, 2, (0.0, 0.5, 0.0, 0.0, 0.0))
-    assert not so.kernel_window_test(golden, half)
-
-
-def test_kernel_window_c0_two():
-    f = pv.make_field((-2, -2))  # X^2 - 2X - 2, |c_0| = 2
-    assert f.pv_status == "PV"
-    half = so.SolenoidWindow(-2, 2, (0.0, 0.5, 0.0, 0.0, 0.0))
-    assert so.kernel_window_test(f, half)
-    assert so.kernel_window_test(f, so.SolenoidWindow(-2, 2, (0.75, 0.5, 0.0, 0.0, 0.0)))
-    assert not so.kernel_window_test(f, so.SolenoidWindow(-2, 2, (0.0, 0.3, 0.0, 0.0, 0.0)))
-    assert not so.kernel_window_test(f, so.SolenoidWindow(-2, 2, (0.0, 0.0, 0.0, 0.5, 0.0)))
-    with pytest.raises(ValueError):
-        so.kernel_window_test(f, so.SolenoidWindow(0, 2, (0.0, 0.0, 0.0)))
-
-
-# ---------------------------------------------------------------------------
 # equidistribution
 
 

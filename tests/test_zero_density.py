@@ -14,6 +14,7 @@ import pvrefine as pv
 from pvrefine import refinement as rf
 from pvrefine import zero_density as zd
 from pvrefine.algebraic_core import discriminant
+from pvrefine.cli import _magnitudes
 
 
 @pytest.fixture(scope="module")
@@ -32,12 +33,99 @@ def dyadic():
 
 
 def _phihat_fn(mask, tol=1e-12):
-    def f(y):
-        if abs(y) < 1e-13:
-            return 1.0
-        return rf.eval_phihat(mask, y, tol).value
+    return lambda ys: rf.phihat_grid(mask, ys, tol)[0]
 
-    return f
+
+def _symbol_fn(mask, tol=1e-14):
+    return lambda ys: rf.eval_symbol_grid(mask, ys, tol)[0]
+
+
+def _magnitude_fn(mask, target):
+    # |values| as zeros-scan takes them; f also takes a scalar y, so a scan that
+    # probes one point per call finds the same minima
+    kernel = rf.phihat_grid if target == "phihat" else rf.eval_symbol_grid
+    return lambda ys: _magnitudes(kernel(mask, ys)[0], np.ndim(ys))
+
+
+# refined minima (y, |f(y)|) of three zeros-scan runs, as exact floats, keyed by
+# (mask, target, L, step, delta)
+PINNED_MINIMA = {
+    ("boxcar", "phihat", 16.0, 0.01, 1e-8): (
+        (0.9999999999833077, 1.669229674024671e-11), (1.999999999983308, 8.346097181919937e-12),
+        (2.999999999983308, 5.564004674696423e-12), (4.000000000016692, 4.17313147631608e-12),
+        (5.000000000016692, 3.3384720268923077e-12), (6.000000000016692, 2.7820535254587523e-12),
+        (7.000000000016692, 2.3846228763539234e-12), (7.9999999999833085, 2.0864828527627455e-12),
+        (8.99999999998331, 1.8545268669060833e-12), (9.99999999998331, 1.6690780783869981e-12),
+        (10.99999999998331, 1.5173401638317391e-12), (11.99999999998331, 1.3908813359441924e-12),
+        (12.99999999998331, 1.283903215549634e-12), (13.99999999998331, 1.192198627418717e-12),
+        (14.99999999998331, 1.1127161201428252e-12), (15.99999999997299, 1.6881360486561672e-12),
+    ),
+    ("golden_vector", "phihat", 40.0, 0.01, 1e-2): (
+        (8.025006868999453, 0.005894136899827231), (12.984673509405624, 0.0022544435681924623),
+        (16.049265234176115, 0.005854870028552121), (17.946183612316364, 0.005840785456750061),
+        (21.00952415170388, 0.0008615758503947577), (22.913668932918746, 0.0077052385974988175),
+        (24.071805792612953, 0.005788704301387773), (25.96952178244418, 0.0022486813424894203),
+        (27.108860827712995, 0.009089841705982586), (27.896788714476887, 0.008642910244892495),
+        (29.034228663930847, 0.0022468069971302075), (30.932449859101908, 0.004294183666195627),
+        (32.09110152382429, 0.005694046699259858), (32.91719484711634, 0.008886188833139868),
+        (33.994120866699014, 0.0003291584991206148), (35.10118233205729, 0.00796169249117656),
+        (35.903991825276435, 0.005634055018237811), (37.05789134477444, 0.0030084512270618694),
+        (37.98964260968513, 0.008364883737674246), (38.95473793509511, 0.002239040735930702),
+        (39.99999999997299, 0.006109828458802949),
+    ),
+    ("boxcar", "symbol", 100.0, 0.05, 1e-8): (
+        (0.5000000000046512, 1.4612028083961578e-11), (1.5000000000046512, 1.4612028083961578e-11),
+        (2.500000000004651, 1.4611361950146803e-11), (3.500000000004651, 1.4611361950146803e-11),
+        (4.500000000004651, 1.4612694217776353e-11), (5.500000000004651, 1.4612694217776353e-11),
+        (6.500000000004651, 1.4612694217776353e-11), (7.500000000004651, 1.4612694217776353e-11),
+        (8.50000000000465, 1.4610029682517253e-11), (9.50000000000465, 1.4610029682517253e-11),
+        (10.50000000000465, 1.4610029682517253e-11), (11.50000000000465, 1.4610029682517253e-11),
+        (12.50000000000465, 1.4610029682517253e-11), (13.50000000000465, 1.4610029682517253e-11),
+        (14.50000000000465, 1.4610029682517253e-11), (15.50000000000465, 1.4610029682517253e-11),
+        (16.50000000000465, 1.4610029682517253e-11), (17.50000000000465, 1.4610029682517253e-11),
+        (18.50000000000465, 1.4610029682517253e-11), (19.50000000000465, 1.4610029682517253e-11),
+        (20.50000000000465, 1.4610029682517253e-11), (21.50000000000465, 1.4610029682517253e-11),
+        (22.50000000000465, 1.4610029682517253e-11), (23.50000000000465, 1.4610029682517253e-11),
+        (24.50000000000465, 1.4610029682517253e-11), (25.50000000000465, 1.4610029682517253e-11),
+        (26.50000000000465, 1.4610029682517253e-11), (27.50000000000465, 1.4610029682517253e-11),
+        (28.50000000000465, 1.4610029682517253e-11), (29.50000000000465, 1.4610029682517253e-11),
+        (30.50000000000465, 1.4610029682517253e-11), (31.50000000000465, 1.4610029682517253e-11),
+        (32.49999999999536, 1.4576623411853487e-11), (33.49999999999536, 1.4576623411853487e-11),
+        (34.49999999999536, 1.4576623411853487e-11), (35.49999999999536, 1.4576623411853487e-11),
+        (36.49999999999536, 1.4576623411853487e-11), (37.49999999999536, 1.4576623411853487e-11),
+        (38.49999999999536, 1.4576623411853487e-11), (39.49999999999536, 1.4576623411853487e-11),
+        (40.49999999999536, 1.4576623411853487e-11), (41.49999999999536, 1.4576623411853487e-11),
+        (42.49999999999536, 1.4576623411853487e-11), (43.49999999999536, 1.4576623411853487e-11),
+        (44.49999999999536, 1.4576623411853487e-11), (45.49999999999536, 1.4576623411853487e-11),
+        (46.49999999999536, 1.4576623411853487e-11), (47.49999999999536, 1.4576623411853487e-11),
+        (48.49999999999536, 1.4576623411853487e-11), (49.49999999999536, 1.4576623411853487e-11),
+        (50.49999999999536, 1.4576623411853487e-11), (51.49999999999536, 1.4576623411853487e-11),
+        (52.49999999999536, 1.4576623411853487e-11), (53.49999999999536, 1.4576623411853487e-11),
+        (54.49999999999536, 1.4576623411853487e-11), (55.49999999999536, 1.4576623411853487e-11),
+        (56.49999999999536, 1.4576623411853487e-11), (57.49999999999536, 1.4576623411853487e-11),
+        (58.49999999999536, 1.4576623411853487e-11), (59.49999999999536, 1.4576623411853487e-11),
+        (60.49999999999536, 1.4576623411853487e-11), (61.49999999999536, 1.4576623411853487e-11),
+        (62.49999999999536, 1.4576623411853487e-11), (63.49999999999536, 1.4576623411853487e-11),
+        (64.49999999999535, 1.459882787234599e-11), (65.49999999999535, 1.459882787234599e-11),
+        (66.49999999999535, 1.459882787234599e-11), (67.49999999999535, 1.459882787234599e-11),
+        (68.49999999999535, 1.459882787234599e-11), (69.49999999999535, 1.459882787234599e-11),
+        (70.49999999999535, 1.459882787234599e-11), (71.49999999999535, 1.459882787234599e-11),
+        (72.49999999999535, 1.459882787234599e-11), (73.49999999999535, 1.459882787234599e-11),
+        (74.49999999999535, 1.459882787234599e-11), (75.49999999999535, 1.459882787234599e-11),
+        (76.49999999999535, 1.459882787234599e-11), (77.49999999999535, 1.459882787234599e-11),
+        (78.49999999999535, 1.459882787234599e-11), (79.49999999999535, 1.459882787234599e-11),
+        (80.49999999999535, 1.459882787234599e-11), (81.49999999999535, 1.459882787234599e-11),
+        (82.49999999999535, 1.459882787234599e-11), (83.49999999999535, 1.459882787234599e-11),
+        (84.49999999999535, 1.459882787234599e-11), (85.49999999999535, 1.459882787234599e-11),
+        (86.49999999999535, 1.459882787234599e-11), (87.49999999999535, 1.459882787234599e-11),
+        (88.49999999999535, 1.459882787234599e-11), (89.49999999999535, 1.459882787234599e-11),
+        (90.49999999999535, 1.459882787234599e-11), (91.49999999999535, 1.459882787234599e-11),
+        (92.49999999999535, 1.459882787234599e-11), (93.49999999999535, 1.459882787234599e-11),
+        (94.49999999999535, 1.459882787234599e-11), (95.49999999999535, 1.459882787234599e-11),
+        (96.49999999999535, 1.459882787234599e-11), (97.49999999999535, 1.459882787234599e-11),
+        (98.49999999999535, 1.459882787234599e-11), (99.49999999999535, 1.459882787234599e-11),
+    ),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -54,19 +142,19 @@ def test_boxcar_phihat_zeros(boxcar):
 
 
 def test_boxcar_symbol_zeros(boxcar):
-    f = lambda y: rf.eval_symbol(boxcar, y).value
+    f = _symbol_fn(boxcar)
     z = zd.scan_near_zeros(f, 4.0, 0.01, 1e-8)
     assert [round(y, 9) for y in z.positions()] == [0.5, 1.5, 2.5, 3.5]
 
 
 def test_dyadic_symbol_never_near_zero(dyadic):
-    f = lambda y: rf.eval_symbol(dyadic, y, 1e-8).value
+    f = _symbol_fn(dyadic, 1e-8)
     z = zd.scan_near_zeros(f, 128.0, 0.01, 1e-3)
     assert z.points == ()
 
 
 def test_scan_monotone_in_delta(boxcar):
-    f = lambda y: rf.eval_symbol(boxcar, y).value
+    f = _symbol_fn(boxcar)
     z_small = zd.scan_near_zeros(f, 6.0, 0.01, 1e-10)
     z_big = zd.scan_near_zeros(f, 6.0, 0.01, 1e-6)
     small = set(z_small.positions())
@@ -75,7 +163,7 @@ def test_scan_monotone_in_delta(boxcar):
 
 
 def test_scan_validation(boxcar):
-    f = lambda y: rf.eval_symbol(boxcar, y).value
+    f = _symbol_fn(boxcar)
     with pytest.raises(ValueError):
         zd.scan_near_zeros(f, 4.0, 0.0, 1e-8)
     with pytest.raises(ValueError):
@@ -83,41 +171,91 @@ def test_scan_validation(boxcar):
 
 
 def test_scan_grid_prefilter_same_zero_set(boxcar):
+    # the grid in one phihat_grid call, or point by point through eval_phihat: one zero set
     calls = []
 
     def f_grid(ys):
         calls.append(len(ys))
-        return np.abs(rf.phihat_grid(boxcar, ys)[0])
+        return rf.phihat_grid(boxcar, ys)[0]
 
-    plain = zd.scan_near_zeros(_phihat_fn(boxcar), 16.0, 0.01, 1e-8)
-    fast = zd.scan_near_zeros(zd.tabulate_on_grid(_phihat_fn(boxcar), f_grid, 16.0, 0.01), 16.0, 0.01, 1e-8)
-    assert fast == plain
-    assert len(plain.points) == 16
-    assert calls == [len(zd.scan_grid(16.0, 0.01))]
+    pointwise = zd.scan_near_zeros(lambda ys: [rf.eval_phihat(boxcar, y).value for y in ys], 16.0, 0.01, 1e-8)
+    fast = zd.scan_near_zeros(f_grid, 16.0, 0.01, 1e-8)
+    assert fast == pointwise
+    assert len(fast.points) == 16
+    assert calls[0] == len(np.arange(0.0, 16.005, 0.01))
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_MINIMA))
+def test_refined_minima_pinned(key):
+    name, target, L, step, delta = key
+    z = zd.scan_near_zeros(_magnitude_fn(rf.builtin_mask(name), target), L, step, delta)
+    assert z.points == PINNED_MINIMA[key]
+
+
+def _golden_section_probes(f, a, b):
+    """The probes of one golden-section search on [a, b], as scan_near_zeros refines
+    a bracket: x1 and x2, then one per round until b - a is at most 1e-10 or one
+    float spacing of b."""
+    g = (math.sqrt(5) - 1) / 2
+    x1, x2 = b - g * (b - a), a + g * (b - a)
+    probes, f1, f2 = [x1, x2], f(x1), f(x2)
+    while b - a > max(1e-10, math.ulp(b)):
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - g * (b - a)
+            probes.append(x1)
+            f1 = f(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + g * (b - a)
+            probes.append(x2)
+            f2 = f(x2)
+    return probes
+
+
+def test_scan_calls_f_once_per_round(boxcar):
+    # one call for the grid, one each for the opening x1 and x2 of every bracket,
+    # then one per round holding the next probe of each bracket still open, in
+    # grid order: each bracket's probes are those of its own scalar search, and no
+    # call holds more than one point per bracket
+    calls = []
+
+    def f(ys):
+        calls.append(np.asarray(ys, dtype=float).tolist())
+        return rf.phihat_grid(boxcar, ys)[0]
+
+    zd.scan_near_zeros(f, 16.5, 0.01, 1e-8)
+    grid = np.arange(0.0, 16.505, 0.01)
+    assert calls[0] == grid.tolist()
+    mags = np.abs(rf.phihat_grid(boxcar, grid)[0])
+    minima = [i for i in range(1, grid.size - 1) if mags[i] < 1e-7 and mags[i - 1] >= mags[i] <= mags[i + 1]]
+    assert len(minima) == 16
+    probes = [_golden_section_probes(lambda y: abs(rf.eval_phihat(boxcar, y).value), float(grid[i - 1]),
+                                     float(grid[i + 1])) for i in minima]
+    assert calls[1:] == [[p[k] for p in probes if k < len(p)] for k in range(max(map(len, probes)))]
+    assert all(len(c) <= len(minima) for c in calls[1:])
 
 
 def test_golden_section_stops_at_float_spacing():
     # near 1e6 adjacent floats are 1.16e-10 apart, more than the 1e-10 resolution
     calls = []
 
-    def f(t):
-        calls.append(t)
+    def f(ys):
+        calls.append(len(ys))
         assert len(calls) < 500, "golden section does not terminate"
-        return abs(t - 1e6 - 0.3)
+        return np.abs(ys - 1e6 - 0.3)
 
-    y, v = zd._golden_section_min(f, 999999.0, 1000001.0)
+    ((y, v),) = zd.scan_near_zeros(f, 1.2e6, 2e5, 1.0).points
     assert abs(y - 1e6 - 0.3) < 1e-9 and v < 1e-9
 
 
 def test_scan_size_guard_before_evaluation():
-    def f(y):
+    def f(ys):
         raise AssertionError("evaluated a grid point")
 
     assert zd.MAX_GRID_POINTS >= 10 * 25601
     with pytest.raises(pv.SizeError):
         zd.scan_near_zeros(f, 1e9, 1e-3, 1e-8)
-    with pytest.raises(pv.SizeError):
-        zd.tabulate_on_grid(f, f, 1e9, 1e-3)
 
 
 def test_zero_set_recursion_boxcar(boxcar):
@@ -125,7 +263,7 @@ def test_zero_set_recursion_boxcar(boxcar):
     #                                union alpha * (near-zeros of phihat on [0, L/2])
     al = boxcar.alpha
     zp = zd.scan_near_zeros(_phihat_fn(boxcar), 8.0, 0.01, 1e-8)
-    za = zd.scan_near_zeros(lambda y: rf.eval_symbol(boxcar, y).value, 4.0, 0.01, 1e-8)
+    za = zd.scan_near_zeros(_symbol_fn(boxcar), 4.0, 0.01, 1e-8)
     zh = zd.scan_near_zeros(_phihat_fn(boxcar), 4.0, 0.01, 1e-8)
     scaled = sorted([al * y for y in za.positions()] + [al * y for y in zh.positions()])
     for y in zp.positions():
@@ -144,7 +282,7 @@ def test_density_boxcar_unit(boxcar):
 
 def test_density_ratio_matches_dilation_identity(boxcar):
     # density(S(ahat)) = (|alpha| - 1) density(S(phihat)) with |alpha| = 2
-    za = zd.scan_near_zeros(lambda y: rf.eval_symbol(boxcar, y).value, 100.0, 0.05, 1e-8)
+    za = zd.scan_near_zeros(_symbol_fn(boxcar), 100.0, 0.05, 1e-8)
     zp = zd.scan_near_zeros(_phihat_fn(boxcar), 100.0, 0.05, 1e-8)
     da = sum(zd.density_estimate(za)) / 2
     dp = sum(zd.density_estimate(zp)) / 2
