@@ -450,7 +450,7 @@ def phihat_grid(mask: RefinementMask, ys, tol: float = 1e-12):
         raise SizeError("phihat_grid: %d points past 2^20 exceed the %d-point limit of the extended-precision path"
                         % (n_big, MAX_EXTENDED_POINTS))
     depths = _product_depths(mask, flat, tol)
-    plans = {j0: _product_plan(mask, j0, tol) for j0 in np.unique(depths).tolist()}
+    plans = {j0: _product_plan(mask, j0, tol) for j0 in np.flatnonzero(np.bincount(depths)).tolist()}
     # a chunk keeps to one path, float or extended, and one symbol truncation K,
     # which can only grow with the depth
     key = np.zeros(max(plans, default=0) + 1, dtype=int)
