@@ -11,12 +11,13 @@ Norm forms: with e_0..e_{d-1} the exact Lagrange dual basis (rows of V^{-1}
 are its conjugate embeddings) written as integer numerators over their common
 denominator den, N(mu_1) for mu_1 = sum n_i e_i is det(sum_i n_i M_i) / den^d,
 M_i the integer multiplication matrix of the i-th numerator.  That determinant
-is expanded exactly into a degree-d integer form in n, reduced to lowest terms,
-and verified against exact field norms before it is returned.
+is expanded exactly into a degree-d integer form in n, proved equal to its
+interpolant from exact determinants on a unisolvent point set, and reduced to
+lowest terms.
 """
 
+import itertools
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,7 +26,6 @@ import numpy as np
 from .algebraic_core import (
     FieldElement,
     NumberField,
-    _companion_powers,
     _int_det,
     _power_combination,
     fe_embed,
@@ -266,7 +266,7 @@ def vanishing_probe(mask: RefinementMask, lambdas, J_max: int, delta: float = No
 
 
 def _det_form(mats):
-    """det(sum_i n_i mats[i]) as an integer polynomial {exponent tuple: coefficient} in n.
+    """det(sum_i n_i mats[i]) as an integer polynomial {exponent tuple: nonzero coefficient} in n.
 
     Laplace expansion along the rows, memoized over the 2^d sets of columns still open;
     monomials are keyed by sum_i e_i (d+1)^i, so multiplying by n_i adds (d+1)^i."""
@@ -288,37 +288,73 @@ def _det_form(mats):
             minors[cols] = out
         return minors[cols]
 
-    return {tuple(key // s % (d + 1) for s in steps): v for key, v in minor(tuple(range(d))).items()}
+    return {tuple(key // s % (d + 1) for s in steps): v for key, v in minor(tuple(range(d))).items() if v}
+
+
+def _newton(values):
+    """Forward differences Delta^k v(0) / k! of the values v(0), v(1), ...: the coefficients of v
+    in the basis binom(x, k).  An integer polynomial's are integers, so each division is exact."""
+    out = []
+    for k in range(len(values)):
+        out.append(values[0] // math.factorial(k))
+        values = [b - a for a, b in zip(values, values[1:])]
+    return out
+
+
+def _from_falling(coeffs):
+    """sum_k c_k (x)_k in powers of x: (x)_k = sum_j s(k, j) x^j, s the signed Stirling numbers of
+    the first kind, from s(k+1, j) = s(k, j-1) - k s(k, j)."""
+    rows = [[1]]
+    for k in range(len(coeffs) - 1):
+        rows.append([a - k * b for a, b in zip([0] + rows[k], rows[k] + [0])])
+    return [sum(rows[k][j] * c for k, c in enumerate(coeffs[j:], j)) for j in range(len(coeffs))]
+
+
+def _interpolated_form(mats):
+    """det(sum_i n_i mats[i]) as {exponent tuple: nonzero coefficient}, from C(2d-1, d) determinants.
+
+    The determinant is homogeneous of degree d, so with n_d = 1 it is a polynomial of total degree
+    <= d in the other d-1 variables, and the principal lattice n = (x, 1), x >= 0, |x| <= d, is
+    unisolvent for those: the values there fix every coefficient.  A point is keyed by the exponent
+    of the monomial it stands for, x and n_d's remaining d - |x|; a step along axis i moves one unit
+    from that last exponent to the i-th.  Forward differences along every axis (each divided by
+    k_i!) give the coefficients in the basis prod_i binom(x_i, k_i); then the Stirling numbers turn
+    every axis's falling factorials into powers.  Neither pass leaves the lattice."""
+    d = len(mats)
+    exps = [tuple(c.count(i) for i in range(d)) for c in itertools.combinations_with_replacement(range(d), d)]
+    points = np.array([e[:-1] + (1,) for e in exps], dtype=object)
+    form = dict(zip(exps, _int_det(np.tensordot(points, np.array(mats, dtype=object), 1)).tolist()))
+    for along in (_newton, _from_falling):
+        for i in range(d - 1):
+            for e in [e for e in form if e[i] == 0]:
+                line = [e[:i] + (t,) + e[i + 1:-1] + (e[-1] - t,) for t in range(e[-1] + 1)]
+                form.update(zip(line, along([form[p] for p in line])))
+    return {e: c for e, c in form.items() if c}
 
 
 def norm_form(field: NumberField) -> NormForm:
     """Exact integer norm form in lowest terms over the Lagrange dual basis.
 
     With e_i = nums_i/den over their common denominator, N(sum n_i e_i) =
-    det(sum_i n_i M(nums_i))/den^d; the determinant is expanded exactly, and
-    the reduced form is checked against exact field norms on 10^3 random
-    integer vectors.
+    det(sum_i n_i M(nums_i))/den^d.  The determinant is expanded exactly by
+    Laplace and proved equal, coefficient by coefficient, to its interpolant
+    from exact determinants on the principal lattice (`_interpolated_form`);
+    two degree-d forms that agree there agree at every integer vector.
     """
     d = field.degree
     row = first_lagrange_row(field)
     den = math.lcm(*(e.den for e in row))
-    nums = [[q * (den // e.den) for q in e.nums] for e in row]
-    ints = {e: c for e, c in _det_form([_power_combination(field, v) for v in nums]).items() if c}
+    mats = [_power_combination(field, [q * (den // e.den) for q in e.nums]) for e in row]
+    ints = _det_form(mats)
+    proof = _interpolated_form(mats)
+    if ints != proof:
+        first = min(e for e in ints.keys() | proof.keys() if ints.get(e) != proof.get(e))
+        raise PrecisionError("norm form disagrees with its interpolant at exponent %s" % (first,))
     g = math.gcd(den**d, *ints.values())
-    nf = NormForm(
+    return NormForm(
         numerator_form=tuple(sorted((e, c // g) for e, c in ints.items())),
         denominator=den**d // g,
     )
-    # mu = sum n_i e_i has numerators ns . nums over den, so N(mu) = det(sum_i mu_i C^i)/den^d;
-    # all 10^3 vectors go through one stacked pass in Python ints, compared cross-multiplied
-    rng = random.Random(17)
-    ns = np.array([[rng.randint(-50, 50) for _ in range(d)] for _ in range(10**3)], dtype=object)
-    pows = np.array(_companion_powers(field.coeffs), dtype=object)
-    mats = np.tensordot(ns.dot(np.array(nums, dtype=object)), pows, 1)
-    bad = np.flatnonzero(nf.evaluate_numerator(ns) * den**d != _int_det(mats) * nf.denominator)
-    if bad.size:
-        raise PrecisionError("norm form disagrees with the exact norm at %s" % (tuple(ns[bad[0]]),))
-    return nf
 
 
 def _binary_restriction(nf: NormForm, d: int):

@@ -62,7 +62,7 @@ def _tables(draw):
     return [list(r) for r in zip(*cols)], ["c%d" % k for k in range(ncols)]
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(_tables(), st.integers(1, 5))
 def test_emit_csv_matches_csv_writer(table, block_rows):
     rows, header = table

@@ -4,7 +4,8 @@ fe_inv inverts, the norm is multiplicative, the trace is Q-linear, norm and
 trace equal the product and sum of the 200-bit embeddings, and the Bareiss
 determinant agrees with the Leibniz formula on small integer matrices, one
 at a time and stacked; a stacked norm-form evaluation agrees with the one
-vector at a time.  The PV verdict of small monic polynomials matches a
+vector at a time, and the Laplace expansion of det(sum n_i M_i) agrees with
+its interpolant from the principal lattice.  The PV verdict of small monic polynomials matches a
 classification of their 300-bit mpmath roots.
 """
 
@@ -19,7 +20,7 @@ import pytest
 
 import pvrefine as pv
 from pvrefine.algebraic_core import _int_det, fe_add, fe_embed, fe_inv, fe_mul, fe_scale
-from pvrefine.zero_density import norm_form
+from pvrefine.zero_density import _det_form, _interpolated_form, norm_form
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
@@ -140,6 +141,23 @@ def test_stacked_form_matches_each_vector(coeffs, flat, rows):
     assert [nf.evaluate_numerator(v) for v in vecs] == want
     stacked = nf.evaluate_numerator(np.array(vecs, dtype=object).reshape(1, rows, nf.degree))
     assert stacked.shape == (1, rows) and stacked.ravel().tolist() == want
+
+
+digit_rows = lambda d: st.lists(st.integers(-9, 9), min_size=d, max_size=d)  # noqa: E731
+matrix_tuples = st.integers(1, 5).flatmap(
+    lambda d: st.lists(st.lists(digit_rows(d), min_size=d, max_size=d), min_size=d, max_size=d)
+)
+
+
+@field_property
+@given(matrix_tuples)
+@example([[[0]]])
+@example([[[0, 0], [0, 0]], [[0, 0], [0, 0]]])                               # det = 0 everywhere
+@example([[[1, 2], [2, 4]], [[3, 6], [1, 2]]])                               # singular for every n
+@example([[[1, 0, 0], [0, 0, 0], [0, 0, 0]], [[0, 0, 0], [0, 1, 0], [0, 0, 0]], [[0, 0, 0], [0, 0, 0], [0, 0, 1]]])
+def test_interpolated_form_matches_laplace(mats):
+    # the C(2d-1, d) lattice determinants recover det(sum n_i mats[i]) coefficient by coefficient
+    assert _interpolated_form(mats) == _det_form(mats)
 
 
 def direct_verdict(coeffs):

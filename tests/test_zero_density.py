@@ -1,7 +1,6 @@
 """Near-zero scans, density proxies, vanishing probes, norm-form counting."""
 
 import math
-import random
 import re
 import tracemalloc
 from fractions import Fraction
@@ -426,23 +425,36 @@ def test_norm_form_matches_embedding_product(coeffs):
 
 
 @pytest.mark.parametrize("coeffs", [(-1, -1), (-1, -1, -1)])
-def test_norm_form_names_the_first_failing_vector(coeffs, monkeypatch):
-    # a form off by n_0^d fails at the first of the 10^3 random.Random(17) vectors with n_0 != 0
+def test_norm_form_names_the_first_differing_exponent(coeffs, monkeypatch):
+    # every +-1 error in one coefficient of the Laplace expansion, and one extra monomial, is caught
+    # by the interpolant and named by its exponent
     f = pv.make_field(coeffs)
-    d = f.degree
     exact = zd._det_form
-    top = (d,) + (0,) * (d - 1)
+    monomials = [e for e, _ in zd.norm_form(f).numerator_form]
+    for exps, delta in [(e, s) for e in monomials for s in (1, -1)] + [((0,) * f.degree, 1)]:
 
-    def corrupted(mats):
-        form = exact(mats)
-        return {**form, top: form.get(top, 0) + 1}
+        def corrupted(mats, exps=exps, delta=delta):
+            form = exact(mats)
+            return {**form, exps: form.get(exps, 0) + delta}
 
-    monkeypatch.setattr(zd, "_det_form", corrupted)
-    rng = random.Random(17)
-    ns = [[rng.randint(-50, 50) for _ in range(d)] for _ in range(10**3)]
-    first = next(n for n in ns if n[0] != 0)
-    with pytest.raises(pv.PrecisionError, match=re.escape("at %s" % (tuple(first),)) + "$"):
-        zd.norm_form(f)
+        monkeypatch.setattr(zd, "_det_form", corrupted)
+        with pytest.raises(pv.PrecisionError, match=re.escape("at exponent %s" % (exps,)) + "$"):
+            zd.norm_form(f)
+
+
+def test_norm_form_degree_7_matches_the_field_norm():
+    # no other test reaches a form above degree 6: its 1,674 monomials against the exact norm
+    from pvrefine.algebraic_core import fe_add, fe_scale
+
+    f = pv.make_field((-1,) * 7)
+    nf = zd.norm_form(f)
+    assert nf.degree == 7
+    row = pv.first_lagrange_row(f)
+    for n in ([1, 0, 0, 0, 0, 0, 0], [1] * 7, [3, -1, 4, -1, 5, -9, 2], [0, 0, 0, 0, 0, 0, -7]):
+        mu = pv.fe_rational(f, 0)
+        for ni, e in zip(n, row):
+            mu = fe_add(mu, fe_scale(e, ni))
+        assert nf.evaluate(n) == pv.norm(mu, f)
 
 
 def dyadic_marks(L):
