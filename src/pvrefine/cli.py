@@ -25,7 +25,6 @@ error reported as one `error: ...` line on stderr.
 
 from __future__ import annotations
 
-import bisect
 import csv
 import math
 import os
@@ -449,7 +448,7 @@ def _cmd_lattice_density(cfg: RunConfig):
     for t in (L / 100.0, L / 10.0, L):
         if t < 1.0:
             continue
-        cnt = bisect.bisect_right(ys, t) - bisect.bisect_left(ys, -t)
+        cnt = int(np.searchsorted(ys, t, "right") - np.searchsorted(ys, -t, "left"))
         dens = cnt / (2.0 * t)
         rows.append([t, cnt, dens, gamma, abs(dens - gamma) / gamma])
     summary = "card Y(%g) = %d, density %.6g vs gamma %.6g (rel err %.3g)" % (

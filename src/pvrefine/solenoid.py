@@ -22,7 +22,7 @@ exactly by LLL (Lenstra, Lenstra and Lovasz, Math. Ann. 261, 1982), whose
 weights put the cylinder in the unit ball.  Its last level is cut by each
 constraint itself, so the rows it yields are the points; only rows within the
 float margin of a bound go through the float filter, and the filter's band rows
-are re-decided exactly.
+are re-decided exactly.  enumerate_Y keeps only the float ys of the points.
 """
 
 import functools
@@ -263,11 +263,15 @@ def in_U(field: NumberField, y: float, u: UNeighborhood):
     True iff some s = (s_2..s_d) with |s_k| < eps_k makes V D^{-m} [y, s]^T
     integral, i.e. some lattice point mu = alpha^m sum n_i e_i has
     sigma_1(mu) in the open window (y - 1e-6, y + 1e-6) and every conjugate
-    |sigma_k(mu)| < eps_k; the points come from _lattice_points, as for
-    enumerate_Y.  Returns (flag, witness s or None), s taken from the exact
-    embeddings of the hit with the smallest sigma_1 (equal sigma_1 in float:
-    the lexicographically least row n).  From |y| = 2^34 (about 1.7e10) on,
-    y +- 1e-6 rounds to y in float64 and the window is refused with SizeError.
+    |sigma_k(mu)| < eps_k.  The points come from _lattice_points, as for
+    enumerate_Y, but with every row kept, since the witness needs one; the
+    reduced basis of the window's half-width is cached, so repeated calls on
+    one (field, m, eps) pay only their Babai point and a short enumeration.
+    Returns (flag, witness s or None), s a tuple of floats (complex on a
+    conjugate pair) taken from the exact embeddings of the hit with the
+    smallest sigma_1 (equal sigma_1 in float: the lexicographically least row
+    n).  From |y| = 2^34 (about 1.7e10) on, y +- 1e-6 rounds to y in float64
+    and the window is refused with SizeError.
     """
     _require_pv(field, "in_U")
     eps = _check_eps(field, u.eps)
@@ -276,7 +280,8 @@ def in_U(field: NumberField, y: float, u: UNeighborhood):
         raise ValueError("in_U needs a finite y, got %r" % y)
     if not y - 1e-6 < y < y + 1e-6:
         raise SizeError("in_U: |y| = %.3g is too large, y +- 1e-6 rounds to y in float64" % abs(y))
-    rows, ys = _lattice_points(field, u.m, eps, y - 1e-6, y + 1e-6)
+    # y +- 1e-6 rounds to a half-width below 1e-6 + ulp(y) / 2 < 2e-6: one reduction serves every y
+    rows, ys = _lattice_points(field, u.m, eps, y - 1e-6, y + 1e-6, ball_h=2e-6)
     if not len(rows):
         return False, None
     hits = np.flatnonzero(ys == ys.min())
@@ -409,37 +414,16 @@ def _float_filter(cols, ys, c, h, big, eps, w, wabs, slots):
     return ok, band
 
 
-def _lattice_points(field: NumberField, m: int, eps: tuple, y_lo: float, y_hi: float):
-    """Integer rows n and y = sigma_1(mu), in enumeration order, of every
-    lattice point mu = alpha^m sum n_i e_i with y_lo < y < y_hi and
-    |sigma_k(mu)| < eps_k.
-
-    The real embedding rows, weighted by 1/h, 1/eps_k and sqrt(d_g/d) (d_g = 1
-    for y and a real conjugate, 2 for a pair), map the cylinder into the unit
-    ball.  That basis is LLL-reduced exactly, n = U z, and z is enumerated
-    depth first by the Fincke-Pohst intervals of the ball, around the Babai
-    point of the window's centre, in blocks of _BLOCK nodes.  At the last
-    level every constraint cuts each parent's interval itself: y and a real
-    conjugate linearly, a pair by its disk.  Each cut has an outer and an inner
-    interval, apart by the float margin (1e-9, relative for y, plus 4 d ulp
-    sum_i |n_i| |w_k,i| and the rounding of the cut); inner rows are points,
-    rows outside the outer one are not, and only the rows between go through
-    the float filter.  y is the real column sum of n_i w_0,i in index order,
-    w_k,i = sigma_k(alpha^m e_i) rounded once.  Band rows of the filter are
-    re-decided one by one from the exact embeddings (over 1e5 raise
-    SizeError).  Each level may hold 1e7 nodes, alpha^(i-m) must stay inside
-    float64 and every coordinate inside 2^62.
-    """
+@functools.lru_cache(maxsize=64)  # one reduction per (field, m, eps, half-width, precision)
+def _reduced_cylinder(field: NumberField, m: int, eps: tuple, h: float, prec: int):
+    """The part of _lattice_points that depends on the window only through the
+    half-width h its y weight is set for: the constraints (y bounded by h),
+    their weighted real rows, log2 det^(1/d) of the weighted basis, the
+    unimodular H, then the read-only arrays wt, w, |w|, the reduced weighted
+    basis gp, wp = gp / wt, its QR with R's diagonal positive, and gp^-1.
+    prec, the working precision the reduction runs at, is only a cache key;
+    the context supplies it."""
     d = field.degree
-    c, h = (y_lo + y_hi) / 2, (y_hi - y_lo) / 2
-    big = max(abs(y_lo), abs(y_hi))
-    mods = [abs(r) for r in field.roots]
-    try:  # |n_i| = |Tr(alpha^(i-m) mu)| <= |y| alpha^(i-m) + sum_k eps_k |alpha_k|^(i-m)
-        nmax = max(big * mods[0] ** (i - m) + sum(e * a ** (i - m) for e, a in zip(eps, mods[1:])) for i in range(d))
-    except OverflowError:
-        raise SizeError("lattice enumeration: alpha^(i - m) overflows float64 at m = %d" % m) from None
-    if not nmax < _INT64_SAFE:
-        raise _int64_refusal(nmax, m)
     slots = list(_conjugate_slots(field))
     # (conjugate, pair, bound) per constraint; its real rows (k, Re/Im, weight)
     groups = [(0, False, h)] + [(k, pair, eps[k - 1]) for k, pair in slots]
@@ -452,16 +436,65 @@ def _lattice_points(field: NumberField, m: int, eps: tuple, y_lo: float, y_hi: f
         w[k] = [complex(fe_embed(field, b, k)) for b in basis]
     if not np.isfinite(w).all():
         raise SizeError("lattice enumeration: alpha^(i - m) overflows float64 at m = %d" % m)
-    wabs = np.abs(w)
 
     # log2 det^(1/d) of the weighted basis, from |disc P| = det(V)^2 and |N(alpha^m)| = |c_0|^m
     log2s = (m * math.log2(abs(field.coeffs[0])) - 0.5 * math.log2(abs(discriminant(field.coeffs)))
              - len(groups) + len(spec) + float(np.sum(np.log2(wt)))) / d
     H, gp = _reduced_basis(field, basis, spec, log2s, m)
-    wp = gp / wt[:, None]
     Q, R = np.linalg.qr(gp)
     sign = np.where(np.diag(R) < 0, -1.0, 1.0)
-    Q, R = Q * sign, R * sign[:, None]
+    arrays = wt, w, np.abs(w), gp, gp / wt[:, None], Q * sign, R * sign[:, None], np.linalg.inv(gp)
+    for a in arrays:
+        a.flags.writeable = False
+    return (tuple(groups), tuple(spec), log2s, tuple(map(tuple, H))) + arrays
+
+
+def _every(ys):
+    return np.ones(len(ys), dtype=bool)
+
+
+def _lattice_points(field: NumberField, m: int, eps: tuple, y_lo: float, y_hi: float, rows_where=_every,
+                    ball_h=None):
+    """The y = sigma_1(mu) of every lattice point mu = alpha^m sum n_i e_i with
+    y_lo < y < y_hi and |sigma_k(mu)| < eps_k, as a float64 array in
+    enumeration order, and the integer rows n of the points whose y passes
+    rows_where: (rows, ys).  By default every row is kept, aligned with ys;
+    rows_where=None keeps none, and rows is then (0, d).  ball_h, if given,
+    sets the y weight for a half-width of max(h, ball_h) instead of h, so
+    windows of about one width share one reduction.
+
+    The real embedding rows, weighted by 1/h, 1/eps_k and sqrt(d_g/d) (d_g = 1
+    for y and a real conjugate, 2 for a pair), map the cylinder into the unit
+    ball.  That basis is LLL-reduced exactly, n = U z, and z is enumerated
+    depth first by the Fincke-Pohst intervals of the ball, around the Babai
+    point of the window's centre, in blocks of _BLOCK nodes.  The reduction
+    depends on the window only through that half-width, so it is cached
+    (_reduced_cylinder); each call finds its own Babai point and cuts y at its
+    own h.  At the last level every constraint cuts each parent's interval
+    itself: y and a real conjugate linearly, a pair by its disk.  Each cut has an outer and an inner
+    interval, apart by the float margin (1e-9, relative for y, plus 4 d ulp
+    sum_i |n_i| |w_k,i| and the rounding of the cut); inner rows are points,
+    rows outside the outer one are not, and only the rows between go through
+    the float filter.  y is the real column sum of n_i w_0,i in index order,
+    w_k,i = sigma_k(alpha^m e_i) rounded once.  The filter's band rows are
+    kept with their index during the pass and re-decided one by one from the
+    exact embeddings after it (over 1e5 raise SizeError).  Each level may hold
+    1e7 nodes, alpha^(i-m) must stay inside float64 and every coordinate
+    inside 2^62.
+    """
+    d = field.degree
+    c, h = (y_lo + y_hi) / 2, (y_hi - y_lo) / 2
+    big = max(abs(y_lo), abs(y_hi))
+    mods = [abs(r) for r in field.roots]
+    try:  # |n_i| = |Tr(alpha^(i-m) mu)| <= |y| alpha^(i-m) + sum_k eps_k |alpha_k|^(i-m)
+        nmax = max(big * mods[0] ** (i - m) + sum(e * a ** (i - m) for e, a in zip(eps, mods[1:])) for i in range(d))
+    except OverflowError:
+        raise SizeError("lattice enumeration: alpha^(i - m) overflows float64 at m = %d" % m) from None
+    if not nmax < _INT64_SAFE:
+        raise _int64_refusal(nmax, m)
+    groups, spec, log2s, H, wt, w, wabs, gp, wp, Q, R, inv = _reduced_cylinder(
+        field, m, eps, h if ball_h is None else max(h, ball_h), precision_bits())
+    slots = list(_conjugate_slots(field))
 
     # root: the Babai point z_c of the centre (c, 0, .., 0); g0 = values at z_c minus the centre
     zc = [int(v) for v in np.rint(np.linalg.solve(gp, wt * np.eye(d)[0] * c))]
@@ -471,11 +504,10 @@ def _lattice_points(field: NumberField, m: int, eps: tuple, y_lo: float, y_hi: f
         mu = _mu_from_integer_vector(field, nc, m)
         at = max(precision_bits(), 192) + max(map(abs, nc)).bit_length()
         with mp.workprec(at):
-            g0 = np.array([float((mp.im if part else mp.re)(fe_embed(field, mu, k, at)) + g)
-                           for (k, part, _), g in zip(spec, g0)])
+            emb = {k: fe_embed(field, mu, k, at) for k, _, _ in groups}
+            g0 = np.array([float((mp.im if part else mp.re)(emb[k]) + g) for (k, part, _), g in zip(spec, g0)])
     # |z_j| on the ball of radius rho about the root, and |n_i| from it
     rho2 = 1.0 + 2.0**-20
-    inv = np.linalg.inv(gp)
     reach = np.abs(inv @ (wt * g0)) + math.sqrt(rho2) * np.linalg.norm(inv, axis=1)
     zbox = np.floor(reach + 2.0**-30 * (1.0 + reach))
     nbox = [abs(nc[i]) + sum(abs(row[i]) * float(z) for row, z in zip(H, zbox)) for i in range(d)]
@@ -489,7 +521,7 @@ def _lattice_points(field: NumberField, m: int, eps: tuple, y_lo: float, y_hi: f
     ulps = 4 * d * np.finfo(float).eps
     slop = float((2 * (d + 2) * _UNIT * np.linalg.norm(gp, axis=0) + 2.0 ** (log2s - 64)) @ zbox)
     cuts, r = [], 0
-    for k, pair, bound in groups:
+    for k, pair, bound in [(0, False, h), *groups[1:]]:
         rs = [r, r + 1] if pair else [r]
         r += len(rs)
         margin = (2 * (1e-9 * (max(1.0, big) if k == 0 else 1.0) + ulps * float(np.dot(nbox, wabs[k])))
@@ -556,38 +588,51 @@ def _lattice_points(field: NumberField, m: int, eps: tuple, y_lo: float, y_hi: f
                 yield ([rep(col) + U[i, 0] * z for i, col in enumerate(npre)],
                        (z < rep(ilo)) | (z > rep(ihi)) if between[p0:p1].any() else None)
 
-    kept = [(np.zeros((0, d), dtype=np.int64), np.zeros(0))]
-    redo, size = [], 0
+    kept_ys, kept_rows, kept_at = [np.zeros(0)], [np.zeros((0, d), dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    redo, size = [], 0  # (index, row) of every band row
     root = ((Q.T @ (wt * g0))[None, :], np.zeros(1), [np.array([v], dtype=np.int64) for v in nc], g0[None, :])
     for cols, between in expand(d - 1, *root):
-        ys = _column_sum(cols, w[0].real)
+        ys, flags = _column_sum(cols, w[0].real), None
         if between is not None:
             sel = np.flatnonzero(between)
             ok, band = _float_filter([col[sel] for col in cols], ys[sel], c, h, big, eps, w, wabs, slots)
             keep, flags = np.ones(len(ys), dtype=bool), np.zeros(len(ys), dtype=bool)
             keep[sel], flags[sel] = ok | band, band
             cols, ys, flags = [col[keep] for col in cols], ys[keep], flags[keep]
-            redo.extend((size + np.flatnonzero(flags)).tolist())
-        kept.append((np.column_stack(cols), ys))
+            at = np.flatnonzero(flags)
+            redo.extend(zip((size + at).tolist(), zip(*(col[at].tolist() for col in cols))))
+        if rows_where is not None:  # a band row's y may still change: keep its row too
+            at = np.flatnonzero(rows_where(ys) if flags is None else rows_where(ys) | flags)
+            kept_at.append(size + at)
+            kept_rows.append(np.column_stack([col[at] for col in cols]))
+        kept_ys.append(ys)
         size += len(ys)
-    rows, ys = (np.concatenate(part) for part in zip(*kept))
+    ys = np.concatenate(kept_ys)
+    del kept_ys  # free the blocks before the copies below
     if len(redo) > _MAX_EXACT:
         raise SizeError("lattice enumeration: %d band rows to re-decide exactly exceed 1e5" % len(redo))
     accept = np.ones(len(ys), dtype=bool)
-    for j in redo:
-        emb = _embeddings(field, _mu_from_integer_vector(field, rows[j].tolist(), m))
+    for j, row in redo:
+        emb = _embeddings(field, _mu_from_integer_vector(field, row, m))
         with mp.workprec(precision_bits()):  # abs() rounds to the context's precision
             accept[j] = y_lo < mp.re(emb[0]) < y_hi and all(abs(emb[k]) < eps[k - 1] for k in range(1, d))
         ys[j] = float(mp.re(emb[0]))
-    return rows[accept], ys[accept]
+    rows = np.concatenate(kept_rows)
+    if rows_where is not None:
+        at = np.concatenate(kept_at)
+        rows = rows[accept[at] & rows_where(ys[at])]
+    return rows, ys if accept.all() else ys[accept]
 
 
 def enumerate_Y(field: NumberField, cyl: LatticeCylinder):
-    """Sorted Y(L) = xi(W(L) cap Z^d) for the cylinder's (L, m, eps).
+    """Sorted Y(L) = xi(W(L) cap Z^d) for the cylinder's (L, m, eps), as a
+    float64 array.
 
     The points are _lattice_points on the window (-L, L), after the forecast
-    2 L gamma is checked against 1e7; only their ys are sorted.  The map xi is
-    injective, so two equal rows behind one float y are an internal error.
+    2 L gamma is checked against 1e7; only their ys are kept, and sorted in
+    place.  The map xi is injective, so two equal rows behind one float y are
+    an internal error: where distinct points share a float y, a second pass of
+    the same enumeration rebuilds the rows of those ys alone and checks them.
     """
     _require_pv(field, "enumerate_Y")
     eps = _check_eps(field, cyl.eps)
@@ -595,13 +640,16 @@ def enumerate_Y(field: NumberField, cyl: LatticeCylinder):
     gamma = gamma_density(field, cyl)
     if 2 * L * gamma > _MAX_ROWS:
         raise SizeError("forecast |Y(L)| = 2 L gamma = %.3g exceeds 1e7" % (2 * L * gamma))
-    rows, ys = _lattice_points(field, m, eps, -L, L)
-    out = np.sort(ys)
-    for y in out[1:][out[1:] == out[:-1]]:  # distinct points may still share a float y
-        mus = [_mu_from_integer_vector(field, r.tolist(), m) for r in rows[ys == y]]
-        if len(set(mus)) < len(mus):
+    _, ys = _lattice_points(field, m, eps, -L, L, rows_where=None)
+    ys.sort()
+    ties = ys[1:][ys[1:] == ys[:-1]]
+    if len(ties):
+        rows, _ = _lattice_points(field, m, eps, -L, L, rows_where=lambda v: np.isin(v, ties))
+        if len(set(map(tuple, rows.tolist()))) < len(rows):
             raise RuntimeError("xi produced a duplicate; enumeration is inconsistent")
-    return out.tolist()
+        if len(rows) != np.count_nonzero(np.isin(ys, ties)):
+            raise RuntimeError("the rows of equal ys were not rebuilt; enumeration is inconsistent")
+    return ys
 
 
 def gamma_density(field: NumberField, cyl) -> float:

@@ -93,18 +93,15 @@ class NormForm:
         return sum(self.numerator_form[0][0])
 
     def evaluate_numerator(self, n):
-        """form(n) for one integer vector, or for every row of an object array (..., d)
-        of Python ints: the powers are arrays over the leading axes, so one monomial
-        loop serves both."""
-        n = np.moveaxis(np.asarray(n, dtype=object), -1, 0)
-        powers = [[ni**e for e in range(self.degree + 1)] for ni in n]  # powers[i][e] = n_i^e
+        """form(n) for one integer vector n, in Python ints."""
+        powers = [[int(ni) ** e for e in range(self.degree + 1)] for ni in n]  # powers[i][e] = n_i^e
         acc = 0
         for exps, c in self.numerator_form:
             term = c
             for p, e in zip(powers, exps):
                 if e:
-                    term = term * p[e]
-            acc = acc + term
+                    term *= p[e]
+            acc += term
         return acc
 
     def evaluate(self, n) -> Fraction:

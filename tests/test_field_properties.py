@@ -20,7 +20,7 @@ import pytest
 
 import pvrefine as pv
 from pvrefine.algebraic_core import _int_det, fe_add, fe_embed, fe_inv, fe_mul, fe_scale
-from pvrefine.zero_density import _det_form, _interpolated_form, norm_form
+from pvrefine.zero_density import _det_form, _interpolated_form
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
@@ -125,22 +125,6 @@ def test_stacked_int_det_matches_each_matrix(stack):
         dets = _int_det(arr.reshape(shape + (n, n)))
         assert dets.shape == shape and dets.ravel().tolist() == want
         assert all(type(x) is int for x in dets.ravel())
-
-
-@functools.lru_cache(maxsize=None)
-def form(coeffs):
-    return norm_form(field(coeffs))
-
-
-@field_property
-@given(st.sampled_from(FIELDS), st.lists(st.integers(-10**6, 10**6), min_size=15, max_size=15), st.integers(1, 3))
-def test_stacked_form_matches_each_vector(coeffs, flat, rows):
-    nf = form(coeffs)
-    vecs = [flat[i * nf.degree:(i + 1) * nf.degree] for i in range(rows)]
-    want = [sum(c * math.prod(x**e for x, e in zip(v, exps)) for exps, c in nf.numerator_form) for v in vecs]
-    assert [nf.evaluate_numerator(v) for v in vecs] == want
-    stacked = nf.evaluate_numerator(np.array(vecs, dtype=object).reshape(1, rows, nf.degree))
-    assert stacked.shape == (1, rows) and stacked.ravel().tolist() == want
 
 
 digit_rows = lambda d: st.lists(st.integers(-9, 9), min_size=d, max_size=d)  # noqa: E731

@@ -4,6 +4,7 @@ import functools
 import hashlib
 import itertools
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -255,8 +256,8 @@ def test_gamma_closed_form(golden, plastic):
 def test_enumerate_Y_small_window(golden):
     cyl = so.LatticeCylinder(50.0, 0, (0.1,))
     ys = so.enumerate_Y(golden, cyl)
-    assert ys == sorted(ys)
-    assert len(ys) == len(set(ys))
+    assert ys.tolist() == sorted(ys.tolist())
+    assert len(ys) == len(set(ys.tolist()))
     # contains 0 and is symmetric under negation
     assert any(abs(y) < 1e-9 for y in ys)
     for y in ys:
@@ -296,7 +297,7 @@ def test_enumerate_Y_band_redecision(golden, monkeypatch):
         L = golden.alpha**k
         ys = so.enumerate_Y(golden, so.LatticeCylinder(L, 0, (0.9,)))
         assert len(redecided) == 2
-        assert len(ys) == count and ys == sorted(ys)
+        assert len(ys) == count and ys.tolist() == sorted(ys.tolist())
         assert any(abs(abs(y) - L) < 1e-9 for y in ys) == kept
 
 
@@ -305,6 +306,55 @@ def test_enumerate_Y_exact_redecision_cap(golden, monkeypatch):
     monkeypatch.setattr(so, "_MAX_EXACT", 1)
     with pytest.raises(pv.SizeError, match="2 band rows"):
         so.enumerate_Y(golden, so.LatticeCylinder(golden.alpha**2, 0, (0.9,)))
+
+
+def test_enumerate_Y_rebuilds_rows_of_equal_ys(golden, monkeypatch):
+    # no benchmark cylinder puts two points on one float y, so the y column sums are
+    # rounded to integers here (the float filter's sums are not): a second pass
+    # rebuilds the rows of the tied ys alone, and every point is kept
+    column_sum, lattice_points = so._column_sum, so._lattice_points
+
+    def rounded(cols, w):
+        out = column_sum(cols, w)
+        return np.rint(out) if sys._getframe(1).f_code.co_name == "_lattice_points" else out
+
+    rebuilt = []
+
+    def spy(*args, **kwargs):
+        out = lattice_points(*args, **kwargs)
+        if kwargs.get("rows_where") is not None:
+            rebuilt.append(out[0])
+        return out
+
+    monkeypatch.setattr(so, "_column_sum", rounded)
+    monkeypatch.setattr(so, "_lattice_points", spy)
+    ys = so.enumerate_Y(golden, so.LatticeCylinder(50.0, 0, (0.3,)))
+    rows, want = lattice_points(golden, 0, (0.3,), -50.0, 50.0)
+    tied = np.isin(want, ys[1:][ys[1:] == ys[:-1]])
+    assert (len(ys), np.count_nonzero(tied)) == (133, 68)
+    assert ys.tolist() == sorted(want.tolist())
+    assert len(rebuilt) == 1 and sorted(map(tuple, rebuilt[0].tolist())) == sorted(map(tuple, rows[tied].tolist()))
+
+    # an enumeration that emits the point 0 twice, in both passes, still raises
+    def doubled(field, m, eps, y_lo, y_hi, rows_where=so._every):
+        rows, ys = lattice_points(field, m, eps, y_lo, y_hi, rows_where)
+        if rows_where is not None and rows_where(np.zeros(1))[0]:
+            rows = np.concatenate([rows, np.zeros((1, field.degree), dtype=np.int64)])
+        return rows, np.append(ys, 0.0)
+
+    monkeypatch.setattr(so, "_column_sum", column_sum)
+    monkeypatch.setattr(so, "_lattice_points", doubled)
+    with pytest.raises(RuntimeError, match="duplicate"):
+        so.enumerate_Y(golden, so.LatticeCylinder(50.0, 0, (0.1,)))
+
+
+def test_in_U_reduces_each_cylinder_once(golden):
+    # every window y +- 1e-6 shares one reduction
+    so._reduced_cylinder.cache_clear()
+    u = so.UNeighborhood(0, (0.3,))
+    assert [so.in_U(golden, y, u)[0] for y in (0.0, 0.5, float(golden.alpha) ** 3)] == [True, False, True]
+    info = so._reduced_cylinder.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
 
 
 @settings(max_examples=12, deadline=None, derandomize=True, database=None)
@@ -468,8 +518,8 @@ def test_lattice_points_match_interval_nesting_over_m(coeffs, e, L, m_lo, m_hi, 
 
 
 def test_enumerate_Y_memory_stays_per_block(golden):
-    # L = 1e6: 2e6 first-level candidates; the returned list is about 27 MB and
-    # the block pass adds its kept rows, not full-level temporaries
+    # L = 1e6: 2e6 first-level candidates; the returned array is about 7 MB and
+    # the block pass adds its kept ys, not full-level temporaries
     so.enumerate_Y(golden, so.LatticeCylinder(10.0, 0, (0.1,)))  # warm the field's caches
     tracemalloc.start()
     try:
@@ -479,6 +529,24 @@ def test_enumerate_Y_memory_stays_per_block(golden):
         tracemalloc.stop()
     assert len(ys) == 894425
     assert peak < 120 * 2**20
+
+
+@pytest.mark.parametrize("coeffs, L, e", [((-1, -1), 2e5, 0.1), ((-1, -1, -1), 2.5e4, 0.3)])
+def test_enumerate_Y_keeps_only_the_ys(coeffs, L, e):
+    # no (N, d) row array: the pass holds its blocks of ys, one concatenated copy and
+    # per-block temporaries, and sorts in place, so the peak stays under 4 x 8N bytes
+    f = lattice_field(coeffs)
+    eps = (e,) * (f.degree - 1)
+    so.enumerate_Y(f, so.LatticeCylinder(10.0, 0, eps))  # warm the field's caches
+    tracemalloc.start()
+    try:
+        ys = so.enumerate_Y(f, so.LatticeCylinder(L, 0, eps))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(ys, np.ndarray) and ys.dtype == np.float64
+    assert len(ys) == {2: 178883, 3: 187557}[f.degree]
+    assert peak < 4 * 8 * len(ys)
 
 
 def test_enumerate_Y_sigma_invariance(golden):
