@@ -7,13 +7,16 @@ the cached integer companion powers C^0..C^{d-1}, norms and the discriminant
 are fraction-free Bareiss determinants, and traces follow the integer trace
 recurrence.  Fraction is only the input and output type at the public edge.
 Complex embeddings come from certified roots with Weierstrass a-posteriori
-inclusion disks: float64 companion eigenvalues refined by Newton at doubling
-precision and rounded to the roots mp.polyroots gives, whose simultaneous
-iteration takes over where a coefficient or seed is not a finite double or
-the refined roots do not certify.  The PV verdict is exact, "PV" or
-"not-PV": the precision doubles until the disks clear the unit circle, which
-they do for every irreducible P that is not reciprocal, and a reciprocal P
-is decided from its degree and discriminant.
+inclusion disks, found without LAPACK or mpc arithmetic: Aberth seeds in
+Python complex, split into real and complex ones by an exact Sturm count,
+refined by Newton in fixed-point Gaussian integers at doubling precision and
+rounded once to the roots mp.polyroots gives; the disks are exact integer
+arithmetic at those dyadic roots.  polyroots' simultaneous iteration takes
+over where a coefficient or seed is not a finite double or the refined roots
+do not certify.  The PV verdict is exact, "PV" or "not-PV": the precision
+doubles until the disks clear the unit circle, which they do for every
+irreducible P that is not reciprocal, and a reciprocal P is decided from its
+degree and discriminant.
 
 A PV (Pisot-Vijayaraghavan) number here: a real algebraic integer of degree
 >= 2 with |alpha| > 1 whose remaining conjugates lie strictly inside the
@@ -40,7 +43,9 @@ from .errors import (
 # radii below this are reported as the floor itself (still a valid bound)
 _RADIUS_FLOOR = 1e-290
 
-_MAX_DEGREE = 8  # factor search is exhaustive; keeps it desk-scale
+# the factor search tries all sum_{e <= d/2} C(d, e) root subsets, 162 at degree 8, and
+# the Aberth rounds cost d^2 each; 8 keeps a field under a few milliseconds
+_MAX_DEGREE = 8
 
 
 # the working precision of the current context, in mantissa bits
@@ -333,126 +338,261 @@ def _int_poly_divides(field_coeffs, factor_coeffs) -> bool:
 # root certification
 
 
-def _newton_roots(desc, prec):
-    """The roots of the monic P with descending coefficients desc, as mp.polyroots gives
-    them: float64 companion eigenvalues (np.roots) refined by Newton at doubling precision
-    up to polyroots' working precision prec + prec // 2, then rounded to prec after
-    polyroots' cleanup of parts below eps, and sorted by polyroots' key.  A real seed is
-    refined in real arithmetic, and a seed below the real axis gives the conjugate of its
-    partner's root.  None when a coefficient or seed is not a finite double, or the last
-    step, repeated at full precision, exceeds 2^(16 - prec) max(1, |z|).  Call inside
-    mp.workprec(prec)."""
-    floats = np.array([float(c) for c in desc])
-    if not np.isfinite(floats).all():  # np.roots raises LinAlgError on inf
+def _real_root_count(p) -> int:
+    """Distinct real roots of the squarefree integer polynomial p (ascending coefficients): the sign
+    changes of its Sturm chain at -inf less those at +inf (Sturm 1829).  Each remainder is a
+    pseudo-remainder scaled by a positive integer, its content divided out, so the chain keeps the
+    signs of the Sturm chain over Q and stays in the integers."""
+    chain = [p, _poly_derivative(p)]
+    while len(chain[-1]) > 1:
+        r, b = list(chain[-2]), chain[-1]
+        scale, sign = abs(b[-1]), 1 if b[-1] > 0 else -1
+        while len(r) >= len(b):
+            top, shift = sign * r[-1], len(r) - len(b)
+            r = [scale * x for x in r]
+            for i, c in enumerate(b):
+                r[shift + i] -= top * c
+            r.pop()
+        while r and not r[-1]:
+            r.pop()
+        g = math.gcd(*r)
+        chain.append([-x // g for x in r])
+    at_pos = [q[-1] > 0 for q in chain]
+    at_neg = [(q[-1] > 0) == (len(q) % 2 == 1) for q in chain]
+    return sum(a != b for a, b in zip(at_neg, at_neg[1:])) - sum(a != b for a, b in zip(at_pos, at_pos[1:]))
+
+
+def _aberth_seeds(coeffs):
+    """Every root of P to double precision by the Aberth-Ehrlich iteration (Aberth 1973) in Python
+    complex: from a circle of radius |c_0|^(1/d), each z_i in turn moves by w / (1 - w sum_{j != i}
+    1/(z_i - z_j)), w = P(z_i)/P'(z_i), until a round moves no z_i by more than 2^-40 |z_i|.  None
+    when a coefficient is not a finite double, or the iteration breaks down or has not settled
+    after 100 rounds."""
+    try:
+        cs = [float(c) for c in reversed(coeffs)]
+    except OverflowError:
         return None
-    with np.errstate(all="ignore"):
-        seeds = np.roots(floats)
-    if not np.isfinite(seeds).all():
+    d = len(cs)
+    r = abs(cs[-1]) ** (1 / d)
+    zs = [complex(r * math.cos(t), r * math.sin(t)) for t in (0.4 + 2 * math.pi * k / d for k in range(d))]
+    try:
+        for _ in range(100):
+            settled = True
+            for i, z in enumerate(zs):
+                v, dv = 1, 0
+                for c in cs:
+                    dv = dv * z + v
+                    v = v * z + c
+                w = v / dv
+                w /= 1 - w * sum(1 / (z - u) for j, u in enumerate(zs) if j != i)
+                zs[i] = z - w
+                settled = settled and abs(w) <= 2 ** -40 * abs(z)
+            if settled:
+                return zs if all(math.isfinite(z.real) and math.isfinite(z.imag) for z in zs) else None
+    except ZeroDivisionError:
+        pass
+    return None
+
+
+def _fixed_horner(coeffs, x, y, f):
+    """P(z) and P'(z) at z = (x + iy) 2^-f, as the integer parts (vx, vy, dx, dy) over 2^f, each
+    product truncated to f fractional bits."""
+    v, dv = 1 << f, 0
+    if not y:  # a real point: real products, which keep y = 0 as the complex ones would
+        for c in reversed(coeffs):
+            dv = (dv * x >> f) + v
+            v = (v * x >> f) + (c << f)
+        return v, 0, dv, 0
+    vy = dy = 0
+    for c in reversed(coeffs):
+        dv, dy = ((dv * x - dy * y) >> f) + v, ((dv * y + dy * x) >> f) + vy
+        v, vy = ((v * x - vy * y) >> f) + (c << f), (v * y + vy * x) >> f
+    return v, vy, dv, dy
+
+
+def _newton_roots(coeffs, prec):
+    """The roots of the monic P with coefficients (c_0, ..., c_{d-1}) as mp.polyroots gives them,
+    without LAPACK or mpc arithmetic.  The Aberth seeds split into real and complex ones by the
+    exact Sturm count: the seeds nearest the real axis are the real roots, and each seed above it
+    stands for a conjugate pair.  Newton refines each seed in fixed-point Gaussian integers at
+    doubling precision up to polyroots' working precision prec + prec // 2, at p bits keeping p + 16
+    bits relative to the seed's modulus; a real seed stays real.  Polyroots' cleanup of parts below
+    eps = 2^(1 - prec) is decided exactly, and each part is rounded once to prec bits.  None when a
+    coefficient or seed is not a finite double, the seeds do not split as the count does, P' vanishes
+    at an iterate, or the last step, repeated at full precision, exceeds 2^(16 - prec) max(1, |z|).
+    Call inside mp.workprec(prec)."""
+    seeds = _aberth_seeds(coeffs)
+    if seeds is None:
+        return None
+    real = _real_root_count(_monic_poly(coeffs))
+    seeds.sort(key=lambda s: abs(s.imag))
+    upper = [s for s in seeds[real:] if s.imag > 0]
+    if 2 * len(upper) != len(seeds) - real:
         return None
     top = prec + prec // 2
     precs = [top, top]
     while precs[0] > 128:
         precs.insert(0, precs[0] // 2)
-    tol = +mp.eps
     roots = []
-    for s in seeds[seeds.imag >= 0]:
-        z = mp.mpf(s.real) if s.imag == 0 else mp.mpc(complex(s))
+    for s in [complex(s.real) for s in seeds[:real]] + upper:
+        e = math.frexp(abs(s))[1]  # |s| < 2^e
+        f = max(precs[0] - e + 16, 0)
+        x, y = int(math.ldexp(s.real, f)), int(math.ldexp(s.imag, f))
         for p in precs:
-            with mp.workprec(p):
-                v, dv = mp.polyval(desc, z, derivative=True)
-                if not dv:
-                    return None
-                step = v / dv
-                z -= step
-        if abs(step) > mp.ldexp(max(1, abs(z)), 16 - prec):
+            shift = max(p - e + 16, 0) - f
+            x, y, f = x << shift, y << shift, f + shift
+            vx, vy, dx, dy = _fixed_horner(coeffs, x, y, f)
+            n2 = dx * dx + dy * dy
+            if not n2:
+                return None
+            sx, sy = ((vx * dx + vy * dy) << f) // n2, ((vy * dx - vx * dy) << f) // n2
+            x, y = x - sx, y - sy
+        if (sx * sx + sy * sy) << 2 * (prec - 16) > max(1 << 2 * f, x * x + y * y):
             return None
-        if abs(z) < tol:
-            z = mp.mpc(0)
-        elif abs(mp.im(z)) < tol:
-            z = mp.mpc(mp.re(z))
-        elif abs(mp.re(z)) < tol:
-            z = mp.mpc(0, mp.im(z))
-        else:
-            z = mp.mpc(z)
-        roots += [z, mp.conj(z)] if s.imag > 0 else [z]
-    if len(roots) != len(seeds):  # the seeds were not closed under conjugation
-        return None
-    return sorted(roots, key=lambda z: (abs(mp.im(z)), mp.re(z)))
+        tol2 = 1 << max(2 * (1 - prec + f), 0)  # eps^2 in units of 2^-2f, or 1 below one unit
+        if x * x + y * y < tol2:
+            x = y = 0
+        elif y * y < tol2:
+            y = 0
+        elif x * x < tol2:
+            x = 0
+        z = mp.mpc(mp.mpf((x, -f)), mp.mpf((y, -f)))
+        roots += [z, mp.conj(z)] if s.imag else [z]
+    return roots
 
 
 def _certified_roots(coeffs, prec):
-    """Roots plus Weierstrass inclusion radii, sorted by descending modulus (ties
-    broken by real then imaginary part, descending).
+    """The certified roots as (s, roots, ws, bounds), sorted by descending modulus (ties
+    broken by real then imaginary part, descending): root i is the mpc roots[i] =
+    ws[i] 2^-s for a Gaussian integer ws[i] = (x, y), inside the disk of radius below
+    q 2^-t, bounds[i] = (q, t), that holds one root of P.
 
     The roots are _newton_roots', or mp.polyroots' (simultaneous iteration) when
     a coefficient or seed is not a finite double, Newton does not settle, or its
     roots fail to certify.  The union of disks |z - z_i| <= d * |P(z_i)| /
     prod_{j != i} |z_i - z_j| contains every root; pairwise disjoint disks certify
-    one root each.  None when polyroots does not converge, or the disks overlap or
-    reach 1e-9.  Call inside mp.workprec(prec).
+    one root each, and _inclusion_disks decides both exactly.  None when polyroots
+    does not converge, or the disks overlap or reach 1e-9.  Call inside
+    mp.workprec(prec).
     """
-    desc = [mp.mpf(1)] + [mp.mpf(c) for c in reversed(coeffs)]
-    roots = _newton_roots(desc, prec)
-    cert = None if roots is None else _inclusion_disks(desc, roots, prec)
+    roots = _newton_roots(coeffs, prec)
+    cert = None if roots is None else _inclusion_disks(coeffs, roots, prec)
     if cert is None:
+        desc = [mp.mpf(1)] + [mp.mpf(c) for c in reversed(coeffs)]
         try:
             roots = mp.polyroots(desc, maxsteps=200, extraprec=prec // 2, cleanup=True)
         except mp.mp.NoConvergence:
             return None
-        cert = _inclusion_disks(desc, [mp.mpc(z) for z in roots], prec)
+        cert = _inclusion_disks(coeffs, [mp.mpc(z) for z in roots], prec)
     return cert
 
 
-def _inclusion_disks(desc, roots, prec):
-    """(roots, radii) sorted as _certified_roots returns them, or None unless the
-    Weierstrass disks are pairwise disjoint and below 1e-9."""
+def _inclusion_disks(coeffs, roots, prec):
+    """(s, roots, ws, bounds) sorted as _certified_roots returns them, or None unless the
+    Weierstrass disks are pairwise disjoint and below 1e-9.  Exact: each mpc root is
+    w_i 2^-s for a Gaussian integer w_i, so Q_i = 2^(sd) P(z_i) is a Gaussian integer
+    and the radius is d |Q_i| / (2^s sqrt(G_i)), G_i = prod_{j != i} |w_i - w_j|^2.  It
+    is rounded up to q 2^-t with a 53-bit q, whose exponent has no floor (the 10^400
+    field's radius is 2e-400), and disjointness compares the exact squared gaps with the
+    squared sums of those bounds.  The order is that of the exact moduli; where two roots
+    that are not reflections of each other agree to about prec bits, mp's moduli rounded
+    to prec bits decide it, as they always have."""
     d = len(roots)
-    # The radius needs the exact |P(z_i)|.  Horner at unit roundoff u = 2^-prec rounds
-    # each of its d steps s -> s z + c within (2 sqrt 2 + 1) u (|s z| + |c|), so to first
-    # order |fl P(z) - P(z)| <= 4 d u sum_k |c_k| |z|^k; the computed gap exceeds the
-    # true one by a relative 3 (d - 1) u at most, so gap (1 - 4 d u) bounds it below.
-    slack = 4 * d * mp.mpf(2) ** -prec
-    dist = {}
+    parts = [p._mpf_ for z in roots for p in (z.real, z.imag)]
+    s = max([0] + [-e for _, m, e, _ in parts if m])
+    ints = [(-m if sign else m) << (e + s) for sign, m, e, _ in parts]
+    ws = list(zip(ints[::2], ints[1::2]))
+    gaps = {}
     for i, j in itertools.combinations(range(d), 2):
-        dist[i, j] = dist[j, i] = abs(roots[i] - roots[j])
-    radii = []
-    for i, z in enumerate(roots):
-        gap = mp.mpf(1)
-        for j in range(d):
-            if j != i:
-                gap *= dist[i, j]
-        horner = slack * mp.polyval([abs(c) for c in desc], abs(z))
-        radii.append(d * (abs(mp.polyval(desc, z)) + horner) / (gap * (1 - slack)))
-    disjoint = all(dist[i, j] > radii[i] + radii[j] for i, j in itertools.combinations(range(d), 2))
-    if not (disjoint and all(r < 1e-9 for r in radii)):
+        gaps[i, j] = gaps[j, i] = (ws[i][0] - ws[j][0]) ** 2 + (ws[i][1] - ws[j][1]) ** 2
+    bounds = []
+    for i, (x, y) in enumerate(ws):
+        qx, qy, scale = 1, 0, 1
+        for c in reversed(coeffs):
+            scale <<= s
+            qx, qy = qx * x - qy * y + c * scale, qx * y + qy * x
+        num, den = d * d * (qx * qx + qy * qy), math.prod(gaps[i, j] for j in range(d) if j != i) << 2 * s
+        if not den or num >= den:  # a repeated root, or a radius of 1 or more
+            return None
+        # r < q 2^-t with q below 2^53 (num < den makes t at least 51), or r = 0 at an exact root
+        t = 52 - (num.bit_length() - den.bit_length() + 2) // 2
+        bounds.append((math.isqrt((num << 2 * t) // den) + 1, t) if num else (0, 0))
+    for (i, (qi, ti)), (j, (qj, tj)) in itertools.combinations(enumerate(bounds), 2):
+        top = max(ti, tj)
+        a = (qi << top - ti) + (qj << top - tj)  # r_i + r_j < a 2^-top
+        if gaps[i, j] << 2 * top <= a * a << 2 * s:
+            return None
+    if not all(math.ldexp(q, -t) < 1e-9 for q, t in bounds):  # exact: q 2^-t is a normal double near 1e-9
         return None
-    order = sorted(range(d), key=lambda i: (-abs(roots[i]), -mp.re(roots[i]), -mp.im(roots[i])))
-    return [roots[i] for i in order], [radii[i] for i in order]
+    mods = [x * x + y * y for x, y in ws]
+    shapes = [sorted(map(abs, w)) for w in ws]
+    if any(shapes[i] != shapes[j] and abs(mods[i] - mods[j]) << prec - 3 <= max(mods[i], mods[j])
+           for i, j in itertools.combinations(range(d), 2)):
+        mods = [abs(z) for z in roots]
+    order = sorted(range(d), key=lambda i: (-mods[i], -ws[i][0], -ws[i][1]))
+    return (s,) + tuple([seq[i] for i in order] for seq in (roots, ws, bounds))
+
+
+def _disk_side(w, s, bound):
+    """1 if the disk |z - w 2^-s| < q 2^-t, bound = (q, t), lies outside the unit circle,
+    -1 if inside, 0 if it meets it; exact."""
+    (x, y), (q, t) = w, bound
+    mod2, one = (x * x + y * y) << 2 * t, 1 << t
+    if mod2 > (one + q) ** 2 << 2 * s:
+        return 1
+    return -1 if q < one and mod2 < (one - q) ** 2 << 2 * s else 0
 
 
 def _rule_out_factors(coeffs, roots):
     """Raise ReducibleError if P has a monic integer factor of degree <= d/2.  Exact:
     every such factor is a product over a subset of the certified roots, and the
-    integer division decides each candidate."""
+    integer division decides each candidate.  The products are expanded in Python
+    complex from the roots rounded to doubles.  With u = 2^-53 and M = prod_i (1 + |z_i|),
+    a coefficient of a product of e roots is then within bound = 8 e u M of the exact
+    one: rounding a root perturbs its linear factor by a relative u, and each
+    multiply-add by at most (sqrt 5 + 1) u of the coefficient of prod (X + |z_i|), which
+    M bounds.  Only a candidate within 0.25 + bound of integers goes to the division,
+    and its constant coefficient, a running product over the subset, is tested before
+    the rest is expanded.  Where the bound is not below 1/8 (roots past about 10^13),
+    the products are taken in mpc at the working precision instead."""
     d = len(coeffs)
+    zs = [complex(z) for z in roots]
+    bound = 8 * (d // 2) * 2.0 ** -53 * math.prod(1 + abs(z) for z in zs)
+    if bound < 0.125:
+        tol, nearest = 0.25 + bound, lambda c: round(c.real)
+    else:  # also when a root or M overflows
+        zs, tol, nearest = roots, 0.25, lambda c: int(mp.nint(c.real))
+    lows = {(): 1}
     for e in range(1, d // 2 + 1):
-        for sub in itertools.combinations(range(d), e):
-            # expand prod_{i in sub} (X - roots[i]), ascending coefficients
-            cand = [mp.mpc(1)]
+        lows = {sub: -lows[sub[:-1]] * zs[sub[-1]] for sub in itertools.combinations(range(d), e)}
+        for sub, low in lows.items():
+            if abs(low - nearest(low)) > tol:
+                continue
+            cand = [1]  # ascending coefficients of prod_{i in sub} (X - z_i)
             for i in sub:
-                nxt = [mp.mpc(0)] * (len(cand) + 1)
-                for t, c in enumerate(cand):
-                    nxt[t + 1] += c
-                    nxt[t] -= roots[i] * c
-                cand = nxt
-            ints = [int(mp.nint(mp.re(c))) for c in cand[:-1]]  # drop the monic leading 1
-            if all(abs(c - n) <= 0.25 for c, n in zip(cand, ints)) and _int_poly_divides(coeffs, ints):
+                cand = [(cand[k - 1] if k else 0) - (zs[i] * cand[k] if k < len(cand) else 0) for k in range(len(cand) + 1)]
+            ints = [nearest(c) for c in cand[:-1]]  # drop the leading 1
+            if all(abs(c - n) <= tol for c, n in zip(cand, ints)) and _int_poly_divides(coeffs, ints):
                 raise ReducibleError(
                     "monic factor with ascending coefficients %s divides %s" % (tuple(ints) + (1,), coeffs)
                 )
 
 
-def _build_field(coeffs):
+def make_field(coeffs) -> NumberField:
+    """Certify a monic integer polynomial (c_0, ..., c_{d-1}), d >= 2.
+
+    The roots are certified at 4 precision_bits() bits, doubled up to three times:
+    Aberth seeds and integer Newton (_newton_roots) or mp.polyroots give roots rounded
+    to that precision, and _inclusion_disks proves exactly that each lies within its
+    radius of one root of P.  The factor search then rules out every monic integer
+    factor of degree <= d/2.  Raises ReducibleError / DegenerateError / PrecisionError
+    as applicable.  pv_status is exact, "PV" or "not-PV": a reciprocal P is PV only
+    when d = 2 and disc(P) > 0; any other P is PV when alpha's certified disk is real
+    and outside the unit circle and every other disk lies inside it.
+    """
+    coeffs = tuple(coeffs)
+    if len(coeffs) == 1:
+        raise ValueError("degree must be >= 2 (got 1)")
     coeffs = tuple(int(c) for c in coeffs)
     d = len(coeffs)
     if d == 0:
@@ -475,61 +615,48 @@ def _build_field(coeffs):
         with mp.workprec(prec):
             cert = _certified_roots(coeffs, prec)
             if cert is not None:
-                roots, radii = cert
+                s, roots, ws, bounds = cert
                 _rule_out_factors(coeffs, roots)
-                if reciprocal or all(abs(abs(z) - 1) > r for z, r in zip(roots, radii)):
+                sides = [_disk_side(w, s, b) for w, b in zip(ws, bounds)]
+                if reciprocal or all(sides):
                     break
     else:
         raise PrecisionError("roots not certified (disjoint disks below 1e-9, off |z| = 1) by %d bits" % prec)
 
+    # a disk that meets the real axis holds a real root (conjugate pairs keep their imaginary parts)
+    real = [abs(y) << t <= q << s for (_, y), (q, t) in zip(ws, bounds)]
+    if reciprocal:
+        # the roots pair as z, 1/z: PV only for a real pair alpha, 1/alpha
+        pv = "PV" if d == 2 and disc > 0 else "not-PV"
+    else:
+        pv = "PV" if real[0] and sides[0] == 1 and all(side == -1 for side in sides[1:]) else "not-PV"
     with mp.workprec(prec):
-        if d == 1:
-            pv = "not-PV"
-        elif reciprocal:
-            # the roots pair as z, 1/z: PV only for a real pair alpha, 1/alpha
-            pv = "PV" if d == 2 and disc > 0 else "not-PV"
-        else:
-            z1, r1 = roots[0], radii[0]
-            outside = abs(mp.im(z1)) <= r1 and abs(z1) - r1 > 1
-            inside = all(abs(z) + r < 1 for z, r in zip(roots[1:], radii[1:]))
-            pv = "PV" if outside and inside else "not-PV"
-        # snap certified-real roots (conjugate pairs keep their imaginary parts)
-        cleaned = [mp.mpc(mp.re(z)) if abs(mp.im(z)) <= r else z for z, r in zip(roots, radii)]
-        a = sum(1 for z in cleaned[1:] if mp.im(z) == 0)
-        b = (d - 1 - a) // 2
+        cleaned = [mp.mpc(z.real) if r and z.imag else z for z, r in zip(roots, real)]
+    a = sum(real[1:])
 
     return NumberField(
         coeffs=coeffs,
         degree=d,
         roots=tuple(complex(z) for z in cleaned),
-        radii=tuple(float(max(r, _RADIUS_FLOOR)) for r in radii),
+        radii=tuple(max(math.ldexp(q, -t), _RADIUS_FLOOR) for q, t in bounds),
         pv_status=pv,
         real_count=a,
-        complex_pair_count=b,
+        complex_pair_count=(d - 1 - a) // 2,
         roots_mp=tuple(cleaned),
     )
 
 
-def make_field(coeffs) -> NumberField:
-    """Certify a monic integer polynomial (c_0, ..., c_{d-1}), d >= 2.
-
-    Raises ReducibleError / DegenerateError / PrecisionError as applicable.
-    pv_status is exact, "PV" or "not-PV": a reciprocal P is PV only when d = 2
-    and disc(P) > 0; any other P is PV when alpha's certified disk is real and
-    outside the unit circle and every other disk lies inside it.
-    """
-    coeffs = tuple(coeffs)
-    if len(coeffs) == 1:
-        raise ValueError("degree must be >= 2 (got 1)")
-    return _build_field(coeffs)
-
-
 def integer_dilation_field(n: int) -> NumberField:
-    """Degree-1 field for an integer dilation |n| >= 2 (never PV by definition)."""
+    """Degree-1 field for an integer dilation |n| >= 2 (never PV by definition), built
+    directly: P = X - n has the root n itself, exact at any precision, so its radius is
+    _RADIUS_FLOOR and there is nothing to search or refine."""
     n = int(n)
     if abs(n) < 2:
         raise ValueError("integer dilation must satisfy |n| >= 2")
-    return _build_field((-n,))
+    with mp.workprec(max(4 * precision_bits(), n.bit_length())):
+        root = mp.mpc(n)
+    return NumberField(coeffs=(-n,), degree=1, roots=(complex(root),), radii=(_RADIUS_FLOOR,), pv_status="not-PV",
+                       real_count=0, complex_pair_count=0, roots_mp=(root,))
 
 
 def parse_poly(text: str):

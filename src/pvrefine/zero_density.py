@@ -16,6 +16,7 @@ interpolant from exact determinants on a unisolvent point set, and reduced to
 lowest terms.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -298,12 +299,20 @@ def _newton(values):
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _stirling_rows(n):
+    """The signed Stirling numbers of the first kind s(k, j), k < n, as rows, from s(k+1, j) =
+    s(k, j-1) - k s(k, j); built once per line length."""
+    rows = [(1,)]
+    for k in range(n - 1):
+        rows.append(tuple(a - k * b for a, b in zip((0,) + rows[k], rows[k] + (0,))))
+    return tuple(rows)
+
+
 def _from_falling(coeffs):
     """sum_k c_k (x)_k in powers of x: (x)_k = sum_j s(k, j) x^j, s the signed Stirling numbers of
-    the first kind, from s(k+1, j) = s(k, j-1) - k s(k, j)."""
-    rows = [[1]]
-    for k in range(len(coeffs) - 1):
-        rows.append([a - k * b for a, b in zip([0] + rows[k], rows[k] + [0])])
+    the first kind."""
+    rows = _stirling_rows(len(coeffs))
     return [sum(rows[k][j] * c for k, c in enumerate(coeffs[j:], j)) for j in range(len(coeffs))]
 
 

@@ -94,8 +94,7 @@ def test_newton_declines_to_polyroots(poly, verdict):
     # roots 10^12 +- sqrt 2 are too close for float64 seeds to separate, and 10^400 is no
     # finite double: Newton gives up and mp.polyroots supplies the roots that certify
     with mp.workprec(512):
-        desc = [mp.mpf(1)] + [mp.mpf(c) for c in reversed(poly)]
-        assert ac._newton_roots(desc, 512) is None
+        assert ac._newton_roots(poly, 512) is None
     assert pv.make_field(poly).pv_status == verdict
 
 
@@ -105,8 +104,30 @@ def test_newton_roots_are_polyroots_roots():
         with mp.workprec(512):
             desc = [mp.mpf(1)] + [mp.mpf(c) for c in reversed(poly)]
             want = mp.polyroots(desc, maxsteps=200, extraprec=256, cleanup=True)
-            got = ac._newton_roots(desc, 512)
+            got = ac._newton_roots(poly, 512)
             assert sorted(z._mpc_ for z in got) == sorted(mp.mpc(z)._mpc_ for z in want), poly
+
+
+def test_make_field_needs_neither_lapack_nor_polyroots(monkeypatch):
+    # PV fields of degree 2 to 8 certify from Aberth seeds, integer Newton and exact disks;
+    # the inputs whose seeds are no finite doubles, or too close to separate, still reach polyroots
+    polyroots = mp.polyroots
+    calls = []
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("make_field called LAPACK or polyroots")
+
+    monkeypatch.setattr(np, "roots", refuse)
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    monkeypatch.setattr(mp, "polyroots", refuse)
+    for d in range(2, 9):
+        assert pv.make_field((-1,) * d).pv_status == "PV"
+    assert pv.make_field((-1, 0, 0, 0, 0, -2)).pv_status == "PV"
+    monkeypatch.setattr(mp, "polyroots", lambda *args, **kwargs: calls.append(args) or polyroots(*args, **kwargs))
+    for poly in [(10**24 - 2, -2 * 10**12), (10**400, -(10**400 + 2))]:
+        calls.clear()
+        pv.make_field(poly)
+        assert calls, poly
 
 
 def test_integer_dilation_field():

@@ -9,6 +9,7 @@ its interpolant from the principal lattice.  The PV verdict of small monic polyn
 classification of their 300-bit mpmath roots.
 """
 
+import ast
 import functools
 import itertools
 import math
@@ -19,6 +20,7 @@ import numpy as np
 import pytest
 
 import pvrefine as pv
+from pvrefine import algebraic_core as ac
 from pvrefine.algebraic_core import _int_det, fe_add, fe_embed, fe_inv, fe_mul, fe_scale
 from pvrefine.zero_density import _det_form, _interpolated_form
 
@@ -173,3 +175,72 @@ def test_pv_verdict_matches_direct_roots(coeffs):
         assume(False)
     assert f.pv_status in ("PV", "not-PV")
     assert f.pv_status == direct_verdict(coeffs)
+
+
+monic_2_to_8 = st.integers(2, 8).flatmap(lambda d: st.tuples(*[st.integers(-4, 4)] * d))
+
+
+def certified_field(coeffs):
+    """make_field, or a rejected example when P is reducible or not squarefree."""
+    assume(coeffs[0] != 0)
+    try:
+        return pv.make_field(coeffs)
+    except (pv.ReducibleError, pv.DegenerateError):
+        assume(False)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(monic_2_to_8)
+@example((-1,) * 8)
+@example((1, -1, -1, -1))      # Salem: two roots on |z| = 1
+@example((-2, 0, 0))           # X^3 - 2: three roots of one modulus
+def test_certified_roots_are_polyroots_roots_inside_their_radii(coeffs):
+    # the integer Newton roots are the ones mp.polyroots rounds to 512 bits, to the last bit,
+    # and each radius reaches the root it certifies, taken at 2000 bits
+    f = certified_field(coeffs)
+    desc = [1] + list(reversed(coeffs))
+    with mp.workprec(512):
+        want = mp.polyroots(desc, maxsteps=400, extraprec=256, cleanup=True)
+        assert sorted(z._mpc_ for z in f.roots_mp) == sorted(mp.mpc(z)._mpc_ for z in want)
+    with mp.workprec(2000):
+        exact = mp.polyroots(desc, maxsteps=400, extraprec=2000)
+        for z, r in zip(f.roots_mp, f.radii):
+            assert min(abs(z - w) for w in exact) <= r
+
+
+def monic_factor(degree):
+    """Ascending coefficients of a monic integer polynomial of the given degree with c_0 != 0."""
+    rest = st.tuples(*[st.integers(-3, 3)] * (degree - 1))
+    return st.tuples(st.integers(-3, 3).filter(bool), rest).map(lambda t: (t[0],) + t[1] + (1,))
+
+
+factor_pairs = st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
+    lambda ds: st.tuples(monic_factor(ds[0]), monic_factor(ds[1])))
+
+
+def poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@field_property
+@given(factor_pairs)
+@example(((-1, 1), (1, 1)))               # X^2 - 1
+@example(((-1, -1, 1), (1, 0, 1)))        # golden times X^2 + 1: roots on the axes
+@example(((2, 0, 0, 0, 1), (-3, 0, 0, 0, 1)))
+def test_product_of_two_factors_names_a_factor(pair):
+    # the factor search refuses every product, naming a proper monic factor that divides it
+    p = poly_mul(*pair)
+    try:
+        pv.make_field(tuple(p[:-1]))
+    except pv.DegenerateError:
+        assume(False)  # a repeated root, e.g. two equal factors
+    except pv.ReducibleError as exc:
+        named = ast.literal_eval(str(exc).split("coefficients ")[1].split(" divides")[0])
+        assert 2 <= len(named) <= len(p) - 1 and named[-1] == 1
+        assert ac._int_poly_divides(tuple(p[:-1]), named[:-1])
+    else:
+        raise AssertionError("no factor found for %s" % (p,))
