@@ -396,14 +396,8 @@ def _aberth_seeds(coeffs):
 
 def _fixed_horner(coeffs, x, y, f):
     """P(z) and P'(z) at z = (x + iy) 2^-f, as the integer parts (vx, vy, dx, dy) over 2^f, each
-    product truncated to f fractional bits."""
-    v, dv = 1 << f, 0
-    if not y:  # a real point: real products, which keep y = 0 as the complex ones would
-        for c in reversed(coeffs):
-            dv = (dv * x >> f) + v
-            v = (v * x >> f) + (c << f)
-        return v, 0, dv, 0
-    vy = dy = 0
+    product truncated to f fractional bits; at y = 0 both imaginary parts stay 0."""
+    v, dv, vy, dy = 1 << f, 0, 0, 0
     for c in reversed(coeffs):
         dv, dy = ((dv * x - dy * y) >> f) + v, ((dv * y + dy * x) >> f) + vy
         v, vy = ((v * x - vy * y) >> f) + (c << f), (v * y + vy * x) >> f
@@ -570,7 +564,7 @@ def _rule_out_factors(coeffs, roots):
                 continue
             cand = [1]  # ascending coefficients of prod_{i in sub} (X - z_i)
             for i in sub:
-                cand = [(cand[k - 1] if k else 0) - (zs[i] * cand[k] if k < len(cand) else 0) for k in range(len(cand) + 1)]
+                cand = [a - zs[i] * b for a, b in zip([0] + cand, cand + [0])]
             ints = [nearest(c) for c in cand[:-1]]  # drop the leading 1
             if all(abs(c - n) <= tol for c, n in zip(cand, ints)) and _int_poly_divides(coeffs, ints):
                 raise ReducibleError(
