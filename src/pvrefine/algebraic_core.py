@@ -482,20 +482,22 @@ def _certified_roots(coeffs, prec):
 
 
 def _inclusion_disks(coeffs, roots, prec):
-    """(s, roots, ws, bounds) sorted as _certified_roots returns them, or None unless the
-    Weierstrass disks are pairwise disjoint and below 1e-9.  Exact: each mpc root is
-    w_i 2^-s for a Gaussian integer w_i, so Q_i = 2^(sd) P(z_i) is a Gaussian integer
-    and the radius is d |Q_i| / (2^s sqrt(G_i)), G_i = prod_{j != i} |w_i - w_j|^2.  It
-    is rounded up to q 2^-t with a 53-bit q, whose exponent has no floor (the 10^400
-    field's radius is 2e-400), and disjointness compares the exact squared gaps with the
-    squared sums of those bounds.  The order is that of the exact moduli; where two roots
-    that are not reflections of each other agree to about prec bits, mp's moduli rounded
-    to prec bits decide it, as they always have."""
+    """(s, roots, ws, bounds) sorted as _certified_roots returns them, or None unless no
+    root is 0 and the Weierstrass disks are pairwise disjoint and below 1e-9.  Exact:
+    each mpc root is w_i 2^-s for a Gaussian integer w_i, so Q_i = 2^(sd) P(z_i) is a
+    Gaussian integer and the radius is d |Q_i| / (2^s sqrt(G_i)), G_i = prod_{j != i}
+    |w_i - w_j|^2.  It is rounded up to q 2^-t with a 53-bit q, whose exponent has no
+    floor (the 10^400 field's radius is 2e-400), and disjointness compares the exact
+    squared gaps with the squared sums of those bounds.  The order is that of the exact
+    moduli; where two roots that are not reflections of each other agree to about prec
+    bits, mp's moduli rounded to prec bits decide it, as they always have."""
     d = len(roots)
     parts = [p._mpf_ for z in roots for p in (z.real, z.imag)]
     s = max([0] + [-e for _, m, e, _ in parts if m])
     ints = [(-m if sign else m) << (e + s) for sign, m, e, _ in parts]
     ws = list(zip(ints[::2], ints[1::2]))
+    if (0, 0) in ws:  # P(0) = c_0 is not 0: polyroots' cleanup took every bit of a root below eps
+        return None
     gaps = {}
     for i, j in itertools.combinations(range(d), 2):
         gaps[i, j] = gaps[j, i] = (ws[i][0] - ws[j][0]) ** 2 + (ws[i][1] - ws[j][1]) ** 2

@@ -108,6 +108,14 @@ def test_newton_roots_are_polyroots_roots():
             assert sorted(z._mpc_ for z in got) == sorted(mp.mpc(z)._mpc_ for z in want), poly
 
 
+def test_no_root_is_cleaned_to_zero():
+    # the exact radius of the large root -2^600 would certify X^2 + 2^600 X + 1 at 512 bits, where
+    # polyroots' cleanup takes the small root -2^-600 to 0; it certifies at 1024 bits instead
+    f = pv.make_field((1, 2**600))
+    assert f.roots == (-(2.0**600) + 0j, -(2.0**-600) + 0j)
+    assert all(z != 0 for z in f.roots_mp)
+
+
 def test_make_field_needs_neither_lapack_nor_polyroots(monkeypatch):
     # PV fields of degree 2 to 8 certify from Aberth seeds, integer Newton and exact disks;
     # the inputs whose seeds are no finite doubles, or too close to separate, still reach polyroots

@@ -6,7 +6,9 @@ determinant agrees with the Leibniz formula on small integer matrices, one
 at a time and stacked; a stacked norm-form evaluation agrees with the one
 vector at a time, and the Laplace expansion of det(sum n_i M_i) agrees with
 its interpolant from the principal lattice.  The PV verdict of small monic polynomials matches a
-classification of their 300-bit mpmath roots.
+classification of their 300-bit mpmath roots.  The certified roots of degree 2 to 8 are polyroots'
+to the last bit, inside radii that reach the 2000-bit roots, and a product of two monic factors is
+refused with a true factor named.
 """
 
 import ast
@@ -230,7 +232,7 @@ def poly_mul(a, b):
 @given(factor_pairs)
 @example(((-1, 1), (1, 1)))               # X^2 - 1
 @example(((-1, -1, 1), (1, 0, 1)))        # golden times X^2 + 1: roots on the axes
-@example(((2, 0, 0, 0, 1), (-3, 0, 0, 0, 1)))
+@example(((2, 0, 0, 0, 1), (-3, 0, 0, 0, 1)))  # two quartics: the only factors have degree d/2
 def test_product_of_two_factors_names_a_factor(pair):
     # the factor search refuses every product, naming a proper monic factor that divides it
     p = poly_mul(*pair)
