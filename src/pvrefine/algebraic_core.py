@@ -47,6 +47,11 @@ _RADIUS_FLOOR = 1e-290
 # the Aberth rounds cost d^2 each; 8 keeps a field under a few milliseconds
 _MAX_DEGREE = 8
 
+# alpha_power keeps alpha^n for |n| up to this span while a power stays under this many
+# bits: about 360 KB for the golden field, at most 4 MB a direction for any field
+_ALPHA_TABLE_SPAN = 2048
+_ALPHA_TABLE_BITS = 2**14
+
 
 # the working precision of the current context, in mantissa bits
 working_precision = contextvars.ContextVar("working_precision", default=128)
@@ -245,6 +250,8 @@ def fe_add(a: FieldElement, b: FieldElement) -> FieldElement:
 
 
 def fe_scale(a: FieldElement, q) -> FieldElement:
+    if isinstance(q, int):
+        return _reduced([q * x for x in a.nums], a.den)
     q = Fraction(q)
     return _reduced([q.numerator * x for x in a.nums], q.denominator * a.den)
 
@@ -268,6 +275,40 @@ def fe_pow(field: NumberField, a: FieldElement, n: int) -> FieldElement:
     return out
 
 
+@functools.lru_cache(maxsize=64)
+def _alpha_powers(coeffs):
+    """The power table of the field with these coefficients: ([alpha^0, alpha^1, ...],
+    [alpha^0, alpha^-1, ...]), each list grown by alpha_power."""
+    one = FieldElement((1,) + (0,) * (len(coeffs) - 1))
+    return [one], [one]
+
+
+def _alpha_step(coeffs, a: FieldElement, down: bool) -> FieldElement:
+    """alpha a, or a / alpha if down: 1/alpha = -(c_1 + c_2 alpha + ... + alpha^{d-1}) / c_0
+    moves each power down one place and folds the bottom one back."""
+    if not down:
+        return _reduced(_times_alpha(coeffs, a.nums), a.den)
+    v0 = a.nums[0]
+    return _reduced([coeffs[0] * x - v0 * c for x, c in zip(a.nums[1:] + (0,), coeffs[1:] + (1,))],
+                    coeffs[0] * a.den)
+
+
+def alpha_power(field: NumberField, n: int) -> FieldElement:
+    """alpha^n from the field's power table, which holds alpha^0..alpha^+-m contiguously
+    and grows in a loop, one step by alpha or 1/alpha per power, so a K = 1000 term mask
+    needs no deep recursion.  It grows up to |n| = _ALPHA_TABLE_SPAN while its last power
+    is under _ALPHA_TABLE_BITS bits; powers past that take fe_pow and are not kept."""
+    seq = _alpha_powers(field.coeffs)[n < 0]
+    k = abs(n)
+    while len(seq) <= min(k, _ALPHA_TABLE_SPAN) and _bits(seq[-1]) < _ALPHA_TABLE_BITS:
+        seq.append(_alpha_step(field.coeffs, seq[-1], n < 0))
+    return seq[k] if k < len(seq) else fe_pow(field, seq[1], k)
+
+
+def _bits(a: FieldElement) -> int:
+    return a.den.bit_length() + sum(n.bit_length() for n in a.nums)
+
+
 def fe_inv(field: NumberField, a: FieldElement) -> FieldElement:
     """1/a = den adj(M) e_0 / det M for the integer matrix M of x -> a.nums x: column 0
     of the adjugate holds the row-0 cofactors, and det M is their Laplace sum."""
@@ -285,10 +326,11 @@ def fe_embed(field: NumberField, a: FieldElement, k: int = 0, prec: int = None):
         prec = precision_bits()
     with mp.workprec(prec):
         z = field.roots_mp[k]
-        acc = mp.mpc(0)
+        acc = None  # Horner from the top coordinate: 0 * z + q_top is q_top exactly
         for n in reversed(a.nums):
             g = math.gcd(n, a.den)  # each coordinate q_i enters in its own lowest terms
-            acc = acc * z + mp.mpf(n // g) / (a.den // g)
+            q = mp.mpf(n // g) / (a.den // g)
+            acc = mp.mpc(q) if acc is None else acc * z + q
         return acc
 
 
@@ -753,7 +795,7 @@ def orbit_phases(field: NumberField, mu: FieldElement, n_lo: int, n_hi: int, mod
     conjugates step by alpha_k from sigma_k(mu) alpha_k^n_lo at precision_bits() plus the bits
     of the largest at n_lo; the one budget keeps 32 fractional bits of the largest over the
     range, there and in the root radii (a PV field trips it only from about 2^470 at n_lo)."""
-    nu = fe_mul(field, mu, fe_pow(field, fe_alpha(field), n_lo))
+    nu = fe_mul(field, mu, alpha_power(field, n_lo))
     n = max(n_hi - n_lo + 1, 0)
     traces, ks = _traces(field, nu.nums, n, mod * nu.den), range(1, field.degree)
     if mu.is_zero() or not ks:
@@ -842,13 +884,8 @@ def first_lagrange_row(field: NumberField):
 
 
 def laurent_embed(field: NumberField, t: LaurentTranslate):
-    """Exact reduction of sum_j c_j alpha^j to a FieldElement plus its real embedding.
-
-    Negative powers clear through the exact inverse
-    alpha^{-1} = -(alpha^{d-1} + c_{d-1} alpha^{d-2} + ... + c_1)/c_0.
-    """
-    al = fe_alpha(field)
-    acc = fe_rational(field, 0)
-    for j, c in t.items:
-        acc = fe_add(acc, fe_scale(fe_pow(field, al, j), c))
+    """Exact reduction of sum_j c_j alpha^j to a FieldElement plus its real embedding,
+    each power alpha^j read from alpha_power's table."""
+    terms = [fe_scale(alpha_power(field, j), c) for j, c in t.items]
+    acc = functools.reduce(fe_add, terms) if terms else FieldElement((0,) * field.degree)
     return acc, float(mp.re(fe_embed(field, acc, 0)))

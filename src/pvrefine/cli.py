@@ -153,23 +153,27 @@ class RunConfig:
 _OPTIONS = {f.name: f.metadata["option"] for f in fields(RunConfig) if f.metadata}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PlotSpec:
-    """Single series of finite (x, y) points, sorted by x, with labels."""
+    """Single series of finite (x, y) points, sorted by x, with labels.  points is
+    given as pairs or an (n, 2) array and kept as a read-only (n, 2) float array,
+    so two specs compare by identity."""
 
-    points: tuple
+    points: np.ndarray
     xlabel: str = "x"
     ylabel: str = "y"
     title: str = ""
 
     def __post_init__(self):
-        pts = tuple((float(x), float(y)) for x, y in self.points)
+        pts = np.array(self.points, dtype=float)
+        if pts.size and pts.shape[1:] != (2,):
+            raise ValueError("plot points must be (x, y) pairs")
+        pts = pts.reshape(-1, 2)
+        pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
-        for x, y in pts:
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise ValueError("plot points must be finite")
-        xs = [x for x, _ in pts]
-        if any(b < a for a, b in zip(xs, xs[1:])):
+        if not np.isfinite(pts).all():
+            raise ValueError("plot points must be finite")
+        if (pts[1:, 0] < pts[:-1, 0]).any():
             raise ValueError("plot points must be sorted by x")
 
 
@@ -194,7 +198,9 @@ def emit_csv(rows, header, path) -> None:
     """RFC-4180-style CSV: CRLF, '.' decimal separator, 17 significant digits.
 
     Each column is formatted in one pass (%.17g for floats, empty if all None,
-    else its `_cell` text), one %-format per block of `_BLOCK_ROWS` rows.  A table
+    else its `_cell` text), one %-format per block of `_BLOCK_ROWS` rows.  A float
+    column of one nonzero, non-NaN value is written once, as a literal of the row
+    format; 0.0 and NaN are excluded since -0.0 == 0.0 and nan != nan.  A table
     csv.writer would quote (one column, an empty or quote-worthy cell) goes through it.
     """
     header = list(header)
@@ -205,7 +211,9 @@ def emit_csv(rows, header, path) -> None:
     slots, cols, texts = [], [], []
     for col in zip(*rows):
         kinds = set(map(type, col))
-        if kinds <= _FLOATS:
+        if kinds <= _FLOATS and col[0] and col[0] == col[0] and col.count(col[0]) == len(col):
+            slots.append("%.17g" % col[0])  # no '%' in a float's text
+        elif kinds <= _FLOATS:
             slots.append("%.17g")
             cols.append(col)
         elif kinds == {type(None)}:
@@ -245,10 +253,9 @@ def emit_svg(plot: PlotSpec, path) -> None:
     """
     if len(plot.points) < 2:
         raise ValueError("need at least 2 points to draw a line")
-    xs = [p[0] for p in plot.points]
-    ys = [p[1] for p in plot.points]
-    x0, x1 = min(xs), max(xs)
-    y0, y1 = min(ys), max(ys)
+    xs, ys = plot.points.T
+    x0, x1 = float(xs.min()), float(xs.max())
+    y0, y1 = float(ys.min()), float(ys.max())
     if x1 == x0:
         x0, x1 = x0 - 0.5, x1 + 0.5
     if y1 == y0:
@@ -256,6 +263,7 @@ def emit_svg(plot: PlotSpec, path) -> None:
     iw = _SVG_W - _SVG_ML - _SVG_MR
     ih = _SVG_H - _SVG_MT - _SVG_MB
 
+    # for a float or an array, in the same IEEE operations either way
     def px(x):
         return _SVG_ML + (x - x0) / (x1 - x0) * iw
 
@@ -295,7 +303,7 @@ def emit_svg(plot: PlotSpec, path) -> None:
         '<text x="16" y="%.1f" font-family="monospace" font-size="13" text-anchor="middle" '
         'transform="rotate(-90 16 %.1f)">%s</text>' % (_SVG_MT + ih / 2, _SVG_MT + ih / 2, plot.ylabel)
     )
-    pts = " ".join("%.3f,%.3f" % (px(x), py(y)) for x, y in plot.points)
+    pts = " ".join(["%.3f,%.3f"] * len(xs)) % tuple(np.column_stack((px(xs), py(ys))).ravel().tolist())
     out.append('<polyline points="%s" fill="none" stroke="#1f4e8c" stroke-width="1.2"/>' % pts)
     out.append("</svg>")
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
@@ -380,7 +388,7 @@ def _cmd_symbol_scan(cfg: RunConfig):
         m_list[i], y_list[i], lo, hi, step, len(ys),
     )
     plot = lambda: PlotSpec(
-        points=tuple(zip(y_list, m_list)),
+        points=np.column_stack((ys, m_list)),
         xlabel="y",
         ylabel="|ahat(y)|",
         title="Fourier symbol modulus: %s" % mask.name,
@@ -424,9 +432,10 @@ def _cmd_phihat_orbit(cfg: RunConfig):
 
 
 def _cmd_bernoulli(cfg: RunConfig):
-    values, _ = bernoulli_orbit(make_field(cfg.poly), cfg.J_max, cfg.j_min)
+    values, bound = bernoulli_orbit(make_field(cfg.poly), cfg.J_max, cfg.j_min)
     rows = [[J, z.real, z.imag, abs(z)] for J, z in enumerate(values)]
-    summary = "|phihat| tail %.6g at J=%d (cutoff j_min=%d)" % (rows[-1][3], cfg.J_max, cfg.j_min)
+    summary = "|phihat| tail %.6g at J=%d (cutoff j_min=%d, dropped-factor bound %.3g)" % (
+        rows[-1][3], cfg.J_max, cfg.j_min, bound)
     plot = lambda: PlotSpec(
         points=tuple((float(r[0]), r[3]) for r in rows),
         xlabel="J",

@@ -251,10 +251,10 @@ def _kernel_terms(mask: RefinementMask, K, prec: int = None):
 
 
 def _extended_phases(mask: RefinementMask, K, ys):
-    """frac(tau_k y) reduced at extended precision: a (K, len(ys)) float array."""
+    """frac(tau_k y) reduced at extended precision: a (K, len(ys)) float array.  One
+    check, at the largest |y| (NaN if any y is), refuses ys past the precision budget."""
     prec = precision_bits()
-    for y in ys:
-        _check_fraction_bits("argument |y|", float(y), 0.0, prec)
+    _check_fraction_bits("argument |y|", float(np.abs(ys.astype(float)).max()), 0.0, prec)
     return _frac_products(_kernel_terms(mask, K, prec)[1], ys, prec)
 
 
@@ -388,7 +388,7 @@ def _product_depths(mask: RefinementMask, ys, tol: float):
     entry of the float array ys.  The bound falls with j, so j0 - 1 counts the depths at
     which it is not yet below tol: a logarithm estimates that count, and the bound itself,
     from a table of |alpha|^-j, moves each estimate to the exact first depth."""
-    lip = lipschitz_bound(mask, min(tol, 1e-14))
+    lip = _product_lipschitz(mask, tol)
     absalpha = abs(mask.alpha)
     geo = 1.0 / (absalpha - 1.0)
     c = lip * np.abs(ys)
@@ -396,7 +396,7 @@ def _product_depths(mask: RefinementMask, ys, tol: float):
     top = est.max(initial=0.0) + 2
     if not top <= _PRODUCT_FACTOR_BUDGET:
         raise NonconvergenceError("product tail bound not reached within budget")
-    powers = np.array([absalpha ** (-j) for j in range(int(top) + 2)])
+    powers = _inverse_powers(absalpha, 1 << (int(top) + 1).bit_length())
     depths = 1 + np.maximum(est, 0).astype(int)
     while True:
         up = c * powers[depths] * geo * absalpha >= tol
@@ -407,6 +407,22 @@ def _product_depths(mask: RefinementMask, ys, tol: float):
         depths -= down
 
 
+@functools.lru_cache(maxsize=256)
+def _product_lipschitz(mask: RefinementMask, tol: float) -> float:
+    # the depth rule's Lipschitz bound, once per (mask, tol): a scan asks for it each round
+    return lipschitz_bound(mask, min(tol, 1e-14))
+
+
+@functools.lru_cache(maxsize=4)
+def _inverse_powers(absalpha: float, n: int):
+    """|alpha|^-j for j < n as a read-only array; n is a power of two, so the rounds of
+    one scan share a table."""
+    powers = np.array([absalpha ** (-j) for j in range(n)])
+    powers.flags.writeable = False
+    return powers
+
+
+@functools.lru_cache(maxsize=1024)
 def _product_plan(mask: RefinementMask, j0: int, tol: float):
     """(symbol tol, error bound) at depth j0: the bound sums the j0 symbol tails."""
     sym_tol = min(tol / j0, 1e-14)
@@ -573,18 +589,24 @@ def bernoulli_orbit(field: NumberField, J_max: int, j_min: int):
     r_j = sum_{k>=2} alpha_k^j, and the phase T(mu) - r(mu) for mu = alpha^J/(alpha-1).
     The product takes the factors in increasing j, so each value is the one the product
     for that J alone gives.  The dropped factors below j_min satisfy
-    |1 - prod| <= (pi^2/2) alpha^{2 j_min} / (alpha^2 - 1), reported as bound.
+    |1 - prod| <= (pi^2/2) alpha^{2 j_min} / (alpha^2 - 1), reported as bound; ValueError
+    unless it is below 1, since the dropped factors could then hold the whole product.
     """
     _require_pv(field, "bernoulli product")
     if J_max < 0:
         raise ValueError("J_max must be >= 0")
     check_orbit_points("bernoulli_orbit", min(j_min, 0), J_max)
+    with mp.workprec(precision_bits()):
+        alpha = field.roots_mp[0].real
+        bound = float(mp.pi**2 / 2 * alpha ** (2 * j_min) / (alpha**2 - 1))
+    if not bound < 1:
+        raise ValueError("the factors below j_min = %d can move the product by up to %.3g, not below 1; "
+                         "lower --jmin" % (j_min, bound))
     _, parity, cos_res, _ = orbit_phases(field, fe_rational(field, 1), 0, J_max - 1, 2)
     mu = fe_inv(field, fe_add(fe_alpha(field), fe_rational(field, -1)))
     den, phase_t, phase_r, _ = orbit_phases(field, mu, 0, J_max, 2)
     values = []
     with mp.workprec(precision_bits()):
-        alpha = field.roots_mp[0].real
         prod = mp.mpf(1)
         sign = 1
         for j in range(j_min, 0):
@@ -600,7 +622,6 @@ def bernoulli_orbit(field: NumberField, J_max: int, j_min: int):
             t = phase_t[J]
             phase = mp.e ** (-1j * mp.pi * (mp.mpf(t % den) / den - phase_r[J]))
             values.append(complex((-sign if t // den else sign) * prod * phase))
-        bound = float(mp.pi**2 / 2 * alpha ** (2 * j_min) / (alpha**2 - 1))
     return values, bound
 
 

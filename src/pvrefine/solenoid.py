@@ -40,12 +40,11 @@ from .algebraic_core import (
     _check_fraction_bits,
     _int_det,
     _require_pv,
+    alpha_power,
     discriminant,
     fe_add,
-    fe_alpha,
     fe_embed,
     fe_mul,
-    fe_pow,
     fe_rational,
     fe_scale,
     first_lagrange_row,
@@ -167,7 +166,7 @@ def _mu_from_integer_vector(field: NumberField, n, m: int) -> FieldElement:
         if ni:
             acc = fe_add(acc, fe_scale(ei, ni))
     if m:
-        acc = fe_mul(field, fe_pow(field, fe_alpha(field), m), acc)
+        acc = fe_mul(field, alpha_power(field, m), acc)
     return acc
 
 
@@ -695,7 +694,8 @@ def equidistribution_check(field: NumberField, y_samples, n: int) -> float:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    ys = np.asarray(list(y_samples), dtype=float)
+    # an array goes straight in, without a list of one Python float per sample
+    ys = np.asarray(y_samples if isinstance(y_samples, np.ndarray) else list(y_samples), dtype=float)
     if ys.size == 0:
         raise ValueError("need at least one sample")
     if n == 1:  # nothing is multiplied, so frac(y) is exact at any size

@@ -298,6 +298,36 @@ def test_laurent_embed_additive(golden):
         assert fe_add(e1, e2).coords == esum.coords
 
 
+@pytest.mark.parametrize("field", [GOLDEN, (-1, -1, -1), 2], ids=["golden", "tribonacci", "Q(2)"])
+def test_alpha_power_table_is_fe_pow(field):
+    f = pv.integer_dilation_field(field) if field == 2 else pv.make_field(field)
+    al = pv.fe_alpha(f)
+    for n in range(-60, 61):
+        assert ac.alpha_power(f, n) == fe_pow(f, al, n), n
+    # past the span the power comes from fe_pow and the table stops growing
+    n = ac._ALPHA_TABLE_SPAN + 5
+    assert ac.alpha_power(f, -n) == fe_pow(f, al, -n)
+    assert all(len(seq) <= ac._ALPHA_TABLE_SPAN + 1 for seq in ac._alpha_powers(f.coeffs))
+
+
+def test_fe_embed_is_horner_from_zero():
+    # the embedding starts from the top coordinate, bit for bit the Horner sum from mpc(0)
+    rng = np.random.default_rng(3)
+    for f in (pv.make_field(GOLDEN), pv.make_field((-1, -1, -1)), pv.make_field((-1, 0, 0, 0, 0, -2)),
+              pv.integer_dilation_field(2)):
+        for _ in range(20):
+            a = ac.fe(f, [Fraction(int(n), int(d)) for n, d in zip(rng.integers(-10**6, 10**6, f.degree),
+                                                                   rng.integers(1, 10**4, f.degree))])
+            for k in range(f.degree):
+                with mp.workprec(128):
+                    want = mp.mpc(0)
+                    for n in reversed(a.nums):
+                        g = math.gcd(n, a.den)
+                        want = want * f.roots_mp[k] + mp.mpf(n // g) / (a.den // g)
+                got = ac.fe_embed(f, a, k, 128)
+                assert (got.real, got.imag) == (want.real, want.imag)
+
+
 def test_field_element_algebra(golden):
     rng = np.random.default_rng(9)
     one = pv.fe_rational(golden, 1)

@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import pvrefine as pv
@@ -85,6 +86,26 @@ def test_plotspec_validation():
         cli.PlotSpec(points=((0, float("nan")), (1, 0)))
     with pytest.raises(ValueError):
         cli.PlotSpec(points=((1, 0), (0, 0)))
+
+
+def test_plotspec_pairs_and_array_give_the_same_svg(tmp_path):
+    # a tuple of pairs and an (n, 2) array are one spec: read-only points, identical bytes
+    ys = np.linspace(-3.0, 64.0, 6701)
+    pairs = tuple(zip(ys.tolist(), np.cos(ys).tolist()))
+    specs = (cli.PlotSpec(points=pairs, title="t"), cli.PlotSpec(points=np.column_stack((ys, np.cos(ys))), title="t"))
+    for k, spec in enumerate(specs):
+        assert spec.points.shape == (6701, 2) and not spec.points.flags.writeable
+        cli.emit_svg(spec, tmp_path / ("%d.svg" % k))
+    assert (tmp_path / "0.svg").read_bytes() == (tmp_path / "1.svg").read_bytes()
+    # the polyline is the per-point text of the scalar formulas
+    x0, x1, y0, y1 = -3.0, 64.0, min(p[1] for p in pairs), max(p[1] for p in pairs)
+    want = " ".join("%.3f,%.3f" % (72.0 + (x - x0) / (x1 - x0) * 704.0, 444.0 - (y - y0) / (y1 - y0) * 404.0)
+                    for x, y in pairs)
+    assert 'points="%s"' % want in (tmp_path / "0.svg").read_text()
+    for bad in (np.array([[0.0, 1.0], [1.0, np.nan]]), np.array([[1.0, 0.0], [0.0, 0.0]]),
+                np.array([[0.0, 1.0, 2.0]]), ((0.0, np.inf), (1.0, 0.0))):
+        with pytest.raises(ValueError, match="finite|sorted|pairs"):
+            cli.PlotSpec(points=bad)
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +190,17 @@ def test_phihat_orbit_tail(tmp_path, capsys):
     assert len(rows) == 42
     tail = complex(float(rows[-1][1]), float(rows[-1][2]))
     assert abs(tail - (0.025764015799446 + 0.069222179449402j)) < 1e-9
+
+
+def test_bernoulli_refuses_a_cutoff_above_its_factors(tmp_path, capsys):
+    # --jmin 5 would drop the factors j = 0..4 and print |phihat| = 1: one line, exit 2
+    rc = run_cli("bernoulli", "--poly", "-1,-1", "--jmax", "3", "--jmin", "5", "--out", str(tmp_path / "b.csv"))
+    err = capsys.readouterr().err
+    assert rc == 2 and err.count("\n") == 1
+    assert err.startswith("error: the factors below j_min = 5 can move the product by up to 375")
+    assert not (tmp_path / "b.csv").exists()
+    assert run_cli("bernoulli", "--poly", "-1,-1", "--jmax", "3", "--out", str(tmp_path / "b.csv")) == 0
+    assert "(cutoff j_min=-40, dropped-factor bound 5.82e-17)" in capsys.readouterr().out
 
 
 def test_bernoulli_report(tmp_path, capsys):

@@ -89,3 +89,22 @@ def test_emit_csv_matches_csv_writer_examples(tmp_path, rows):
     header = ["c%d" % k for k in range(len(rows[0]) if rows else 2)]
     cli.emit_csv(rows, header, tmp_path / "t.csv")
     assert (tmp_path / "t.csv").read_bytes() == _reference_csv(rows, header)
+
+
+@pytest.mark.parametrize("rows", [
+    [[0.0, 1.5], [-0.0, 1.5], [0.0, 1.5]],             # 0.0 and -0.0 compare equal, print apart
+    [[-0.0, 2.0], [-0.0, 2.0]],                        # an all -0.0 column
+    [[math.nan, 1], [math.nan, 2]],                    # nan != nan: an all-NaN column
+    [[float("nan"), 3.0]] * 3,                         # one NaN object repeated
+    [[1e-300, np.float64(1e-300), 7.25]] * 4,          # all-equal columns, float and float64 mixed
+    [[math.inf, -math.inf, 5e-324]] * 3,               # constant infinities and a subnormal
+    [[2.5, 3.5, 4.5]],                                 # one row: every column constant
+    [[0.1, "x"], [0.1, "y"]],                          # a constant column beside text
+    [[0.1, 1.0], [0.1, 1.0 + 2**-52]],                 # nearly equal is not equal
+])
+def test_emit_csv_constant_columns_match_csv_writer(tmp_path, rows):
+    header = ["c%d" % k for k in range(len(rows[0]))]
+    for block in (1, 2, 4096):
+        with mock.patch.object(cli, "_BLOCK_ROWS", block):
+            cli.emit_csv(rows, header, tmp_path / "t.csv")
+        assert (tmp_path / "t.csv").read_bytes() == _reference_csv(rows, header)

@@ -100,6 +100,27 @@ def test_dyadic_terms(dyadic):
     assert tail < 1e-14
 
 
+def test_dyadic_kernel_terms_take_one_multiplication_per_power():
+    # a fresh field and mask: each translate alpha^(1-k) is one step from alpha^(2-k),
+    # so K terms cost at most K + 2 multiplications, and K = 999 (tol 1e-300) builds in a loop
+    from unittest import mock
+
+    from pvrefine import algebraic_core as ac
+
+    for tol in (1e-14, 1e-300):
+        ac._alpha_powers.cache_clear()
+        mask = rf.builtin_mask("dyadic")
+        K, _ = rf._truncation(mask, tol)
+        with mock.patch.object(ac, "fe_mul", wraps=ac.fe_mul) as mul, \
+                mock.patch.object(ac, "fe_inv", wraps=ac.fe_inv) as inv, \
+                mock.patch.object(ac, "_alpha_step", wraps=ac._alpha_step) as step:
+            coeffs, taus, elems = rf._kernel_terms(mask, K)
+        assert mul.call_count + inv.call_count + step.call_count <= K + 2
+        assert len(elems) == K == {1e-14: 49, 1e-300: 999}[tol]
+        assert taus.tolist() == [2.0 ** (1 - k) for k in range(1, K + 1)]
+        assert elems[-1] == pv.FieldElement((1,), 2 ** (K - 1))
+
+
 def test_symbol_truncation_honesty(dyadic):
     # halving tol must not move the value by more than the reported tail bound
     for y in (0.3, 1.7, 97.123, 2.0**20 + 0.417):
@@ -237,6 +258,17 @@ def test_bernoulli_phihat_bound_reported():
     assert abs(v30 - v60) <= b30 + 1e-14
 
 
+def test_bernoulli_orbit_refuses_a_cutoff_that_drops_large_factors():
+    # j_min = 5 would drop the factors j = 0..4: the bound (pi^2/2) alpha^10/(alpha^2-1) is about 375
+    gold = pv.make_field((-1, -1))
+    with pytest.raises(ValueError, match="j_min = 5 can move the product by up to 375, not below 1"):
+        rf.bernoulli_orbit(gold, 3, 5)
+    for j_min in (-1, 0):  # bounds 1.16 and 3.05
+        with pytest.raises(ValueError, match="not below 1"):
+            rf.bernoulli_orbit(gold, 3, j_min)
+    assert rf.bernoulli_orbit(gold, 3, -2)[1] < 0.5
+
+
 @pytest.mark.parametrize("coeffs", [(-1, -1, -1), (-1, -1, -1, -1, -1)])
 def test_bernoulli_orbit_matches_mpmath(coeffs):
     # reference without pvrefine, at 512 bits: alpha from mpmath's roots (the
@@ -320,6 +352,24 @@ def _laurent_mask(tmp_path):
     return str(path), rf.mask_from_file(str(path))
 
 
+def test_phihat_grid_takes_its_constants_once():
+    # a scan calls phihat_grid once a round: the Lipschitz bound, the depth plans and the
+    # |alpha|^-j table are built on the first call, and the values match a cold call
+    from unittest import mock
+
+    mask = rf.builtin_mask("dyadic")
+    rounds = [np.linspace(0.0, 10.0, 251), np.array([3.7, 9.99]), np.array([0.5])]
+    with mock.patch.object(rf, "lipschitz_bound", wraps=rf.lipschitz_bound) as lip:
+        got = [rf.phihat_grid(mask, ys) for ys in rounds]
+    assert lip.call_count == 1
+    for ys, (values, err) in zip(rounds, got):
+        rf._product_lipschitz.cache_clear()
+        rf._product_plan.cache_clear()
+        rf._inverse_powers.cache_clear()
+        want, want_err = rf.phihat_grid(mask, ys)
+        assert np.array_equal(values, want) and err == want_err
+
+
 def test_phihat_grid_refuses_many_points_past_2_20(boxcar):
     # each point past 2^20 takes the extended-precision path alone: more than the
     # limit are refused from the count, before any is evaluated
@@ -347,6 +397,18 @@ def test_extended_phases_match_an_mpmath_reference(tmp_path):
         for y in (2.0**21 + 0.3, -(2.0**20) - 0.25, 3.0e6 + 0.125):
             want = mask.coeffs[0] + mask.coeffs[1] * mp.expjpi(-2 * tau * y)
             assert abs(rf.eval_symbol(mask, y).value - complex(want) / mask.alpha) < 1e-13, y
+
+
+def test_extended_phases_check_the_largest_argument(golden_vector):
+    # one check for the block: it names the largest |y|, and a NaN anywhere is refused
+    K = rf._truncation(golden_vector, 1e-14)[0]
+    ys = np.array([mp.mpf(2.0**21), mp.mpf(2) ** 200, mp.mpf(2) ** 90], dtype=object)
+    with pytest.raises(pv.PrecisionError, match=r"argument \|y\| = 2\^200 overflows the 128-bit budget"):
+        rf._extended_phases(golden_vector, K, ys)
+    ys[1] = mp.mpf("nan")
+    with pytest.raises(pv.PrecisionError, match="nan"):
+        rf._extended_phases(golden_vector, K, ys)
+    assert rf._extended_phases(golden_vector, K, ys[[0, 2]]).shape == (2, 2)
 
 
 def test_symbol_scan_above_2_20_keeps_extended_precision(tmp_path, golden_vector):

@@ -618,6 +618,16 @@ def test_equidistribution_matches_corner_loop(golden, plastic):
         assert so.equidistribution_check(f, ys, n) == ref
 
 
+def test_equidistribution_takes_arrays_and_iterables_alike(golden, plastic):
+    # an array goes in as it is; a list, a tuple, a generator or a reversed view of the
+    # same samples gives the same value
+    ys = np.random.default_rng(4).uniform(0.0, 1000.0, size=2000)
+    for f, n in ((golden, 1), (golden, 2), (plastic, 3)):
+        want = so.equidistribution_check(f, ys, n)
+        for samples in (ys.tolist(), tuple(ys.tolist()), (y for y in ys.tolist()), ys[::-1]):
+            assert so.equidistribution_check(f, samples, n) == want
+
+
 def test_equidistribution_validation(golden):
     with pytest.raises(ValueError):
         so.equidistribution_check(golden, [1.0], 0)
