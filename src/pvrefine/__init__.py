@@ -34,7 +34,6 @@ from .algebraic_core import (
     homoclinic_profile,
     integer_dilation_field,
     laurent,
-    laurent_add,
     laurent_embed,
     laurent_int,
     make_field,

@@ -158,13 +158,6 @@ def laurent_int(n: int) -> LaurentTranslate:
     return laurent({0: n})
 
 
-def laurent_add(t1: LaurentTranslate, t2: LaurentTranslate) -> LaurentTranslate:
-    acc = dict(t1.items)
-    for j, c in t2.items:
-        acc[j] = acc.get(j, 0) + c
-    return laurent(acc)
-
-
 def _reduced(nums, den) -> FieldElement:
     """nums/den (den != 0) in lowest terms with a positive denominator."""
     g = math.gcd(den, *nums) if den > 0 else -math.gcd(den, *nums)

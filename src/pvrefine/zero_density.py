@@ -11,9 +11,9 @@ Norm forms: with e_0..e_{d-1} the exact Lagrange dual basis (rows of V^{-1}
 are its conjugate embeddings) written as integer numerators over their common
 denominator den, N(mu_1) for mu_1 = sum n_i e_i is det(sum_i n_i M_i) / den^d,
 M_i the integer multiplication matrix of the i-th numerator.  That determinant
-is expanded exactly into a degree-d integer form in n, proved equal to its
-interpolant from exact determinants on a unisolvent point set, and reduced to
-lowest terms.
+is a degree-d integer form in n, interpolated from exact determinants on a
+unisolvent point set, checked against exact determinants at two points off
+that set, and reduced to lowest terms.
 """
 
 import functools
@@ -263,32 +263,6 @@ def vanishing_probe(mask: RefinementMask, lambdas, J_max: int, delta: float = No
 # norm forms
 
 
-def _det_form(mats):
-    """det(sum_i n_i mats[i]) as an integer polynomial {exponent tuple: nonzero coefficient} in n.
-
-    Laplace expansion along the rows, memoized over the 2^d sets of columns still open;
-    monomials are keyed by sum_i e_i (d+1)^i, so multiplying by n_i adds (d+1)^i."""
-    d = len(mats)
-    steps = [(d + 1) ** i for i in range(d)]
-    minors = {(): {0: 1}}
-
-    def minor(cols):
-        if cols not in minors:
-            r = d - len(cols)
-            out = {}
-            for pos, c in enumerate(cols):
-                sub = minor(cols[:pos] + cols[pos + 1:])
-                for step, mat in zip(steps, mats):
-                    a = -mat[r][c] if pos % 2 else mat[r][c]
-                    if a:
-                        for key, v in sub.items():
-                            out[key + step] = out.get(key + step, 0) + a * v
-            minors[cols] = out
-        return minors[cols]
-
-    return {tuple(key // s % (d + 1) for s in steps): v for key, v in minor(tuple(range(d))).items() if v}
-
-
 def _newton(values):
     """Forward differences Delta^k v(0) / k! of the values v(0), v(1), ...: the coefficients of v
     in the basis binom(x, k).  An integer polynomial's are integers, so each division is exact."""
@@ -342,23 +316,26 @@ def norm_form(field: NumberField) -> NormForm:
     """Exact integer norm form in lowest terms over the Lagrange dual basis.
 
     With e_i = nums_i/den over their common denominator, N(sum n_i e_i) =
-    det(sum_i n_i M(nums_i))/den^d.  The determinant is expanded exactly by
-    Laplace and proved equal, coefficient by coefficient, to its interpolant
-    from exact determinants on the principal lattice (`_interpolated_form`);
-    two degree-d forms that agree there agree at every integer vector.
+    det(sum_i n_i M(nums_i))/den^d, the form interpolated from exact
+    determinants on the principal lattice (`_interpolated_form`).  As a fault
+    check its value at two points off the lattice, every entry nonzero and
+    n_d not 0 or 1, must equal the exact determinant there; a mismatch raises
+    PrecisionError naming the point.  Any one wrong coefficient, or a stray
+    monomial, changes the value at such a point.
     """
     d = field.degree
     row = first_lagrange_row(field)
     den = math.lcm(*(e.den for e in row))
     mats = [_power_combination(field, [q * (den // e.den) for q in e.nums]) for e in row]
-    ints = _det_form(mats)
-    proof = _interpolated_form(mats)
-    if ints != proof:
-        first = min(e for e in ints.keys() | proof.keys() if ints.get(e) != proof.get(e))
-        raise PrecisionError("norm form disagrees with its interpolant at exponent %s" % (first,))
-    g = math.gcd(den**d, *ints.values())
+    form = _interpolated_form(mats)
+    checks = [tuple((-1) ** i * (i + 2) for i in range(d)), tuple(range(d + 1, 1, -1))]
+    dets = _int_det(np.tensordot(np.array(checks, dtype=object), np.array(mats, dtype=object), 1)).tolist()
+    for n, det in zip(checks, dets):
+        if det != sum(c * math.prod(ni**e for ni, e in zip(n, exps)) for exps, c in form.items()):
+            raise PrecisionError("norm form disagrees with det(sum n_i M_i) at n = %s" % (n,))
+    g = math.gcd(den**d, *form.values())
     return NormForm(
-        numerator_form=tuple(sorted((e, c // g) for e, c in ints.items())),
+        numerator_form=tuple(sorted((e, c // g) for e, c in form.items())),
         denominator=den**d // g,
     )
 

@@ -4,11 +4,12 @@ fe_inv inverts, the norm is multiplicative, the trace is Q-linear, norm and
 trace equal the product and sum of the 200-bit embeddings, and the Bareiss
 determinant agrees with the Leibniz formula on small integer matrices, one
 at a time and stacked; a stacked norm-form evaluation agrees with the one
-vector at a time, and the Laplace expansion of det(sum n_i M_i) agrees with
-its interpolant from the principal lattice.  The PV verdict of small monic polynomials matches a
-classification of their 300-bit mpmath roots.  The certified roots of degree 2 to 8 are polyroots'
-to the last bit, inside radii that reach the 2000-bit roots, and a product of two monic factors is
-refused with a true factor named.
+vector at a time, and the interpolant of det(sum n_i M_i) from the principal
+lattice agrees with its Leibniz expansion coefficient by coefficient.  The PV
+verdict of small monic polynomials matches a classification of their 300-bit
+mpmath roots.  The certified roots of degree 2 to 8 are polyroots' to the last
+bit, inside radii that reach the 2000-bit roots, and a product of two monic
+factors is refused with a true factor named.
 """
 
 import ast
@@ -24,7 +25,7 @@ import pytest
 import pvrefine as pv
 from pvrefine import algebraic_core as ac
 from pvrefine.algebraic_core import _int_det, fe_add, fe_embed, fe_inv, fe_mul, fe_scale
-from pvrefine.zero_density import _det_form, _interpolated_form
+from pvrefine.zero_density import _interpolated_form
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
@@ -85,13 +86,33 @@ def test_norm_and_trace_match_the_embeddings(coeffs, coords):
             assert abs(approx - mp.mpf(exact.numerator) / exact.denominator) <= mp.mpf(2) ** -150 * scale
 
 
-def leibniz_det(m):
-    n = len(m)
-    total = 0
+def signed_permutations(n):
     for perm in itertools.permutations(range(n)):
-        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
-        total += (-1) ** inversions * math.prod(m[i][perm[i]] for i in range(n))
-    return total
+        yield (-1) ** sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n)), perm
+
+
+def leibniz_det(m):
+    return sum(sign * math.prod(m[i][perm[i]] for i in range(len(m))) for sign, perm in signed_permutations(len(m)))
+
+
+def leibniz_form(mats):
+    """det(sum_i n_i mats[i]) as {exponent tuple: nonzero coefficient}: for each permutation, the
+    product over rows r of the linear forms sum_i n_i mats[i][r][perm[r]], multiplied out."""
+    d = len(mats)
+    total = {}
+    for sign, perm in signed_permutations(d):
+        term = {(0,) * d: sign}
+        for r, col in enumerate(perm):
+            nxt = {}
+            for e, c in term.items():
+                for i, m in enumerate(mats):
+                    if m[r][col]:
+                        key = e[:i] + (e[i] + 1,) + e[i + 1:]
+                        nxt[key] = nxt.get(key, 0) + c * m[r][col]
+            term = nxt
+        for e, c in term.items():
+            total[e] = total.get(e, 0) + c
+    return {e: c for e, c in total.items() if c}
 
 
 # small entries make zero pivots, and so row swaps, common
@@ -143,9 +164,9 @@ matrix_tuples = st.integers(1, 5).flatmap(
 @example([[[0, 0], [0, 0]], [[0, 0], [0, 0]]])                               # det = 0 everywhere
 @example([[[1, 2], [2, 4]], [[3, 6], [1, 2]]])                               # singular for every n
 @example([[[1, 0, 0], [0, 0, 0], [0, 0, 0]], [[0, 0, 0], [0, 1, 0], [0, 0, 0]], [[0, 0, 0], [0, 0, 0], [0, 0, 1]]])
-def test_interpolated_form_matches_laplace(mats):
+def test_interpolated_form_matches_leibniz(mats):
     # the C(2d-1, d) lattice determinants recover det(sum n_i mats[i]) coefficient by coefficient
-    assert _interpolated_form(mats) == _det_form(mats)
+    assert _interpolated_form(mats) == leibniz_form(mats)
 
 
 def direct_verdict(coeffs):

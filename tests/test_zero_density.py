@@ -1,5 +1,6 @@
 """Near-zero scans, density proxies, vanishing probes, norm-form counting."""
 
+import hashlib
 import math
 import re
 import tracemalloc
@@ -425,11 +426,11 @@ def test_norm_form_matches_embedding_product(coeffs):
 
 
 @pytest.mark.parametrize("coeffs", [(-1, -1), (-1, -1, -1)])
-def test_norm_form_names_the_first_differing_exponent(coeffs, monkeypatch):
-    # every +-1 error in one coefficient of the Laplace expansion, and one extra monomial, is caught
-    # by the interpolant and named by its exponent
+def test_norm_form_names_the_check_point(coeffs, monkeypatch):
+    # every +-1 error in one coefficient of the interpolant, and one extra constant monomial, is
+    # caught by an exact determinant off the principal lattice and named by that point
     f = pv.make_field(coeffs)
-    exact = zd._det_form
+    exact = zd._interpolated_form
     monomials = [e for e, _ in zd.norm_form(f).numerator_form]
     for exps, delta in [(e, s) for e in monomials for s in (1, -1)] + [((0,) * f.degree, 1)]:
 
@@ -437,9 +438,28 @@ def test_norm_form_names_the_first_differing_exponent(coeffs, monkeypatch):
             form = exact(mats)
             return {**form, exps: form.get(exps, 0) + delta}
 
-        monkeypatch.setattr(zd, "_det_form", corrupted)
-        with pytest.raises(pv.PrecisionError, match=re.escape("at exponent %s" % (exps,)) + "$"):
+        monkeypatch.setattr(zd, "_interpolated_form", corrupted)
+        with pytest.raises(pv.PrecisionError, match=r"at n = \([-\d, ]+\)$") as err:
             zd.norm_form(f)
+        n = [int(v) for v in re.findall(r"-?\d+", str(err.value).rsplit("at n = ", 1)[1])]
+        # every entry nonzero, so the wrong term is nonzero there, and n_d off the lattice's 1
+        assert len(n) == f.degree and all(n) and n[-1] not in (0, 1)
+
+
+# perfbench's PV_POOL, degrees 2-6, and (-2,-2,-2), whose (n1, n2) restriction has twice the content
+# of its full form, so the gcd over every coefficient is pinned too; the digest was taken where a
+# Laplace expansion and the interpolant agreed on every coefficient
+PINNED_POLYS = ("-1,-1", "-1,-2", "1,-3", "-1,-1,0", "-1,-1,-1", "-1,1,-2", "-1,-1,-1,-1", "-1,0,0,-1",
+                "-1,0,0,-2", "-1,-1,-1,-2", "-1,-1,-1,-1,-1", "-1,0,-1,-1,-1", "-1,-1,0,-1,-1",
+                "-1,-1,-1,-1,-1,-1", "-1,0,0,0,0,-2", "-2,-2,-2")
+
+
+def test_norm_forms_pinned():
+    h = hashlib.sha256()
+    for poly in PINNED_POLYS:
+        nf = zd.norm_form(pv.make_field(pv.parse_poly(poly)))
+        h.update(repr((nf.numerator_form, nf.denominator)).encode())
+    assert h.hexdigest() == "e532c36655cca94d6adf4f0c38b485c263e44ff77ae354f8ec5e04de54981edf"
 
 
 def test_norm_form_degree_7_matches_the_field_norm():
