@@ -45,8 +45,8 @@ tail = orbit[-1][1].value
 print("  limit modulus %.9f" % abs(tail))
 
 # lambda is exact: the golden Bernoulli orbit of lambda = 1/3 (not a float) to
-# J = 400, where lambda alpha^J is near 2^276; the phases past 2^20 come from
-# the exact traces of lambda alpha^J and its conjugate residue
+# J = 400, where lambda alpha^J is near 2^276; every factor past |lambda alpha^n| = 1
+# takes its phases from the exact traces of lambda alpha^n and its conjugate residue
 golden = pv.make_field((-1, -1))
 (_, sv), = rf.phihat_orbit(rf.builtin_mask("bernoulli", golden), Fraction(1, 3), [400])
 print("\ngolden Bernoulli  |phihat(alpha^400 / 3)| = %.6e" % abs(sv.value))

@@ -26,12 +26,10 @@ from .algebraic_core import (
     FieldElement,
     LaurentTranslate,
     NumberField,
-    dist_to_int,
     fe,
     fe_alpha,
     fe_rational,
     first_lagrange_row,
-    homoclinic_profile,
     integer_dilation_field,
     laurent,
     laurent_embed,

@@ -774,12 +774,6 @@ def pisot_set_test(field: NumberField, mu: FieldElement) -> bool:
     return all(s.denominator == 1 for s in trace_power_sequence(field, mu, field.degree - 1))
 
 
-def dist_to_int(x):
-    """Distance from x to the nearest integer, in [0, 1/2]."""
-    f = x - math.floor(x)
-    return min(f, 1 - f)
-
-
 def orbit_phases(field: NumberField, mu: FieldElement, n_lo: int, n_hi: int, mod: int = 1):
     """(den, traces, residues, bounds) with sigma_1(mu alpha^n) = traces[i] / den - residues[i]
     (mod `mod`) at n = n_lo + i <= n_hi: den is that of mu alpha^n_lo, traces[i] = den
@@ -815,46 +809,14 @@ def orbit_phases(field: NumberField, mu: FieldElement, n_lo: int, n_hi: int, mod
 
 def orbit_fractions(field: NumberField, mu: FieldElement, n_lo: int, n_hi: int):
     """frac(sigma_1(mu alpha^n)), n = n_lo..n_hi, from orbit_phases as floats in [0, 1]:
-    t / den by int true division in degree 1, else at precision_bits() after the residue
-    loses its nearest integer (exactly; a residue below 1/2 keeps its own bits)."""
+    t / den by int true division in degree 1 or at mu = 0, else at precision_bits() after
+    the residue loses its nearest integer (exactly; a residue below 1/2 keeps its own bits)."""
     den, traces, residues, _ = orbit_phases(field, mu, n_lo, n_hi)
-    if field.degree == 1:
+    if field.degree == 1 or mu.is_zero():
         return [t / den for t in traces]
     with mp.workprec(precision_bits()):
         xs = [mp.mpf(t) / den - (r - mp.nint(r)) for t, r in zip(traces, residues)]
         return [float(x - mp.floor(x)) for x in xs]
-
-
-def homoclinic_profile(field: NumberField, lam: FieldElement, j_range):
-    """Tabulate ||lam * alpha^j|| from orbit_phases: lam alpha^j = s(j) - r_j with s(j)
-    the exact trace and r_j the conjugate residue, so the distance comes from small
-    residues only, in mpf before it is rounded.  Returns (points, fitted_slope): points
-    = [(j, dist), ...], the slope a least-squares fit of log dist over the last half of
-    the range (zero distances excluded).  PrecisionError where an integer s(j) leaves
-    dist above the bound b_j = sum_{k>=2} |sigma_k(lam)| |alpha_k|^j."""
-    _require_pv(field, "homoclinic_profile")
-    js = sorted(int(j) for j in j_range)
-    if not js:
-        raise ValueError("empty j_range")
-    # membership up to a power shift: T(lam alpha^j) integral for j = m..m+d-1, some m < 64
-    whole = [t == 0 for t in _traces(field, lam.nums, 63 + field.degree, lam.den)]
-    if not any(all(whole[m:m + field.degree]) for m in range(64)):
-        raise ValueError("lam does not reach the Pisot set within 64 power shifts")
-    den, traces, residues, bounds = orbit_phases(field, lam, js[0], js[-1])
-    pts = []
-    with mp.workprec(precision_bits()):
-        for j in js:
-            i = j - js[0]
-            x = mp.mpf(traces[i]) / den - residues[i]
-            dist = float(abs(x - mp.nint(x)))
-            if traces[i] == 0 and dist > bounds[i] + 1e-12 * (1 + bounds[i]):
-                raise PrecisionError("homoclinic bound violated at j=%d" % j)
-            pts.append((j, dist))
-    tail = [(j, d) for j, d in pts[len(pts) // 2 :] if d > 0]
-    slope = float("nan")
-    if len(tail) >= 2:
-        slope = float(np.polyfit([j for j, _ in tail], [math.log(d) for _, d in tail], 1)[0])
-    return pts, slope
 
 
 @functools.lru_cache(maxsize=32)

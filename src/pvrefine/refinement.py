@@ -11,10 +11,11 @@ One kernel evaluates the symbol: the terms' phases go through a single sum,
 of term k is tau(k) y in float64, except for mpmath arguments and |y| > 2^20,
 where frac(tau(k) y) is reduced at extended precision first, in Python ints
 that round as mpmath does; without that the phase is garbage long before
-tau*y overflows a double mantissa; along a dilation orbit lam alpha^n those
-phases come exactly from algebraic_core.orbit_fractions instead.  eval_symbol
-is a 0-d eval_symbol_grid call, and phihat_orbit and the lifted symbol A of
-the solenoid layer call the kernel too.
+tau*y overflows a double mantissa.  eval_symbol is a 0-d eval_symbol_grid
+call, and the lifted symbol A of the solenoid layer calls the kernel too.
+Along a dilation orbit lam alpha^n, phihat_orbit takes the points with
+|lam alpha^n| <= 1 from phihat_grid and every later factor's phases exactly
+from algebraic_core.orbit_fractions, summed by the same kernel.
 
 One kernel takes the product: phihat_grid, of which eval_phihat is a 0-d
 call.  Past 2^20 it builds the arguments y alpha^j at extended precision
@@ -76,7 +77,7 @@ _MP_ARG_CUTOFF = 2.0**20
 # zeros-scan probes near most of them (a dyadic zeros-scan at the limit takes about 6 s)
 MAX_EXTENDED_POINTS = 100
 _SUM_BLOCK = 4096  # (term, point) coefficients per block of the symbol sum: temporaries near 64 KB
-_ORBIT_BLOCK = 1024  # orbit steps past 2^20 whose phases phihat_orbit holds at once
+_ORBIT_BLOCK = 1024  # orbit factors whose phases phihat_orbit holds at once
 
 
 @dataclass(frozen=True, eq=False)
@@ -529,56 +530,46 @@ def check_orbit_points(name: str, first: int, last: int) -> None:
 
 
 def phihat_orbit(mask: RefinementMask, lam, J_range, tol: float = 1e-12):
-    """phihat(lam alpha^J) along the dilation orbit, computed incrementally.
+    """[(J, phihat(lam alpha^J))] along the dilation orbit, J in increasing order.
 
     lam is exact: a FieldElement, or an int, Fraction or float taken as a Fraction.
-    The orbit starts from eval_phihat at the last n_b <= J_min with |lam alpha^n_b|
-    <= 2^20, and phihat(alpha y) = ahat(y) phihat(y) extends it one factor at a
-    time, so consecutive entries satisfy it by construction.  A factor at a float
-    point is one eval_symbol call; past 2^20 the phases frac(tau_k lam alpha^n)
-    come from orbit_fractions, one call per term, and one _symbol_sum per block.
+    n_s is the last n <= J_max with |lam alpha^n| <= 1 (J_max itself for lam = 0).
+    The entries at n_s and below come from one phihat_grid call at the floats
+    lam alpha^n and carry its bound.  From n_s on, phihat(alpha y) = ahat(y) phihat(y)
+    extends the orbit one factor at a time, each adding a symbol tail to the bound;
+    the factors' phases frac(tau_k lam alpha^n) come from orbit_fractions, in blocks
+    of _ORBIT_BLOCK factors with one _symbol_sum each.
     """
     js = J_range if isinstance(J_range, range) else sorted(int(j) for j in J_range)
     if not js:
         return []
     check_orbit_points("phihat_orbit", *sorted((js[0], js[-1])))  # a range is read from its ends
     js = sorted(js)
-    field, sym_tol = mask.field, min(tol, 1e-14)
+    field, top = mask.field, js[-1]
     if not isinstance(lam, FieldElement):
         lam = fe_rational(field, Fraction(lam))
     with mp.workprec(precision_bits()):
         al, s1 = mp.re(field.roots_mp[0]), mp.re(fe_embed(field, lam, 0))
-        lg, step = (float(mp.log(abs(s1), 2)) if s1 else -math.inf), math.log2(abs(mask.alpha))
-
-    def point(n):  # float(lam alpha^n) if it is at most 2^20, the kernel's own cutoff, else None
-        if lg + n * step <= 21:
-            with mp.workprec(precision_bits()):
-                x = s1 * al**n
-            if abs(x) <= _MP_ARG_CUTOFF:
-                return float(x)
-
-    n_b = js[0]
-    while point(n_b) is None and js[-1] - n_b < MAX_ORBIT_POINTS:
-        n_b -= 1
-    check_orbit_points("phihat_orbit", n_b, js[-1])
-    pts = [point(n) for n in range(n_b, js[-1])]
-    K, tail = _truncation(mask, sym_tol)
+        # a start at or above n_s from the logarithms, then down to the first |lam alpha^n| <= 1
+        n_s = min(top, math.floor(-float(mp.log(abs(s1), 2)) / math.log2(abs(mask.alpha))) + 1) if s1 else top
+        while top - n_s < MAX_ORBIT_POINTS and abs(s1 * al**n_s) > 1:
+            n_s -= 1
+        check_orbit_points("phihat_orbit", min(n_s, js[0]), top)
+        direct = [n for n in js if n < n_s] + [n_s]
+        xs = [float(s1 * al**n) for n in direct]
+    values, err = phihat_grid(mask, xs, tol)
+    out = {n: SymbolValue(v, err) for n, v in zip(direct, values.tolist() if mask.rank == 1 else values)}
+    K, tail = _truncation(mask, min(tol, 1e-14))
     coeffs, _, taus = _kernel_terms(mask, K)
     mus = [fe_mul(field, t, lam) for t in taus]
-    far = [n for n, x in zip(range(n_b, js[-1]), pts) if x is None]
-    ext = {}  # n -> ahat(lam alpha^n) past 2^20
-    for lo in range(0, len(far), _ORBIT_BLOCK):
-        ns = far[lo:lo + _ORBIT_BLOCK]
-        phases = np.array([orbit_fractions(field, mu, ns[0], ns[-1]) for mu in mus])[:, np.subtract(ns, ns[0])]
-        sums = _symbol_sum(coeffs, mask.alpha, phases)
-        ext.update(zip(ns, sums.tolist() if mask.rank == 1 else sums))
-    steps = [eval_phihat(mask, point(n_b), tol)]  # phihat(lam alpha^n), n = n_b..js[-1]
-    for n, x in zip(range(n_b, js[-1]), pts):
-        s = eval_symbol(mask, x, sym_tol) if x is not None else SymbolValue(ext[n], tail)
-        cur = steps[-1]
-        steps.append(SymbolValue(s.value * cur.value if mask.rank == 1 else s.value @ cur.value,
-                                 cur.truncation_error + s.truncation_error))
-    return [(j, steps[j - n_b]) for j in js]
+    cur = out[n_s]
+    for lo in range(n_s, top, _ORBIT_BLOCK):
+        hi = min(lo + _ORBIT_BLOCK, top) - 1
+        sums = _symbol_sum(coeffs, mask.alpha, np.array([orbit_fractions(field, mu, lo, hi) for mu in mus]))
+        for n, a in zip(range(lo + 1, hi + 2), sums.tolist() if mask.rank == 1 else sums):
+            cur = out[n] = SymbolValue(a * cur.value if mask.rank == 1 else a @ cur.value,
+                                       cur.truncation_error + tail)
+    return [(j, out[j]) for j in js]
 
 
 def bernoulli_orbit(field: NumberField, J_max: int, j_min: int):

@@ -205,49 +205,6 @@ def test_pisot_set_test(golden, plastic):
         pv.pisot_set_test(pv.make_field((-2, 0)), one)
 
 
-def test_dist_to_int_values():
-    assert pv.dist_to_int(0.25) == 0.25
-    assert abs(pv.dist_to_int(11.0902) - 0.0902) < 1e-12
-    assert pv.dist_to_int(-0.5) == 0.5
-    assert pv.dist_to_int(3.0) == 0.0
-
-
-def test_dist_to_int_triangle():
-    rng = np.random.default_rng(11)
-    xs = rng.uniform(-50, 50, size=10**4)
-    ys = rng.uniform(-50, 50, size=10**4)
-    for x, y in zip(xs, ys):
-        assert pv.dist_to_int(x + y) <= pv.dist_to_int(x) + pv.dist_to_int(y) + 1e-12
-
-
-def test_homoclinic_profile_golden(golden):
-    beta = (1 - math.sqrt(5)) / 2
-    pts, slope = pv.homoclinic_profile(golden, pv.fe_rational(golden, 1), range(0, 31))
-    assert pts[0] == (0, 0.0)
-    # alpha^j sits |beta|^j away from the Lucas number L_j; that residue is the
-    # nearest-integer distance once it drops below 1/2 (j >= 2)
-    assert abs(pts[1][1] - (1 - abs(beta))) < 1e-12
-    for j, dist in pts[2:]:
-        assert abs(dist - abs(beta) ** j) < 1e-12
-    assert abs(slope - math.log(abs(beta))) < 0.1 * abs(math.log(abs(beta)))
-
-
-def test_homoclinic_slope_bound(golden, plastic):
-    for f in (golden, plastic):
-        top = math.log(max(abs(z) for z in f.roots[1:]))
-        for coords in ([1] + [0] * (f.degree - 1), [1] * f.degree):
-            pts, slope = pv.homoclinic_profile(f, pv.fe(f, coords), range(0, 41))
-            assert slope <= top + 0.05
-
-
-def test_homoclinic_large_j_no_blowup(golden):
-    # j = 200: alpha^200 ~ 1e41 is far beyond double mantissa; the residue
-    # route must still produce the exact conjugate-power distance
-    pts, _ = pv.homoclinic_profile(golden, pv.fe_rational(golden, 1), [200])
-    beta = (1 - math.sqrt(5)) / 2
-    assert pts[0][1] == pytest.approx(abs(beta) ** 200, rel=1e-6)
-
-
 def _vandermonde(f):
     # V[i, k] = alpha_k^i from the certified roots, independently of the Lagrange row
     return np.array([[z**i for z in f.roots] for i in range(f.degree)])

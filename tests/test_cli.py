@@ -355,7 +355,7 @@ EXTENDED_BYTES = (
     (("phihat-orbit", "--mask", "dyadic", "--lambda", "3/2", "--jmax", "150", "--precision-bits", "256"),
      "01d99cf37253941ddda82b5ba86d193fd305c3451a8a68703f3b1f197b92b29b"),
     (("vanishing-probe", "--mask", "bernoulli", "--poly", "-1,-1,0", "--lambda", "1,2", "--jmax", "40"),
-     "d7842a465ec8ecfa3fee3113a29c1f8b3162241c89ec6bdd3c8ccccc10af1185"),
+     "2f6d72e2b63d7c7fda51541ae1ba9d8e119cebdba1c229e5801a7dac23952639"),
     (("symbol-scan", "--mask", "golden_vector", "--range", "2097152:2097202", "--step", "0.01"),
      "ed874a35096797ed13afd02e4fe3d9bf122726d6ef16c7e88f3d4d712ec65215"),
     # phases of negative arguments past 2^20, and of an mpf orbit at 320 bits

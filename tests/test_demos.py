@@ -14,8 +14,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 # public functions that no cli.py line, demo, README line or test_acceptance.py
 # line names: only the library and its unit tests use them
 UNREACHED = {
-    "dist_to_int", "fe_alpha", "homoclinic_profile", "integer_dilation_field", "laurent", "laurent_embed",
-    "laurent_int", "make_mask",
+    "fe_alpha", "integer_dilation_field", "laurent", "laurent_embed", "laurent_int", "make_mask",
 }
 
 

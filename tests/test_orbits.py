@@ -2,18 +2,21 @@
 
 orbit_phases equals a 1,200-bit frac(mu alpha^n) over the benchmark's PV pool
 and three integer dilations; the orbits built on it (bernoulli_orbit,
-phihat_orbit) give at 128 bits the values of a 1,024-bit run; and the
-lambda = 1/3 orbit follows a 1,200-bit product out to J = 400.
+phihat_orbit) give at 128 bits the values of a 1,024-bit run; the Bernoulli
+orbits of lambda = 1/3, 1 and 2 follow a 1,200-bit product out to J = 400; and
+phihat_orbit takes its entries with |lambda alpha^n| <= 1 from phihat_grid.
 """
 
+import csv
 import functools
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 import pvrefine as pv
-from pvrefine import refinement as rf
+from pvrefine import cli, refinement as rf
 from pvrefine.algebraic_core import orbit_fractions, orbit_phases, working_precision
 
 pytest.importorskip("hypothesis")
@@ -102,16 +105,61 @@ def _bernoulli_phihat_1200(coeffs, lam, J):
         return complex(val)
 
 
-@pytest.mark.parametrize("coeffs", [(-1, -1), (-1, -1, -1), (-1, -1, 0)])
-def test_third_orbit_follows_1200_bit_product_to_400(coeffs):
+# golden, tribonacci and plastic at lambda = 1/3, 1 and 2; the lambda = 1/3 cases keep
+# their ids coeffs0..coeffs2
+@pytest.mark.parametrize("coeffs, lam", [
+    pytest.param(coeffs, lam, id="coeffs%d%s" % (i, "-lam%s" % lam if lam != Fraction(1, 3) else ""))
+    for i, coeffs in enumerate([(-1, -1), (-1, -1, -1), (-1, -1, 0)]) for lam in (Fraction(1, 3), 1, 2)])
+def test_third_orbit_follows_1200_bit_product_to_400(coeffs, lam):
     # lambda = 1/3 is not a float, and float(1/3) alpha^J leaves the orbit (1/17,000 of
-    # the value at J = 120).  The error left is that of the float points below 2^20;
-    # each later step adds only its float64 rounding (about 3e-16)
-    lam = Fraction(1, 3)
+    # the value at J = 120).  Every factor past |lambda alpha^n| = 1 takes exact phases,
+    # so the orbit keeps the start's error plus about 3e-16 of float64 rounding a step
     orbit = dict(rf.phihat_orbit(rf.builtin_mask("bernoulli", field(coeffs)), lam, range(0, 401)))
     errs = {}
     for J in (60, 120, 200, 300, 400):
         want = _bernoulli_phihat_1200(coeffs, lam, J)
         errs[J] = abs(orbit[J].value - want) / abs(want)
-    assert max(errs.values()) < 2e-9, errs
+    assert max(errs.values()) < 1e-12, errs
     assert errs[400] <= errs[60] + 1e-12, errs
+
+
+def test_orbit_starts_from_the_grid_at_the_last_point_within_one():
+    # a chain of exact phases from J = -700 would carry a conjugate part near 2^486 past
+    # the precision budget: every entry with |lambda alpha^n| <= 1 is phihat_grid's own
+    for mask, js in ((rf.builtin_mask("bernoulli", field((-1, -1))), range(-700, 6)),
+                     (rf.builtin_mask("golden_vector"), range(-1000, 4))):
+        orbit = rf.phihat_orbit(mask, 1, js)
+        assert [j for j, _ in orbit] == list(js)
+        with mp.workprec(pv.precision_bits()):
+            xs = [float(mp.re(mask.field.roots_mp[0]) ** j) for j in js]
+        direct = [(j, x, sv) for (j, sv), x in zip(orbit, xs) if abs(x) <= 1]
+        assert [j for j, _, _ in direct] == list(range(js[0], 1))
+        for j, x, sv in direct:
+            values, err = rf.phihat_grid(mask, x)
+            assert np.array_equal(sv.value, values) and sv.truncation_error == err, (mask.name, j)
+    # lambda = 0 stays at phihat(0)
+    for mask in (rf.builtin_mask("bernoulli", field((-1, -1, 0))), rf.builtin_mask("golden_vector")):
+        zero = rf.phihat_grid(mask, 0.0)[0]
+        assert all(np.array_equal(sv.value, zero) for _, sv in rf.phihat_orbit(mask, 0, range(-5, 40)))
+
+
+def test_vanishing_probe_follows_1200_bit_product(tmp_path):
+    out = tmp_path / "vp.csv"
+    argv = ["vanishing-probe", "--mask", "bernoulli", "--poly", "-1,-1,0", "--lambda", "1,2", "--jmax", "40"]
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    # |phihat(lam alpha^(J+1))| = |cos(pi lam alpha^J)| |phihat(lam alpha^J)| at 1,200 bits
+    # from the product at J = 0
+    want = {}
+    with mp.workprec(1200):
+        al = alpha_1200((-1, -1, 0))
+        for lam in (1, 2):
+            v = mp.mpf(abs(_bernoulli_phihat_1200((-1, -1, 0), Fraction(lam), 0)))
+            for J in range(41):
+                want["%d" % lam, "%d" % J] = float(v)
+                v *= abs(mp.cos(mp.pi * lam * al**J))
+    assert sorted((r["lambda"], r["J"]) for r in rows) == sorted(want)
+    for row in rows:
+        w = want[row["lambda"], row["J"]]
+        assert abs(float(row["abs_phihat"]) - w) <= 1e-13 * w, row

@@ -572,11 +572,11 @@ def test_homoclinic_window_decay(golden):
     # lambda = 1 passes the Pisot-set test: theta window dies at both ends
     assert pv.pisot_set_test(golden, pv.fe_rational(golden, 1))
     w = so.theta(golden, 1.0, -25, 25)
-    assert pv.dist_to_int(w.value(25)) < 1e-4
-    assert pv.dist_to_int(w.value(-25)) < 1e-4
+    assert abs(w.value(25) - round(w.value(25))) < 1e-4
+    assert abs(w.value(-25) - round(w.value(-25))) < 1e-4
     # a generic real fails: coordinates stay away from 0 somewhere deep
     w2 = so.theta(golden, math.pi, -25, 25)
-    deep = [pv.dist_to_int(w2.value(j)) for j in range(20, 26)]
+    deep = [abs(w2.value(j) - round(w2.value(j))) for j in range(20, 26)]
     assert max(deep) > 1e-3
 
 
