@@ -24,6 +24,7 @@ unit circle.
 """
 
 import contextvars
+import dataclasses
 import functools
 import itertools
 import math
@@ -654,27 +655,46 @@ def make_field(coeffs) -> NumberField:
     else:
         raise PrecisionError("roots not certified (disjoint disks below 1e-9, off |z| = 1) by %d bits" % prec)
 
-    # a disk that meets the real axis holds a real root (conjugate pairs keep their imaginary parts)
-    real = [abs(y) << t <= q << s for (_, y), (q, t) in zip(ws, bounds)]
+    with mp.workprec(prec):
+        real, cleaned, radii = _field_roots(s, roots, ws, bounds)
     if reciprocal:
         # the roots pair as z, 1/z: PV only for a real pair alpha, 1/alpha
         pv = "PV" if d == 2 and disc > 0 else "not-PV"
     else:
         pv = "PV" if real[0] and sides[0] == 1 and all(side == -1 for side in sides[1:]) else "not-PV"
-    with mp.workprec(prec):
-        cleaned = [mp.mpc(z.real) if r and z.imag else z for z, r in zip(roots, real)]
     a = sum(real[1:])
 
     return NumberField(
         coeffs=coeffs,
         degree=d,
         roots=tuple(complex(z) for z in cleaned),
-        radii=tuple(max(math.ldexp(q, -t), _RADIUS_FLOOR) for q, t in bounds),
+        radii=radii,
         pv_status=pv,
         real_count=a,
         complex_pair_count=(d - 1 - a) // 2,
-        roots_mp=tuple(cleaned),
+        roots_mp=cleaned,
     )
+
+
+def _field_roots(s, roots, ws, bounds):
+    """(real, roots_mp, radii) of a _certified_roots result: a disk that meets the real axis
+    holds a real root (conjugate pairs keep their imaginary parts), whose mpc drops its
+    imaginary part; the radii as floats, at least _RADIUS_FLOOR.  Call inside mp.workprec(prec)."""
+    real = [abs(y) << t <= q << s for (_, y), (q, t) in zip(ws, bounds)]
+    cleaned = tuple(mp.mpc(z.real) if r and z.imag else z for z, r in zip(roots, real))
+    return real, cleaned, tuple(max(math.ldexp(q, -t), _RADIUS_FLOOR) for q, t in bounds)
+
+
+@functools.lru_cache(maxsize=32)
+def _recertified(field: NumberField, prec: int) -> NumberField:
+    """field with its roots_mp and radii certified again at prec bits, or field itself
+    where they do not certify there."""
+    with mp.workprec(prec):
+        cert = _certified_roots(field.coeffs, prec)
+        if cert is None:
+            return field
+        _, roots_mp, radii = _field_roots(*cert)
+    return dataclasses.replace(field, roots_mp=roots_mp, radii=radii)
 
 
 def integer_dilation_field(n: int) -> NumberField:
@@ -781,7 +801,9 @@ def orbit_phases(field: NumberField, mu: FieldElement, n_lo: int, n_hi: int, mod
     sigma_k(mu alpha^n) (mpf) and bounds[i] >= the sum of their moduli (float, b_n).  The
     conjugates step by alpha_k from sigma_k(mu) alpha_k^n_lo at precision_bits() plus the bits
     of the largest at n_lo; the one budget keeps 32 fractional bits of the largest over the
-    range, there and in the root radii (a PV field trips it only from about 2^470 at n_lo)."""
+    range, there and in the root radii.  Where the field's radii leave the largest fewer
+    than precision_bits() fractional bits, the roots are certified again at the bits needed,
+    which _RADIUS_FLOOR caps: a PV field trips the budget only from about 2^920 at n_lo."""
     nu = fe_mul(field, mu, alpha_power(field, n_lo))
     n = max(n_hi - n_lo + 1, 0)
     traces, ks = _traces(field, nu.nums, n, mod * nu.den), range(1, field.degree)
@@ -792,11 +814,19 @@ def orbit_phases(field: NumberField, mu: FieldElement, n_lo: int, n_hi: int, mod
     logs = [(math.log2(abs(z)), top - math.log2(mu.den) + math.log2(
         sum(abs(q) / (1 << top) * abs(z) ** i for i, q in enumerate(mu.nums)))) for z in field.roots[1:]]
     lg_lo, lg_hi = (max(s + e * lr for lr, s in logs) for e in (n_lo, n_hi))
-    wp = precision_bits() + max(0, math.ceil(lg_lo))
-    # each step multiplies in a root's relative error, its radius over its modulus
-    root_bits = -max(math.log2(field.radii[k] / abs(field.roots[k])) for k in ks) - math.log2(1 + abs(n_lo) + n)
+    lg, wp = max(lg_lo, lg_hi), precision_bits() + max(0, math.ceil(lg_lo))
+    span = math.log2(1 + abs(n_lo) + n)
+
+    def root_bits(f):
+        # each step multiplies in a root's relative error, its radius over its modulus
+        return -max(math.log2(f.radii[k] / abs(f.roots[k])) for k in ks) - span
+
+    if root_bits(field) < lg + precision_bits() and lg + 32 < -math.log2(_RADIUS_FLOOR) - span:
+        # the roots keep the working precision's fractional bits, as the conjugates do, where
+        # the radius floor lets them; a certification at prec bits gives radii near 2^-prec
+        field = _recertified(field, 64 * math.ceil((lg + precision_bits() + span) / 64) + 64)
     _check_fraction_bits("conjugate part of mu alpha^n at n=%d" % (n_lo if lg_lo >= lg_hi else n_hi), 1.0,
-                         max(lg_lo, lg_hi), int(min(wp, root_bits)))
+                         lg, int(min(wp, root_bits(field))))
     with mp.workprec(wp):
         zs = [fe_embed(field, mu, k, wp) * field.roots_mp[k] ** n_lo for k in ks]
         lg_z = [float(mp.log(abs(z), 2)) for z in zs]
@@ -809,14 +839,16 @@ def orbit_phases(field: NumberField, mu: FieldElement, n_lo: int, n_hi: int, mod
 
 def orbit_fractions(field: NumberField, mu: FieldElement, n_lo: int, n_hi: int):
     """frac(sigma_1(mu alpha^n)), n = n_lo..n_hi, from orbit_phases as floats in [0, 1]:
-    t / den by int true division in degree 1 or at mu = 0, else at precision_bits() after
-    the residue loses its nearest integer (exactly; a residue below 1/2 keeps its own bits)."""
+    t / den - r exactly in Python ints, for the residue r = +-m 2^e of any size, then
+    rounded once by int true division."""
     den, traces, residues, _ = orbit_phases(field, mu, n_lo, n_hi)
-    if field.degree == 1 or mu.is_zero():
-        return [t / den for t in traces]
-    with mp.workprec(precision_bits()):
-        xs = [mp.mpf(t) / den - (r - mp.nint(r)) for t, r in zip(traces, residues)]
-        return [float(x - mp.floor(x)) for x in xs]
+    out = []
+    for t, r in zip(traces, residues):
+        sign, m, e, _ = r._mpf_
+        k = max(0, -e)  # t / den - r = ((t << k) - r 2^k den) / (den << k), an exact quotient
+        num, d = (t << k) - ((-m if sign else m) * den << (e + k)), den << k
+        out.append(num % d / d)
+    return out
 
 
 @functools.lru_cache(maxsize=32)

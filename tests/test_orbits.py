@@ -163,3 +163,15 @@ def test_vanishing_probe_follows_1200_bit_product(tmp_path):
     for row in rows:
         w = want[row["lambda"], row["J"]]
         assert abs(float(row["abs_phihat"]) - w) <= 1e-13 * w, row
+
+
+@pytest.mark.parametrize("coeffs, lam", [((-1, -1), 10**72), ((-1, -1, 0), 10**100), ((-1, -1, -1), 10**100)])
+def test_orbit_past_the_field_radii_follows_1200_bit_product(coeffs, lam):
+    # the chain starts with a conjugate part near 2^480 or more, past what make_field's radii
+    # certify at 128 bits (about 2^470): the roots are certified again, and each residue,
+    # hundreds of bits past the working precision, comes off its trace exactly.  By J = 400
+    # the values fall below the smallest double, so J stops at 40
+    orbit = dict(rf.phihat_orbit(rf.builtin_mask("bernoulli", field(coeffs)), lam, range(0, 41)))
+    for J in (0, 40):
+        want = _bernoulli_phihat_1200(coeffs, Fraction(lam), J)
+        assert abs(orbit[J].value - want) <= 1e-12 * abs(want), (J, orbit[J].value, want)
