@@ -27,13 +27,8 @@ from .algebraic_core import (
     LaurentTranslate,
     NumberField,
     fe,
-    fe_alpha,
     fe_rational,
     first_lagrange_row,
-    integer_dilation_field,
-    laurent,
-    laurent_embed,
-    laurent_int,
     make_field,
     norm,
     parse_poly,
@@ -50,7 +45,6 @@ from .refinement import (
     eval_phihat,
     eval_symbol,
     eval_symbol_grid,
-    make_mask,
     mask_from_file,
     phihat_grid,
     phihat_orbit,

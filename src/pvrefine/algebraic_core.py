@@ -803,7 +803,8 @@ def orbit_phases(field: NumberField, mu: FieldElement, n_lo: int, n_hi: int, mod
     of the largest at n_lo; the one budget keeps 32 fractional bits of the largest over the
     range, there and in the root radii.  Where the field's radii leave the largest fewer
     than precision_bits() fractional bits, the roots are certified again at the bits needed,
-    which _RADIUS_FLOOR caps: a PV field trips the budget only from about 2^920 at n_lo."""
+    which _RADIUS_FLOOR caps: a PV field trips the budget only from about 2^920 at n_lo,
+    where no precision lifts it and the PrecisionError says so."""
     nu = fe_mul(field, mu, alpha_power(field, n_lo))
     n = max(n_hi - n_lo + 1, 0)
     traces, ks = _traces(field, nu.nums, n, mod * nu.den), range(1, field.degree)
@@ -817,16 +818,19 @@ def orbit_phases(field: NumberField, mu: FieldElement, n_lo: int, n_hi: int, mod
     lg, wp = max(lg_lo, lg_hi), precision_bits() + max(0, math.ceil(lg_lo))
     span = math.log2(1 + abs(n_lo) + n)
 
-    def root_bits(f):
+    def root_bits(radii):
         # each step multiplies in a root's relative error, its radius over its modulus
-        return -max(math.log2(f.radii[k] / abs(f.roots[k])) for k in ks) - span
+        return -max(math.log2(radii[k] / abs(field.roots[k])) for k in ks) - span
 
-    if root_bits(field) < lg + precision_bits() and lg + 32 < -math.log2(_RADIUS_FLOOR) - span:
+    # the most any precision gives: every radius at the floor
+    reachable = lg + 32 < root_bits([_RADIUS_FLOOR] * field.degree)
+    if root_bits(field.radii) < lg + precision_bits() and reachable:
         # the roots keep the working precision's fractional bits, as the conjugates do, where
         # the radius floor lets them; a certification at prec bits gives radii near 2^-prec
         field = _recertified(field, 64 * math.ceil((lg + precision_bits() + span) / 64) + 64)
     _check_fraction_bits("conjugate part of mu alpha^n at n=%d" % (n_lo if lg_lo >= lg_hi else n_hi), 1.0,
-                         lg, int(min(wp, root_bits(field))))
+                         lg, int(min(wp, root_bits(field.radii))), "raise --precision-bits" if reachable else
+                         "no --precision-bits reaches this orbit, as the root radii stop at %g" % _RADIUS_FLOOR)
     with mp.workprec(wp):
         zs = [fe_embed(field, mu, k, wp) * field.roots_mp[k] ** n_lo for k in ks]
         lg_z = [float(mp.log(abs(z), 2)) for z in zs]

@@ -7,10 +7,15 @@ the `_COMMANDS` table: its handler and, per option, a default or `_REQUIRED`.
 Each option is one `RunConfig` field, which holds its flag, converter, help and
 range rule for argv, --config, --help and the checks alike.  RunConfig fills the
 defaults and refuses a missing required option from the command table, and
-`pvrefine <command> --help` prints them.  Output is reproducible byte for byte: CSV is RFC-4180 style (CRLF line ends, '.' decimal point,
-17 significant digits) and SVG is assembled by plain string formatting, so
-identical configs give identical files.  --threads is accepted and validated
-for compatibility; every subcommand runs serially.
+`pvrefine <command> --help` prints them.
+
+Each handler returns its table as columns, and its plot is built from them.
+Output is reproducible byte for byte: `emit_csv` formats each column once and
+writes the rows in one %-format pass, RFC-4180 style (CRLF line ends, '.'
+decimal point, 17 significant digits, text quoted where csv.writer would quote
+it), and SVG is assembled by plain string formatting, so identical configs give
+identical files.  --threads is accepted and validated for compatibility; every
+subcommand runs serially.
 
 argv is the command, then `--flag VALUE`, `--flag=VALUE` or the bare `--svg`,
 each flag matched by exact name; a value may start with '-' unless it is a
@@ -25,7 +30,6 @@ error reported as one `error: ...` line on stderr.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 import sys
@@ -181,60 +185,62 @@ class PlotSpec:
 # emitters
 
 
-def _cell(v) -> str:
-    # str already gives the text of bools, ints, strings and complexes
+def _cell(v, blank: str = "") -> str:
+    # the text csv.writer writes for v: a float's 17 digits, else str, in double quotes
+    # with each " doubled if it holds , " \r or \n, and `blank` if empty
     if v is None:
-        return ""
+        return blank
     if isinstance(v, (float, np.floating)):
         return "%.17g" % v
-    return str(v)
+    s = str(v)
+    if not s:
+        return blank
+    if "," in s or '"' in s or "\r" in s or "\n" in s:
+        return '"%s"' % s.replace('"', '""')
+    return s
 
 
 _FLOATS = {float, np.float64}
 _BLOCK_ROWS = 4096
 
 
-def emit_csv(rows, header, path) -> None:
-    """RFC-4180-style CSV: CRLF, '.' decimal separator, 17 significant digits.
+def emit_csv(cols, header, path) -> None:
+    """RFC-4180-style CSV of a table given as columns, one per header name: CRLF,
+    '.' decimal separator, 17 significant digits; the bytes csv.writer writes.
 
-    Each column is formatted in one pass (%.17g for floats, empty if all None,
-    else its `_cell` text), one %-format per block of `_BLOCK_ROWS` rows.  A float
-    column of one nonzero, non-NaN value is written once, as a literal of the row
-    format; 0.0 and NaN are excluded since -0.0 == 0.0 and nan != nan.  A table
-    csv.writer would quote (one column, an empty or quote-worthy cell) goes through it.
+    Each column is formatted once (%.17g for floats, empty if all None, else its
+    `_cell` text), then the rows are written by one %-format per block of `_BLOCK_ROWS`.
+    A float column of one nonzero, non-NaN value is written once, as a literal of the
+    row format; 0.0 and NaN are excluded since -0.0 == 0.0 and nan != nan.  Text is
+    quoted as csv.writer quotes it: a cell holding , " \\r or \\n, and an empty cell of
+    a one-column table.  ValueError unless the columns match the header and are all
+    of one length.
     """
     header = list(header)
-    rows = [list(r) for r in rows]
-    for r in rows:
-        if len(r) != len(header):
-            raise ValueError("rows must be rectangular (want %d columns, got %d)" % (len(header), len(r)))
-    slots, cols, texts = [], [], []
-    for col in zip(*rows):
+    cols = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in cols]
+    n = len(cols[0]) if cols else 0
+    if len(cols) != len(header) or any(len(c) != n for c in cols):
+        raise ValueError("want %d columns of one length, got lengths %s" % (len(header), [len(c) for c in cols]))
+    blank = '""' if len(header) == 1 else ""
+    slots, args = [], []
+    for col in cols:
         kinds = set(map(type, col))
-        if kinds <= _FLOATS and col[0] and col[0] == col[0] and col.count(col[0]) == len(col):
+        if kinds <= _FLOATS and n and col[0] and col[0] == col[0] and col.count(col[0]) == n:
             slots.append("%.17g" % col[0])  # no '%' in a float's text
         elif kinds <= _FLOATS:
             slots.append("%.17g")
-            cols.append(col)
+            args.append(col)
         elif kinds == {type(None)}:
-            slots.append("")
+            slots.append(blank)
         else:
             slots.append("%s")
-            cols.append(list(map(_cell, col)))
-            texts.append(cols[-1])
-    joined = "".join(chain.from_iterable(texts))
+            args.append([_cell(v, blank) for v in col])
+    fmt = ",".join(slots) + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\r\n")
-        w.writerow(header)
-        # csv.writer quotes , " \r and \n, and alone decides how an empty field is written
-        if len(header) < 2 or any("" in t for t in texts) or any(ch in joined for ch in ',"\r\n'):
-            for r in rows:
-                w.writerow([_cell(v) for v in r])
-            return
-        fmt = ",".join(slots) + "\r\n"
-        for i in range(0, len(rows), _BLOCK_ROWS):
-            n = min(_BLOCK_ROWS, len(rows) - i)
-            fh.write((fmt * n) % tuple(chain.from_iterable(zip(*(c[i:i + n] for c in cols)))))
+        fh.write(",".join(_cell(h, blank) for h in header) + "\r\n")
+        for i in range(0, n, _BLOCK_ROWS):
+            k = min(_BLOCK_ROWS, n - i)
+            fh.write((fmt * k) % tuple(chain.from_iterable(zip(*(c[i:i + k] for c in args)))))
 
 
 _SVG_W, _SVG_H = 800.0, 500.0
@@ -333,18 +339,6 @@ def _magnitudes(vals, lead: int = 1):
     return np.linalg.svd(v[..., None, :] if v.ndim == lead + 1 else v, compute_uv=False)[..., -1]
 
 
-def _magnitude(sv_value) -> float:
-    return float(_magnitudes(sv_value, 0))
-
-
-def _sv_row(x, sv):
-    v = np.asarray(sv.value)
-    if v.ndim == 0:
-        z = complex(v)
-        return [x, z.real, z.imag, abs(z), float(sv.truncation_error)]
-    return [x, None, None, _magnitude(v), float(sv.truncation_error)]
-
-
 def _grid(lo: float, hi: float, step: float):
     if hi <= lo:
         raise ValueError("--range needs lo < hi")
@@ -355,17 +349,17 @@ def _grid(lo: float, hi: float, step: float):
 
 # ---------------------------------------------------------------------------
 # subcommand handlers; each reads a resolved RunConfig and returns
-# (header, rows, summary lines, plot), where plot is None or a zero-argument
-# callable giving the PlotSpec, called only under --svg
+# (header, columns, summary lines, plot), where plot is None or a zero-argument
+# callable giving the PlotSpec from the columns, called only under --svg
 
 
 def _cmd_field_check(cfg: RunConfig):
     f = make_field(cfg.poly)
     mods = sorted(abs(r) for r in f.roots)
     conj = mods[-2] if len(mods) > 1 else 0.0
-    rows = [[k, r.real, r.imag, abs(r)] for k, r in enumerate(f.roots)]
+    cols = [range(f.degree), [r.real for r in f.roots], [r.imag for r in f.roots], [abs(r) for r in f.roots]]
     summary = "%s, degree %d, conjugate modulus %.4f" % (f.pv_status, f.degree, conj)
-    return ["k", "re", "im", "abs"], rows, [summary], None
+    return ["k", "re", "im", "abs"], cols, [summary], None
 
 
 def _cmd_symbol_scan(cfg: RunConfig):
@@ -373,27 +367,24 @@ def _cmd_symbol_scan(cfg: RunConfig):
     (lo, hi), step = cfg.range, cfg.grid_step
     ys = _grid(lo, hi, step)
     vals, tail = eval_symbol_grid(mask, ys, cfg.tol)
-    y_list = ys.tolist()
     if mask.rank == 1:
         # abs of each complex, not the vectorized np.abs: the two can differ in the last bit,
         # and the CSV, the minimum and the plot all take these
-        zs = vals.tolist()
-        m_list = [abs(z) for z in zs]
-        rows = [[y, z.real, z.imag, m, tail] for y, z, m in zip(y_list, zs, m_list)]
+        re, im, mags = vals.real, vals.imag, [abs(z) for z in vals.tolist()]
     else:
-        m_list = _magnitudes(vals).tolist()
-        rows = [[y, None, None, m, tail] for y, m in zip(y_list, m_list)]
-    i = int(np.argmin(m_list))
+        re = im = [None] * len(ys)
+        mags = _magnitudes(vals).tolist()
+    i = int(np.argmin(mags))
     summary = "min |ahat| = %.6g at y = %.6g over [%g, %g] step %g (%d points)" % (
-        m_list[i], y_list[i], lo, hi, step, len(ys),
+        mags[i], ys[i], lo, hi, step, len(ys),
     )
     plot = lambda: PlotSpec(
-        points=np.column_stack((ys, m_list)),
+        points=np.column_stack((ys, mags)),
         xlabel="y",
         ylabel="|ahat(y)|",
         title="Fourier symbol modulus: %s" % mask.name,
     )
-    return ["y", "re", "im", "abs", "truncation_error"], rows, [summary], plot
+    return ["y", "re", "im", "abs", "truncation_error"], [ys, re, im, mags, [tail] * len(ys)], [summary], plot
 
 
 def _lambdas(cfg: RunConfig):
@@ -414,35 +405,38 @@ def _cmd_phihat_orbit(cfg: RunConfig):
     jmin, jmax = cfg.j_min, cfg.J_max
     if jmax < jmin:
         raise ValueError("--jmax must be >= --jmin")
-    orbit = phihat_orbit(mask, lams[0], range(jmin, jmax + 1), cfg.tol)
-    rows = [_sv_row(j, sv) for j, sv in orbit]
-    v = np.asarray(orbit[-1][1].value)
-    if v.ndim == 0:
-        z = complex(v)
-        summary = "tail value %.6g%+.6gi (modulus %.6g) at J=%d" % (z.real, z.imag, abs(z), jmax)
+    js = range(jmin, jmax + 1)
+    orbit = phihat_orbit(mask, lams[0], js, cfg.tol)
+    vals = [sv.value for _, sv in orbit]
+    errs = [float(sv.truncation_error) for _, sv in orbit]
+    if mask.rank == 1:
+        re, im, mags = [z.real for z in vals], [z.imag for z in vals], [abs(z) for z in vals]
+        summary = "tail value %.6g%+.6gi (modulus %.6g) at J=%d" % (re[-1], im[-1], mags[-1], jmax)
     else:
-        summary = "tail smallest singular value %.6g at J=%d" % (_magnitude(v), jmax)
+        re = im = [None] * len(vals)
+        mags = _magnitudes(vals).tolist()
+        summary = "tail smallest singular value %.6g at J=%d" % (mags[-1], jmax)
     plot = lambda: PlotSpec(
-        points=tuple((float(j), r[3]) for j, r in zip(range(jmin, jmax + 1), rows)),
+        points=np.column_stack((js, mags)),
         xlabel="J",
         ylabel="|phihat(lambda alpha^J)|",
         title="dilation orbit: %s, lambda=%g" % (mask.name, float(lams[0])),
     )
-    return ["j", "re", "im", "abs", "truncation_error"], rows, [summary], plot
+    return ["j", "re", "im", "abs", "truncation_error"], [js, re, im, mags, errs], [summary], plot
 
 
 def _cmd_bernoulli(cfg: RunConfig):
     values, bound = bernoulli_orbit(make_field(cfg.poly), cfg.J_max, cfg.j_min)
-    rows = [[J, z.real, z.imag, abs(z)] for J, z in enumerate(values)]
+    js, mags = range(len(values)), [abs(z) for z in values]
     summary = "|phihat| tail %.6g at J=%d (cutoff j_min=%d, dropped-factor bound %.3g)" % (
-        rows[-1][3], cfg.J_max, cfg.j_min, bound)
+        mags[-1], cfg.J_max, cfg.j_min, bound)
     plot = lambda: PlotSpec(
-        points=tuple((float(r[0]), r[3]) for r in rows),
+        points=np.column_stack((js, mags)),
         xlabel="J",
         ylabel="|phihat(alpha^J)|",
         title="Bernoulli convolution orbit",
     )
-    return ["j", "re", "im", "abs"], rows, [summary], plot
+    return ["j", "re", "im", "abs"], [js, [z.real for z in values], [z.imag for z in values], mags], [summary], plot
 
 
 def _cmd_lattice_density(cfg: RunConfig):
@@ -453,23 +447,20 @@ def _cmd_lattice_density(cfg: RunConfig):
     cyl = LatticeCylinder(L, cfg.m, cfg.eps)
     gamma = gamma_density(f, cyl)
     ys = enumerate_Y(f, cyl)
-    rows = []
-    for t in (L / 100.0, L / 10.0, L):
-        if t < 1.0:
-            continue
-        cnt = int(np.searchsorted(ys, t, "right") - np.searchsorted(ys, -t, "left"))
-        dens = cnt / (2.0 * t)
-        rows.append([t, cnt, dens, gamma, abs(dens - gamma) / gamma])
+    ts = [t for t in (L / 100.0, L / 10.0, L) if t >= 1.0]
+    cnts = [int(np.searchsorted(ys, t, "right") - np.searchsorted(ys, -t, "left")) for t in ts]
+    dens = [cnt / (2.0 * t) for t, cnt in zip(ts, cnts)]
+    errs = [abs(d - gamma) / gamma for d in dens]
     summary = "card Y(%g) = %d, density %.6g vs gamma %.6g (rel err %.3g)" % (
-        L, rows[-1][1], rows[-1][2], gamma, rows[-1][4],
+        L, cnts[-1], dens[-1], gamma, errs[-1],
     )
-    plot = None if len(rows) < 2 else lambda: PlotSpec(
-        points=tuple((math.log10(r[0]), r[4]) for r in rows),
+    plot = None if len(ts) < 2 else lambda: PlotSpec(
+        points=np.column_stack(([math.log10(t) for t in ts], errs)),
         xlabel="log10 L",
         ylabel="relative error",
         title="lattice density vs gamma",
     )
-    return ["L", "count", "density", "gamma", "rel_err"], rows, [summary], plot
+    return ["L", "count", "density", "gamma", "rel_err"], [ts, cnts, dens, [gamma] * len(ts), errs], [summary], plot
 
 
 def _cmd_zeros_scan(cfg: RunConfig):
@@ -483,75 +474,71 @@ def _cmd_zeros_scan(cfg: RunConfig):
     z = scan_near_zeros(lambda ys: _magnitudes(ev(mask, ys)[0]), hi, step, delta)
     lo_d, hi_d = density_estimate(z)
     pos = np.asarray(z.positions())
-    rows = []
-    for k in range(1, 11):
-        t = k * hi / 10.0
-        cnt = int(np.searchsorted(pos, t, side="right")) if pos.size else 0
-        rows.append([t, cnt, cnt / t])
+    ts = [k * hi / 10.0 for k in range(1, 11)]
+    cnts = [int(np.searchsorted(pos, t, side="right")) if pos.size else 0 for t in ts]
+    dens = [cnt / t for t, cnt in zip(ts, cnts)]
     summary = "%d near-zeros of |%s| below delta=%g on [0, %g]; density in [%.6g, %.6g]" % (
         len(z.points), target, delta, hi, lo_d, hi_d,
     )
     plot = lambda: PlotSpec(
-        points=tuple((r[0], r[2]) for r in rows),
+        points=np.column_stack((ts, dens)),
         xlabel="t",
         ylabel="count / t",
         title="near-zero density: %s" % mask.name,
     )
-    return ["t", "count", "density"], rows, [summary], plot
+    return ["t", "count", "density"], [ts, cnts, dens], [summary], plot
 
 
 def _cmd_vanishing_probe(cfg: RunConfig):
     mask = _mask_of(cfg)
     lams = [fe_rational(mask.field, q) for q in _lambdas(cfg)]
     records = vanishing_probe(mask, lams, cfg.J_max, cfg.delta, cfg.tol)
-    rows, lines = [], []
+    cols, lines = [[], [], [], []], []
     for rec in records:
-        for J, v in enumerate(rec.values):
-            rows.append([rec.lam_value, J, v, rec.verdict])
+        k = len(rec.values)
+        cols[0] += [rec.lam_value] * k
+        cols[1] += range(k)
+        cols[2] += rec.values
+        cols[3] += [rec.verdict] * k
         lines.append(
             "lambda=%.6g: %s (tail level %.3g, slope %.3g)"
             % (rec.lam_value, rec.verdict, rec.tail_mean, rec.slope)
         )
     r0 = records[0]
     plot = lambda: PlotSpec(
-        points=tuple((float(J), v) for J, v in enumerate(r0.values)),
+        points=np.column_stack((range(len(r0.values)), r0.values)),
         xlabel="J",
         ylabel="|phihat(lambda alpha^J)|",
         title="vanishing probe: %s, lambda=%g" % (mask.name, r0.lam_value),
     )
-    return ["lambda", "J", "abs_phihat", "verdict"], rows, lines, plot
+    return ["lambda", "J", "abs_phihat", "verdict"], cols, lines, plot
 
 
 def _cmd_norms_count(cfg: RunConfig):
     L, box = int(cfg.L), cfg.box
     count, exponent, pts = count_norm_values(make_field(cfg.poly), L, box, checkpoints=True)
-    rows = []
-    prev = None
-    for t, cnt in pts:
-        ratio = cnt / prev if prev else float("nan")
-        rows.append([t, cnt, ratio])
-        prev = cnt
+    ts, cnts = [t for t, _ in pts], [cnt for _, cnt in pts]
+    ratios = [cnt / prev if prev else float("nan") for prev, cnt in zip([None] + cnts, cnts)]
     summary = "%d distinct norm values in [1, %d] (box %d); fitted exponent %.4f" % (
         count, L, box, exponent,
     )
-    plot = None if len(rows) < 2 else lambda: PlotSpec(
-        points=tuple((math.log10(r[0]), math.log10(r[1])) for r in rows),
+    plot = None if len(ts) < 2 else lambda: PlotSpec(
+        points=[(math.log10(t), math.log10(cnt)) for t, cnt in zip(ts, cnts)],
         xlabel="log10 L",
         ylabel="log10 count",
         title="norm-value counting",
     )
-    return ["L", "count", "ratio"], rows, [summary], plot
+    return ["L", "count", "ratio"], [ts, cnts, ratios], [summary], plot
 
 
 def _cmd_equidistribution(cfg: RunConfig):
     n, samples, L, seed = cfg.n, cfg.samples, cfg.L, cfg.seed
     ys = np.random.default_rng(seed).uniform(0.0, L, size=samples)
     disc = equidistribution_check(make_field(cfg.poly), ys, n)
-    rows = [[n, samples, L, seed, disc]]
     summary = "discrepancy %.6g for n=%d over %d samples in [0, %g) (seed %d)" % (
         disc, n, samples, L, seed,
     )
-    return ["n", "samples", "L", "seed", "discrepancy"], rows, [summary], None
+    return ["n", "samples", "L", "seed", "discrepancy"], [[n], [samples], [L], [seed], [disc]], [summary], None
 
 
 # the one command table: name -> (handler, {option: default or _REQUIRED}), in
@@ -581,12 +568,12 @@ def run(cfg: RunConfig) -> int:
     # the precision holds for this invocation only; precision_bits() refuses one under 64 bits
     token = working_precision.set(working_precision.get() if cfg.precision_bits is None else cfg.precision_bits)
     try:
-        header, rows, lines, plot = _COMMANDS[cfg.command][0](cfg)
+        header, cols, lines, plot = _COMMANDS[cfg.command][0](cfg)
     finally:
         working_precision.reset(token)
     out = cfg.out if cfg.out is not None else "%s.csv" % cfg.command
-    emit_csv(rows, header, out)
-    lines.append("wrote %s (%d rows)" % (out, len(rows)))
+    emit_csv(cols, header, out)
+    lines.append("wrote %s (%d rows)" % (out, len(cols[0])))
     if cfg.svg:
         if plot is None:
             raise ValueError("--svg is not available for %s (no plottable series)" % cfg.command)

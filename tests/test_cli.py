@@ -25,14 +25,14 @@ def run_cli(*argv):
 
 def test_csv_header_only(tmp_path):
     p = tmp_path / "empty.csv"
-    cli.emit_csv([], ["a", "b"], p)
+    cli.emit_csv([[], []], ["a", "b"], p)
     assert p.read_bytes() == b"a,b\r\n"
 
 
 def test_csv_roundtrip_17_digits(tmp_path):
     p = tmp_path / "row.csv"
     vals = [1.0 / 3.0, 0.44721359549995793, -2.5e-17]
-    cli.emit_csv([vals], ["x", "y", "z"], p)
+    cli.emit_csv([[v] for v in vals], ["x", "y", "z"], p)
     with open(p, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["x", "y", "z"]
@@ -43,12 +43,18 @@ def test_csv_roundtrip_17_digits(tmp_path):
 
 def test_csv_rectangular_required(tmp_path):
     with pytest.raises(ValueError):
-        cli.emit_csv([[1, 2], [3]], ["a", "b"], tmp_path / "bad.csv")
+        cli.emit_csv([[1, 3], [2]], ["a", "b"], tmp_path / "bad.csv")
+
+
+@pytest.mark.parametrize("cols", [[[1.0], [2.0], [3.0]], [[1.0, 2.0]], []])
+def test_csv_one_column_per_header_name(tmp_path, cols):
+    with pytest.raises(ValueError):
+        cli.emit_csv(cols, ["a", "b"], tmp_path / "bad.csv")
 
 
 def test_csv_crlf_line_ends(tmp_path):
     p = tmp_path / "crlf.csv"
-    cli.emit_csv([[1, 2.5]], ["a", "b"], p)
+    cli.emit_csv([[1], [2.5]], ["a", "b"], p)
     data = p.read_bytes()
     assert data.count(b"\r\n") == 2
     assert b"\n" not in data.replace(b"\r\n", b"")
@@ -171,12 +177,11 @@ def test_symbol_scan_minimum_and_plot_read_the_csv_abs():
     # the dyadic scan where the vectorized np.abs and abs(z) differ in the last bit
     # (y = 0.01): the minimum and the plotted series are the CSV's own abs values
     cfg = cli.build_config(["symbol-scan", "--mask", "dyadic", "--range", "0:64", "--step", "0.01"])
-    _, rows, summary, plot = cli._cmd_symbol_scan(cfg)
-    mags = [r[3] for r in rows]
-    assert mags[1] == 0.99974935969516388 and mags[1] == abs(complex(rows[1][1], rows[1][2]))
+    _, (ys, re, im, mags, _), summary, plot = cli._cmd_symbol_scan(cfg)
+    assert mags[1] == 0.99974935969516388 and mags[1] == abs(complex(re[1], im[1]))
     assert [p[1] for p in plot().points] == mags
     i = mags.index(min(mags))
-    assert summary[0].startswith("min |ahat| = %.6g at y = %.6g" % (mags[i], rows[i][0]))
+    assert summary[0].startswith("min |ahat| = %.6g at y = %.6g" % (mags[i], ys[i]))
 
 
 def test_phihat_orbit_tail(tmp_path, capsys):
@@ -696,6 +701,14 @@ def test_numeric_budget_exit_3(tmp_path, capsys):
     assert rc == 3
     err = capsys.readouterr().err
     assert err.startswith("error: roots not certified") and "by 2048 bits" in err and err.count("\n") == 1
+    # lambda = 10^300 puts the golden orbit's conjugate part past what root radii at the
+    # 1e-290 floor certify, so no precision reaches it, and the message says so
+    rc = run_cli("phihat-orbit", "--mask", "golden_vector", "--lambda", "1e300", "--jmax", "2",
+                 "--precision-bits", "4096", "--out", str(tmp_path / "x.csv"))
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        "error: conjugate part of mu alpha^n at n=-1436 = 2^1994 overflows the 951-bit budget, leaving under 32 "
+        "fractional bits; no --precision-bits reaches this orbit, as the root radii stop at 1e-290\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,4 +1,5 @@
-"""emit_csv writes the bytes of csv.writer over the per-cell text, for any table."""
+"""emit_csv writes, from a table's columns, the bytes of csv.writer over its rows of
+per-cell text, for any table."""
 
 import csv
 import io
@@ -24,11 +25,11 @@ def _reference_cell(v) -> str:
     return str(v)
 
 
-def _reference_csv(rows, header) -> bytes:
+def _reference_csv(cols, header) -> bytes:
     buf = io.StringIO(newline="")
     w = csv.writer(buf, lineterminator="\r\n")
     w.writerow(header)
-    for r in rows:
+    for r in zip(*cols):
         w.writerow([_reference_cell(v) for v in r])
     return buf.getvalue().encode("utf-8")
 
@@ -59,18 +60,22 @@ def _tables(draw):
         kinds = draw(st.lists(st.sampled_from(sorted(_CELLS)), min_size=1, max_size=3, unique=True))
         cell = st.one_of(*(_CELLS[k] for k in kinds))
         cols.append(draw(st.lists(cell, min_size=nrows, max_size=nrows)))
-    return [list(r) for r in zip(*cols)], ["c%d" % k for k in range(ncols)]
+    return cols, ["c%d" % k for k in range(ncols)]
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(_tables(), st.integers(1, 5))
 def test_emit_csv_matches_csv_writer(table, block_rows):
-    rows, header = table
+    cols, header = table
     with tempfile.TemporaryDirectory() as d, mock.patch.object(cli, "_BLOCK_ROWS", block_rows):
         path = os.path.join(d, "t.csv")
-        cli.emit_csv(rows, header, path)
+        cli.emit_csv(cols, header, path)
         with open(path, "rb") as fh:
-            assert fh.read() == _reference_csv(rows, header)
+            assert fh.read() == _reference_csv(cols, header)
+
+
+def _columns(rows, ncols):
+    return [[r[k] for r in rows] for k in range(ncols)]
 
 
 @pytest.mark.parametrize("rows", [
@@ -86,9 +91,11 @@ def test_emit_csv_matches_csv_writer(table, block_rows):
     [[True, 1 + 2j, math.nan, -math.inf]] * 9000,  # more rows than one block
 ])
 def test_emit_csv_matches_csv_writer_examples(tmp_path, rows):
-    header = ["c%d" % k for k in range(len(rows[0]) if rows else 2)]
-    cli.emit_csv(rows, header, tmp_path / "t.csv")
-    assert (tmp_path / "t.csv").read_bytes() == _reference_csv(rows, header)
+    # each example is written as rows and passed as columns
+    cols = _columns(rows, len(rows[0]) if rows else 2)
+    header = ["c%d" % k for k in range(len(cols))]
+    cli.emit_csv(cols, header, tmp_path / "t.csv")
+    assert (tmp_path / "t.csv").read_bytes() == _reference_csv(cols, header)
 
 
 @pytest.mark.parametrize("rows", [
@@ -103,8 +110,19 @@ def test_emit_csv_matches_csv_writer_examples(tmp_path, rows):
     [[0.1, 1.0], [0.1, 1.0 + 2**-52]],                 # nearly equal is not equal
 ])
 def test_emit_csv_constant_columns_match_csv_writer(tmp_path, rows):
-    header = ["c%d" % k for k in range(len(rows[0]))]
+    cols = _columns(rows, len(rows[0]))
+    header = ["c%d" % k for k in range(len(cols))]
     for block in (1, 2, 4096):
         with mock.patch.object(cli, "_BLOCK_ROWS", block):
-            cli.emit_csv(rows, header, tmp_path / "t.csv")
-        assert (tmp_path / "t.csv").read_bytes() == _reference_csv(rows, header)
+            cli.emit_csv(cols, header, tmp_path / "t.csv")
+        assert (tmp_path / "t.csv").read_bytes() == _reference_csv(cols, header)
+
+
+def test_emit_csv_array_columns_match_their_lists(tmp_path):
+    # the commands pass numpy columns, which read as their tolist() values
+    z = np.exp(1j * np.linspace(0.0, 3.0, 7))
+    cols = [np.linspace(0.0, 1.0, 7), z.real, z.imag, np.arange(7), np.full(7, 0.5), [None] * 7]
+    header = ["c%d" % k for k in range(len(cols))]
+    cli.emit_csv(cols, header, tmp_path / "t.csv")
+    lists = [c.tolist() if isinstance(c, np.ndarray) else c for c in cols]
+    assert (tmp_path / "t.csv").read_bytes() == _reference_csv(lists, header)

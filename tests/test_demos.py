@@ -13,9 +13,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 # public functions that no cli.py line, demo, README line or test_acceptance.py
 # line names: only the library and its unit tests use them
-UNREACHED = {
-    "fe_alpha", "integer_dilation_field", "laurent", "laurent_embed", "laurent_int", "make_mask",
-}
+UNREACHED = set()
 
 
 def test_demos_run(capsys):

@@ -17,7 +17,7 @@ import pytest
 
 import pvrefine as pv
 from pvrefine import cli, refinement as rf
-from pvrefine.algebraic_core import orbit_fractions, orbit_phases, working_precision
+from pvrefine.algebraic_core import integer_dilation_field, orbit_fractions, orbit_phases, working_precision
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -32,7 +32,7 @@ orbit_property = settings(max_examples=80, deadline=None, derandomize=True, data
 
 @functools.lru_cache(maxsize=None)
 def field(coeffs):
-    return pv.integer_dilation_field(-coeffs[0]) if len(coeffs) == 1 else pv.make_field(coeffs)
+    return integer_dilation_field(-coeffs[0]) if len(coeffs) == 1 else pv.make_field(coeffs)
 
 
 @functools.lru_cache(maxsize=None)

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pvrefine as pv
+from pvrefine.algebraic_core import integer_dilation_field
 from pvrefine import refinement as rf
 from pvrefine import solenoid as so
 
@@ -596,7 +597,7 @@ def test_equidistribution_golden(golden):
 
 
 def test_equidistribution_rational_direction():
-    f = pv.integer_dilation_field(2)
+    f = integer_dilation_field(2)
     rng = np.random.default_rng(3)
     ys = rng.uniform(0, 1e3, size=10**4)
     # (frac y, frac 2y) sits on a line: discrepancy stays bounded away from 0
