@@ -9,10 +9,11 @@ ahat(y alpha^j)) phihat(0), factors ordered with decreasing j to the right.
 One kernel evaluates the symbol: the terms' phases go through a single sum,
 |alpha|^{-1} sum_k a(k) e^{-2 pi i phase_k}, added in term order.  The phase
 of term k is tau(k) y in float64, except for mpmath arguments and |y| > 2^20,
-where frac(tau(k) y) is reduced at extended precision first, in Python ints
-that round as mpmath does; without that the phase is garbage long before
-tau*y overflows a double mantissa.  eval_symbol is a 0-d eval_symbol_grid
-call, and the lifted symbol A of the solenoid layer calls the kernel too.
+where frac(tau(k) y) comes first from the exact product, in Python ints, of
+the prec-bit translate and y, rounded once; without that the phase is garbage
+long before tau*y overflows a double mantissa.  eval_symbol is a 0-d
+eval_symbol_grid call, and the lifted symbol A of the solenoid layer calls the
+kernel too.
 Along a dilation orbit lam alpha^n, phihat_orbit takes the points with
 |lam alpha^n| <= 1 from phihat_grid and every later factor's phases exactly
 from algebraic_core.orbit_fractions, summed by the same kernel.
@@ -252,23 +253,11 @@ def _kernel_terms(mask: RefinementMask, K, prec: int = None):
 
 
 def _extended_phases(mask: RefinementMask, K, ys):
-    """frac(tau_k y) reduced at extended precision: a (K, len(ys)) float array.  One
+    """frac(tau_k y) of the prec-bit translates: a (K, len(ys)) float array.  One
     check, at the largest |y| (NaN if any y is), refuses ys past the precision budget."""
     prec = precision_bits()
     _check_fraction_bits("argument |y|", float(np.abs(ys.astype(float)).max()), 0.0, prec)
     return _frac_products(_kernel_terms(mask, K, prec)[1], ys, prec)
-
-
-def _round_bits(m: int, prec: int):
-    """(m rounded to prec bits, the number of bits dropped) for an int m > 0, to
-    nearest with ties to even, as mpmath rounds a mantissa."""
-    n = m.bit_length() - prec
-    if n <= 0:
-        return m, 0
-    t = m >> (n - 1)  # the kept bits and the first dropped one
-    if t & 1 and (t & 2 or m & ((1 << (n - 1)) - 1)):
-        return (t >> 1) + 1, n
-    return t >> 1, n
 
 
 def _mantissa(y, prec: int):
@@ -284,33 +273,23 @@ def _mantissa(y, prec: int):
     return (-m if sign else m), e
 
 
-def _frac(m: int, e: int, prec: int) -> float:
-    """float(x - mp.floor(x)) at prec bits for x = m 2^e rounded to prec bits, bit for bit.
-    The fraction is the floor-mod of the signed mantissa; it fits prec bits unless
-    -1 < x < 0, where 1 + x rounds too.  Int true division rounds once, to nearest,
-    as mpmath's float conversion does (outside the subnormal range)."""
-    neg = m < 0
-    m, n = _round_bits(-m if neg else m, prec)
-    k = -(e + n)  # fractional bits of x
-    if k <= 0:
-        return 0.0
-    r = (-m if neg else m) & ((1 << k) - 1)
-    if r.bit_length() > prec:
-        r, n = _round_bits(r, prec)
-        k -= n
-    return r / (1 << k)
+def _frac(m: int, e: int) -> float:
+    """frac(m 2^e) for ints m and e, rounded once: the floor-mod of m 2^(e+k) by 2^k,
+    k = max(0, -e), over 2^k by int true division, which rounds to nearest."""
+    k = max(0, -e)
+    return (m << (e + k)) % (1 << k) / (1 << k)
 
 
 def _frac_products(taus, ys, prec: int):
     """frac(tau_k y) for mpf taus and real ys as a (len(taus), len(ys)) float array: the
-    product tau_k * mp.mpf(y) rounded to prec bits and reduced mod 1 in Python ints, equal
-    to float(x - mp.floor(x)) under mp.workprec(prec) bit for bit."""
+    exact product of tau_k and mp.mpf(y) at prec bits, reduced mod 1 in Python ints and
+    rounded once to a float."""
     ms = [_mantissa(y, prec) for y in ys]
     out = np.empty((len(taus), len(ms)))
     for row, tau in zip(out, taus):
         sign, mt, et, _ = tau._mpf_
         mt = -mt if sign else mt
-        row[:] = [_frac(mt * my, et + ey, prec) for my, ey in ms]
+        row[:] = [_frac(mt * my, et + ey) for my, ey in ms]
     return out
 
 

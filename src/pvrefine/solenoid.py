@@ -20,9 +20,9 @@ conjugate embeddings of mu.  One enumerator, _lattice_points, serves both
 in_U and enumerate_Y: Fincke-Pohst (Math. Comp. 44, 1985) on a basis reduced
 exactly by LLL (Lenstra, Lenstra and Lovasz, Math. Ann. 261, 1982), whose
 weights put the cylinder in the unit ball.  Its last level is cut by each
-constraint itself, so the rows it yields are the points; only rows within the
-float margin of a bound go through the float filter, and the filter's band rows
-are re-decided exactly.  enumerate_Y keeps only the float ys of the points.
+constraint itself, so the rows it yields are the points; the band rows, within
+the float margin of a bound, are re-decided exactly and take their y from the
+exact embedding.  enumerate_Y keeps only the float ys of the points.
 """
 
 import functools
@@ -250,8 +250,8 @@ def eval_A(mask: RefinementMask, g: SolenoidWindow):
 # cylinder membership and lattice enumeration
 
 _MAX_ROWS = 10**7  # bounds the forecast |Y(L)| and the nodes of every enumeration level
-_BLOCK = 2**14  # nodes expanded, or leaf rows filtered, at once at every level
-_MAX_EXACT = 10**5  # bounds the band rows re-decided one by one in exact arithmetic
+_BLOCK = 2**14  # nodes expanded, or leaf rows summed, at once at every level
+_MAX_EXACT = 10**5  # bounds the band rows (between a cut's intervals) re-decided one by one, exactly
 _INT64_SAFE = 2.0**62  # bound on every integer coordinate and partial sum of the enumeration
 _UNIT = 2.0**-53  # unit roundoff of float64
 
@@ -397,22 +397,6 @@ def _reduced_basis(field: NumberField, basis, spec, log2s: float, m: int):
     return H, np.array(red, dtype=float).T * 2.0 ** (log2s - 64)
 
 
-def _float_filter(cols, ys, c, h, big, eps, w, wabs, slots):
-    """Float verdict and band flag of rows n (columns cols, float ys): a row is
-    in the band when one of its values lies within 1e-9 (relative for y) or
-    within its sums' rounding, 4 d ulp sum_i |n_i| |w_k,i|, of its bound."""
-    ulps = 4 * len(cols) * np.finfo(float).eps
-    abscols = [np.abs(col) for col in cols]
-    dist = np.abs(ys - c)
-    ok = dist < h
-    band = np.abs(dist - h) < 1e-9 * max(1.0, big) + ulps * _column_sum(abscols, wabs[0])
-    for k, _ in slots:  # the second of a pair has the same modulus and eps
-        sk = np.abs(_column_sum(cols, w[k].real) + 1j * _column_sum(cols, w[k].imag))
-        ok &= sk < eps[k - 1]
-        band |= np.abs(sk - eps[k - 1]) < 1e-9 + ulps * _column_sum(abscols, wabs[k])
-    return ok, band
-
-
 @functools.lru_cache(maxsize=64)  # one reduction per (field, m, eps, half-width, precision)
 def _reduced_cylinder(field: NumberField, m: int, eps: tuple, h: float, prec: int):
     """The part of _lattice_points that depends on the window only through the
@@ -471,15 +455,15 @@ def _lattice_points(field: NumberField, m: int, eps: tuple, y_lo: float, y_hi: f
     (_reduced_cylinder); each call finds its own Babai point and cuts y at its
     own h.  At the last level every constraint cuts each parent's interval
     itself: y and a real conjugate linearly, a pair by its disk.  Each cut has an outer and an inner
-    interval, apart by the float margin (1e-9, relative for y, plus 4 d ulp
-    sum_i |n_i| |w_k,i| and the rounding of the cut); inner rows are points,
-    rows outside the outer one are not, and only the rows between go through
-    the float filter.  y is the real column sum of n_i w_0,i in index order,
-    w_k,i = sigma_k(alpha^m e_i) rounded once.  The filter's band rows are
-    kept with their index during the pass and re-decided one by one from the
-    exact embeddings after it (over 1e5 raise SizeError).  Each level may hold
-    1e7 nodes, alpha^(i-m) must stay inside float64 and every coordinate
-    inside 2^62.
+    interval, apart by the float margin (twice 1e-9, relative for y, plus
+    4 d ulp sum_i |n_i| |w_k,i|, and the rounding of the cut); inner rows are
+    points, rows outside the outer one are not.  The band rows between are kept
+    with their index during the pass and re-decided one by one from the exact
+    embeddings after it, which also give their y (over 1e5 raise SizeError).
+    Every other y is the real column sum of n_i w_0,i in index order,
+    w_k,i = sigma_k(alpha^m e_i) rounded once.  Each level may hold 1e7
+    nodes, alpha^(i-m) must stay inside float64 and every coordinate inside
+    2^62.
     """
     d = field.degree
     c, h = (y_lo + y_hi) / 2, (y_hi - y_lo) / 2
@@ -493,7 +477,6 @@ def _lattice_points(field: NumberField, m: int, eps: tuple, y_lo: float, y_hi: f
         raise _int64_refusal(nmax, m)
     groups, spec, log2s, H, wt, w, wabs, gp, wp, Q, R, inv = _reduced_cylinder(
         field, m, eps, h if ball_h is None else max(h, ball_h), precision_bits())
-    slots = list(_conjugate_slots(field))
 
     # root: the Babai point z_c of the centre (c, 0, .., 0); g0 = values at z_c minus the centre
     zc = [int(v) for v in np.rint(np.linalg.solve(gp, wt * np.eye(d)[0] * c))]
@@ -514,8 +497,8 @@ def _lattice_points(field: NumberField, m: int, eps: tuple, y_lo: float, y_hi: f
         raise _int64_refusal(max(nbox), m)
     U = np.array([row if z else [0] * d for row, z in zip(H, zbox)], dtype=np.int64).T  # z_j = 0 where zbox_j = 0
 
-    # per cut: its rows, bound, margin and the leaf coefficient; the margin covers the
-    # filter's band (1e-9 + 4 d ulp sum |n_i| |w_k,i|) and its rounding, and the cut's own
+    # per cut: its rows, bound, margin and the leaf coefficient; the margin is twice the
+    # column sums' allowance (1e-9 + 4 d ulp sum |n_i| |w_k,i|) plus the cut's own
     # rounding: of the sums over z, of g0, and of the reduced basis (2^(log2s - 65) an entry)
     ulps = 4 * d * np.finfo(float).eps
     slop = float((2 * (d + 2) * _UNIT * np.linalg.norm(gp, axis=0) + 2.0 ** (log2s - 64)) @ zbox)
@@ -588,20 +571,15 @@ def _lattice_points(field: NumberField, m: int, eps: tuple, y_lo: float, y_hi: f
                        (z < rep(ilo)) | (z > rep(ihi)) if between[p0:p1].any() else None)
 
     kept_ys, kept_rows, kept_at = [np.zeros(0)], [np.zeros((0, d), dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    redo, size = [], 0  # (index, row) of every band row
+    redo, size = [], 0  # (index, row) of every band row, between a cut's intervals
     root = ((Q.T @ (wt * g0))[None, :], np.zeros(1), [np.array([v], dtype=np.int64) for v in nc], g0[None, :])
     for cols, between in expand(d - 1, *root):
-        ys, flags = _column_sum(cols, w[0].real), None
+        ys = _column_sum(cols, w[0].real)
         if between is not None:
-            sel = np.flatnonzero(between)
-            ok, band = _float_filter([col[sel] for col in cols], ys[sel], c, h, big, eps, w, wabs, slots)
-            keep, flags = np.ones(len(ys), dtype=bool), np.zeros(len(ys), dtype=bool)
-            keep[sel], flags[sel] = ok | band, band
-            cols, ys, flags = [col[keep] for col in cols], ys[keep], flags[keep]
-            at = np.flatnonzero(flags)
+            at = np.flatnonzero(between)
             redo.extend(zip((size + at).tolist(), zip(*(col[at].tolist() for col in cols))))
         if rows_where is not None:  # a band row's y may still change: keep its row too
-            at = np.flatnonzero(rows_where(ys) if flags is None else rows_where(ys) | flags)
+            at = np.flatnonzero(rows_where(ys) if between is None else rows_where(ys) | between)
             kept_at.append(size + at)
             kept_rows.append(np.column_stack([col[at] for col in cols]))
         kept_ys.append(ys)

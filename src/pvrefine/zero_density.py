@@ -95,15 +95,8 @@ class NormForm:
 
     def evaluate_numerator(self, n):
         """form(n) for one integer vector n, in Python ints."""
-        powers = [[int(ni) ** e for e in range(self.degree + 1)] for ni in n]  # powers[i][e] = n_i^e
-        acc = 0
-        for exps, c in self.numerator_form:
-            term = c
-            for p, e in zip(powers, exps):
-                if e:
-                    term *= p[e]
-            acc += term
-        return acc
+        n = [int(ni) for ni in n]
+        return sum(c * math.prod(ni**e for ni, e in zip(n, exps)) for exps, c in self.numerator_form)
 
     def evaluate(self, n) -> Fraction:
         return Fraction(self.evaluate_numerator(n), self.denominator)
@@ -330,14 +323,12 @@ def norm_form(field: NumberField) -> NormForm:
     form = _interpolated_form(mats)
     checks = [tuple((-1) ** i * (i + 2) for i in range(d)), tuple(range(d + 1, 1, -1))]
     dets = _int_det(np.tensordot(np.array(checks, dtype=object), np.array(mats, dtype=object), 1)).tolist()
+    full = NormForm(tuple(sorted(form.items())), den**d)
     for n, det in zip(checks, dets):
-        if det != sum(c * math.prod(ni**e for ni, e in zip(n, exps)) for exps, c in form.items()):
+        if det != full.evaluate_numerator(n):
             raise PrecisionError("norm form disagrees with det(sum n_i M_i) at n = %s" % (n,))
-    g = math.gcd(den**d, *form.values())
-    return NormForm(
-        numerator_form=tuple(sorted((e, c // g) for e, c in form.items())),
-        denominator=den**d // g,
-    )
+    g = math.gcd(full.denominator, *form.values())
+    return NormForm(tuple((e, c // g) for e, c in full.numerator_form), full.denominator // g)
 
 
 def _binary_restriction(nf: NormForm, d: int):

@@ -368,6 +368,12 @@ EXTENDED_BYTES = (
                  "00dfe195a2fa807cfebd7a23ede534376816dbb20f0084e88fff9a99beaaf15a", id="symbol-scan-negative"),
     pytest.param(("phihat-orbit", "--mask", "dyadic", "--lambda", "-7/4", "--jmax", "150", "--precision-bits", "320"),
                  "b0e930c36ee11f1182daa98b3605fa4da766beb18de5fdbd6440a328412e9aa5", id="phihat-orbit-320-bit"),
+    # phases of products far past 2^53, where rounding the product before its fraction would show
+    pytest.param(("symbol-scan", "--mask", "dyadic", "--range", "1e12:1.00000001e12", "--step", "3.7"),
+                 "cbe95f6fbc5ee574113bd0465fd230aa9cb79f2ff42283ff68d6b2b2a991c7a7", id="symbol-scan-1e12"),
+    pytest.param(("symbol-scan", "--mask", "golden_vector", "--range", "3e20:3.0000000000001e20", "--step", "1e5",
+                  "--precision-bits", "256"),
+                 "160ae99731f3661a398152662944d8e0c5a8cf30ae3fd35497e51c18b8936c19", id="symbol-scan-3e20-256-bit"),
 )
 # the certified roots, rounded to doubles: the benchmark's PV pool (degrees 2-6), a Salem
 # number, degree 8, and alpha near 10^10 with a conjugate near 1

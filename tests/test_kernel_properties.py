@@ -4,10 +4,12 @@ The 0-d and grid entries of the kernel agree bit for bit, for float
 arguments on both sides of 2^20 and for mpmath arguments in object arrays;
 the lifted symbol A on a covering theta window equals ahat; phihat
 satisfies the two-scale identity phihat(alpha y) = ahat(y) phihat(y); and
-the integer phase reduction equals mpmath's, rounding ties included.
+the integer phase reduction equals the exact fraction of the product,
+rounded once, ties included.
 """
 
 import functools
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -83,10 +85,17 @@ def test_property_two_scale_identity(name, y):
     assert np.max(np.abs(np.atleast_1d(lhs - rhs))) < 1e-9
 
 
-def mpf_reduction(taus, ys, prec):
-    # the mpmath reduction that refinement._frac_products reproduces in Python ints
+def exact(x):
+    m, e = x.man_exp  # the mantissa unsigned
+    return Fraction(-m if x < 0 else m) * Fraction(2) ** e
+
+
+def exact_reduction(taus, ys, prec):
+    # frac(tau y) of the exact product, y taken as mp.mpf(y) at prec bits (as
+    # refinement._mantissa rounds wide entries), rounded once to a float
     with mp.workprec(prec):
-        return np.array([[float(x - mp.floor(x)) for x in (t * mp.mpf(y) for y in ys)] for t in taus])
+        ys = [exact(mp.mpf(y)) for y in ys]
+    return np.array([[float(exact(t) * y % 1) for y in ys] for t in taus])
 
 
 @st.composite
@@ -120,11 +129,11 @@ def wide_mpf(m, e, bits):
 
 @kernel_property
 @given(phase_inputs())
-# 3 (2^63 + 3) 2^-30 is a tie at 64 bits that rounds to even, down; and 1 + x for
-# x = -2^-54 (1 + 2^-63) rounds to 64 bits, then ties to even at 53: 1.0, not 1 - 2^-53
+# 3 (2^63 + 3) 2^-30 is a tie at 64 bits, and its fraction is taken unrounded; and
+# 1 + x for x = -2^-54 (1 + 2^-63) lies just under a tie at 53 bits: 1 - 2^-53, not 1.0
 @example((64, [wide_mpf(2**63 + 3, -30, 64)], [3.0]))
 @example((64, [wide_mpf(-(2**63 + 1), -117, 64)], [1.0]))
-def test_property_integer_phase_reduction_is_mpmath_bit_for_bit(args):
+def test_property_integer_phase_reduction_is_the_exact_fraction(args):
     prec, taus, ys = args
     got = rf._frac_products(taus, ys, prec)
-    assert got.tobytes() == mpf_reduction(taus, ys, prec).tobytes()
+    assert got.tobytes() == exact_reduction(taus, ys, prec).tobytes()

@@ -4,7 +4,6 @@ import functools
 import hashlib
 import itertools
 import math
-import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -312,14 +311,9 @@ def test_enumerate_Y_exact_redecision_cap(golden, monkeypatch):
 
 def test_enumerate_Y_rebuilds_rows_of_equal_ys(golden, monkeypatch):
     # no benchmark cylinder puts two points on one float y, so the y column sums are
-    # rounded to integers here (the float filter's sums are not): a second pass
-    # rebuilds the rows of the tied ys alone, and every point is kept
+    # rounded to integers here: a second pass rebuilds the rows of the tied ys alone,
+    # and every point is kept
     column_sum, lattice_points = so._column_sum, so._lattice_points
-
-    def rounded(cols, w):
-        out = column_sum(cols, w)
-        return np.rint(out) if sys._getframe(1).f_code.co_name == "_lattice_points" else out
-
     rebuilt = []
 
     def spy(*args, **kwargs):
@@ -328,7 +322,7 @@ def test_enumerate_Y_rebuilds_rows_of_equal_ys(golden, monkeypatch):
             rebuilt.append(out[0])
         return out
 
-    monkeypatch.setattr(so, "_column_sum", rounded)
+    monkeypatch.setattr(so, "_column_sum", lambda cols, w: np.rint(column_sum(cols, w)))
     monkeypatch.setattr(so, "_lattice_points", spy)
     ys = so.enumerate_Y(golden, so.LatticeCylinder(50.0, 0, (0.3,)))
     rows, want = lattice_points(golden, 0, (0.3,), -50.0, 50.0)
@@ -498,7 +492,7 @@ def test_lattice_points_equal_brute_force(coeffs, m, c, h, e):
 # cylinders (for c_0 = -2 from m = -6 up; below, the superlattice grows by 2^|m|), with
 # the point count and the sha256 of its rows and ys, both sorted by (y, n), m by m
 NESTING_M_RANGES = (
-    ((-1, -1), 0.1, 100.0, -25, 20, 4094, "8b092add6a3973f93435fe49baf6677e730c0c024a4dfc14c4c9dd15cf4884bd"),
+    ((-1, -1), 0.1, 100.0, -25, 20, 4094, "e8a12093ffc37f41d34b2e31f28fbcfd74fdf823e07e0a0129ef5d9e248edb38"),
     ((-1, -1, 0), 0.3, 20.0, -45, 37, 9047, "716192f4a5172f5d8ac766b3c009ad8b834c3a85efdbfa9354014863b4fbf6ba"),
     ((-1, -1, -1), 0.3, 20.0, -23, 18, 6258, "2bea661d5f9e30dad1e9e7e010b2cb13a839c9d39560b1317b392b95db9ed936"),
     ((-2, -2), 0.3, 2.0, -6, 27, 1082, "615f64363e705c52ad86757b8c54b85e2d6c94ccaf7471b13a08523ec0356aea"),
@@ -517,6 +511,21 @@ def test_lattice_points_match_interval_nesting_over_m(coeffs, e, L, m_lo, m_hi, 
         h.update(ys[order].tobytes())
         total += len(ys)
     assert (total, h.hexdigest()) == (count, digest)
+
+
+def test_rows_between_the_cuts_carry_the_exact_y(golden):
+    # on the golden anchor these rows fall between a cut's inner and outer intervals,
+    # and their float column sums miss float(sigma_1(mu)) by one ulp: re-decided
+    # exactly, each carries float of its 1,200-bit y
+    moved = {-25: ((16594432, 26850355), (5188658, 8395425), (3842389, 6217116)), -24: ((2374727, 3842389),)}
+    for m, ns in moved.items():
+        rows, ys = so._lattice_points(golden, m, (0.1,), -100.0, 100.0)
+        got = dict(zip(map(tuple, rows.tolist()), ys.tolist()))
+        for n in ns + tuple(tuple(-x for x in n) for n in ns):
+            with mp.workprec(1200):
+                y = float(mp.re(so._embeddings(golden, so._mu_from_integer_vector(golden, list(n), m), 1200)[0]))
+            assert got[n] == y
+    assert got[(2374727, 3842389)] == 22.90394668524893  # the float column sum reads 22.903946685248926
 
 
 def test_enumerate_Y_memory_stays_per_block(golden):
