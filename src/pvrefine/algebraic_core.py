@@ -28,6 +28,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
@@ -759,12 +760,12 @@ def norm(elem: FieldElement, field: NumberField) -> Fraction:
 def _traces(field: NumberField, nums, count: int, m: int = 0):
     """T(x alpha^j), j < count, for x with integer numerators nums (mod m unless m is 0): the
     first d from the companion traces, then s(j) = -c_{d-1} s(j-1) - ... - c_0 s(j-d)."""
-    seq = []
+    seq, d = [], field.degree
     for j in range(count):
-        if j < field.degree:
+        if j < d:
             t, nums = _int_trace(field, nums), _times_alpha(field.coeffs, nums)
         else:
-            t = -sum(c * x for c, x in zip(field.coeffs, seq[j - field.degree:]))
+            t = -sum(map(operator.mul, field.coeffs, seq[j - d:]))
         seq.append(t % m if m else t)
     return seq
 
@@ -831,13 +832,16 @@ def orbit_phases(field: NumberField, mu: FieldElement, n_lo: int, n_hi: int, mod
     _check_fraction_bits("conjugate part of mu alpha^n at n=%d" % (n_lo if lg_lo >= lg_hi else n_hi), 1.0,
                          lg, int(min(wp, root_bits(field.radii))), "raise --precision-bits" if reachable else
                          "no --precision-bits reaches this orbit, as the root radii stop at %g" % _RADIUS_FLOOR)
+    # a root right after its exact conjugate is not stepped: its term is the conjugate of the
+    # one before, whose real part the sum takes again in its place
+    src = [i - 1 if i and field.roots_mp[k] == mp.conj(field.roots_mp[k - 1]) else i for i, k in enumerate(ks)]
     with mp.workprec(wp):
-        zs = [fe_embed(field, mu, k, wp) * field.roots_mp[k] ** n_lo for k in ks]
-        lg_z = [float(mp.log(abs(z), 2)) for z in zs]
+        zs = {i: fe_embed(field, mu, ks[i], wp) * field.roots_mp[ks[i]] ** n_lo for i in set(src)}
+        lg_z = [float(mp.log(abs(zs[i]), 2)) for i in src]
         residues = []
         for _ in range(n):
-            residues.append(mp.re(sum(zs)))
-            zs = [z * field.roots_mp[k] for z, k in zip(zs, ks)]
+            residues.append(sum(zs[i].real for i in src))
+            zs = {i: z * field.roots_mp[ks[i]] for i, z in zs.items()}
     return nu.den, traces, residues, [sum(2.0 ** (g + i * lr) for g, (lr, _) in zip(lg_z, logs)) for i in range(n)]
 
 
@@ -849,7 +853,7 @@ def orbit_fractions(field: NumberField, mu: FieldElement, n_lo: int, n_hi: int):
     out = []
     for t, r in zip(traces, residues):
         sign, m, e, _ = r._mpf_
-        k = max(0, -e)  # t / den - r = ((t << k) - r 2^k den) / (den << k), an exact quotient
+        k = -e if e < 0 else 0  # t / den - r = ((t << k) - r 2^k den) / (den << k), an exact quotient
         num, d = (t << k) - ((-m if sign else m) * den << (e + k)), den << k
         out.append(num % d / d)
     return out

@@ -43,6 +43,8 @@ from .algebraic_core import fe_rational, make_field, parse_poly, read_key_values
 from .errors import NonconvergenceError, PrecisionError, PvrefineError, SizeError
 from .refinement import (
     RefinementMask,
+    _magnitudes,
+    _orbit_moduli,
     bernoulli_orbit,
     builtin_mask,
     eval_symbol_grid,
@@ -330,15 +332,6 @@ def _mask_of(cfg: RunConfig) -> RefinementMask:
     return builtin_mask(cfg.mask)
 
 
-def _magnitudes(vals, lead: int = 1):
-    # |value| over the `lead` leading axes: the modulus of a scalar, else the
-    # smallest singular value (of a matrix, or of a vector: its 2-norm)
-    v = np.asarray(vals)
-    if v.ndim == lead:
-        return np.abs(v)
-    return np.linalg.svd(v[..., None, :] if v.ndim == lead + 1 else v, compute_uv=False)[..., -1]
-
-
 def _grid(lo: float, hi: float, step: float):
     if hi <= lo:
         raise ValueError("--range needs lo < hi")
@@ -407,14 +400,13 @@ def _cmd_phihat_orbit(cfg: RunConfig):
         raise ValueError("--jmax must be >= --jmin")
     js = range(jmin, jmax + 1)
     orbit = phihat_orbit(mask, lams[0], js, cfg.tol)
-    vals = [sv.value for _, sv in orbit]
+    vals, mags = [sv.value for _, sv in orbit], _orbit_moduli(mask, orbit)
     errs = [float(sv.truncation_error) for _, sv in orbit]
     if mask.rank == 1:
-        re, im, mags = [z.real for z in vals], [z.imag for z in vals], [abs(z) for z in vals]
+        re, im = [z.real for z in vals], [z.imag for z in vals]
         summary = "tail value %.6g%+.6gi (modulus %.6g) at J=%d" % (re[-1], im[-1], mags[-1], jmax)
     else:
         re = im = [None] * len(vals)
-        mags = _magnitudes(vals).tolist()
         summary = "tail smallest singular value %.6g at J=%d" % (mags[-1], jmax)
     plot = lambda: PlotSpec(
         points=np.column_stack((js, mags)),

@@ -7,11 +7,11 @@ phi is the one-sided infinite product phihat(y) = (prod_{j<=-1}
 ahat(y alpha^j)) phihat(0), factors ordered with decreasing j to the right.
 
 One kernel evaluates the symbol: the terms' phases go through a single sum,
-|alpha|^{-1} sum_k a(k) e^{-2 pi i phase_k}, added in term order.  The phase
-of term k is tau(k) y in float64, except for mpmath arguments and |y| > 2^20,
-where frac(tau(k) y) comes first from the exact product, in Python ints, of
-the prec-bit translate and y, rounded once; without that the phase is garbage
-long before tau*y overflows a double mantissa.  eval_symbol is a 0-d
+|alpha|^{-1} sum_k a(k) e^{-2 pi i phase_k}, added in term order.  The kernel
+takes floats or ints.  The phase of term k is tau(k) y in float64, except for
+|y| > 2^20, where frac(tau(k) y) comes first from the exact product, in Python
+ints, of the prec-bit translate and y, rounded once; without that the phase is
+garbage long before tau*y overflows a double mantissa.  eval_symbol is a 0-d
 eval_symbol_grid call, and the lifted symbol A of the solenoid layer calls the
 kernel too.
 Along a dilation orbit lam alpha^n, phihat_orbit takes the points with
@@ -19,8 +19,8 @@ Along a dilation orbit lam alpha^n, phihat_orbit takes the points with
 from algebraic_core.orbit_fractions, summed by the same kernel.
 
 One kernel takes the product: phihat_grid, of which eval_phihat is a 0-d
-call.  Past 2^20 it builds the arguments y alpha^j at extended precision
-itself, and each chunk of points runs one loop over its deepest depth.
+call.  Each chunk of points up to 2^20 runs one loop over its deepest depth,
+and a point past 2^20 is the start of a phihat_orbit.
 """
 
 import ast
@@ -73,9 +73,8 @@ MAX_ORBIT_POINTS = 10**5
 # above this magnitude a float64 argument has too few fractional bits left
 # for phase reduction; evaluation switches to extended precision
 _MP_ARG_CUTOFF = 2.0**20
-# phihat_grid refuses more points past 2^20 before evaluating any: each builds its
-# arguments as an mpf chain and reduces every factor's phases in Python ints, and a
-# zeros-scan probes near most of them (a dyadic zeros-scan at the limit takes about 6 s)
+# phihat_grid refuses more points past 2^20 before evaluating any: each is a phihat_orbit
+# whose factors take exact phases, and a zeros-scan probes near most of them
 MAX_EXTENDED_POINTS = 100
 _SUM_BLOCK = 4096  # (term, point) coefficients per block of the symbol sum: temporaries near 64 KB
 _ORBIT_BLOCK = 1024  # orbit factors whose phases phihat_orbit holds at once
@@ -257,20 +256,16 @@ def _extended_phases(mask: RefinementMask, K, ys):
     check, at the largest |y| (NaN if any y is), refuses ys past the precision budget."""
     prec = precision_bits()
     _check_fraction_bits("argument |y|", float(np.abs(ys.astype(float)).max()), 0.0, prec)
-    return _frac_products(_kernel_terms(mask, K, prec)[1], ys, prec)
+    return _frac_products(_kernel_terms(mask, K, prec)[1], ys)
 
 
-def _mantissa(y, prec: int):
-    """(m, e) with signed int m and mp.mpf(y) = m 2^e at prec bits: floats and ints
-    exactly, anything else (mpf of any precision) through mp.mpf."""
-    if isinstance(y, float):
-        n, d = y.as_integer_ratio()
-        return n, 1 - d.bit_length()
+def _mantissa(y):
+    """(m, e) with signed int m and m 2^e exactly y for an int, else exactly the double
+    float(y): an mpf is rounded to a double first."""
     if isinstance(y, (int, np.integer)):
         return int(y), 0
-    with mp.workprec(prec):
-        sign, m, e, _ = mp.mpf(y)._mpf_
-    return (-m if sign else m), e
+    n, d = float(y).as_integer_ratio()
+    return n, 1 - d.bit_length()
 
 
 def _frac(m: int, e: int) -> float:
@@ -280,11 +275,10 @@ def _frac(m: int, e: int) -> float:
     return (m << (e + k)) % (1 << k) / (1 << k)
 
 
-def _frac_products(taus, ys, prec: int):
-    """frac(tau_k y) for mpf taus and real ys as a (len(taus), len(ys)) float array: the
-    exact product of tau_k and mp.mpf(y) at prec bits, reduced mod 1 in Python ints and
-    rounded once to a float."""
-    ms = [_mantissa(y, prec) for y in ys]
+def _frac_products(taus, ys):
+    """frac(tau_k y) for mpf taus and float or int ys as a (len(taus), len(ys)) float array:
+    the exact product of tau_k and y, reduced mod 1 in Python ints and rounded once to a float."""
+    ms = [_mantissa(y) for y in ys]
     out = np.empty((len(taus), len(ms)))
     for row, tau in zip(out, taus):
         sign, mt, et, _ = tau._mpf_
@@ -303,6 +297,16 @@ def _symbol_sum(coeffs, alpha: float, phases):
     np.multiply(coeffs[:, None], e, out=sums[1:])
     np.add.accumulate(sums, axis=0, out=sums)  # running sums from 0, in term order
     return sums[-1] / abs(alpha)
+
+
+def _magnitudes(vals, lead: int = 1):
+    # |value| over the `lead` leading axes: the modulus of a scalar, else the
+    # smallest singular value (of a matrix, or of a vector: its 2-norm); none
+    # squares an entry, so a value far below 1e-154 keeps its size
+    v = np.asarray(vals)
+    if v.ndim == lead:
+        return np.abs(v)
+    return np.linalg.svd(v[..., None, :] if v.ndim == lead + 1 else v, compute_uv=False)[..., -1]
 
 
 def lipschitz_bound(mask: RefinementMask, tol: float = 1e-14) -> float:
@@ -328,21 +332,22 @@ def lipschitz_bound(mask: RefinementMask, tol: float = 1e-14) -> float:
 def eval_symbol(mask: RefinementMask, y, tol: float = 1e-14) -> SymbolValue:
     """ahat(y) = |alpha|^{-1} sum a(k) e^{-2 pi i tau(k) y}, tail below tol.
 
-    A 0-d eval_symbol_grid call: arguments beyond float64's fractional
-    resolution (|y| > 2^20, or any mpmath real) are phase-reduced at extended
-    precision.
+    A 0-d eval_symbol_grid call at a float or int y (an mpf is rounded to a
+    double): arguments beyond float64's fractional resolution, |y| > 2^20, are
+    phase-reduced at extended precision.
     """
     values, tail = eval_symbol_grid(mask, y, tol)
     return SymbolValue(values.item() if values.ndim == 0 else values, tail)
 
 
 def eval_symbol_grid(mask: RefinementMask, ys, tol: float = 1e-14):
-    """Vectorized ahat: (values, tail bound).
+    """Vectorized ahat over floats or ints: (values, tail bound).
 
     values has shape ys.shape, plus (r, r) for rank-r matrix masks.  The
-    phase of term k is tau_k y in float64, except at mpf entries of an object
-    array and where |y| > 2^20: there frac(tau_k y) is reduced at extended
-    precision first.  Every point then takes the same sum, in term order.
+    phase of term k is tau_k y in float64, except where |y| > 2^20: there
+    frac(tau_k y) is reduced at extended precision first, from the exact y (an
+    int, or the double an mpf rounds to).  Every point then takes the same sum,
+    in term order.
     """
     K, tail = _truncation(mask, tol)
     coeffs, taus, _ = _kernel_terms(mask, K)
@@ -350,8 +355,6 @@ def eval_symbol_grid(mask: RefinementMask, ys, tol: float = 1e-14):
     src = ys.reshape(-1)
     yf = src.astype(float)
     ext = np.abs(yf) > _MP_ARG_CUTOFF
-    if ys.dtype == object:
-        ext |= np.array([isinstance(v, mp.mpf) for v in src], dtype=bool)
     acc = np.empty(yf.shape + coeffs.shape[1:], dtype=complex)
     step = max(1, _SUM_BLOCK // coeffs.size)
     for lo in range(0, yf.size, step):
@@ -425,61 +428,54 @@ def eval_phihat(mask: RefinementMask, y, tol: float = 1e-12) -> SymbolValue:
 def phihat_grid(mask: RefinementMask, ys, tol: float = 1e-12):
     """phihat over a float array: (values, error bound).
 
-    values has shape ys.shape, plus (r,) for rank r.  Each point keeps its own
-    product depth j0: its factors ahat(y alpha^j), j = -j0..-1, apply with the
-    most negative j first to phihat(0), scalar factors in Python's complex
-    product rounding.  Points are taken in order of depth, in chunks whose
-    depth x chunk symbol arrays stay near 1 MB, and a chunk's product runs over
-    its deepest point's depth, shallower points padded in front by exact
-    identity factors.  Points with |y| > 2^20 form their own chunks, whose
-    arguments y alpha^-j0, ..., y alpha^-1 are built at extended precision, one
-    multiplication by alpha at a time, and take the extended-precision symbol
-    path; nor do points whose depths truncate the symbol differently share a
-    chunk.  The bound is the largest over the points.  More than
-    MAX_EXTENDED_POINTS points past 2^20 raise SizeError.
+    values has shape ys.shape, plus (r,) for rank r.  Each point with |y| <= 2^20
+    keeps its own product depth j0: its factors ahat(y alpha^j), j = -j0..-1,
+    apply with the most negative j first to phihat(0), scalar factors in Python's
+    complex product rounding.  These points are taken in order of depth, in
+    chunks whose depth x chunk symbol arrays stay near 1 MB and whose depths
+    truncate the symbol alike, and a chunk's product runs over its deepest
+    point's depth, shallower points padded in front by exact identity factors.
+    A point past 2^20 is the start of a dilation orbit: its value and bound are
+    phihat_orbit(mask, Fraction(y), [0], tol)'s, whose factors past
+    |y alpha^n| = 1 take exact phases.  The bound is the largest over the
+    points.  More than MAX_EXTENDED_POINTS points past 2^20 raise SizeError.
     """
     ys = np.asarray(ys, dtype=float)
     flat = ys.reshape(-1)
     big = np.abs(flat) > _MP_ARG_CUTOFF
-    n_big = np.count_nonzero(big)
-    if n_big > MAX_EXTENDED_POINTS:
+    far, near = np.flatnonzero(big), np.flatnonzero(~big)
+    if far.size > MAX_EXTENDED_POINTS:
         raise SizeError("phihat_grid: %d points past 2^20 exceed the %d-point limit of the extended-precision path"
-                        % (n_big, MAX_EXTENDED_POINTS))
-    depths = _product_depths(mask, flat, tol)
+                        % (far.size, MAX_EXTENDED_POINTS))
+    depths = _product_depths(mask, flat[near], tol)
     plans = {j0: _product_plan(mask, j0, tol) for j0 in np.flatnonzero(np.bincount(depths)).tolist()}
-    # a chunk keeps to one path, float or extended, and one symbol truncation K,
-    # which can only grow with the depth
+    # a chunk keeps to one symbol truncation K, which can only grow with the depth
     key = np.zeros(max(plans, default=0) + 1, dtype=int)
     for j0, (sym_tol, _) in plans.items():
-        key[j0] = 2 * (_truncation(mask, sym_tol)[0] or 0)
-    key = key[depths] + big
+        key[j0] = _truncation(mask, sym_tol)[0] or 0
+    key = key[depths]
     order = np.lexsort((depths, key))
     out = np.empty(flat.shape + (mask.rank,), dtype=complex)
     for run in np.split(order, np.flatnonzero(np.diff(key[order])) + 1) if order.size else []:
         step = max(1, 2**16 // (int(depths[run[-1]]) * mask.rank**2))
         for lo in range(0, run.size, step):
             part = run[lo:lo + step]
-            out[part] = _phihat_chunk(mask, flat[part], depths[part], plans, big[part[0]])
-    err = max((e for _, e in plans.values()), default=0.0)
-    return out.reshape(ys.shape if mask.rank == 1 else ys.shape + (mask.rank,)), err
+            out[near[part]] = _phihat_chunk(mask, flat[near[part]], depths[part], plans)
+    errs = [e for _, e in plans.values()]
+    for i, y in zip(far.tolist(), flat[far].tolist()):
+        (_, sv), = phihat_orbit(mask, Fraction(y), [0], tol)
+        out[i] = sv.value
+        errs.append(sv.truncation_error)
+    return out.reshape(ys.shape if mask.rank == 1 else ys.shape + (mask.rank,)), max(errs, default=0.0)
 
 
-def _phihat_chunk(mask: RefinementMask, ys, depths, plans, extended: bool):
+def _phihat_chunk(mask: RefinementMask, ys, depths, plans):
     """phihat at the points ys, whose depths ascend: an (n, r) complex array."""
     top, n = int(depths[-1]), depths.size
     pad = np.arange(top)[:, None] < top - depths  # the rows before a point's own factors
-    if extended:
-        args = np.full((top, n), 0.0, dtype=object)
-        with mp.workprec(precision_bits()):
-            al = mp.re(mask.field.roots_mp[0])
-            for col, (y, j0) in enumerate(zip(ys.tolist(), depths.tolist())):
-                x = mp.mpf(y) / al**j0
-                for row in range(top - j0, top):
-                    args[row, col], x = x, x * al
-    else:
-        al = mask.alpha
-        args = np.multiply.outer([al**j for j in range(-top, 0)], ys)
-        args[pad] = 0.0
+    al = mask.alpha
+    args = np.multiply.outer([al**j for j in range(-top, 0)], ys)
+    args[pad] = 0.0
     factors, _ = eval_symbol_grid(mask, args, plans[top][0])
     factors[pad] = 1.0 if mask.rank == 1 else np.eye(mask.rank)
     if mask.rank > 1:
@@ -549,6 +545,13 @@ def phihat_orbit(mask: RefinementMask, lam, J_range, tol: float = 1e-12):
             cur = out[n] = SymbolValue(a * cur.value if mask.rank == 1 else a @ cur.value,
                                        cur.truncation_error + tail)
     return [(j, out[j]) for j in js]
+
+
+def _orbit_moduli(mask: RefinementMask, orbit) -> list:
+    """|phihat| at each point of a phihat_orbit list, as phihat-orbit and vanishing-probe
+    print it: Python's abs of a complex, or _magnitudes' 2-norm of a vector."""
+    vals = [sv.value for _, sv in orbit]
+    return [abs(z) for z in vals] if mask.rank == 1 else _magnitudes(vals).tolist()
 
 
 def bernoulli_orbit(field: NumberField, J_max: int, j_min: int):

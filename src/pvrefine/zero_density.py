@@ -33,7 +33,7 @@ from .algebraic_core import (
     first_lagrange_row,
 )
 from .errors import PrecisionError, SizeError
-from .refinement import RefinementMask, phihat_orbit
+from .refinement import RefinementMask, _orbit_moduli, phihat_orbit
 
 __all__ = [
     "NearZeroSet",
@@ -230,7 +230,7 @@ def vanishing_probe(mask: RefinementMask, lambdas, J_max: int, delta: float = No
         if lam.is_zero():
             raise ValueError("lambda must be nonzero")
         orbit = phihat_orbit(mask, lam, range(0, J_max + 1), tol)
-        vals = tuple(float(np.linalg.norm(np.atleast_1d(sv.value))) for _, sv in orbit)
+        vals = tuple(_orbit_moduli(mask, orbit))
         tail_start = (2 * (J_max + 1)) // 3
         tail = vals[tail_start:]
         level = float(np.mean(tail))

@@ -359,8 +359,10 @@ EXTENDED_BYTES = (
      "c06cea80648c6a05c28af329d82a3060802599af5fdfefb0a26a6b6a24ced544"),
     (("phihat-orbit", "--mask", "dyadic", "--lambda", "3/2", "--jmax", "150", "--precision-bits", "256"),
      "01d99cf37253941ddda82b5ba86d193fd305c3451a8a68703f3b1f197b92b29b"),
+    # |phihat| as phihat-orbit takes it, Python's abs of each complex (15 of 82 values moved
+    # in the last bit from the 2-norm of a one-entry vector, 2f6d72e2...52639)
     (("vanishing-probe", "--mask", "bernoulli", "--poly", "-1,-1,0", "--lambda", "1,2", "--jmax", "40"),
-     "2f6d72e2b63d7c7fda51541ae1ba9d8e119cebdba1c229e5801a7dac23952639"),
+     "33d44f894a6aeeff1ff3731d3908b02ca6aad6750aab40053f93ecf36ec27a16"),
     (("symbol-scan", "--mask", "golden_vector", "--range", "2097152:2097202", "--step", "0.01"),
      "ed874a35096797ed13afd02e4fe3d9bf122726d6ef16c7e88f3d4d712ec65215"),
     # phases of negative arguments past 2^20, and of an mpf orbit at 320 bits
@@ -404,6 +406,24 @@ def test_extended_precision_bytes_pinned(tmp_path, argv, csv_sha):
     out = tmp_path / "x.csv"
     assert run_cli(*argv, "--out", str(out)) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha
+
+
+@pytest.mark.parametrize("mask, lam, jmax", [
+    (("--mask", "bernoulli", "--poly", "-1,-1,0"), "2", "40"),
+    (("--mask", "golden_vector"), "1", "40"),
+    (("--mask", "dyadic"), "1e300", "2"),
+], ids=["bernoulli", "golden_vector", "dyadic-1e300"])
+def test_probe_magnitudes_are_the_orbit_moduli(tmp_path, mask, lam, jmax):
+    # both commands take |phihat| from one helper, which squares no entry: at lambda = 1e300
+    # the dyadic values lie near 2e-210, below what a squared modulus keeps
+    cols = {}
+    for cmd, col in (("vanishing-probe", "abs_phihat"), ("phihat-orbit", "abs")):
+        out = tmp_path / (cmd + ".csv")
+        assert run_cli(cmd, *mask, "--lambda", lam, "--jmax", jmax, "--tol", "1e-12", "--out", str(out)) == 0
+        with open(out, newline="") as fh:
+            cols[cmd] = [row[col] for row in csv.DictReader(fh)]
+    assert cols["vanishing-probe"] == cols["phihat-orbit"]
+    assert all(float(v) > 0 for v in cols["vanishing-probe"])
 
 
 # sha256 of the CSV and SVG of the benchmark's grid commands (symbol scans at

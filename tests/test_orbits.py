@@ -175,3 +175,17 @@ def test_orbit_past_the_field_radii_follows_1200_bit_product(coeffs, lam):
     for J in (0, 40):
         want = _bernoulli_phihat_1200(coeffs, Fraction(lam), J)
         assert abs(orbit[J].value - want) <= 1e-12 * abs(want), (J, orbit[J].value, want)
+
+
+@pytest.mark.parametrize("coeffs", [(-1, -1), (-1, -1, -1)])
+def test_far_phihat_grid_follows_1200_bit_product(coeffs):
+    # a point of phihat_grid past 2^20 starts an orbit at the exact y: it is phihat_orbit's
+    # entry, and it follows the 1,200-bit product to 1e-12 relative out to 1e15
+    mask = rf.builtin_mask("bernoulli", field(coeffs))
+    ys = np.geomspace(2.0**21, 1e15, 6)
+    values, err = rf.phihat_grid(mask, ys)
+    for y, v in zip(ys.tolist(), values.tolist()):
+        (_, sv), = rf.phihat_orbit(mask, Fraction(y), [0])
+        assert v == sv.value and sv.truncation_error <= err, y
+        want = _bernoulli_phihat_1200(coeffs, Fraction(y), 0)
+        assert abs(v - want) <= 1e-12 * abs(want), (y, v, want)

@@ -10,13 +10,14 @@ truncation parameters.
 
 import cmath
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 import pvrefine as pv
-from pvrefine.algebraic_core import integer_dilation_field, laurent_embed
+from pvrefine.algebraic_core import integer_dilation_field, laurent_embed, working_precision
 from pvrefine import refinement as rf
 
 # dyadic-mask limit of phihat(2^J) as J -> infinity, frozen at 200-bit precision
@@ -308,21 +309,17 @@ def test_eval_symbol_grid_rank2_matches_scalar(golden_vector):
 
 def _reference_phihat(mask, y, tol):
     """(phihat(y), error bound) as one scalar product: the first depth j0 whose tail
-    bound is below tol, arguments y alpha^j in float64, or past 2^20 as an extended-
-    precision chain multiplied by alpha one step at a time, factors from
-    eval_symbol_grid, and Python complex products with the most negative j first."""
+    bound is below tol, arguments y alpha^j in float64, factors from eval_symbol_grid,
+    and Python complex products with the most negative j first.  Past 2^20, y is the
+    start of a dilation orbit: phihat_orbit at the exact y."""
+    if abs(y) > 2.0**20:
+        (_, sv), = rf.phihat_orbit(mask, Fraction(y), [0], tol)
+        return sv.value, sv.truncation_error
     lip, al = rf.lipschitz_bound(mask, min(tol, 1e-14)), abs(mask.alpha)
     j0 = 1
     while lip * abs(y) * al ** (-j0) * (1.0 / (al - 1.0)) * al >= tol:
         j0 += 1
-    if abs(y) > 2.0**20:
-        with mp.workprec(pv.precision_bits()):
-            root = mp.re(mask.field.roots_mp[0])
-            args = [mp.mpf(y) / root**j0]
-            for _ in range(j0 - 1):
-                args.append(args[-1] * root)
-    else:
-        args = [y * mask.alpha**j for j in range(-j0, 0)]
+    args = [y * mask.alpha**j for j in range(-j0, 0)]
     sym_tol = min(tol / j0, 1e-14)
     factors, tail = rf.eval_symbol_grid(mask, np.array(args), sym_tol)
     v = complex(mask.phihat0[0]) if mask.rank == 1 else np.array(mask.phihat0, dtype=complex)
@@ -372,8 +369,8 @@ def test_phihat_grid_takes_its_constants_once():
 
 
 def test_phihat_grid_refuses_many_points_past_2_20(boxcar):
-    # each point past 2^20 takes the extended-precision path alone: more than the
-    # limit are refused from the count, before any is evaluated
+    # each point past 2^20 is an orbit of its own: more than the limit are refused
+    # from the count, before any is evaluated
     ys = np.concatenate([np.linspace(0.0, 2.0**20, 5), np.full(rf.MAX_EXTENDED_POINTS + 1, -(2.0**21))])
     with pytest.raises(pv.SizeError, match="101 points past 2\\^20 exceed the 100-point limit"):
         rf.phihat_grid(boxcar, ys)
@@ -390,6 +387,41 @@ def test_grid_kernels_above_2_20_take_extended_precision(tmp_path, golden_vector
             assert np.array_equal(p, _reference_phihat(mask, float(y), 1e-12)[0]), (mask.name, y)
 
 
+def test_far_boxcar_phihat_is_its_closed_form(boxcar):
+    # each point past 2^20 is a phihat_orbit, within its bound of e^{-pi i y} sin(pi y)/(pi y)
+    ys = np.geomspace(2.0**21, 2.0**50, 12)
+    values, err = rf.phihat_grid(boxcar, ys)
+    with mp.workprec(600):
+        for y, v in zip(ys.tolist(), values.tolist()):
+            x = mp.mpf(y)
+            want = complex(mp.expjpi(-x) * mp.sin(mp.pi * x) / (mp.pi * x))
+            assert abs(v - want) <= err, y
+
+
+def test_far_phihat_runs_at_128_bits_past_the_argument_budget(boxcar, dyadic, golden_vector):
+    # y = 1e60 is far past what a 128-bit argument holds to 32 fractional bits: the orbit
+    # takes every factor's phases exactly, so 128 bits suffice.  golden_vector's closed form
+    # [e^{-pi i y/a} sin(pi y/a), e^{-pi i y} sin(pi y)] / (pi y) holds to 1e-12 relative,
+    # and boxcar's sin(pi y) is 0 at these integers
+    token = working_precision.set(128)
+    try:
+        for y in (1e30, 1e60):
+            for mask in (boxcar, dyadic, golden_vector):
+                sv = rf.eval_phihat(mask, y)
+                (_, want), = rf.phihat_orbit(mask, Fraction(y), [0])
+                assert np.array_equal(sv.value, want.value) and sv.truncation_error == want.truncation_error
+                assert np.all(np.isfinite(sv.value)) and sv.truncation_error < 1e-11, (mask.name, y)
+            assert abs(rf.eval_phihat(boxcar, y).value) <= 1e-12
+            with mp.workprec(600):
+                a, x = (1 + mp.sqrt(5)) / 2, mp.mpf(y)
+                want = np.array([complex(mp.expjpi(-x / a) * mp.sin(mp.pi * x / a) / (mp.pi * x)),
+                                 complex(mp.expjpi(-x) * mp.sin(mp.pi * x) / (mp.pi * x))])
+            got = rf.eval_phihat(golden_vector, y).value
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), y
+    finally:
+        working_precision.reset(token)
+
+
 def test_extended_phases_match_an_mpmath_reference(tmp_path):
     # float64 phases of the translate alpha^-1 would miss this by up to 5e-10
     mask = _laurent_mask(tmp_path)[1]
@@ -403,10 +435,10 @@ def test_extended_phases_match_an_mpmath_reference(tmp_path):
 def test_extended_phases_check_the_largest_argument(golden_vector):
     # one check for the block: it names the largest |y|, and a NaN anywhere is refused
     K = rf._truncation(golden_vector, 1e-14)[0]
-    ys = np.array([mp.mpf(2.0**21), mp.mpf(2) ** 200, mp.mpf(2) ** 90], dtype=object)
+    ys = np.array([2.0**21, 2.0**200, 2.0**90])
     with pytest.raises(pv.PrecisionError, match=r"argument \|y\| = 2\^200 overflows the 128-bit budget"):
         rf._extended_phases(golden_vector, K, ys)
-    ys[1] = mp.mpf("nan")
+    ys[1] = np.nan
     with pytest.raises(pv.PrecisionError, match="nan"):
         rf._extended_phases(golden_vector, K, ys)
     assert rf._extended_phases(golden_vector, K, ys[[0, 2]]).shape == (2, 2)

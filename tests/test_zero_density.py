@@ -14,7 +14,6 @@ import pvrefine as pv
 from pvrefine import refinement as rf
 from pvrefine import zero_density as zd
 from pvrefine.algebraic_core import discriminant
-from pvrefine.cli import _magnitudes
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +43,7 @@ def _magnitude_fn(mask, target):
     # |values| as zeros-scan takes them; f also takes a scalar y, so a scan that
     # probes one point per call finds the same minima
     kernel = rf.phihat_grid if target == "phihat" else rf.eval_symbol_grid
-    return lambda ys: _magnitudes(kernel(mask, ys)[0], np.ndim(ys))
+    return lambda ys: rf._magnitudes(kernel(mask, ys)[0], np.ndim(ys))
 
 
 # refined minima (y, |f(y)|) of three zeros-scan runs, as exact floats, keyed by
