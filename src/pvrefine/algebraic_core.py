@@ -845,18 +845,21 @@ def orbit_phases(field: NumberField, mu: FieldElement, n_lo: int, n_hi: int, mod
     return nu.den, traces, residues, [sum(2.0 ** (g + i * lr) for g, (lr, _) in zip(lg_z, logs)) for i in range(n)]
 
 
-def orbit_fractions(field: NumberField, mu: FieldElement, n_lo: int, n_hi: int):
-    """frac(sigma_1(mu alpha^n)), n = n_lo..n_hi, from orbit_phases as floats in [0, 1]:
-    t / den - r exactly in Python ints, for the residue r = +-m 2^e of any size, then
-    rounded once by int true division."""
+def orbit_numerators(field: NumberField, mu: FieldElement, n_lo: int, n_hi: int):
+    """[(num, den 2^k)] with sigma_1(mu alpha^n) = num / (den 2^k) mod 1, n = n_lo..n_hi:
+    orbit_phases' t / den - r exactly in Python ints, for the residue r = +-m 2^e of any size."""
     den, traces, residues, _ = orbit_phases(field, mu, n_lo, n_hi)
     out = []
     for t, r in zip(traces, residues):
         sign, m, e, _ = r._mpf_
         k = -e if e < 0 else 0  # t / den - r = ((t << k) - r 2^k den) / (den << k), an exact quotient
-        num, d = (t << k) - ((-m if sign else m) * den << (e + k)), den << k
-        out.append(num % d / d)
+        out.append(((t << k) - ((-m if sign else m) * den << (e + k)), den << k))
     return out
+
+
+def orbit_fractions(field: NumberField, mu: FieldElement, n_lo: int, n_hi: int):
+    """frac(sigma_1(mu alpha^n)), n = n_lo..n_hi, in [0, 1]: orbit_numerators' quotients mod 1, rounded once."""
+    return [num % d / d for num, d in orbit_numerators(field, mu, n_lo, n_hi)]
 
 
 @functools.lru_cache(maxsize=32)

@@ -9,14 +9,14 @@ ahat(y alpha^j)) phihat(0), factors ordered with decreasing j to the right.
 One kernel evaluates the symbol: the terms' phases go through a single sum,
 |alpha|^{-1} sum_k a(k) e^{-2 pi i phase_k}, added in term order.  The kernel
 takes floats or ints.  The phase of term k is tau(k) y in float64, except for
-|y| > 2^20, where frac(tau(k) y) comes first from the exact product, in Python
-ints, of the prec-bit translate and y, rounded once; without that the phase is
-garbage long before tau*y overflows a double mantissa.  eval_symbol is a 0-d
-eval_symbol_grid call, and the lifted symbol A of the solenoid layer calls the
-kernel too.
+|y| > 2^20, where frac(tau(k) y) comes first from the exact product of the
+prec-bit translate and y, rounded once: in float for a translate 0 or +-2^e and a
+double y, else in Python ints; without that the phase is garbage long before
+tau*y overflows a double mantissa.  eval_symbol is a 0-d eval_symbol_grid call,
+and the lifted symbol A of the solenoid layer calls the kernel too.
 Along a dilation orbit lam alpha^n, phihat_orbit takes the points with
 |lam alpha^n| <= 1 from phihat_grid and every later factor's phases exactly
-from algebraic_core.orbit_fractions, summed by the same kernel.
+from one orbit_numerators orbit of lam per block, summed by the same kernel.
 
 One kernel takes the product: phihat_grid, of which eval_phihat is a 0-d
 call.  Each chunk of points up to 2^20 runs one loop over its deepest depth,
@@ -43,14 +43,13 @@ from .algebraic_core import (
     fe_alpha,
     fe_embed,
     fe_inv,
-    fe_mul,
     fe_rational,
     integer_dilation_field,
     laurent,
     laurent_embed,
     laurent_int,
     make_field,
-    orbit_fractions,
+    orbit_numerators,
     orbit_phases,
     parse_poly,
     precision_bits,
@@ -71,7 +70,7 @@ _PRODUCT_FACTOR_BUDGET = 10**6
 MAX_ORBIT_POINTS = 10**5
 
 # above this magnitude a float64 argument has too few fractional bits left
-# for phase reduction; evaluation switches to extended precision
+# for phase reduction; the phases switch to exact products (_extended_phases)
 _MP_ARG_CUTOFF = 2.0**20
 # phihat_grid refuses more points past 2^20 before evaluating any: each is a phihat_orbit
 # whose factors take exact phases, and a zeros-scan probes near most of them
@@ -223,16 +222,17 @@ def _truncation(mask: RefinementMask, tol: float):
     return k, c * rho ** (k + 1) / (1 - rho)
 
 
+@functools.lru_cache(maxsize=256)
 def _terms(mask: RefinementMask, K):
     if K is None:
-        return list(zip(mask.coeffs, mask.translates))
-    return [mask.generator(k) for k in range(1, K + 1)]
+        return tuple(zip(mask.coeffs, mask.translates))
+    return tuple(mask.generator(k) for k in range(1, K + 1))
 
 
 def mask_terms(mask: RefinementMask, tol: float = 1e-14):
     """(a_k, LaurentTranslate) terms, truncated for infinite masks; plus tail bound."""
     K, tail = _truncation(mask, tol)
-    return _terms(mask, K), tail
+    return list(_terms(mask, K)), tail
 
 
 @functools.lru_cache(maxsize=256)
@@ -253,10 +253,17 @@ def _kernel_terms(mask: RefinementMask, K, prec: int = None):
 
 def _extended_phases(mask: RefinementMask, K, ys):
     """frac(tau_k y) of the prec-bit translates: a (K, len(ys)) float array.  One
-    check, at the largest |y| (NaN if any y is), refuses ys past the precision budget."""
+    check, at the largest |y| (NaN if any y is), refuses ys past the precision budget.
+    For double ys, a term whose translate is 0 or +-2^e at prec bits and in float takes
+    frac(tau_k y) of the exact float product, rounded once; the rest take _frac_products."""
     prec = precision_bits()
     _check_fraction_bits("argument |y|", float(np.abs(ys.astype(float)).max()), 0.0, prec)
-    return _frac_products(_kernel_terms(mask, K, prec)[1], ys)
+    floats, taus = _kernel_terms(mask, K)[1], _kernel_terms(mask, K, prec)[1]
+    out = np.multiply.outer(floats, ys.astype(float)) % 1.0
+    exact = [k for k, (t, f) in enumerate(zip(taus, floats)) if ys.dtype.kind != "f" or t._mpf_[1] > 1 or t != f]
+    if exact:
+        out[exact] = _frac_products([taus[k] for k in exact], ys)
+    return out
 
 
 def _mantissa(y):
@@ -346,8 +353,8 @@ def eval_symbol_grid(mask: RefinementMask, ys, tol: float = 1e-14):
     values has shape ys.shape, plus (r, r) for rank-r matrix masks.  The
     phase of term k is tau_k y in float64, except where |y| > 2^20: there
     frac(tau_k y) is reduced at extended precision first, from the exact y (an
-    int, or the double an mpf rounds to).  Every point then takes the same sum,
-    in term order.
+    int, or the double an mpf rounds to), in float where that product is exact
+    (_extended_phases).  Every point then takes the same sum, in term order.
     """
     K, tail = _truncation(mask, tol)
     coeffs, taus, _ = _kernel_terms(mask, K)
@@ -512,8 +519,8 @@ def phihat_orbit(mask: RefinementMask, lam, J_range, tol: float = 1e-12):
     The entries at n_s and below come from one phihat_grid call at the floats
     lam alpha^n and carry its bound.  From n_s on, phihat(alpha y) = ahat(y) phihat(y)
     extends the orbit one factor at a time, each adding a symbol tail to the bound;
-    the factors' phases frac(tau_k lam alpha^n) come from orbit_fractions, in blocks
-    of _ORBIT_BLOCK factors with one _symbol_sum each.
+    the factors come in blocks of _ORBIT_BLOCK, each with one _symbol_sum and one
+    orbit of lam, from which _term_phases takes every term's phases.
     """
     js = J_range if isinstance(J_range, range) else sorted(int(j) for j in J_range)
     if not js:
@@ -535,16 +542,26 @@ def phihat_orbit(mask: RefinementMask, lam, J_range, tol: float = 1e-12):
     values, err = phihat_grid(mask, xs, tol)
     out = {n: SymbolValue(v, err) for n, v in zip(direct, values.tolist() if mask.rank == 1 else values)}
     K, tail = _truncation(mask, min(tol, 1e-14))
-    coeffs, _, taus = _kernel_terms(mask, K)
-    mus = [fe_mul(field, t, lam) for t in taus]
+    coeffs, items = _kernel_terms(mask, K)[0], [t.items for _, t in _terms(mask, K)]
+    shifts = sorted(i for its in items for i, _ in its) or [0]
     cur = out[n_s]
     for lo in range(n_s, top, _ORBIT_BLOCK):
         hi = min(lo + _ORBIT_BLOCK, top) - 1
-        sums = _symbol_sum(coeffs, mask.alpha, np.array([orbit_fractions(field, mu, lo, hi) for mu in mus]))
+        rows = orbit_numerators(field, lam, lo + shifts[0], hi + shifts[-1]) if any(items) else []
+        sums = _symbol_sum(coeffs, mask.alpha, _term_phases(rows, items, hi - lo + 1, shifts[0]))
         for n, a in zip(range(lo + 1, hi + 2), sums.tolist() if mask.rank == 1 else sums):
             cur = out[n] = SymbolValue(a * cur.value if mask.rank == 1 else a @ cur.value,
                                        cur.truncation_error + tail)
     return [(j, out[j]) for j in js]
+
+
+def _term_phases(rows, items, m: int, i0: int):
+    """frac(sum_i c rows[n + i - i0]), n < m, per term's translate items ((i, c), ...), rows being orbit_numerators'
+    for lam alpha^(n + i0) on: a single alpha^i reads its row's fraction, any other sum is exact and rounded once."""
+    fracs, at = np.array([num % d / d for num, d in rows]), np.arange(m) - i0
+    return np.array([fracs[at + its[0][0]] if len(its) == 1 and its[0][1] == 1 else
+                     [float(sum(Fraction(c * rows[n + i][0], rows[n + i][1]) for i, c in its) % 1) for n in at.tolist()]
+                     for its in items])
 
 
 def _orbit_moduli(mask: RefinementMask, orbit) -> list:

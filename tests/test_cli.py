@@ -376,6 +376,13 @@ EXTENDED_BYTES = (
     pytest.param(("symbol-scan", "--mask", "golden_vector", "--range", "3e20:3.0000000000001e20", "--step", "1e5",
                   "--precision-bits", "256"),
                  "160ae99731f3661a398152662944d8e0c5a8cf30ae3fd35497e51c18b8936c19", id="symbol-scan-3e20-256-bit"),
+    # far phihat: every grid point and probe past 2^20 is the start of an exact orbit
+    pytest.param(("zeros-scan", "--mask", "dyadic", "--range", "0:1e15", "--step", "1e14", "--delta", "1e-6",
+                  "--target", "phihat"),
+                 "19ee0f6d97052d4ca85ff4c7259b339e2fa66e8998bef427fb786f6e9de45965", id="zeros-scan-far-dyadic"),
+    pytest.param(("zeros-scan", "--mask", "golden_vector", "--range", "0:1e15", "--step", "1e14", "--delta", "1e-6",
+                  "--target", "phihat"),
+                 "a25afddb4370c1b278e3d177cc0c29ac72ccef7f89b42408fea65b40ad7566f3", id="zeros-scan-far-golden_vector"),
 )
 # the certified roots, rounded to doubles: the benchmark's PV pool (degrees 2-6), a Salem
 # number, degree 8, and alpha near 10^10 with a conjugate near 1

@@ -3,9 +3,10 @@
 The 0-d and grid entries of the kernel agree bit for bit, for float
 arguments on both sides of 2^20;
 the lifted symbol A on a covering theta window equals ahat; phihat
-satisfies the two-scale identity phihat(alpha y) = ahat(y) phihat(y); and
+satisfies the two-scale identity phihat(alpha y) = ahat(y) phihat(y);
 the integer phase reduction equals the exact fraction of the product,
-rounded once, ties included.
+rounded once, ties included; and past 2^20 a translate 0 or 2^e keeps the
+float phase of a double, with the same bits.
 """
 
 import functools
@@ -71,6 +72,37 @@ def test_property_two_scale_identity(name, y):
     base = rf.eval_phihat(mask, y, 1e-11).value
     rhs = sym * base if mask.rank == 1 else sym @ base
     assert np.max(np.abs(np.atleast_1d(lhs - rhs))) < 1e-9
+
+
+@kernel_property
+@given(st.sampled_from(BUILTINS), st.sampled_from((1e-14, 1e-30)),
+       st.lists(st.builds(lambda s, y: s * y, st.sampled_from((1, -1)), st.floats(2.0**20, 2.0**80)),
+                min_size=1, max_size=6))
+def test_property_power_of_two_translates_keep_the_float_phase(name, tol, ys):
+    # every builtin translate is 0 or 2^e, so past 2^20 each term keeps fl(tau y), whose
+    # fraction has the bits of the exact reduction; tol 1e-30 takes dyadic to tau = 2^-99
+    from unittest import mock
+
+    mask = builtin(name)
+    K = rf._truncation(mask, tol)[0]
+    taus = rf._kernel_terms(mask, K, pv.precision_bits())[1]
+    with mock.patch.object(rf, "_frac_products", wraps=rf._frac_products) as exact_route:
+        got = rf._extended_phases(mask, K, np.array(ys))
+    assert not exact_route.called
+    assert got.tobytes() == rf._frac_products(taus, ys).tobytes(), (name, ys)
+
+
+def test_exact_phases_where_the_float_product_would_round():
+    # the double nearest 2^60 + 1 is 2^60, at which 2^(1-k) y is an integer for k <= 61
+    dyadic, y = builtin("dyadic"), 2**60 + 1
+    with mp.workprec(200):
+        want = sum(mp.mpf(2) ** -k * mp.expj(-2 * mp.pi * (mp.mpf(2) ** (1 - k) * y % 1)) for k in range(1, 201))
+    assert abs(rf.eval_symbol(dyadic, y).value - complex(want)) < 1e-13
+    # and the translate 3 times a 53-bit y needs 55 bits: fl(3 y) is off by up to 2^-11
+    mask, y = rf.make_mask(builtin("boxcar").field, (1.0, 1.0), (0, 3)), 2.0**40 + 0.3
+    with mp.workprec(200):
+        want = (1 + mp.expj(-2 * mp.pi * (3 * mp.mpf(y) % 1))) / 2
+    assert abs(rf.eval_symbol(mask, y).value - complex(want)) < 1e-13
 
 
 def exact(x):

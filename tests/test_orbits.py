@@ -3,8 +3,11 @@
 orbit_phases equals a 1,200-bit frac(mu alpha^n) over the benchmark's PV pool
 and three integer dilations; the orbits built on it (bernoulli_orbit,
 phihat_orbit) give at 128 bits the values of a 1,024-bit run; the Bernoulli
-orbits of lambda = 1/3, 1 and 2 follow a 1,200-bit product out to J = 400; and
-phihat_orbit takes its entries with |lambda alpha^n| <= 1 from phihat_grid.
+orbits of lambda = 1/3, 1 and 2 follow a 1,200-bit product out to J = 400;
+phihat_orbit takes its entries with |lambda alpha^n| <= 1 from phihat_grid; and
+its one orbit of lambda per block gives the factors of one orbit per term, bit
+for bit, where every translate is 0 or alpha^i, and follows a 1,200-bit product
+where a translate sums powers or scales one.
 """
 
 import csv
@@ -17,7 +20,8 @@ import pytest
 
 import pvrefine as pv
 from pvrefine import cli, refinement as rf
-from pvrefine.algebraic_core import integer_dilation_field, orbit_fractions, orbit_phases, working_precision
+from pvrefine.algebraic_core import (fe_mul, fe_rational, integer_dilation_field, orbit_fractions, orbit_phases,
+                                     working_precision)
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -189,3 +193,80 @@ def test_far_phihat_grid_follows_1200_bit_product(coeffs):
         assert v == sv.value and sv.truncation_error <= err, y
         want = _bernoulli_phihat_1200(coeffs, Fraction(y), 0)
         assert abs(v - want) <= 1e-12 * abs(want), (y, v, want)
+
+
+def _two_term_mask(tmp_path, coeffs, translates):
+    # a scalar mask on the field of coeffs with a(k) = |alpha|/2 and the translates 0 and `translates`
+    h = abs(field(coeffs).alpha) / 2
+    path = tmp_path / "two_term.mask"
+    path.write_text("dilation-poly = %s\ncoeffs = %r; %r\ntranslates = 0 ; %s\n"
+                    % (",".join(map(str, coeffs)), h, h, translates))
+    return rf.mask_from_file(str(path))
+
+
+def _start(mask, lam, top):
+    # n_s, the last n <= top with |lam alpha^n| <= 1 (none of these lambdas is near a boundary)
+    return max(n for n in range(-200, top + 1) if abs(float(lam)) * abs(mask.alpha) ** n <= 1)
+
+
+ROUTE_LAMBDAS = (1, Fraction(1, 3), Fraction(10**15 + 12345, 7), 2**40 + 3)
+
+
+@pytest.mark.parametrize("lam", ROUTE_LAMBDAS, ids=str)
+@pytest.mark.parametrize("name, coeffs, translate", [
+    ("boxcar", None, None), ("dyadic", None, None), ("golden_vector", None, None), ("bernoulli", (-1, -1), None),
+    ("golden", (-1, -1), "-1:1"), ("plastic", (-1, -1, 0), "-2:1"), ("tribonacci", (-1, -1, -1), "2:1")])
+def test_orbit_phases_of_one_orbit_are_the_per_term_phases(tmp_path, name, coeffs, translate, lam):
+    # every term's phase comes from one orbit of lam, read by index for a translate 0 or
+    # alpha^i: each factor is the one the orbit of tau_k lam per term gives, bit for bit
+    if translate:
+        mask = _two_term_mask(tmp_path, coeffs, translate)
+    else:
+        mask = rf.builtin_mask(name, field(coeffs) if coeffs else None)
+    n_s = _start(mask, lam, 119)
+    orbit = dict(rf.phihat_orbit(mask, lam, range(min(n_s, 0), 120)))
+    K, _ = rf._truncation(mask, 1e-14)
+    coeffs_k, _, taus = rf._kernel_terms(mask, K)
+    mu = fe_rational(mask.field, Fraction(lam))
+    phases = np.array([orbit_fractions(mask.field, fe_mul(mask.field, t, mu), n_s, 118) for t in taus])
+    factors = rf._symbol_sum(coeffs_k, mask.alpha, phases)
+    for n, a in zip(range(n_s, 119), factors.tolist() if mask.rank == 1 else factors):
+        want = a * orbit[n].value if mask.rank == 1 else a @ orbit[n].value
+        assert np.array_equal(orbit[n + 1].value, want), (n, orbit[n + 1].value, want)
+
+
+def _phihat_1200(coeffs, a, translates, lam, js):
+    # phihat(lam alpha^J) of the scalar mask (a, translates), translates as {i: c} maps, at
+    # 1,200 bits: the product over |y alpha^-j| > 2^-100 at J = 0, then one factor a step
+    with mp.workprec(1200):
+        al = alpha_1200(coeffs)
+        taus = [sum(c * al**i for i, c in t.items()) for t in translates]
+
+        def ahat(x):
+            return sum(mp.mpf(a) * mp.expj(-2 * mp.pi * t * x) for t in taus) / abs(al)
+
+        y = mp.mpf(lam.numerator) / lam.denominator
+        val, x = mp.mpc(1), y / al
+        while abs(x) > mp.mpf(2) ** -100:
+            val *= ahat(x)
+            x /= al
+        out = {}
+        for J in range(max(js) + 1):
+            out[J] = complex(val)
+            val *= ahat(y * al**J)
+        return [out[J] for J in js]
+
+
+@pytest.mark.parametrize("lam", (Fraction(1, 3), 2**40 + 3), ids=str)
+@pytest.mark.parametrize("coeffs, translate, support", [
+    ((-1, -1), "1:2", {1: 2}), ((-1, -1), "-1:1,0:1", {-1: 1, 0: 1}), ((-1, -1, -1), "-1:1,0:1", {-1: 1, 0: 1})])
+def test_orbit_phases_of_combined_translates_follow_1200_bits(tmp_path, coeffs, translate, support, lam):
+    # a translate with a coefficient other than 1, or with two powers, sums its exact
+    # numerators from the one orbit of lam and rounds once.  At tol 1e-15 the start from
+    # phihat_grid is off by about 1e-15 (6e-13 relative at the default 1e-12)
+    mask = _two_term_mask(tmp_path, coeffs, translate)
+    js = range(0, 120, 7)
+    orbit = dict(rf.phihat_orbit(mask, lam, js, 1e-15))
+    want = _phihat_1200(coeffs, mask.coeffs[0].real, [{}, support], Fraction(lam), js)
+    for J, w in zip(js, want):
+        assert abs(orbit[J].value - w) <= 1e-13 * abs(w), (J, orbit[J].value, w)

@@ -10,6 +10,7 @@ truncation parameters.
 
 import cmath
 import math
+import re
 from fractions import Fraction
 
 import mpmath as mp
@@ -442,6 +443,22 @@ def test_extended_phases_check_the_largest_argument(golden_vector):
     with pytest.raises(pv.PrecisionError, match="nan"):
         rf._extended_phases(golden_vector, K, ys)
     assert rf._extended_phases(golden_vector, K, ys[[0, 2]]).shape == (2, 2)
+
+
+def test_float_route_keeps_the_argument_check(golden_vector, capsys):
+    # both golden_vector translates, 0 and 1, keep the float product past 2^20, and still
+    # the one check at the largest |y| refuses 2^200 and a NaN with the exact route's message
+    from pvrefine import cli
+
+    message = (r"argument \|y\| = 2\^%s overflows the 128-bit budget, leaving under 32 fractional bits; "
+               "raise --precision-bits")
+    with pytest.raises(pv.PrecisionError, match="^%s$" % message % 200):
+        rf.eval_symbol(golden_vector, 2.0**200)
+    assert cli.main(["symbol-scan", "--mask", "golden_vector", "--range", "1.6e60:1.6000000000001e60",
+                     "--step", "1e47"]) == 3
+    assert re.fullmatch("error: %s\n" % message % 200, capsys.readouterr().err)
+    with pytest.raises(pv.PrecisionError, match="^%s$" % message % "nan"):
+        rf._extended_phases(golden_vector, rf._truncation(golden_vector, 1e-14)[0], np.array([2.0**21, np.nan]))
 
 
 def test_symbol_scan_above_2_20_keeps_extended_precision(tmp_path, golden_vector):
